@@ -170,7 +170,7 @@ def _ladder_bundles(cfg):
 
     lattices = cfg.lattice_ladder()
     spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
-    bundles, pairs = nested_bundles(
+    return nested_bundles(
         spec,
         cfg.make_potential(),
         cfg.coupling.lam,
@@ -179,13 +179,12 @@ def _ladder_bundles(cfg):
         cfg.override_stability,
         cap=cfg.solver.basis_cap,
     )
-    return bundles, pairs
 
 
 def run_hvz(cfg, outdir: Path) -> dict:
     from .spectral import hvz_gap_probe
 
-    bundles, _ = _ladder_bundles(cfg)
+    bundles = _ladder_bundles(cfg)
     rows = []
     per_level = []
     for b in bundles:
@@ -222,7 +221,7 @@ def run_hvz(cfg, outdir: Path) -> dict:
 def run_convergence(cfg, outdir: Path) -> dict:
     from .spectral import higher_order_norm, resolvent_convergence
 
-    bundles, _ = _ladder_bundles(cfg)
+    bundles = _ladder_bundles(cfg)
     trace = resolvent_convergence(bundles)
     higher = [higher_order_norm(b, trace.beta) for b in bundles]
     report = trace.as_dict()

@@ -1,23 +1,32 @@
 """Truncated two-species bosonic Fock space over lattice modes.
 
 Slots are species-major: slots 0..M-1 are species 1 at ascending momentum,
-slots M..2M-1 species 2.  States are occupation tuples with total particle
-number at most n_max, ordered by total number and then lexicographically, so
-basis enumeration is deterministic across runs.  Creation out of the top
-sector maps to zero, keeping every operator an endomorphism of one space;
-canonical-commutation checks therefore restrict to the sector N <= n_max - 1.
+slots M..2M-1 species 2.  A basis is one occupation array `occ` (dim x 2M,
+uint8) holding every state with total particle number at most n_max, ordered
+by total number and then lexicographically, so basis enumeration is
+deterministic across runs.  `FockBasis.rank` maps occupation rows back to
+their indices through the combinatorial number system.
 
-Matrix elements use a single square root of an integer product, which makes
-structural identities (Hermiticity of second quantizations, adjoints of
-normal-ordered operators) hold bitwise, not just to rounding.
+Every operator is assembled by `wick_operator`.  It builds a normal-ordered
+monomial leg by leg over blocks of basis columns: annihilator legs first, each
+taking one particle out of an occupied slot in its range, then creator legs,
+each adding one.  Creation out of the top sector maps to zero, keeping every
+operator an endomorphism of one space; canonical-commutation checks therefore
+restrict to the sector N <= n_max - 1.
+
+Matrix elements are a coefficient times a single square root of the exact
+integer product of the leg occupations, which makes structural identities
+(Hermiticity of second quantizations, adjoints of normal-ordered operators)
+hold bitwise, not just to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from itertools import permutations
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +35,8 @@ from .errors import ContractError, ParameterError, ResourceLimitError, ShapeErro
 from .lattice import MomentumLattice, NestedPair
 
 HARD_DIMENSION_CAP = 200_000
+# Basis columns expanded at once by `wick_operator`; bounds its working memory.
+COLUMN_BLOCK = 256
 
 
 def fock_dimension(n_slots: int, n_max: int) -> int:
@@ -35,12 +46,14 @@ def fock_dimension(n_slots: int, n_max: int) -> int:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Deterministic occupation-number basis with a particle cap."""
+    """Deterministic occupation-number basis with a particle cap.
+
+    Row i of occ holds the slot occupations of basis state i; rank inverts it.
+    """
 
     lattice: MomentumLattice
     n_max: int
-    states: tuple = field(repr=False)
-    index: dict = field(repr=False)
+    occ: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_modes(self) -> int:
@@ -52,14 +65,7 @@ class FockBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.states)
-
-    def slot(self, species: int, mode_idx: int) -> int:
-        if species not in (1, 2):
-            raise ParameterError(f"species must be 1 or 2, got {species}")
-        if not 0 <= mode_idx < self.n_modes:
-            raise ParameterError(f"mode index {mode_idx} out of range")
-        return (species - 1) * self.n_modes + mode_idx
+        return len(self.occ)
 
     def mode_index(self, gamma: float) -> int:
         """Index of the lattice mode with momentum gamma; errors if absent."""
@@ -75,7 +81,41 @@ class FockBasis:
         return out
 
     def totals(self) -> np.ndarray:
-        return np.array([sum(s) for s in self.states])
+        return self.occ.sum(axis=1, dtype=np.int64)
+
+    @cached_property
+    def _rank_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lex, offsets): lex[i, r, x] counts the states that agree with a row
+        before slot i, hold r particles from slot i on, and put fewer than x
+        at slot i; offsets[n] is the index of the first state of sector n."""
+        s, n = self.n_slots, self.n_max
+        # comp[r, i]: occupations of the s - 1 - i slots after slot i with total r
+        comp = np.array(
+            [[math.comb(r + t - 1, r) if t else int(r == 0) for t in range(s)][::-1] for r in range(n + 1)],
+            dtype=np.int64,
+        )
+        lex = np.zeros((s, n + 1, n + 1), dtype=np.int64)
+        for r in range(n + 1):
+            for x in range(1, r + 1):
+                lex[:, r, x] = lex[:, r, x - 1] + comp[r - x + 1]
+        offsets = np.array([fock_dimension(s, k - 1) for k in range(n + 1)], dtype=np.int64)
+        return lex, offsets
+
+    def rank(self, occ_rows) -> np.ndarray:
+        """Basis indices of occupation rows, each 2M long with total <= n_max."""
+        rows = np.asarray(occ_rows)
+        if rows.ndim != 2 or rows.shape[1] != self.n_slots:
+            raise ShapeError(f"occupation rows must have {self.n_slots} columns, got {rows.shape}")
+        totals = rows.sum(axis=1, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or totals.max() > self.n_max):
+            raise ParameterError(f"occupation rows leave the basis with cap {self.n_max}")
+        lex, offsets = self._rank_tables
+        out = offsets[totals]
+        rem = np.zeros(len(rows), dtype=np.int64)
+        for i in range(self.n_slots - 1, -1, -1):
+            rem += rows[:, i]
+            out += lex[i, rem, rows[:, i]]
+        return out
 
 
 def enumerate_basis(
@@ -91,18 +131,18 @@ def enumerate_basis(
     dim = fock_dimension(n_slots, n_max)
     if dim > cap:
         raise ResourceLimitError(dim, cap)
-    states: list[tuple[int, ...]] = []
-    for n in range(n_max + 1):
-        sector = []
-        for combo in combinations_with_replacement(range(n_slots), n):
-            occ = [0] * n_slots
-            for s in combo:
-                occ[s] += 1
-            sector.append(tuple(occ))
-        sector.sort()
-        states.extend(sector)
-    index = {s: i for i, s in enumerate(states)}
-    return FockBasis(lattice=lattice, n_max=n_max, states=tuple(states), index=index)
+    # level[r]: occupations of the trailing slots with total r, in lex order;
+    # prepending one slot at a time keeps each level lex ordered.
+    level = [np.zeros((int(r == 0), 0), dtype=np.uint8) for r in range(n_max + 1)]
+    for _ in range(n_slots):
+        level = [
+            np.concatenate([np.hstack([np.full((len(rest), 1), x, dtype=np.uint8), rest])
+                            for x, rest in enumerate(level[r::-1])])
+            for r in range(n_max + 1)
+        ]
+    occ = np.concatenate(level)
+    occ.flags.writeable = False
+    return FockBasis(lattice=lattice, n_max=n_max, occ=occ)
 
 
 @dataclass(frozen=True)
@@ -130,44 +170,20 @@ class FockOperator:
         return complex(np.vdot(psi, self.matrix @ psi))
 
 
-def _coo(basis: FockBasis, rows, cols, vals, hermitian=False) -> FockOperator:
-    mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return FockOperator(basis=basis, matrix=mat, hermitian=hermitian)
+def _unit_kernel(basis: FockBasis, species: int, gamma: float, create: bool) -> WickKernel:
+    coeffs = np.zeros(basis.n_modes, dtype=complex)
+    coeffs[basis.mode_index(gamma)] = 1.0
+    return WickKernel(p=int(create), q=int(not create), species=(species,), coeffs=coeffs)
 
 
 def creation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
     """Bosonic creator at the given momentum; kills the top sector."""
-    s = basis.slot(species, basis.mode_index(gamma))
-    rows, cols, vals = [], [], []
-    for c, state in enumerate(basis.states):
-        if sum(state) >= basis.n_max:
-            continue
-        target = list(state)
-        target[s] += 1
-        rows.append(basis.index[tuple(target)])
-        cols.append(c)
-        vals.append(math.sqrt(state[s] + 1))
-    return _coo(basis, rows, cols, vals)
+    return wick_operator(basis, _unit_kernel(basis, species, gamma, create=True))
 
 
 def annihilation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
     """Bosonic annihilator at the given momentum."""
-    s = basis.slot(species, basis.mode_index(gamma))
-    rows, cols, vals = [], [], []
-    for c, state in enumerate(basis.states):
-        if state[s] == 0:
-            continue
-        target = list(state)
-        target[s] -= 1
-        rows.append(basis.index[tuple(target)])
-        cols.append(c)
-        vals.append(math.sqrt(state[s]))
-    return _coo(basis, rows, cols, vals)
+    return wick_operator(basis, _unit_kernel(basis, species, gamma, create=False))
 
 
 def number_operator(basis: FockBasis) -> FockOperator:
@@ -201,40 +217,18 @@ def dgamma(basis: FockBasis, h) -> FockOperator:
     hm = _promote_one_particle(basis, h)
     if np.max(np.abs(hm - hm.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(hm)))):
         raise ContractError("dgamma requires a Hermitian one-particle matrix")
-    n_slots = basis.n_slots
-    cols_of = [np.nonzero(hm[:, j])[0] for j in range(n_slots)]
-    rows, cols, vals = [], [], []
-    index = basis.index
-    for c, state in enumerate(basis.states):
-        diag = 0.0 + 0.0j
-        occupied = [s for s in range(n_slots) if state[s]]
-        for j in occupied:
-            nj = state[j]
-            diag += hm[j, j] * nj
-            for i in cols_of[j]:
-                if i == j:
-                    continue
-                target = list(state)
-                target[j] -= 1
-                target[i] += 1
-                amp = math.sqrt((state[i] + 1) * nj)
-                rows.append(index[tuple(target)])
-                cols.append(c)
-                vals.append(hm[i, j] * amp)
-        if diag != 0:
-            rows.append(c)
-            cols.append(c)
-            vals.append(diag)
-    return _coo(basis, rows, cols, vals, hermitian=True)
+    op = wick_operator(basis, WickKernel(p=1, q=1, species=(None, None), coeffs=hm))
+    return FockOperator(basis=basis, matrix=op.matrix, hermitian=True)
 
 
 @dataclass(frozen=True)
 class WickKernel:
     """Coefficient tensor of a normal-ordered monomial with species labels.
 
-    coeffs has one mode axis per leg, creators first; it is kept symmetric
-    under permutations of creator legs with equal species and of annihilator
-    legs likewise (enforced by `symmetrized`).
+    coeffs has one axis per leg, creators first.  A leg labelled 1 or 2 runs
+    over that species' M modes; a leg labelled None runs over all 2M slots.
+    The tensor is kept symmetric under permutations of creator legs with equal
+    labels and of annihilator legs likewise (enforced by `symmetrized`).
     """
 
     p: int
@@ -245,8 +239,8 @@ class WickKernel:
     def __post_init__(self):
         if len(self.species) != self.p + self.q:
             raise ShapeError("species labels must cover all legs")
-        if any(s not in (1, 2) for s in self.species):
-            raise ParameterError("species labels must be 1 or 2")
+        if any(s not in (1, 2, None) for s in self.species):
+            raise ParameterError("species labels must be 1, 2 or None")
         if np.ndim(self.coeffs) != self.p + self.q:
             raise ShapeError("coefficient tensor rank must equal the leg count")
 
@@ -284,79 +278,84 @@ def _species_perms(labels: Sequence[int]) -> list[tuple[int, ...]]:
     return out if out else [()]
 
 
-def _annihilation_tuples(
-    state: Sequence[int], offsets: Sequence[int], n_modes: int
-) -> Iterator[tuple[tuple[int, ...], list, int]]:
-    """Ordered mode tuples removable leg by leg, with the integer amplitude."""
-
-    def rec(depth: int, occ: list, amp: int, modes: list):
-        if depth == len(offsets):
-            yield tuple(modes), occ, amp
-            return
-        off = offsets[depth]
-        for k in range(n_modes):
-            n = occ[off + k]
-            if n == 0:
-                continue
-            occ2 = occ.copy()
-            occ2[off + k] = n - 1
-            modes.append(k)
-            yield from rec(depth + 1, occ2, amp * n, modes)
-            modes.pop()
-
-    yield from rec(0, list(state), 1, [])
-
-
 def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     """Assemble a normal-ordered monomial operator from its kernel.
 
     All creators stand left of all annihilators, so the vacuum expectation
-    vanishes whenever p + q > 0.  Tuples that would exceed the particle cap
-    are dropped (the truncation convention of `creation`).
+    vanishes whenever p + q > 0.  Columns whose image would exceed the
+    particle cap are dropped (the truncation convention of `creation`).
+    Terms landing on one matrix entry are summed in the order the legs
+    generate them, so equal kernels give bitwise equal matrices.
     """
-    m = basis.n_modes
+    m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q
     coeffs = np.asarray(kern.coeffs, dtype=complex)
-    if coeffs.shape != (m,) * (kern.p + kern.q):
-        raise ShapeError(
-            f"kernel axes {coeffs.shape} do not match the {m}-mode lattice"
-        )
-    if kern.p == 0 and kern.q == 0:
+    widths = tuple(2 * m if s is None else m for s in kern.species)
+    if coeffs.shape != widths:
+        raise ShapeError(f"kernel axes {coeffs.shape} do not match the {m}-mode lattice: need {widths}")
+    if p == 0 and q == 0:
         scalar = complex(coeffs)
         return FockOperator(
             basis=basis,
-            matrix=(scalar * sp.identity(basis.dim, dtype=complex, format="csr")),
+            matrix=(scalar * sp.identity(dim, dtype=complex, format="csr")),
             hermitian=abs(scalar.imag) == 0.0,
         )
-    cre_offsets = [(s - 1) * m for s in kern.species[: kern.p]]
-    ann_offsets = [(s - 1) * m for s in kern.species[kern.p :]]
-    index = basis.index
-    n_max = basis.n_max
-    p = kern.p
-    rows, cols, vals = [], [], []
-
-    def create_rec(depth: int, occ: list, amp: int, modes: list, col: int, w_slice):
-        if depth == p:
-            rows.append(index[tuple(occ)])
-            cols.append(col)
-            vals.append(complex(w_slice) * math.sqrt(amp))
-            return
-        off = cre_offsets[depth]
-        for k in range(m):
-            n = occ[off + k]
-            occ[off + k] = n + 1
-            modes.append(k)
-            create_rec(depth + 1, occ, amp * (n + 1), modes, col, w_slice[k])
-            modes.pop()
-            occ[off + k] = n
-
-    for c, state in enumerate(basis.states):
-        n_state = sum(state)
-        if n_state - kern.q + p > n_max or n_state < kern.q:
+    flat = coeffs.ravel()
+    strides = np.cumprod((1,) + widths[:0:-1])[::-1]
+    # per leg, the modes where some coefficient is nonzero, and their slots
+    nonzero = coeffs != 0
+    legs = range(p + q)
+    modes = [np.flatnonzero(nonzero.any(axis=tuple(a for a in legs if a != leg))) for leg in legs]
+    reach = [(0 if s is None else (s - 1) * m) + mode for s, mode in zip(kern.species, modes)]
+    totals = basis.totals()
+    active = np.flatnonzero((totals >= q) & (totals - q + p <= basis.n_max))
+    if any(len(mode) == 0 for mode in modes):  # a leg without coefficients: zero operator
+        active = active[:0]
+    if p:
+        # up[i, s]: index of state i plus one particle at creator slot s, for
+        # the states below the cap, which are a prefix of the basis
+        n_low = int(np.count_nonzero(totals < basis.n_max))
+        cslots = np.unique(np.concatenate(reach[:p]))
+        raised = np.repeat(basis.occ[:n_low], len(cslots), axis=0)
+        raised[np.arange(len(raised)), np.tile(cslots, n_low)] += 1
+        up = np.full((n_low, basis.n_slots), -1, dtype=np.int64)
+        up[:, cslots] = basis.rank(raised).reshape(n_low, len(cslots))
+    keys, vals = [], []
+    for start in range(0, len(active), COLUMN_BLOCK):
+        cols = active[start : start + COLUMN_BLOCK]
+        occ = basis.occ[cols]
+        amp = np.ones(len(cols), dtype=np.int64)
+        cidx = np.zeros(len(cols), dtype=np.int64)
+        for leg in range(p, p + q):  # annihilators first, on occupation rows
+            n = occ[:, reach[leg]]
+            r, j = np.nonzero(n)
+            occ = occ[r]
+            occ[np.arange(len(r)), reach[leg][j]] -= 1
+            amp = amp[r] * n[r, j]
+            cidx = cidx[r] + modes[leg][j] * strides[leg]
+            cols = cols[r]
+        state = basis.rank(occ) if q else cols
+        for leg in range(p):  # then creators, through the raise table
+            r, j = np.divmod(np.arange(len(state) * len(reach[leg])), len(reach[leg]))
+            state = up[state[r], reach[leg][j]]
+            amp = amp[r] * basis.occ[state, reach[leg][j]]
+            cidx = cidx[r] + modes[leg][j] * strides[leg]
+            cols = cols[r]
+        c = flat[cidx]
+        keep = np.flatnonzero(c != 0)
+        if not len(keep):
             continue
-        for ann_modes, inter, amp in _annihilation_tuples(state, ann_offsets, m):
-            w_slice = coeffs[(Ellipsis,) + ann_modes] if kern.q else coeffs
-            create_rec(0, inter, amp, [], c, w_slice)
-    return _coo(basis, rows, cols, vals)
+        key = cols[keep] * dim + state[keep]
+        val = c[keep] * np.sqrt(amp[keep].astype(float))
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        keys.append(key[first])
+        vals.append(np.add.reduceat(val, first))
+    key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    val = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
+    keep = val != 0
+    mat = sp.csr_matrix((val[keep], (key[keep] % dim, key[keep] // dim)), shape=(dim, dim))
+    return FockOperator(basis=basis, matrix=mat)
 
 
 def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> FockOperator:
@@ -365,38 +364,9 @@ def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> F
     With species 1 or 2, f is a length-M coefficient vector for that species;
     with species None, f covers all 2M slots.  a(f) is antilinear in f.
     """
-    f = np.asarray(f, dtype=complex)
-    m = basis.n_modes
-    if species is None:
-        if f.shape != (2 * m,):
-            raise ShapeError(f"expected {2 * m} slot coefficients")
-        full = f
-    else:
-        if f.shape != (m,):
-            raise ShapeError(f"expected {m} mode coefficients")
-        full = np.zeros(2 * m, dtype=complex)
-        off = (species - 1) * m
-        full[off : off + m] = f
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    support = np.nonzero(full)[0]
-    rows, cols, vals = [], [], []
-    index = basis.index
-    for c, state in enumerate(basis.states):
-        n_state = sum(state)
-        for s in support:
-            if n_state < basis.n_max:
-                target = list(state)
-                target[s] += 1
-                rows.append(index[tuple(target)])
-                cols.append(c)
-                vals.append(full[s] * math.sqrt(state[s] + 1) * inv_sqrt2)
-            if state[s]:
-                target = list(state)
-                target[s] -= 1
-                rows.append(index[tuple(target)])
-                cols.append(c)
-                vals.append(np.conj(full[s]) * math.sqrt(state[s]) * inv_sqrt2)
-    return _coo(basis, rows, cols, vals, hermitian=True)
+    f = np.asarray(f, dtype=complex) / math.sqrt(2.0)
+    cre = wick_operator(basis, WickKernel(p=1, q=0, species=(species,), coeffs=f)).matrix
+    return FockOperator(basis=basis, matrix=(cre + cre.getH()).tocsr(), hermitian=True)
 
 
 def smeared_field_coefficients(g_hat, lattice: MomentumLattice) -> np.ndarray:
@@ -413,21 +383,8 @@ def smeared_field_coefficients(g_hat, lattice: MomentumLattice) -> np.ndarray:
 
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:
     """a(f) = sum_s conj(f_s) a_s over all 2M slots (antilinear in f)."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (basis.n_slots,):
-        raise ShapeError(f"expected {basis.n_slots} slot coefficients")
-    rows, cols, vals = [], [], []
-    index = basis.index
-    support = np.nonzero(f)[0]
-    for c, state in enumerate(basis.states):
-        for s in support:
-            if state[s]:
-                target = list(state)
-                target[s] -= 1
-                rows.append(index[tuple(target)])
-                cols.append(c)
-                vals.append(np.conj(f[s]) * math.sqrt(state[s]))
-    return _coo(basis, rows, cols, vals)
+    coeffs = np.conj(np.asarray(f, dtype=complex))
+    return wick_operator(basis, WickKernel(p=0, q=1, species=(None,), coeffs=coeffs))
 
 
 def ntau_check(basis: FockBasis, f: np.ndarray, bmult: np.ndarray) -> tuple[float, float]:
@@ -441,7 +398,7 @@ def ntau_check(basis: FockBasis, f: np.ndarray, bmult: np.ndarray) -> tuple[floa
         raise ParameterError("weights must be positive over all slots")
     f = np.asarray(f, dtype=complex)
     a_f = annihilator_of(basis, f)
-    diag = np.array([sum(n * b for n, b in zip(s, bmult)) for s in basis.states])
+    diag = basis.occ @ bmult
     op = a_f.matrix @ sp.diags(1.0 / np.sqrt(diag + 1.0))
     if basis.dim <= 4000:
         lhs = float(np.linalg.svd(op.toarray(), compute_uv=False)[0]) if op.nnz else 0.0
@@ -465,16 +422,9 @@ def fock_embedding(pair: NestedPair, coarse: FockBasis, fine: FockBasis) -> sp.c
             fine.lattice.params() != pair.fine.params()
         ):
             raise ParameterError("bases do not match the nested lattice pair")
-    mc, mf = coarse.n_modes, fine.n_modes
-    slot_map = np.concatenate([pair.mode_injection, pair.mode_injection + mf])
-    rows = np.empty(coarse.dim, dtype=int)
-    for c, state in enumerate(coarse.states):
-        target = [0] * fine.n_slots
-        for s in range(2 * mc):
-            if state[s]:
-                target[slot_map[s]] = state[s]
-        rows[c] = fine.index[tuple(target)]
-    data = np.ones(coarse.dim)
+    slot_map = np.concatenate([pair.mode_injection, pair.mode_injection + fine.n_modes])
+    occ = np.zeros((coarse.dim, fine.n_slots), dtype=np.uint8)
+    occ[:, slot_map] = coarse.occ
     return sp.coo_matrix(
-        (data, (rows, np.arange(coarse.dim))), shape=(fine.dim, coarse.dim)
+        (np.ones(coarse.dim), (fine.rank(occ), np.arange(coarse.dim))), shape=(fine.dim, coarse.dim)
     ).tocsr()

@@ -7,6 +7,9 @@ profile g; its normal-ordered kernels carry one factor (4 pi v)^(-1/2) and one
 eps^(-1/2) per leg, and a g_hat evaluated at the total momentum transfer.
 Wick ordering is relative to the lattice vacuum: no self-contraction terms
 are generated, so the vacuum expectation of HI vanishes identically.
+HI is assembled as U + U^H, with U the creator-heavy splits (p > q) plus half
+of the balanced ones (p = q); the p < q splits are the adjoints of the p > q
+ones and are never assembled.  H is therefore Hermitian bitwise.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from scipy.optimize import brentq
 
 from .errors import ContractError, ParameterError, StabilityError
 from .fock import FockBasis, FockOperator, WickKernel, dgamma, fock_embedding, wick_operator
-from .lattice import MomentumLattice, NestedPair, build_nested
-from .oneparticle import CouplingReport, b_matrix, lambda_quant, pair_kernel
+from .lattice import MomentumLattice, NestedPair
+from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
 from .potentials import Potential
 
 Monomial = tuple[int, int, float]
@@ -177,8 +180,7 @@ def free_hamiltonian(basis: FockBasis) -> FockOperator:
     """Second quantization of the lattice dispersion: diagonal sector energies."""
     eps = basis.lattice.dispersion()
     eps_slots = np.concatenate([eps, eps])
-    arr = np.asarray(basis.states, dtype=float)
-    diag = arr @ eps_slots if basis.dim else np.zeros(0)
+    diag = basis.occ.astype(float) @ eps_slots
     return FockOperator(
         basis=basis, matrix=sp.diags(diag.astype(complex)).tocsr(), hermitian=True
     )
@@ -191,8 +193,8 @@ def charge_operator(
 
     Q_dgamma second-quantizes the off-diagonal species mixer [[0, b], [b^H, 0]];
     the pair parts create and annihilate one particle of each species weighted
-    by the antisymmetric kernel R; the annihilation part is the structural
-    adjoint of the creation part, so the sum is Hermitian.
+    by the antisymmetric kernel R; the annihilation part is the conjugate
+    transpose of the creation part, so the sum is Hermitian bitwise.
     """
     b = b_matrix(pot, lattice)
     m = lattice.size
@@ -203,7 +205,7 @@ def charge_operator(
     rk = pair_kernel(pot, lattice)
     kern_create = WickKernel(p=2, q=0, species=(1, 2), coeffs=rk.matrix)
     q_create = wick_operator(basis, kern_create)
-    q_annih = wick_operator(basis, kern_create.adjoint())
+    q_annih = FockOperator(basis=basis, matrix=q_create.matrix.getH().tocsr())
     return q_d, q_create, q_annih
 
 
@@ -240,15 +242,7 @@ class HamiltonianBundle:
 
     def one_particle_energy(self) -> np.ndarray:
         """Dense dressed one-particle block [[eps, lam b], [lam b^H, eps]]."""
-        m = self.lattice.size
-        eps = self.lattice.dispersion()
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = np.diag(eps)
-        out[m:, m:] = np.diag(eps)
-        b = b_matrix(self.pot, self.lattice)
-        out[:m, m:] = self.lam * b
-        out[m:, :m] = self.lam * b.conj().T
-        return out
+        return omega_block(self.lam, self.pot, self.lattice).full()
 
     def metadata(self) -> dict:
         diag = self.h.matrix.diagonal().real
@@ -260,7 +254,7 @@ class HamiltonianBundle:
             "min_diag": float(diag.min()),
             "max_diag": float(diag.max()),
             "lambda": self.lam,
-            "lambda_quant": self.coupling.lambda_quant,
+            "lambda_quant": "inf" if math.isinf(self.coupling.lambda_quant) else self.coupling.lambda_quant,
         }
 
 
@@ -272,7 +266,7 @@ def assemble(
     lattice: MomentumLattice,
     override_stability: bool = False,
 ) -> HamiltonianBundle:
-    """Build H = H0 + HI + lam Q and verify Hermiticity structurally.
+    """Build H = H0 + HI + lam Q, Hermitian by construction.
 
     Refuses couplings at or above the stability threshold unless the override
     flag is set (exploration mode); the error carries the threshold.
@@ -281,10 +275,13 @@ def assemble(
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
     h0 = free_hamiltonian(basis)
-    hi_mat = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    u = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for kern in interaction_kernels(spec, lattice):
-        hi_mat = hi_mat + wick_operator(basis, kern).matrix
-    hi = FockOperator(basis=basis, matrix=hi_mat.tocsr(), hermitian=True)
+        if kern.p > kern.q:
+            u = u + wick_operator(basis, kern).matrix
+        elif kern.p == kern.q:
+            u = u + 0.5 * wick_operator(basis, kern).matrix
+    hi = FockOperator(basis=basis, matrix=(u + u.getH()).tocsr(), hermitian=True)
     q_d, q_c, q_a = charge_operator(pot, basis, lattice)
     h_mat = (h0.matrix + hi.matrix + lam * (q_d.matrix + q_c.matrix + q_a.matrix)).tocsr()
     h = FockOperator(basis=basis, matrix=h_mat, hermitian=True)
@@ -325,15 +322,11 @@ def nested_bundles(
     n_max: int,
     override_stability: bool = False,
     cap: int = 200_000,
-) -> tuple[list[HamiltonianBundle], list[NestedPair]]:
-    """Assemble one bundle per ladder level plus the adjacent nesting pairs."""
+) -> list[HamiltonianBundle]:
+    """Assemble one bundle per ladder level."""
     from .fock import enumerate_basis
 
-    bundles = []
-    pairs = []
-    for i, lat in enumerate(lattices):
-        basis = enumerate_basis(lat, n_max, cap=cap)
-        bundles.append(assemble(spec, pot, lam, basis, lat, override_stability))
-        if i > 0:
-            pairs.append(build_nested(lattices[i - 1], lat))
-    return bundles, pairs
+    return [
+        assemble(spec, pot, lam, enumerate_basis(lat, n_max, cap=cap), lat, override_stability)
+        for lat in lattices
+    ]

@@ -87,7 +87,8 @@ def integer_part(k: float, v: RationalLike) -> float:
     vf = _as_fraction(v)
     if vf <= 0:
         raise ParameterError(f"inverse spacing v must be positive, got {v}")
-    return math.floor(float(vf) * k) / float(vf)
+    # v*k in exact rationals: the float product can round to -0.0 for tiny k < 0
+    return math.floor(vf * Fraction(k)) / float(vf)
 
 
 @dataclass(frozen=True)

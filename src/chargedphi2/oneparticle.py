@@ -168,7 +168,6 @@ class OneParticleBlockOperator:
     lattice: MomentumLattice
     lam: float
     b: np.ndarray
-    min_eig: float
 
     def full(self) -> np.ndarray:
         n = self.lattice.size
@@ -180,19 +179,14 @@ class OneParticleBlockOperator:
         out[n:, :n] = self.lam * self.b.conj().T
         return out
 
+    @property
+    def min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self.full())[0])
+
 
 def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> OneParticleBlockOperator:
-    """Assemble the dressed one-particle energy and report its bottom eigenvalue."""
-    b = b_matrix(pot, lattice)
-    n = lattice.size
-    full = np.zeros((2 * n, 2 * n), dtype=complex)
-    eps = lattice.dispersion()
-    full[:n, :n] = np.diag(eps)
-    full[n:, n:] = np.diag(eps)
-    full[:n, n:] = lam * b
-    full[n:, :n] = lam * b.conj().T
-    min_eig = float(np.linalg.eigvalsh(full)[0])
-    return OneParticleBlockOperator(lattice=lattice, lam=float(lam), b=b, min_eig=min_eig)
+    """The dressed one-particle energy at coupling lam; min_eig reports its bottom."""
+    return OneParticleBlockOperator(lattice=lattice, lam=float(lam), b=b_matrix(pot, lattice))
 
 
 @dataclass(frozen=True)

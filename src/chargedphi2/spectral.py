@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, ResourceLimitError, SolverError
-from .fock import FockOperator, field_operator, fock_embedding, number_operator
+from .fock import FockOperator, creation, field_operator, fock_embedding, number_operator
 from .hamiltonian import HamiltonianBundle
 from .lattice import build_nested
 
@@ -101,18 +101,12 @@ def _one_particle_excess_frame(bundle: HamiltonianBundle, psi0: np.ndarray) -> n
     """Orthonormal frame for span{a*_slot psi0}: ground state plus one particle."""
     basis = bundle.basis
     cols = []
-    for state_slot in range(basis.n_slots):
-        vec = np.zeros(basis.dim, dtype=complex)
-        index = basis.index
-        for c, state in enumerate(basis.states):
-            if psi0[c] == 0 or sum(state) >= basis.n_max:
-                continue
-            target = list(state)
-            target[state_slot] += 1
-            vec[index[tuple(target)]] += psi0[c] * math.sqrt(state[state_slot] + 1)
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-12:
-            cols.append(vec / nrm)
+    for species in (1, 2):
+        for gamma in basis.lattice.modes:
+            vec = creation(basis, species, gamma).matrix @ psi0
+            nrm = np.linalg.norm(vec)
+            if nrm > 1e-12:
+                cols.append(vec / nrm)
     if not cols:
         return np.zeros((basis.dim, 0), dtype=complex)
     q, _ = np.linalg.qr(np.column_stack(cols))

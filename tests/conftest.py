@@ -61,14 +61,12 @@ def ladder_lattices():
 def ladder_bundles(ladder_lattices, gauss_v):
     """Three nested interacting levels: quadratic polynomial plus charge term."""
     spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4)], gaussian_potential(0.3, 1.0))
-    bundles, pairs = nested_bundles(spec, gauss_v, 0.15, ladder_lattices, 2)
-    return bundles, pairs
+    return nested_bundles(spec, gauss_v, 0.15, ladder_lattices, 2)
 
 
 @pytest.fixture(scope="session")
 def free_ladder_bundles(ladder_lattices, free_spec):
-    bundles, pairs = nested_bundles(free_spec, zero_potential(), 0.0, ladder_lattices, 2)
-    return bundles, pairs
+    return nested_bundles(free_spec, zero_potential(), 0.0, ladder_lattices, 2)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ Hermite recursions against matrix powers), so tests compare two independent
 derivations rather than a function against itself.
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -101,4 +103,39 @@ def smeared_interaction(basis, lattice, monomials, g, x_nodes, weights):
 
 def safe_columns(basis, margin):
     """Indices of basis states whose total occupation is at most n_max - margin."""
-    return [i for i, s in enumerate(basis.states) if sum(s) <= basis.n_max - margin]
+    return np.flatnonzero(basis.totals() <= basis.n_max - margin)
+
+
+def dense_wick(basis, kern):
+    """Dense normal-ordered monomial as an explicit product of ladder matrices.
+
+    Each a*_s and a_s is built state by state through a tuple lookup (creation
+    out of the top sector has no target and gives zero), and the monomial
+    a*_k1 ... a*_kp a_l1 ... a_lq is multiplied out and summed over every mode
+    tuple with its coefficient.
+    """
+    states = [tuple(row) for row in basis.occ.tolist()]
+    where = {s: i for i, s in enumerate(states)}
+
+    def ladder(slot, step):
+        out = np.zeros((basis.dim, basis.dim))
+        for c, s in enumerate(states):
+            t = list(s)
+            t[slot] += step
+            j = where.get(tuple(t))
+            if j is not None:
+                out[j, c] = np.sqrt(max(s[slot], t[slot]))
+        return out
+
+    m = basis.n_modes
+    cre = [ladder(s, 1) for s in range(basis.n_slots)]
+    ann = [ladder(s, -1) for s in range(basis.n_slots)]
+    coeffs = np.asarray(kern.coeffs, dtype=complex)
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for modes in itertools.product(range(m), repeat=kern.p + kern.q):
+        mat = np.eye(basis.dim)
+        for leg, k in enumerate(modes):
+            slot = (kern.species[leg] - 1) * m + k
+            mat = mat @ (cre[slot] if leg < kern.p else ann[slot])
+        out += coeffs[modes] * mat
+    return out

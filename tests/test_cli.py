@@ -122,6 +122,14 @@ class TestCliExitCodes:
         assert cli.main(["spectrum", str(cfg)]) == 0
 
 
+    def test_convergence_free_config_exact_zero_gaps(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main(["convergence", str(CONFIGS / "free.json")]) == 0
+        report = json.loads(next(tmp_path.glob("convergence_*.json")).read_text())["report"]
+        assert len(report["resolvent_gaps"]) == 2
+        assert all(gap == 0.0 for gap in report["resolvent_gaps"])
+
+
 class TestArtifacts:
     def test_spectrum_writes_json_and_csv(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))

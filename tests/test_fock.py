@@ -23,7 +23,7 @@ from chargedphi2.fock import (
     wick_operator,
 )
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
-from oracles import safe_columns, two_particle_tensor
+from oracles import dense_wick, safe_columns, two_particle_tensor
 
 
 class TestEnumeration:
@@ -41,14 +41,20 @@ class TestEnumeration:
 
     def test_ordering_number_major_then_lex(self, lat3):
         basis = enumerate_basis(lat3, 2)
-        totals = [sum(s) for s in basis.states]
+        states = [tuple(row) for row in basis.occ.tolist()]
+        totals = [sum(s) for s in states]
         assert totals == sorted(totals)
         for n in (1, 2):
-            sector = [s for s in basis.states if sum(s) == n]
+            sector = [s for s in states if sum(s) == n]
             assert sector == sorted(sector)
 
     def test_vacuum_is_first(self, basis3):
-        assert basis3.states[0] == (0,) * basis3.n_slots
+        assert tuple(basis3.occ[0]) == (0,) * basis3.n_slots
+
+    def test_rank_inverts_occupations(self, basis3):
+        assert np.array_equal(basis3.rank(basis3.occ), np.arange(basis3.dim))
+        with pytest.raises(ParameterError):
+            basis3.rank([(4, 0, 0, 0, 0, 0)])
 
     def test_cap_enforced(self, lat9):
         with pytest.raises(ResourceLimitError) as exc:
@@ -63,7 +69,7 @@ class TestEnumeration:
 class TestLadderOperators:
     def test_create_from_vacuum(self, basis3):
         adag = creation(basis3, 1, 0.0)
-        one = basis3.index[(0, 1, 0, 0, 0, 0)]
+        one = basis3.rank([(0, 1, 0, 0, 0, 0)])[0]
         assert adag.matrix[one, 0] == 1.0
 
     def test_annihilate_vacuum(self, basis3):
@@ -72,13 +78,12 @@ class TestLadderOperators:
 
     def test_bosonic_normalization(self, basis3):
         adag = creation(basis3, 1, 0.0)
-        one = basis3.index[(0, 1, 0, 0, 0, 0)]
-        two = basis3.index[(0, 2, 0, 0, 0, 0)]
+        one, two = basis3.rank([(0, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0)])
         assert adag.matrix[two, one] == pytest.approx(math.sqrt(2))
 
     def test_top_sector_killed(self, basis3):
         adag = creation(basis3, 2, 1.0)
-        top = basis3.index[(3, 0, 0, 0, 0, 0)]
+        top = basis3.rank([(3, 0, 0, 0, 0, 0)])[0]
         assert adag.matrix.getcol(top).nnz == 0
 
     def test_unknown_mode_rejected(self, basis3):
@@ -116,7 +121,7 @@ class TestDgamma:
         for mode_idx, gamma in enumerate(lat.modes):
             state = [0] * basis3.n_slots
             state[mode_idx] = 1
-            i = basis3.index[tuple(state)]
+            i = basis3.rank([state])[0]
             assert dg.matrix[i, i] == pytest.approx(eps[mode_idx])
 
     def test_two_particle_block_matches_tensor_oracle(self, basis3, rng):
@@ -126,7 +131,7 @@ class TestDgamma:
         dg = dgamma(basis3, h).dense()
         pairs = []
         rows = []
-        for idx, state in enumerate(basis3.states):
+        for idx, state in enumerate(basis3.occ.tolist()):
             if sum(state) != 2:
                 continue
             occupied = [s for s in range(n) for _ in range(state[s])]
@@ -211,6 +216,21 @@ class TestWickOperator:
         a = wick_operator(basis3, kern).matrix
         b = wick_operator(basis3, sym).matrix
         assert np.max(np.abs((a - b).toarray())) < 1e-14
+
+    @given(
+        p=st.integers(0, 2),
+        q=st.integers(0, 2),
+        labels=st.lists(st.sampled_from([1, 2]), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_ladder_oracle(self, basis3, p, q, labels, seed):
+        r = np.random.default_rng(seed)
+        shape = (basis3.n_modes,) * (p + q)
+        coeffs = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        kern = WickKernel(p=p, q=q, species=tuple(labels[: p + q]), coeffs=coeffs).symmetrized()
+        diff = wick_operator(basis3, kern).dense() - dense_wick(basis3, kern)
+        assert np.max(np.abs(diff)) <= 1e-14
 
     def test_kernel_shape_validation(self, basis3):
         with pytest.raises(ShapeError):
@@ -310,9 +330,9 @@ class TestEmbedding:
         emb = fock_embedding(pair, coarse, fine)
         state = [0] * coarse.n_slots
         state[1] = 2  # species 1, second coarse mode
-        col = emb.getcol(coarse.index[tuple(state)])
+        col = emb.getcol(coarse.rank([state])[0])
         target_row = col.nonzero()[0][0]
-        fine_state = fine.states[target_row]
+        fine_state = fine.occ[target_row]
         slot = pair.mode_injection[1]
         assert fine_state[slot] == 2 and sum(fine_state) == 2
 

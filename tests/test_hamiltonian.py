@@ -120,7 +120,7 @@ class TestFreeHamiltonian:
         h0 = free_hamiltonian(basis3)
         state = [0] * basis3.n_slots
         state[1] = 1  # species 1, mode 0
-        i = basis3.index[tuple(state)]
+        i = basis3.rank([state])[0]
         assert h0.matrix[i, i] == pytest.approx(basis3.lattice.m)
 
     def test_two_particle_energy_is_sum(self, basis3):
@@ -129,7 +129,7 @@ class TestFreeHamiltonian:
         state = [0] * basis3.n_slots
         state[0] = 1
         state[5] = 1  # species 2, mode index 2
-        i = basis3.index[tuple(state)]
+        i = basis3.rank([state])[0]
         assert h0.matrix[i, i] == pytest.approx(eps[0] + eps[2])
 
     def test_gap_above_vacuum_is_mass(self, basis3):
@@ -160,7 +160,7 @@ class TestChargeOperator:
                 col = [0] * basis3.n_slots
                 row[i] = 1
                 col[m + j] = 1
-                val = qd.matrix[basis3.index[tuple(row)], basis3.index[tuple(col)]]
+                val = qd.matrix[basis3.rank([row])[0], basis3.rank([col])[0]]
                 assert val == b[i, j]
 
     def test_commutator_identity(self, basis3, lat3, gauss_v):
@@ -191,7 +191,7 @@ class TestChargeOperator:
             basis = enumerate_basis(lat, n_max)
             qd, qc, qa = charge_operator(gauss_v, basis, lat)
             q = (qd.matrix + qc.matrix + qa.matrix).toarray()
-            n1 = np.array([1.0 / (sum(s) + 1) for s in basis.states])
+            n1 = 1.0 / (basis.totals() + 1)
             norm = operator_norm(q * n1[None, :])
             bound = operator_norm(b_matrix(gauss_v, lat)) + 4 * pair_kernel(gauss_v, lat).frobenius()
             assert norm <= bound
@@ -215,6 +215,12 @@ class TestAssemble:
         assert exc.value.lambda_quant == pytest.approx(lq)
         bundle = assemble(quartic_spec, gauss_v, 1.1 * lq, basis3, lat3, override_stability=True)
         assert bundle.lam == pytest.approx(1.1 * lq)
+
+    def test_desk_hamiltonian_exactly_hermitian(self, desk_bundle):
+        h = desk_bundle.h.matrix
+        diff = (h - h.getH()).tocsr()
+        diff.eliminate_zeros()
+        assert diff.nnz == 0
 
     def test_two_assembly_orders_agree(self, desk_bundle):
         alt = (
@@ -302,7 +308,7 @@ class TestCompress:
 
 def test_nested_bundles_share_threshold_gate(ladder_lattices, gauss_v):
     spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4)], gaussian_potential(0.3, 1.0))
-    bundles, pairs = nested_bundles(spec, gauss_v, 0.15, ladder_lattices, 2)
-    assert len(bundles) == 3 and len(pairs) == 2
+    bundles = nested_bundles(spec, gauss_v, 0.15, ladder_lattices, 2)
+    assert len(bundles) == 3
     for b in bundles:
         assert abs(b.lam) < b.coupling.lambda_quant

@@ -31,13 +31,13 @@ def shifted(op, c):
 
 class TestGroundState:
     def test_free_ground_is_vacuum(self, free_ladder_bundles):
-        bundle = free_ladder_bundles[0][0]
+        bundle = free_ladder_bundles[0]
         e0, psi = ground_state(bundle.h)
         assert e0 == 0.0
         assert abs(psi[0]) == pytest.approx(1.0)
 
     def test_constant_shift(self, free_ladder_bundles):
-        bundle = free_ladder_bundles[0][0]
+        bundle = free_ladder_bundles[0]
         e0, psi = ground_state(shifted(bundle.h0, 2.5))
         assert e0 == 2.5
         assert abs(psi[0]) == pytest.approx(1.0)
@@ -75,24 +75,24 @@ class TestLowLying:
         assert np.allclose(w_sparse, w_dense, atol=1e-8)
 
     def test_gap_nonnegative(self, ladder_bundles):
-        for bundle in ladder_bundles[0]:
+        for bundle in ladder_bundles:
             w, _ = low_lying(bundle.h, 2)
             assert w[1] - w[0] >= 0
 
     def test_free_gap_is_mass(self, free_ladder_bundles):
-        bundle = free_ladder_bundles[0][0]
+        bundle = free_ladder_bundles[0]
         w, _ = low_lying(bundle.h, 2)
         assert w[1] - w[0] == bundle.lattice.m
 
 
 class TestHvzProbe:
     def test_free_onset_exact(self, free_ladder_bundles):
-        rep = hvz_gap_probe(free_ladder_bundles[0][0])
+        rep = hvz_gap_probe(free_ladder_bundles[0])
         assert rep.e0 == 0.0
-        assert rep.hvz_onset_estimate == free_ladder_bundles[0][0].lattice.m
+        assert rep.hvz_onset_estimate == free_ladder_bundles[0].lattice.m
 
     def test_weak_coupling_onset_near_mass_gap(self, ladder_bundles):
-        bundle = ladder_bundles[0][-1]
+        bundle = ladder_bundles[-1]
         rep = hvz_gap_probe(bundle)
         assert rep.hvz_onset_estimate is not None
         assert abs(rep.hvz_onset_estimate - (rep.e0 + bundle.lattice.m)) < 0.05
@@ -107,17 +107,17 @@ class TestHvzProbe:
 
     def test_mismatch_shrinks_under_refinement(self, ladder_bundles):
         mismatches = []
-        for bundle in ladder_bundles[0]:
+        for bundle in ladder_bundles:
             rep = hvz_gap_probe(bundle)
             mismatches.append(abs(rep.hvz_onset_estimate - (rep.e0 + bundle.lattice.m)))
         assert mismatches[0] > mismatches[1] > mismatches[2]
 
     def test_report_depth_truncates_output(self, free_ladder_bundles):
-        rep = hvz_gap_probe(free_ladder_bundles[0][0], report_depth=1)
+        rep = hvz_gap_probe(free_ladder_bundles[0], report_depth=1)
         assert len(rep.eigenvalues) == 2
 
     def test_as_dict_serializes(self, free_ladder_bundles):
-        d = hvz_gap_probe(free_ladder_bundles[0][0]).as_dict()
+        d = hvz_gap_probe(free_ladder_bundles[0]).as_dict()
         assert {"e0", "eigenvalues", "gap", "hvz_onset_estimate"} <= set(d)
 
 
@@ -129,38 +129,38 @@ class TestResolventConvergence:
         assert trace.resolvent_gaps[0] == 0.0
 
     def test_free_case_exact_zero(self, free_ladder_bundles):
-        trace = resolvent_convergence(free_ladder_bundles[0])
+        trace = resolvent_convergence(free_ladder_bundles)
         assert trace.resolvent_gaps == (0.0, 0.0)
 
     def test_interacting_gaps_strictly_decrease(self, ladder_bundles):
-        trace = resolvent_convergence(ladder_bundles[0])
+        trace = resolvent_convergence(ladder_bundles)
         assert trace.resolvent_gaps[0] > trace.resolvent_gaps[1] > 0
 
     def test_shift_policy(self, ladder_bundles):
-        bundle = ladder_bundles[0][0]
+        bundle = ladder_bundles[0]
         beta = default_shift(bundle)
         e0, _ = ground_state(bundle.h)
         assert beta == pytest.approx(1.0 + abs(e0))
 
     def test_rejects_shift_below_spectrum(self, ladder_bundles):
         with pytest.raises(ParameterError):
-            resolvent_convergence(ladder_bundles[0], beta=-10.0)
+            resolvent_convergence(ladder_bundles, beta=-10.0)
 
     def test_needs_two_levels(self, ladder_bundles):
         with pytest.raises(ParameterError):
-            resolvent_convergence(ladder_bundles[0][:1])
+            resolvent_convergence(ladder_bundles[:1])
 
 
 class TestHigherOrderNorm:
     def test_uniform_across_levels(self, ladder_bundles):
-        beta = default_shift(ladder_bundles[0][0])
-        norms = [higher_order_norm(b, beta) for b in ladder_bundles[0]]
+        beta = default_shift(ladder_bundles[0])
+        norms = [higher_order_norm(b, beta) for b in ladder_bundles]
         assert max(norms) / min(norms) <= 1.1
 
     def test_free_value_explicit(self, free_ladder_bundles):
         # for H0 and beta: max over states of n / (sum eps + beta) at m = 1 is
         # n_max / (n_max m + beta)
-        bundle = free_ladder_bundles[0][0]
+        bundle = free_ladder_bundles[0]
         val = higher_order_norm(bundle, 1.0)
         n_max = bundle.basis.n_max
         assert val == pytest.approx(n_max / (n_max * 1.0 + 1.0), rel=1e-10)
