@@ -3,7 +3,8 @@
 One run is one process reading one config file; artifacts are a JSON report
 (machine readable, deterministic payload) and CSV traces for per-level or
 per-time data.  Exit codes: 0 success, 2 config validation error, 3 stability
-error, 4 solver failure, 5 missing golden suite, 1 anything else.
+error, 4 solver failure, 5 missing golden suite, 6 dimension over a resource
+cap, 1 anything else.
 
 Environment overrides (the only ones honored): CHARGEDPHI2_OUTDIR replaces
 the configured output directory, CHARGEDPHI2_THREADS pins BLAS thread counts
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_STABILITY = 3
 EXIT_SOLVER = 4
 EXIT_GOLDEN = 5
+EXIT_RESOURCE = 6
 
 
 def _utc_now() -> str:
@@ -324,15 +326,7 @@ def _golden_registry() -> dict:
     def desk_bundle_e0():
         from .spectral import ground_state
 
-        cfg = desk_bundle_config()
-        from .fock import enumerate_basis
-        from .hamiltonian import assemble, interaction_spec
-
-        lattice = cfg.base_lattice()
-        basis = enumerate_basis(lattice, cfg.n_max)
-        spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
-        bundle = assemble(spec, cfg.make_potential(), cfg.coupling.lam, basis, lattice)
-        return ground_state(bundle.h)[0]
+        return ground_state(_single_level_bundle(desk_bundle_config()).h)[0]
 
     return {
         "weyl_gaussian_hs_sq": weyl_gaussian_hs_sq,
@@ -412,14 +406,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import (
-        ConfigError,
-        MissingGoldenError,
-        SolverError,
-        StabilityError,
-        UnstableConfigurationError,
-    )
+    from . import errors
 
+    exits = (
+        (errors.ConfigError, "config", EXIT_CONFIG),
+        ((errors.StabilityError, errors.UnstableConfigurationError), "stability", EXIT_STABILITY),
+        (errors.SolverError, "solver", EXIT_SOLVER),
+        (errors.MissingGoldenError, "golden", EXIT_GOLDEN),
+        (errors.ResourceLimitError, "resource", EXIT_RESOURCE),
+    )
     args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "golden-check":
@@ -435,18 +430,12 @@ def main(argv=None) -> int:
             summary = {k: _jsonable(v) for k, v in record["report"].items()}
             print(json.dumps(summary, default=str, sort_keys=True)[:2000])
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StabilityError, UnstableConfigurationError) as exc:
-        print(f"stability error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MissingGoldenError as exc:
-        print(f"golden error: {exc}", file=sys.stderr)
-        return EXIT_GOLDEN
+    except errors.ChargedPhi2Error as exc:
+        for kinds, label, code in exits:
+            if isinstance(exc, kinds):
+                print(f"{label} error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ class SolverError(ChargedPhi2Error, RuntimeError):
 
 
 class ResourceLimitError(ChargedPhi2Error, RuntimeError):
-    """Requested Fock basis exceeds the configured dimension cap."""
+    """A Fock dimension exceeds a cap: the configured basis cap or the dense ceiling."""
 
     def __init__(self, dim: int, cap: int):
         self.dim = dim

@@ -33,6 +33,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from .lattice import MomentumLattice, NestedPair
+from .linalg import operator_norm
 
 HARD_DIMENSION_CAP = 200_000
 # Basis columns expanded at once by `wick_operator`; bounds its working memory.
@@ -399,12 +400,7 @@ def ntau_check(basis: FockBasis, f: np.ndarray, bmult: np.ndarray) -> tuple[floa
     f = np.asarray(f, dtype=complex)
     a_f = annihilator_of(basis, f)
     diag = basis.occ @ bmult
-    op = a_f.matrix @ sp.diags(1.0 / np.sqrt(diag + 1.0))
-    if basis.dim <= 4000:
-        lhs = float(np.linalg.svd(op.toarray(), compute_uv=False)[0]) if op.nnz else 0.0
-    else:
-        sq = (op.getH() @ op).toarray()
-        lhs = math.sqrt(max(float(np.linalg.eigvalsh(sq)[-1]), 0.0))
+    lhs = operator_norm(a_f.matrix @ sp.diags(1.0 / np.sqrt(diag + 1.0)))
     rhs = float(np.linalg.norm(f / np.sqrt(bmult)))
     return lhs, rhs
 

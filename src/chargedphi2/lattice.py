@@ -3,9 +3,9 @@
 A lattice holds the finite symmetric mode set {gamma in v^-1 Z : |gamma| <= kappa}
 together with the massive dispersion eps(gamma) = sqrt(gamma^2 + m^2).  Each mode
 gamma carries the normalized indicator of the half-open cell [gamma, gamma + 1/v);
-with this left-edge convention the rounding map `integer_part` sends every point of
-a cell to its mode, and cells of a lattice refine exactly into cells of any lattice
-whose inverse spacing is an integer multiple.
+cells of a lattice refine exactly into cells of any lattice whose inverse spacing
+is an integer multiple.  `integer_part` floors the exact v*k: [k]_v <= k < [k]_v + 1/v
+for every float k, so a float mode stored just below j/v maps to the mode below.
 """
 
 from __future__ import annotations

@@ -1,0 +1,95 @@
+"""The solver policy: every choice between dense LAPACK and iterative ARPACK.
+
+A Hermitian problem of dimension n wanting k eigenpairs goes dense iff
+n <= DENSE_RATIO * ncv, with ncv = max(2k + 1, 20) ARPACK's Krylov size for k
+pairs.  A full dense matrix of a Fock operator is capped at DENSE_CEILING rows
+(ResourceLimitError above).  Lanczos starts from a fixed-seed Gaussian vector,
+so runs are reproducible and no basis symmetry (momentum parity, say) keeps a
+sector out of the Krylov space, as the uniform vector would.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from .errors import ResourceLimitError, ShapeError, SolverError
+
+DENSE_RATIO = 10
+DENSE_CEILING = 4_000
+
+
+def use_dense(n: int, k: int = 1) -> bool:
+    """The one rule: dense LAPACK iff n <= DENSE_RATIO * ARPACK's ncv for k pairs."""
+    return n <= DENSE_RATIO * max(2 * k + 1, 20)
+
+
+def check_dense(n: int):
+    """Refuse a full dense n x n matrix above the memory ceiling."""
+    if n > DENSE_CEILING:
+        raise ResourceLimitError(n, DENSE_CEILING)
+
+
+def start_vector(n: int) -> np.ndarray:
+    """The Lanczos start vector: standard Gaussian from a fixed seed."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def is_diagonal(mat: sp.spmatrix) -> bool:
+    return (mat - sp.diags(mat.diagonal())).nnz == 0
+
+
+def lowest_eigenpairs(mat: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a sparse Hermitian matrix, sorted ascending.
+
+    A diagonal matrix is read off directly, which keeps exact zeros exact;
+    otherwise LAPACK computes only the k wanted pairs, or Lanczos runs.
+    """
+    n = mat.shape[0]
+    k = min(k, n)
+    if is_diagonal(mat):
+        diag = mat.diagonal().real
+        order = np.argsort(diag, kind="stable")[:k]
+        vecs = np.zeros((n, k), dtype=complex)
+        vecs[order, np.arange(k)] = 1.0
+        return diag[order], vecs
+    if use_dense(n, k):
+        check_dense(n)
+        return sla.eigh(mat.toarray(), subset_by_index=[0, k - 1])
+    try:
+        w, vecs = spla.eigsh(mat, k=k, which="SA", v0=start_vector(n), maxiter=20000)
+    except spla.ArpackError as exc:
+        raise SolverError(f"Lanczos failed to converge: {exc}") from exc
+    order = np.argsort(w)
+    return w[order], vecs[:, order]
+
+
+def operator_norm(a) -> float:
+    """Largest singular value of an array, sparse matrix or LinearOperator.
+
+    An operator whose a^H a is small by the rule goes through a dense SVD.
+    Otherwise Lanczos finds the top eigenvalue of a^H a from the seeded start
+    vector; an operator that maps that vector to exactly zero is taken to be
+    zero and gives 0.0, since ARPACK refuses a zero starting residual.
+    """
+    if not (sp.issparse(a) or isinstance(a, spla.LinearOperator)):
+        a = np.asarray(a)
+        if a.ndim != 2:
+            raise ShapeError("operator_norm expects a matrix")
+    op = spla.aslinearoperator(a)
+    n = op.shape[1]
+    if use_dense(n):
+        dense = a if isinstance(a, np.ndarray) else op.matmat(np.eye(n, dtype=op.dtype))
+        return float(np.linalg.svd(dense, compute_uv=False)[0])
+    v0 = start_vector(n)
+    if not np.any(op.matvec(v0)):
+        return 0.0
+    try:
+        top = spla.eigsh(op.H @ op, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        raise SolverError(f"Lanczos norm failed to converge: {exc}") from exc
+    return math.sqrt(max(float(top[0].real), 0.0))

@@ -18,37 +18,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .lattice import MomentumLattice
+from .linalg import operator_norm
 from .potentials import Potential
-
-DENSE_NORM_LIMIT = 2048
-POWER_TOL = 1e-10
-POWER_MAXITER = 50000
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value: dense SVD below dimension 2048, else power iteration.
-
-    The power iteration runs on a^H a with a deterministic start vector and a
-    relative tolerance of 1e-10, so results are reproducible across runs.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeError("operator_norm expects a matrix")
-    if max(a.shape) < DENSE_NORM_LIMIT:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    v = np.full(a.shape[1], 1.0 / math.sqrt(a.shape[1]), dtype=complex)
-    est = 0.0
-    for _ in range(POWER_MAXITER):
-        w = a.conj().T @ (a @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        new_est = math.sqrt(nrm)
-        v = w / nrm
-        if abs(new_est - est) <= POWER_TOL * max(new_est, 1.0):
-            return new_est
-        est = new_est
-    return est
 
 
 def potential_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditionedError, ParameterError, ShapeError, UnstableConfigurationError
-from .oneparticle import operator_norm
+from .linalg import operator_norm
 from .potentials import Potential
 
 SINGULAR_THRESHOLD = 1e-10

@@ -1,9 +1,8 @@
 """Eigenvalue experiments: ground states, gap probes, cutoff convergence.
 
-Solvers switch on size: exactly diagonal operators are read off directly,
-dense Hermitian solves run below dimension 4000, and sparse Lanczos with a
-deterministic start vector handles the rest.  Every reported eigenpair must
-meet the residual contract ||H psi - E psi|| <= 1e-8 max(1, |E|).
+Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
+size rule.  Every reported eigenpair must meet the residual contract
+||H psi - E psi|| <= 1e-8 max(1, |E|).
 """
 
 from __future__ import annotations
@@ -16,56 +15,26 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, ResourceLimitError, SolverError
+from .errors import ParameterError, SolverError
 from .fock import FockOperator, creation, field_operator, fock_embedding, number_operator
 from .hamiltonian import HamiltonianBundle
 from .lattice import build_nested
+from .linalg import check_dense, is_diagonal, lowest_eigenpairs, operator_norm
 
-DENSE_EIG_LIMIT = 4000
 RESIDUAL_RTOL = 1e-8
-POWER_STEPS = 50
-POWER_TOL = 1e-8
-
-
-def _is_diagonal(mat: sp.csr_matrix) -> bool:
-    return (mat - sp.diags(mat.diagonal())).nnz == 0
-
-
-def _check_residuals(mat, w, vecs):
-    for i in range(len(w)):
-        res = np.linalg.norm(mat @ vecs[:, i] - w[i] * vecs[:, i])
-        if res > RESIDUAL_RTOL * max(1.0, abs(w[i])):
-            raise SolverError(
-                f"eigenpair {i} misses the residual contract: {res:.3e} at E={w[i]:.6g}"
-            )
 
 
 def low_lying(op: FockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a Hermitian Fock operator, sorted ascending."""
     mat = op.matrix
-    n = mat.shape[0]
-    k = min(k, n)
-    if _is_diagonal(mat):
-        diag = mat.diagonal().real
-        order = np.argsort(diag, kind="stable")[:k]
-        w = diag[order]
-        vecs = np.zeros((n, k), dtype=complex)
-        vecs[order, np.arange(k)] = 1.0
-        return w, vecs
-    if n <= DENSE_EIG_LIMIT:
-        w, vecs = np.linalg.eigh(mat.toarray())
-        w, vecs = w[:k], vecs[:, :k]
-    else:
-        if k >= n - 1:
-            raise ParameterError("sparse path cannot return the full spectrum")
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        try:
-            w, vecs = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=20000)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(w)
-        w, vecs = w[order], vecs[:, order]
-    _check_residuals(mat, w, vecs)
+    w, vecs = lowest_eigenpairs(mat, k)
+    res = np.linalg.norm(mat @ vecs - vecs * w, axis=0)
+    bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
+    if bad.size:
+        i = bad[0]
+        raise SolverError(
+            f"eigenpair {i} misses the residual contract: {res[i]:.3e} at E={w[i]:.6g}"
+        )
     return w, vecs
 
 
@@ -166,30 +135,22 @@ class ConvergenceTrace:
 
 
 def _solver_for(mat: sp.csr_matrix, beta: float):
-    """Return x -> (mat + beta)^-1 x, dense or factorized by size."""
-    n = mat.shape[0]
-    shifted = (mat + beta * sp.identity(n, dtype=complex, format="csr")).tocsc()
-    if n <= DENSE_EIG_LIMIT:
-        inv = np.linalg.inv(shifted.toarray())
-        return lambda x: inv @ x
-    lu = spla.splu(shifted)
-    return lambda x: lu.solve(x)
+    """Return x -> (mat + beta)^-1 x through a sparse LU factorization."""
+    shifted = mat + beta * sp.identity(mat.shape[0], dtype=complex, format="csr")
+    return spla.splu(shifted.tocsc()).solve
 
 
-def _power_norm(apply_fn, n: int) -> float:
-    """Operator norm of a Hermitian map by power iteration (50 steps, 1e-8)."""
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    est = 0.0
-    for _ in range(POWER_STEPS):
-        w = apply_fn(v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(nrm - est) <= POWER_TOL * max(nrm, 1e-30):
-            return nrm
-        est = nrm
-    return est
+def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, beta: float):
+    """(H_coarse + beta)^-1 - E^H (H_fine + beta)^-1 E, Hermitian for real beta."""
+    emb = fock_embedding(build_nested(coarse.lattice, fine.lattice), coarse.basis, fine.basis)
+    solve_c = _solver_for(coarse.h.matrix, beta)
+    solve_f = _solver_for(fine.h.matrix, beta)
+
+    def diff(x):
+        return solve_c(x) - emb.T.conj() @ solve_f(emb @ x)
+
+    n = coarse.basis.dim
+    return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=complex)
 
 
 def default_shift(bundle: HamiltonianBundle) -> float:
@@ -215,17 +176,10 @@ def resolvent_convergence(
     for e0 in e0s:
         if beta <= -e0:
             raise ParameterError(f"shift beta={beta} does not clear spectrum bottom {e0}")
-    gaps = []
-    for coarse, fine in zip(bundles, bundles[1:]):
-        pair = build_nested(coarse.lattice, fine.lattice)
-        emb = fock_embedding(pair, coarse.basis, fine.basis)
-        solve_c = _solver_for(coarse.h.matrix, beta)
-        solve_f = _solver_for(fine.h.matrix, beta)
-
-        def diff(x):
-            return solve_c(x) - emb.T.conj() @ solve_f(emb @ x)
-
-        gaps.append(_power_norm(diff, coarse.basis.dim))
+    gaps = [
+        operator_norm(_resolvent_difference(coarse, fine, beta))
+        for coarse, fine in zip(bundles, bundles[1:])
+    ]
     levels = tuple(
         {"v": str(b.lattice.v), "kappa": b.lattice.kappa, "dim": b.basis.dim} for b in bundles
     )
@@ -237,20 +191,13 @@ def resolvent_convergence(
 def higher_order_norm(bundle: HamiltonianBundle, beta: float) -> float:
     """|| N (H + beta)^-1 ||, the single-power number-resolvent bound."""
     n = bundle.basis.dim
-    totals = bundle.basis.totals().astype(float)
-    if n <= DENSE_EIG_LIMIT:
-        shifted = bundle.h.matrix.toarray() + beta * np.eye(n)
-        dense = totals[:, None] * np.linalg.inv(shifted)
-        return float(np.linalg.svd(dense, compute_uv=False)[0])
     n_op = number_operator(bundle.basis).matrix
     solve = _solver_for(bundle.h.matrix, beta)
-
-    def gram(x):
-        # (H+b)^-1 N^2 (H+b)^-1 is Hermitian with norm ||N (H+b)^-1||^2.
-        y = solve(x)
-        return solve(n_op @ (n_op @ y))
-
-    return math.sqrt(_power_norm(gram, n))
+    # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.
+    op = spla.LinearOperator(
+        (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=complex
+    )
+    return operator_norm(op)
 
 
 def recurrence_time(eigenvalues: np.ndarray, tol: float = 1e-10) -> float:
@@ -291,15 +238,15 @@ def heisenberg_probe(
     """Expectations <psi| e^{itH} phi(F_t) e^{-itH} |psi> with F_t one-particle evolved.
 
     F evolves backward under the dressed one-particle energy, F_t =
-    exp(-it omega) F; the state evolves under the full H through its dense
-    eigendecomposition.  For the free bundle the two evolutions intertwine
-    exactly and the expectation is time independent.  Results past the
-    recurrence time estimate are flagged untrusted in the report.
+    exp(-it omega) F; psi (default: the ground state) evolves under the full H
+    by `expm_multiply` from the previous time, or exactly if H is diagonal.
+    For the free bundle the two evolutions intertwine exactly and the
+    expectation is time independent.  The recurrence time needs every
+    eigenvalue of H, so the dimension is capped by the dense ceiling; results
+    past it are flagged untrusted in the report.
     """
     basis = bundle.basis
-    n = basis.dim
-    if n > DENSE_EIG_LIMIT:
-        raise ResourceLimitError(n, DENSE_EIG_LIMIT)
+    check_dense(basis.dim)
     f_coeffs = np.asarray(f_coeffs, dtype=complex)
     if f_coeffs.shape != (basis.n_slots,):
         raise ParameterError(f"probe vector must cover all {basis.n_slots} slots")
@@ -308,11 +255,8 @@ def heisenberg_probe(
     f_in_eig = u.conj().T @ f_coeffs
 
     hmat = bundle.h.matrix
-    if _is_diagonal(hmat):
-        he = hmat.diagonal().real
-        hv = None
-    else:
-        he, hv = np.linalg.eigh(hmat.toarray())
+    diagonal = is_diagonal(hmat)
+    he = hmat.diagonal().real if diagonal else np.linalg.eigvalsh(hmat.toarray())
     if psi is None:
         psi = ground_state(bundle.h)[1]
     psi = np.asarray(psi, dtype=complex)
@@ -320,14 +264,15 @@ def heisenberg_probe(
         raise ParameterError("probe state must be normalized")
 
     values = []
+    psi_t, t_prev = psi, 0.0
     for t in times:
         f_t = u @ (np.exp(-1j * t * ww) * f_in_eig)
-        phi_t = field_operator(basis, None, f_t)
-        if hv is None:
+        if diagonal:
             psi_t = np.exp(-1j * t * he) * psi
-        else:
-            psi_t = hv @ (np.exp(-1j * t * he) * (hv.conj().T @ psi))
-        values.append(complex(np.vdot(psi_t, phi_t.matrix @ psi_t)))
+        elif t != t_prev:
+            psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
+            t_prev = t
+        values.append(field_operator(basis, None, f_t).expectation(psi_t))
     return ProbeResult(
         times=tuple(float(t) for t in times),
         values=tuple(values),

@@ -9,6 +9,7 @@ derivations rather than a function against itself.
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from chargedphi2.fock import field_operator
@@ -139,3 +140,28 @@ def dense_wick(basis, kern):
             mat = mat @ (cre[slot] if leg < kern.p else ann[slot])
         out += coeffs[modes] * mat
     return out
+
+
+def dense_resolvent_gap(coarse, fine, emb, beta):
+    """||(Hc + beta)^-1 - E^H (Hf + beta)^-1 E||_2 from explicit inverses and SVD."""
+    rc = np.linalg.inv(coarse.h.dense() + beta * np.eye(coarse.basis.dim))
+    rf = np.linalg.inv(fine.h.dense() + beta * np.eye(fine.basis.dim))
+    e = emb.toarray()
+    return float(np.linalg.norm(rc - e.conj().T @ rf @ e, 2))
+
+
+def dense_probe(bundle, f, times, psi):
+    """Heisenberg probe values from the full eigendecomposition of H.
+
+    psi is evolved through every eigenpair of H, and F_t = expm(-it omega) F
+    by the dense matrix exponential.
+    """
+    he, hv = np.linalg.eigh(bundle.h.dense())
+    coords = hv.conj().T @ psi
+    omega = bundle.one_particle_energy()
+    out = []
+    for t in times:
+        psi_t = hv @ (np.exp(-1j * t * he) * coords)
+        f_t = sla.expm(-1j * t * omega) @ f
+        out.append(np.vdot(psi_t, field_operator(bundle.basis, None, f_t).matrix @ psi_t))
+    return np.array(out)

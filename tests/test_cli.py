@@ -122,6 +122,17 @@ class TestCliExitCodes:
         assert cli.main(["spectrum", str(cfg)]) == 0
 
 
+    def test_resource_limit_exit_6(self, tmp_path, monkeypatch, capsys):
+        # the desk bundle has dimension 1,330; the cap refuses it in enumeration
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "desk_bundle.json").read_text())
+        raw["solver"] = {**raw.get("solver", {}), "basis_cap": 1000}
+        cfg = tmp_path / "capped.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_RESOURCE == 6
+        assert "1330 exceeds the hard cap 1000" in capsys.readouterr().err
+        assert not list(tmp_path.glob("spectrum_*"))
+
     def test_convergence_free_config_exact_zero_gaps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         assert cli.main(["convergence", str(CONFIGS / "free.json")]) == 0

@@ -263,8 +263,8 @@ class TestOperatorNorm:
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2))
 
     def test_power_iteration_large(self, rng):
-        # tall matrix above the dense threshold exercises the iterative path
-        a = rng.standard_normal((2100, 30))
+        # wide matrix: a^H a is above the dense rule, so the iterative path runs
+        a = rng.standard_normal((30, 2100))
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
 
     def test_zero_matrix(self):

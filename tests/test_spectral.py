@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chargedphi2.errors import ParameterError, ResourceLimitError
-from chargedphi2.fock import FockOperator, enumerate_basis
+from chargedphi2.fock import FockOperator, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
-from chargedphi2.lattice import build_lattice
+from chargedphi2.lattice import build_lattice, build_nested
+from chargedphi2.linalg import operator_norm, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
+    _resolvent_difference,
     default_shift,
     ground_state,
     heisenberg_probe,
@@ -19,6 +22,7 @@ from chargedphi2.spectral import (
     recurrence_time,
     resolvent_convergence,
 )
+from oracles import dense_probe, dense_resolvent_gap
 
 
 def shifted(op, c):
@@ -62,16 +66,13 @@ class TestGroundState:
 
 
 class TestLowLying:
-    def test_sparse_path_matches_dense(self, desk_bundle):
-        w_dense, _ = low_lying(desk_bundle.h, 4)
-        import chargedphi2.spectral as spectral
+    def test_sparse_path_matches_dense(self, desk_bundle, monkeypatch):
+        import chargedphi2.linalg as linalg
 
-        old = spectral.DENSE_EIG_LIMIT
-        spectral.DENSE_EIG_LIMIT = 10
-        try:
-            w_sparse, _ = low_lying(desk_bundle.h, 4)
-        finally:
-            spectral.DENSE_EIG_LIMIT = old
+        monkeypatch.setattr(linalg, "DENSE_RATIO", 10**6)
+        w_dense, _ = low_lying(desk_bundle.h, 4)
+        monkeypatch.setattr(linalg, "DENSE_RATIO", 0)
+        w_sparse, _ = low_lying(desk_bundle.h, 4)
         assert np.allclose(w_sparse, w_dense, atol=1e-8)
 
     def test_gap_nonnegative(self, ladder_bundles):
@@ -131,6 +132,21 @@ class TestResolventConvergence:
     def test_free_case_exact_zero(self, free_ladder_bundles):
         trace = resolvent_convergence(free_ladder_bundles)
         assert trace.resolvent_gaps == (0.0, 0.0)
+
+    def test_gaps_match_dense_oracle(self, ladder_bundles):
+        # the first pair takes the dense SVD path, the second Lanczos
+        trace = resolvent_convergence(ladder_bundles)
+        for coarse, fine, gap in zip(ladder_bundles, ladder_bundles[1:], trace.resolvent_gaps):
+            emb = fock_embedding(build_nested(coarse.lattice, fine.lattice), coarse.basis, fine.basis)
+            assert gap == pytest.approx(dense_resolvent_gap(coarse, fine, emb, trace.beta), rel=1e-10)
+
+    def test_free_difference_vanishes_before_arpack(self, free_ladder_bundles):
+        # ARPACK refuses the zero operator, so the norm must return 0.0 first
+        coarse, fine = free_ladder_bundles[1:]
+        diff = _resolvent_difference(coarse, fine, 1.0)
+        with pytest.raises(spla.ArpackError, match="Starting vector is zero"):
+            spla.eigsh(diff.H @ diff, k=1, which="LM", v0=start_vector(coarse.basis.dim))
+        assert operator_norm(diff) == 0.0
 
     def test_interacting_gaps_strictly_decrease(self, ladder_bundles):
         trace = resolvent_convergence(ladder_bundles)
@@ -203,15 +219,26 @@ class TestHeisenbergProbe:
         static = field_operator(desk_bundle.basis, None, full).expectation(psi)
         assert res.values[0] == pytest.approx(static, abs=1e-12)
 
+    def test_matches_eigh_evolution(self, desk_bundle, rng):
+        modes = desk_bundle.lattice.modes
+        f = np.exp(-((modes - 0.5) ** 2))
+        full = np.concatenate([f, np.zeros_like(f)]).astype(complex)
+        times = [4.0, 32.0]
+        # a mixed state, so psi_t is more than a phase times psi
+        psi = rng.standard_normal(desk_bundle.basis.dim) + 1j * rng.standard_normal(desk_bundle.basis.dim)
+        psi /= np.linalg.norm(psi)
+        res = heisenberg_probe(desk_bundle, full, times, psi)
+        assert np.max(np.abs(np.array(res.values) - dense_probe(desk_bundle, full, times, psi))) < 1e-12
+
     def test_requires_normalized_state(self, free_bundle):
         full = np.ones(free_bundle.basis.n_slots, dtype=complex)
         with pytest.raises(ParameterError):
             heisenberg_probe(free_bundle, full, [1.0], 2.0 * free_bundle.basis.vacuum())
 
     def test_dimension_cap(self, free_bundle, monkeypatch):
-        import chargedphi2.spectral as spectral
+        import chargedphi2.linalg as linalg
 
-        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(linalg, "DENSE_CEILING", 10)
         full = np.ones(free_bundle.basis.n_slots, dtype=complex)
         with pytest.raises(ResourceLimitError):
             heisenberg_probe(free_bundle, full, [1.0])
