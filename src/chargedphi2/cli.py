@@ -4,7 +4,8 @@ One run is one process reading one config file; artifacts are a JSON report
 (machine readable, deterministic payload) and CSV traces for per-level or
 per-time data.  Exit codes: 0 success, 2 config validation error, 3 stability
 error, 4 solver failure, 5 missing golden suite, 6 dimension over a resource
-cap, 1 anything else.
+cap, 7 any other violated contract (an odd or unbounded polynomial, say), 1
+anything else.
 
 Environment overrides (the only ones honored): CHARGEDPHI2_OUTDIR replaces
 the configured output directory, CHARGEDPHI2_THREADS pins BLAS thread counts
@@ -28,6 +29,7 @@ EXIT_STABILITY = 3
 EXIT_SOLVER = 4
 EXIT_GOLDEN = 5
 EXIT_RESOURCE = 6
+EXIT_CONTRACT = 7
 
 
 def _utc_now() -> str:
@@ -414,6 +416,11 @@ def main(argv=None) -> int:
         (errors.SolverError, "solver", EXIT_SOLVER),
         (errors.MissingGoldenError, "golden", EXIT_GOLDEN),
         (errors.ResourceLimitError, "resource", EXIT_RESOURCE),
+        (
+            (errors.ContractError, errors.ParameterError, errors.ShapeError, errors.IllConditionedError),
+            "contract",
+            EXIT_CONTRACT,
+        ),
     )
     args = _build_parser().parse_args(argv)
     try:

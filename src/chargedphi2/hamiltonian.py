@@ -277,13 +277,17 @@ def assemble(
     h0 = free_hamiltonian(basis)
     u = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for kern in interaction_kernels(spec, lattice):
+        if not kern.coeffs.any():
+            continue
         if kern.p > kern.q:
             u = u + wick_operator(basis, kern).matrix
         elif kern.p == kern.q:
             u = u + 0.5 * wick_operator(basis, kern).matrix
-    hi = FockOperator(basis=basis, matrix=(u + u.getH()).tocsr(), hermitian=True)
+    # A sparse sum keeps scipy's nnz(A) + nnz(B) buffer; copy() trims it to nnz.
+    hi = FockOperator(basis=basis, matrix=(u + u.getH()).tocsr().copy(), hermitian=True)
+    del u
     q_d, q_c, q_a = charge_operator(pot, basis, lattice)
-    h_mat = (h0.matrix + hi.matrix + lam * (q_d.matrix + q_c.matrix + q_a.matrix)).tocsr()
+    h_mat = (h0.matrix + hi.matrix + lam * (q_d.matrix + q_c.matrix + q_a.matrix)).tocsr().copy()
     h = FockOperator(basis=basis, matrix=h_mat, hermitian=True)
     return HamiltonianBundle(
         basis=basis,

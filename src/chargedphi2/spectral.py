@@ -90,24 +90,34 @@ def hvz_gap_probe(
     """Locate the onset of the one-free-particle branch above the ground state.
 
     Eigenvectors are ranked by their overlap with span{a*_s psi0}; the lowest
-    excited level whose overlap exceeds the threshold is the onset estimate.
+    excited level whose overlap reaches the threshold is the onset estimate.
     In the free case the estimate equals the mass gap exactly.  Under lattice
     refinement with localized potential and profile, onset - (e0 + m) shrinks.
+
+    The search runs in two stages.  The first asks for the report_depth + 1
+    lowest levels only.  When none of them reaches the threshold, the second
+    widens to max(report_depth + 1, 2 n_slots + 2) levels and scans again.
+    Both stages return the same lowest report_depth + 1 levels (to solver
+    accuracy), so the first level past the threshold is the same either way,
+    and the report (e0, gap, eigenvalues and overlaps) always comes from those
+    lowest levels.
     """
-    k = min(bundle.basis.dim, max(report_depth + 1, 2 * bundle.basis.n_slots + 2))
-    w, vecs = low_lying(bundle.h, k)
-    e0, psi0 = float(w[0]), vecs[:, 0]
-    frame = _one_particle_excess_frame(bundle, psi0)
-    overlaps = np.zeros(len(w))
-    onset = None
-    for j in range(1, len(w)):
-        if frame.shape[1]:
-            overlaps[j] = float(np.linalg.norm(frame.conj().T @ vecs[:, j]) ** 2)
-        if onset is None and overlaps[j] >= overlap_threshold:
-            onset = float(w[j])
-    depth = min(report_depth + 1, len(w))
+    depth = report_depth + 1
+    k_full = min(bundle.basis.dim, max(depth, 2 * bundle.basis.n_slots + 2))
+    for k in sorted({min(k_full, depth), k_full}):
+        w, vecs = low_lying(bundle.h, k)
+        frame = _one_particle_excess_frame(bundle, vecs[:, 0])
+        overlaps = np.zeros(len(w))
+        onset = None
+        for j in range(1, len(w)):
+            if frame.shape[1]:
+                overlaps[j] = float(np.linalg.norm(frame.conj().T @ vecs[:, j]) ** 2)
+            if onset is None and overlaps[j] >= overlap_threshold:
+                onset = float(w[j])
+        if onset is not None:
+            break
     return SpectralReport(
-        e0=e0,
+        e0=float(w[0]),
         eigenvalues=w[:depth],
         gap=float(w[1] - w[0]) if len(w) > 1 else 0.0,
         hvz_onset_estimate=onset,

@@ -133,6 +133,19 @@ class TestCliExitCodes:
         assert "1330 exceeds the hard cap 1000" in capsys.readouterr().err
         assert not list(tmp_path.glob("spectrum_*"))
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [([[3, 0, 1.0]], "degree 3 is odd"), ([[4, 0, -1.0]], "unbounded below")],
+    )
+    def test_contract_error_exit_7(self, tmp_path, monkeypatch, capsys, coeffs, message):
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        cfg = tmp_path / "poly.json"
+        cfg.write_text(json.dumps(minimal_config(polynomial={"coeffs": coeffs}, n_max=1)))
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_CONTRACT == 7
+        err = capsys.readouterr().err
+        assert err.startswith("contract error: ") and message in err
+        assert not list(tmp_path.glob("spectrum_*"))
+
     def test_convergence_free_config_exact_zero_gaps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         assert cli.main(["convergence", str(CONFIGS / "free.json")]) == 0

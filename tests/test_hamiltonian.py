@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chargedphi2 import hamiltonian
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
 from chargedphi2.fock import FockOperator, dgamma, enumerate_basis, wick_operator
 from chargedphi2.hamiltonian import (
@@ -201,6 +202,31 @@ class TestAssemble:
     def test_free_configuration_is_h0(self, basis3, lat3, free_spec):
         bundle = assemble(free_spec, zero_potential(), 0.0, basis3, lat3)
         assert (bundle.h.matrix - bundle.h0.matrix).nnz == 0
+
+    def test_zero_kernels_are_not_expanded(self, basis3, lat3, free_spec, gauss_v, monkeypatch):
+        # the zero profile makes every interaction kernel zero; only the charge pair kernel is left
+        seen = []
+
+        def record(basis, kern):
+            seen.append(kern)
+            return wick_operator(basis, kern)
+
+        monkeypatch.setattr(hamiltonian, "wick_operator", record)
+        bundle = assemble(free_spec, gauss_v, 0.0, basis3, lat3)
+        assert [(k.p, k.q, k.species) for k in seen] == [(2, 0, (1, 2))]
+        assert bundle.hi.matrix.nnz == 0
+
+    def test_assembled_matrices_hold_exact_buffers(self, desk_bundle):
+        # a scipy sparse sum allocates nnz(A) + nnz(B) entries; assembly trims them
+        def allocation_nbytes(arr):
+            while arr.base is not None:
+                arr = arr.base
+            return arr.nbytes
+
+        for op in (desk_bundle.hi, desk_bundle.h):
+            mat = op.matrix
+            assert allocation_nbytes(mat.data) == mat.nnz * mat.data.itemsize
+            assert allocation_nbytes(mat.indices) == mat.nnz * mat.indices.itemsize
 
     def test_vacuum_expectation_zero_at_lambda_zero(self, basis3, lat3, quartic_spec):
         bundle = assemble(quartic_spec, zero_potential(), 0.0, basis3, lat3)

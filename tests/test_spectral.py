@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from chargedphi2 import spectral
 from chargedphi2.errors import ParameterError, ResourceLimitError
-from chargedphi2.fock import FockOperator, enumerate_basis, fock_embedding
+from chargedphi2.fock import FockOperator, creation, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested
 from chargedphi2.linalg import operator_norm, start_vector
@@ -86,7 +88,75 @@ class TestLowLying:
         assert w[1] - w[0] == bundle.lattice.m
 
 
+def full_depth_reference(bundle, report_depth=8, overlap_threshold=0.5):
+    """Levels, overlaps and onset index from one search at the full depth.
+
+    The frame is an SVD basis of span{a*_s psi0}, not the probe's QR frame.
+    """
+    basis = bundle.basis
+    k_full = min(basis.dim, max(report_depth + 1, 2 * basis.n_slots + 2))
+    w, vecs = low_lying(bundle.h, k_full)
+    cols = [creation(basis, s, g).matrix @ vecs[:, 0] for s in (1, 2) for g in bundle.lattice.modes]
+    frame = sla.orth(np.column_stack(cols))
+    overlaps = np.linalg.norm(frame.conj().T @ vecs, axis=0) ** 2
+    overlaps[0] = 0.0
+    passed = np.flatnonzero(overlaps[1:] >= overlap_threshold)
+    return w, overlaps, (int(passed[0]) + 1 if passed.size else None)
+
+
+@pytest.fixture
+def low_lying_calls(monkeypatch):
+    """The k of every `low_lying` call the probe makes."""
+    calls = []
+
+    def record(op, k):
+        calls.append(k)
+        return low_lying(op, k)
+
+    monkeypatch.setattr(spectral, "low_lying", record)
+    return calls
+
+
 class TestHvzProbe:
+    @pytest.mark.parametrize(
+        "name, level",
+        [("desk_bundle", None), ("ladder_bundles", 0), ("ladder_bundles", 1), ("ladder_bundles", 2)],
+    )
+    def test_matches_full_depth_reference(self, request, name, level):
+        bundle = request.getfixturevalue(name)
+        bundle = bundle if level is None else bundle[level]
+        rep = hvz_gap_probe(bundle)
+        w, overlaps, onset = full_depth_reference(bundle)
+        depth = len(rep.eigenvalues)
+        assert depth == 9
+        np.testing.assert_allclose(rep.eigenvalues, w[:depth], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.onset_overlaps, overlaps[:depth], rtol=0, atol=1e-12)
+        assert rep.e0 == rep.eigenvalues[0] and rep.gap == rep.eigenvalues[1] - rep.eigenvalues[0]
+        assert onset == np.flatnonzero(rep.onset_overlaps[1:] >= 0.5)[0] + 1
+        assert rep.hvz_onset_estimate == pytest.approx(w[onset], abs=1e-12)
+
+    def test_onset_past_report_depth_widens_search(self, desk_bundle, low_lying_calls):
+        # level 1 has overlap 0.99888, level 2 0.99963: the onset is past depth 1
+        rep = hvz_gap_probe(desk_bundle, report_depth=1, overlap_threshold=0.9995)
+        assert low_lying_calls == [2, 2 * desk_bundle.basis.n_slots + 2] == [2, 38]
+        w, overlaps, onset = full_depth_reference(desk_bundle, 1, 0.9995)
+        assert onset == 2
+        assert rep.hvz_onset_estimate == pytest.approx(w[2], abs=1e-12)
+        assert len(rep.eigenvalues) == 2
+        np.testing.assert_allclose(rep.eigenvalues, w[:2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.onset_overlaps, overlaps[:2], rtol=0, atol=1e-12)
+
+    def test_search_asks_only_for_reported_levels(self, desk_bundle, ladder_bundles, low_lying_calls):
+        for bundle in (desk_bundle, *ladder_bundles):
+            hvz_gap_probe(bundle)
+        assert low_lying_calls == [9, 9, 9, 9]
+
+    def test_no_onset_searches_full_depth_and_reports_none(self, desk_bundle, low_lying_calls):
+        rep = hvz_gap_probe(desk_bundle, report_depth=1, overlap_threshold=1.5)
+        assert rep.hvz_onset_estimate is None
+        assert low_lying_calls == [2, 38]
+        assert len(rep.eigenvalues) == 2
+
     def test_free_onset_exact(self, free_ladder_bundles):
         rep = hvz_gap_probe(free_ladder_bundles[0])
         assert rep.e0 == 0.0
