@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError
+from .fock import HARD_DIMENSION_CAP
 from .lattice import MomentumLattice, build_lattice, refinement_ladder
 from .potentials import Potential, make_potential
 
@@ -67,7 +68,7 @@ class GridConfig:
 class SolverConfig:
     num_eigenvalues: int = 8
     overlap_threshold: float = 0.5
-    basis_cap: int = 200_000
+    basis_cap: int = HARD_DIMENSION_CAP
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ class ExperimentConfig:
     solver: SolverConfig
     probe: ProbeConfig
     output: OutputConfig
-    seed: int
 
     # -- factories ---------------------------------------------------------
 
@@ -140,7 +140,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "solver": {},
         "probe": {},
         "output": {},
-        "seed": 0,
     }
     top = _take(raw, "config", top_allowed)
 
@@ -174,11 +173,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     solver = _take(
         top["solver"],
         "solver",
-        {"num_eigenvalues": 8, "overlap_threshold": 0.5, "basis_cap": 200_000},
+        {"num_eigenvalues": 8, "overlap_threshold": 0.5, "basis_cap": HARD_DIMENSION_CAP},
     )
     _require(int(solver["num_eigenvalues"]) >= 1, "solver.num_eigenvalues must be >= 1")
     _require(
         0.0 < solver["overlap_threshold"] <= 1.0, "solver.overlap_threshold must be in (0, 1]"
+    )
+    _require(
+        1 <= int(solver["basis_cap"]) <= HARD_DIMENSION_CAP,
+        f"solver.basis_cap must be in [1, {HARD_DIMENSION_CAP}]",
     )
 
     probe = _take(top["probe"], "probe", {"times": [4.0, 8.0, 16.0, 32.0], "f_center": 1.0, "f_width": 0.35})
@@ -217,7 +220,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f_width=float(probe["f_width"]),
         ),
         output=OutputConfig(dir=str(out["dir"])),
-        seed=int(top["seed"]),
     )
 
 

@@ -14,6 +14,12 @@ each adding one.  Creation out of the top sector maps to zero, keeping every
 operator an endomorphism of one space; canonical-commutation checks therefore
 restrict to the sector N <= n_max - 1.
 
+Every self-adjoint operator built from kernels (the Segal field, the charge
+coupling, the interaction) goes through one rule, `hermitian_operator`: given
+a kernel list closed under adjoints, it assembles U from the creator-heavy
+kernels (p > q) plus half of the balanced ones (p = q) and returns U + U^H.
+The p < q kernels are the adjoints of the p > q ones and are never assembled.
+
 Matrix elements are a coefficient times a single square root of the exact
 integer product of the leg occupations, which makes structural identities
 (Hermiticity of second quantizations, adjoints of normal-ordered operators)
@@ -32,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, ResourceLimitError, ShapeError
-from .lattice import MomentumLattice, NestedPair
+from .lattice import MomentumLattice, build_nested
 from .linalg import operator_norm
 
 HARD_DIMENSION_CAP = 200_000
@@ -359,6 +365,23 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     return FockOperator(basis=basis, matrix=mat)
 
 
+def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockOperator:
+    """U + U^H for U the p > q kernels plus half of the p = q ones.
+
+    For a kernel list closed under adjoints this is the sum of all its
+    monomials; the p < q kernels and all-zero kernels are skipped, and the
+    result is Hermitian bitwise.  Each sparse sum keeps scipy's nnz(A) +
+    nnz(B) buffer, so the result is copied to its exact size.
+    """
+    u = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for kern in kernels:
+        if kern.p < kern.q or not np.any(kern.coeffs):
+            continue
+        w = wick_operator(basis, kern).matrix
+        u = u + (w if kern.p > kern.q else 0.5 * w)
+    return FockOperator(basis=basis, matrix=(u + u.getH()).tocsr().copy(), hermitian=True)
+
+
 def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> FockOperator:
     """Hermitian Segal field (a*(f) + a(f)) / sqrt(2).
 
@@ -366,8 +389,7 @@ def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> F
     with species None, f covers all 2M slots.  a(f) is antilinear in f.
     """
     f = np.asarray(f, dtype=complex) / math.sqrt(2.0)
-    cre = wick_operator(basis, WickKernel(p=1, q=0, species=(species,), coeffs=f)).matrix
-    return FockOperator(basis=basis, matrix=(cre + cre.getH()).tocsr(), hermitian=True)
+    return hermitian_operator(basis, [WickKernel(p=1, q=0, species=(species,), coeffs=f)])
 
 
 def smeared_field_coefficients(g_hat, lattice: MomentumLattice) -> np.ndarray:
@@ -405,19 +427,16 @@ def ntau_check(basis: FockBasis, f: np.ndarray, bmult: np.ndarray) -> tuple[floa
     return lhs, rhs
 
 
-def fock_embedding(pair: NestedPair, coarse: FockBasis, fine: FockBasis) -> sp.csr_matrix:
+def fock_embedding(coarse: FockBasis, fine: FockBasis) -> sp.csr_matrix:
     """Isometry carrying coarse occupations onto the same-momentum fine modes.
 
     Shape (fine.dim, coarse.dim); columns are distinct basis vectors, so the
-    transpose is a left inverse.  Requires equal particle caps.
+    transpose is a left inverse.  Requires nested lattices (`build_nested`)
+    and equal particle caps.
     """
+    pair = build_nested(coarse.lattice, fine.lattice)
     if coarse.n_max != fine.n_max:
         raise ParameterError("nested bases must share the particle cap")
-    if coarse.lattice is not pair.coarse or fine.lattice is not pair.fine:
-        if (coarse.lattice.params() != pair.coarse.params()) or (
-            fine.lattice.params() != pair.fine.params()
-        ):
-            raise ParameterError("bases do not match the nested lattice pair")
     slot_map = np.concatenate([pair.mode_injection, pair.mode_injection + fine.n_modes])
     occ = np.zeros((coarse.dim, fine.n_slots), dtype=np.uint8)
     occ[:, slot_map] = coarse.occ

@@ -1,15 +1,18 @@
 """Cutoff Hamiltonians: free part, normal-ordered interaction, charge coupling.
 
-The full operator is H = H0 + HI + lambda (Q_dgamma + Q_pair_create +
-Q_pair_annih) on the truncated Fock space of a momentum lattice.  HI comes
-from a bounded-below polynomial in the two field species against a spatial
-profile g; its normal-ordered kernels carry one factor (4 pi v)^(-1/2) and one
-eps^(-1/2) per leg, and a g_hat evaluated at the total momentum transfer.
-Wick ordering is relative to the lattice vacuum: no self-contraction terms
-are generated, so the vacuum expectation of HI vanishes identically.
-HI is assembled as U + U^H, with U the creator-heavy splits (p > q) plus half
-of the balanced ones (p = q); the p < q splits are the adjoints of the p > q
-ones and are never assembled.  H is therefore Hermitian bitwise.
+The full operator is H = H0 + HI + lambda Q on the truncated Fock space of a
+momentum lattice.  HI comes from a bounded-below polynomial in the two field
+species against a spatial profile g; its normal-ordered kernels carry one
+factor (4 pi v)^(-1/2) and one eps^(-1/2) per leg, and a g_hat evaluated at
+the total momentum transfer.  Wick ordering is relative to the lattice
+vacuum: no self-contraction terms are generated, so the vacuum expectation of
+HI vanishes identically.  Q second-quantizes the species mixer b and the
+pair kernel R.
+
+HI and Q are each assembled by the one rule of `fock.hermitian_operator`:
+U + U^H, with U the creator-heavy kernels (p > q) plus half of the balanced
+ones (p = q); the p < q kernels are the adjoints of the p > q ones and are
+never assembled.  H0 is diagonal, so H is Hermitian bitwise.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import FockBasis, FockOperator, WickKernel, dgamma, fock_embedding, wick_operator
-from .lattice import MomentumLattice, NestedPair
+from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis,
+                   fock_embedding, hermitian_operator)
+from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
 from .potentials import Potential
 
@@ -130,18 +134,14 @@ def monomial_kernels(a1: int, a2: int, coeff: float, g: Potential, lattice: Mome
 
     The split (p1, p2 | q1, q2) carries the binomial count C(a1,p1) C(a2,p2),
     the per-leg weights (4 pi v)^(-1/2) eps^(-1/2), and g_hat at the total
-    created-minus-annihilated momentum.
+    created-minus-annihilated momentum.  A split on which g_hat vanishes
+    identically (a zero profile) yields no kernel.
     """
     d = a1 + a2
     modes = lattice.modes
     m = lattice.size
     wvec = 1.0 / np.sqrt(lattice.dispersion())
     out = []
-    if d == 0:
-        out.append(
-            WickKernel(p=0, q=0, species=(), coeffs=np.asarray(coeff * g.V_hat(0.0), dtype=complex))
-        )
-        return out
     base_pref = (4 * np.pi * float(lattice.v)) ** (-d / 2)
     for p1 in range(a1 + 1):
         for p2 in range(a2 + 1):
@@ -157,7 +157,10 @@ def monomial_kernels(a1: int, a2: int, coeff: float, g: Potential, lattice: Mome
                 sgn = 1.0 if leg < p else -1.0
                 total = total + sgn * modes.reshape(shape)
                 amps = amps * wvec.reshape(shape)
-            coeffs = pref * np.asarray(g.V_hat(total), dtype=complex) * amps
+            g_hat = np.asarray(g.V_hat(total), dtype=complex)
+            if not g_hat.any():
+                continue
+            coeffs = pref * g_hat * amps
             out.append(WickKernel(p=p, q=q, species=species, coeffs=coeffs).symmetrized())
     return out
 
@@ -186,27 +189,24 @@ def free_hamiltonian(basis: FockBasis) -> FockOperator:
     )
 
 
-def charge_operator(
-    pot: Potential, basis: FockBasis, lattice: MomentumLattice
-) -> tuple[FockOperator, FockOperator, FockOperator]:
-    """The three pieces of the local charge coupling.
+def charge_operator(pot: Potential, basis: FockBasis, lattice: MomentumLattice) -> FockOperator:
+    """The local charge coupling Q, Hermitian bitwise.
 
-    Q_dgamma second-quantizes the off-diagonal species mixer [[0, b], [b^H, 0]];
-    the pair parts create and annihilate one particle of each species weighted
-    by the antisymmetric kernel R; the annihilation part is the conjugate
-    transpose of the creation part, so the sum is Hermitian bitwise.
+    Its number-preserving part second-quantizes the species mixer
+    [[0, b], [b^H, 0]]; its pair part creates one particle of each species
+    weighted by the antisymmetric kernel R, plus the adjoint that annihilates
+    them.
     """
     b = b_matrix(pot, lattice)
     m = lattice.size
     block = np.zeros((2 * m, 2 * m), dtype=complex)
     block[:m, m:] = b
     block[m:, :m] = b.conj().T
-    q_d = dgamma(basis, block)
-    rk = pair_kernel(pot, lattice)
-    kern_create = WickKernel(p=2, q=0, species=(1, 2), coeffs=rk.matrix)
-    q_create = wick_operator(basis, kern_create)
-    q_annih = FockOperator(basis=basis, matrix=q_create.matrix.getH().tocsr())
-    return q_d, q_create, q_annih
+    kernels = [
+        WickKernel(p=1, q=1, species=(None, None), coeffs=block),
+        WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice).matrix),
+    ]
+    return hermitian_operator(basis, kernels)
 
 
 def form_bound_constants(coupling: CouplingReport, lam: float) -> tuple[float, float]:
@@ -221,24 +221,15 @@ def form_bound_constants(coupling: CouplingReport, lam: float) -> tuple[float, f
 
 @dataclass(frozen=True)
 class HamiltonianBundle:
-    """All assembled pieces of one cutoff Hamiltonian."""
+    """One assembled cutoff Hamiltonian with the inputs it was built from."""
 
     basis: FockBasis
     lattice: MomentumLattice
     spec: InteractionSpec
     pot: Potential
     lam: float
-    h0: FockOperator
-    hi: FockOperator
-    q_dgamma: FockOperator
-    q_pair_create: FockOperator
-    q_pair_annih: FockOperator
     h: FockOperator
     coupling: CouplingReport = field(repr=False)
-
-    def charge(self) -> FockOperator:
-        mat = (self.q_dgamma.matrix + self.q_pair_create.matrix + self.q_pair_annih.matrix).tocsr()
-        return FockOperator(basis=self.basis, matrix=mat, hermitian=True)
 
     def one_particle_energy(self) -> np.ndarray:
         """Dense dressed one-particle block [[eps, lam b], [lam b^H, eps]]."""
@@ -274,38 +265,24 @@ def assemble(
     coupling = lambda_quant(pot, lattice)
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
-    h0 = free_hamiltonian(basis)
-    u = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for kern in interaction_kernels(spec, lattice):
-        if not kern.coeffs.any():
-            continue
-        if kern.p > kern.q:
-            u = u + wick_operator(basis, kern).matrix
-        elif kern.p == kern.q:
-            u = u + 0.5 * wick_operator(basis, kern).matrix
+    h0 = free_hamiltonian(basis).matrix
+    hi = hermitian_operator(basis, interaction_kernels(spec, lattice)).matrix
+    q = charge_operator(pot, basis, lattice).matrix
     # A sparse sum keeps scipy's nnz(A) + nnz(B) buffer; copy() trims it to nnz.
-    hi = FockOperator(basis=basis, matrix=(u + u.getH()).tocsr().copy(), hermitian=True)
-    del u
-    q_d, q_c, q_a = charge_operator(pot, basis, lattice)
-    h_mat = (h0.matrix + hi.matrix + lam * (q_d.matrix + q_c.matrix + q_a.matrix)).tocsr().copy()
-    h = FockOperator(basis=basis, matrix=h_mat, hermitian=True)
+    h_mat = (h0 + hi + lam * q).tocsr().copy()
+    del h0, hi, q  # freed before the Hermiticity check on H makes its own temporaries
     return HamiltonianBundle(
         basis=basis,
         lattice=lattice,
         spec=spec,
         pot=pot,
         lam=float(lam),
-        h0=h0,
-        hi=hi,
-        q_dgamma=q_d,
-        q_pair_create=q_c,
-        q_pair_annih=q_a,
-        h=h,
+        h=FockOperator(basis=basis, matrix=h_mat, hermitian=True),
         coupling=coupling,
     )
 
 
-def compress(pair: NestedPair, fine_op: FockOperator, coarse_basis: FockBasis) -> FockOperator:
+def compress(fine_op: FockOperator, coarse_basis: FockBasis) -> FockOperator:
     """Compress a fine-lattice Fock operator onto the coarse basis.
 
     Uses the occupation-transport isometry (coarse modes keep their momentum
@@ -313,7 +290,7 @@ def compress(pair: NestedPair, fine_op: FockOperator, coarse_basis: FockBasis) -
     free Hamiltonian compresses exactly; quadrature-weighted kernels compress
     to the coarse assembly up to the documented 1/v re-weighting.
     """
-    emb = fock_embedding(pair, coarse_basis, fine_op.basis)
+    emb = fock_embedding(coarse_basis, fine_op.basis)
     mat = (emb.T.conj() @ fine_op.matrix @ emb).tocsr()
     return FockOperator(basis=coarse_basis, matrix=mat, hermitian=fine_op.hermitian)
 
@@ -325,11 +302,9 @@ def nested_bundles(
     lattices: Sequence[MomentumLattice],
     n_max: int,
     override_stability: bool = False,
-    cap: int = 200_000,
+    cap: int = HARD_DIMENSION_CAP,
 ) -> list[HamiltonianBundle]:
     """Assemble one bundle per ladder level."""
-    from .fock import enumerate_basis
-
     return [
         assemble(spec, pot, lam, enumerate_basis(lat, n_max, cap=cap), lat, override_stability)
         for lat in lattices

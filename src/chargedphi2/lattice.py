@@ -144,19 +144,19 @@ def build_nested(coarse: MomentumLattice, fine: MomentumLattice) -> NestedPair:
     return NestedPair(coarse=coarse, fine=fine, ratio=ratio, mode_injection=injection)
 
 
+def _cell_block(pair: NestedPair) -> slice:
+    """The fine modes covered by coarse cells: one contiguous run, ratio per cell."""
+    j0 = int(pair.mode_injection[0])
+    return slice(j0, j0 + pair.ratio * pair.coarse.size)
+
+
 def projection_matrix(pair: NestedPair) -> np.ndarray:
     """Dense matrix of the cell-average projection, coarse.size x fine.size.
 
     Row gamma holds 1/sqrt(ratio) on the ratio fine modes inside the coarse
     cell [gamma, gamma + 1/v_c); rows are orthonormal, so P @ P.T = identity.
     """
-    r = pair.ratio
-    p = np.zeros((pair.coarse.size, pair.fine.size))
-    w = 1.0 / math.sqrt(r)
-    for i in range(pair.coarse.size):
-        j0 = pair.mode_injection[i]
-        p[i, j0 : j0 + r] = w
-    return p
+    return embed(pair, np.eye(pair.coarse.size))
 
 
 def project(pair: NestedPair, f: np.ndarray) -> np.ndarray:
@@ -170,14 +170,9 @@ def project(pair: NestedPair, f: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"expected fine dimension {pair.fine.size}, got {f.shape[-1]}"
         )
-    r = pair.ratio
-    w = 1.0 / math.sqrt(r)
-    out_shape = f.shape[:-1] + (pair.coarse.size,)
-    out = np.zeros(out_shape, dtype=f.dtype if f.dtype.kind == "c" else float)
-    for i in range(pair.coarse.size):
-        j0 = pair.mode_injection[i]
-        out[..., i] = w * f[..., j0 : j0 + r].sum(axis=-1)
-    return out
+    cells = f[..., _cell_block(pair)].reshape(f.shape[:-1] + (pair.coarse.size, pair.ratio))
+    out = (1.0 / math.sqrt(pair.ratio)) * cells.sum(axis=-1)
+    return out.astype(f.dtype if f.dtype.kind == "c" else float, copy=False)
 
 
 def embed(pair: NestedPair, g: np.ndarray) -> np.ndarray:
@@ -191,13 +186,8 @@ def embed(pair: NestedPair, g: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"expected coarse dimension {pair.coarse.size}, got {g.shape[-1]}"
         )
-    r = pair.ratio
-    w = 1.0 / math.sqrt(r)
-    out_shape = g.shape[:-1] + (pair.fine.size,)
-    out = np.zeros(out_shape, dtype=g.dtype if g.dtype.kind == "c" else float)
-    for i in range(pair.coarse.size):
-        j0 = pair.mode_injection[i]
-        out[..., j0 : j0 + r] = w * g[..., i : i + 1]
+    out = np.zeros(g.shape[:-1] + (pair.fine.size,), dtype=g.dtype if g.dtype.kind == "c" else float)
+    out[..., _cell_block(pair)] = np.repeat((1.0 / math.sqrt(pair.ratio)) * g, pair.ratio, axis=-1)
     return out
 
 

@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 from .errors import ParameterError, SolverError
 from .fock import FockOperator, creation, field_operator, fock_embedding, number_operator
 from .hamiltonian import HamiltonianBundle
-from .lattice import build_nested
 from .linalg import check_dense, is_diagonal, lowest_eigenpairs, operator_norm
 
 RESIDUAL_RTOL = 1e-8
@@ -152,7 +151,7 @@ def _solver_for(mat: sp.csr_matrix, beta: float):
 
 def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, beta: float):
     """(H_coarse + beta)^-1 - E^H (H_fine + beta)^-1 E, Hermitian for real beta."""
-    emb = fock_embedding(build_nested(coarse.lattice, fine.lattice), coarse.basis, fine.basis)
+    emb = fock_embedding(coarse.basis, fine.basis)
     solve_c = _solver_for(coarse.h.matrix, beta)
     solve_f = _solver_for(fine.h.matrix, beta)
 

@@ -102,8 +102,7 @@ def test_criterion_03_coupling_threshold_form_bounds():
     basis = enumerate_basis(lat, 3)
     pot = gaussian_potential(1.0, 1.0)
     coup = lambda_quant(pot, lat)
-    qd, qc, qa = charge_operator(pot, basis, lat)
-    q = (qd.matrix + qc.matrix + qa.matrix).tocsr()
+    q = charge_operator(pot, basis, lat).matrix
     h0 = free_hamiltonian(basis).matrix
     v0 = np.full(basis.dim, 1.0 / np.sqrt(basis.dim))
     worst_eig = np.inf
@@ -132,8 +131,7 @@ def test_criterion_04_charge_operator_bound():
     for lat in ACCEPTANCE_LATTICES:
         basis = enumerate_basis(lat, 2)
         pot = gaussian_potential(1.0, 1.0)
-        qd, qc, qa = charge_operator(pot, basis, lat)
-        q = (qd.matrix + qc.matrix + qa.matrix).toarray()
+        q = charge_operator(pot, basis, lat).dense()
         inv_n1 = 1.0 / (basis.totals() + 1.0)
         norm = operator_norm(q * inv_n1[None, :])
         bound = operator_norm(b_matrix(pot, lat)) + 4 * pair_kernel(pot, lat).frobenius()

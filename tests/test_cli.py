@@ -6,6 +6,7 @@ import pytest
 from chargedphi2 import cli
 from chargedphi2.config import load_config, parse_config
 from chargedphi2.errors import ConfigError
+from chargedphi2.fock import HARD_DIMENSION_CAP
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -47,6 +48,9 @@ class TestConfigSchema:
             {"solver": {"overlap_threshold": 2.0}},
             {"polynomial": {"coeffs": [[1, 2]]}},
             {"probe": {"times": []}},
+            {"solver": {"basis_cap": 0}},
+            {"solver": {"basis_cap": HARD_DIMENSION_CAP + 1}},
+            {"seed": 0},
         ],
     )
     def test_invalid_values_rejected(self, patch):
@@ -86,6 +90,16 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_config(unknown_section={})))
         assert cli.main(["validate", str(bad)]) == 2
+
+    def test_basis_cap_above_hard_cap_exit_2(self, tmp_path, capsys):
+        # the hard cap is a ceiling a config cannot raise
+        raw = json.loads((CONFIGS / "desk_bundle.json").read_text())
+        raw["solver"] = {**raw.get("solver", {}), "basis_cap": HARD_DIMENSION_CAP + 1}
+        cfg = tmp_path / "raised.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_CONFIG == 2
+        assert f"solver.basis_cap must be in [1, {HARD_DIMENSION_CAP}]" in capsys.readouterr().err
+        assert parse_config(minimal_config(solver={"basis_cap": HARD_DIMENSION_CAP})).solver.basis_cap == HARD_DIMENSION_CAP
 
     def test_lambda_quant_zero_potential_reports_inf(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))

@@ -17,6 +17,7 @@ from chargedphi2.fock import (
     field_operator,
     fock_dimension,
     fock_embedding,
+    hermitian_operator,
     ntau_check,
     number_operator,
     smeared_field_coefficients,
@@ -232,6 +233,23 @@ class TestWickOperator:
         diff = wick_operator(basis3, kern).dense() - dense_wick(basis3, kern)
         assert np.max(np.abs(diff)) <= 1e-14
 
+    def test_hermitian_rule_equals_all_splits(self, basis3, rng):
+        # a kernel list closed under adjoints: (2,1) with its (1,2), a
+        # Hermitian (1,1), and (2,0) with its (0,2)
+        m = basis3.n_modes
+        c3 = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        c2 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        k21 = WickKernel(p=2, q=1, species=(1, 2, 1), coeffs=c3)
+        k11 = WickKernel(p=1, q=1, species=(2, 2), coeffs=c2 + c2.conj().T)
+        k20 = WickKernel(p=2, q=0, species=(1, 1), coeffs=c2).symmetrized()
+        kernels = [k21, k21.adjoint(), k11, k20, k20.adjoint()]
+        op = hermitian_operator(basis3, kernels)
+        full = sum(wick_operator(basis3, k).matrix for k in kernels)
+        assert op.hermitian
+        assert np.max(np.abs((op.matrix - full).toarray())) <= 1e-14
+        dense = op.dense()
+        assert np.array_equal(dense, dense.conj().T)
+
     def test_kernel_shape_validation(self, basis3):
         with pytest.raises(ShapeError):
             wick_operator(basis3, WickKernel(p=1, q=0, species=(1,), coeffs=np.zeros(5, dtype=complex)))
@@ -321,13 +339,13 @@ def setup():
 class TestEmbedding:
     def test_isometry(self, setup):
         pair, coarse, fine = setup
-        emb = fock_embedding(pair, coarse, fine)
+        emb = fock_embedding(coarse, fine)
         gram = (emb.T @ emb - sp.identity(coarse.dim)).toarray()
         assert np.max(np.abs(gram)) == 0.0
 
     def test_occupation_transport(self, setup):
         pair, coarse, fine = setup
-        emb = fock_embedding(pair, coarse, fine)
+        emb = fock_embedding(coarse, fine)
         state = [0] * coarse.n_slots
         state[1] = 2  # species 1, second coarse mode
         col = emb.getcol(coarse.rank([state])[0])
@@ -340,7 +358,15 @@ class TestEmbedding:
         pair, coarse, _ = setup
         fine1 = enumerate_basis(pair.fine, 1)
         with pytest.raises(ParameterError):
-            fock_embedding(pair, coarse, fine1)
+            fock_embedding(coarse, fine1)
+
+    def test_non_nested_bases_rejected(self, setup):
+        # v = 1, kappa = 2.5 leaves its top cell uncovered by the v = 2 level
+        _, coarse, fine = setup
+        other = enumerate_basis(build_lattice(1, 2.5, 1.0), 2)
+        for a, b in ((other, fine), (fine, coarse)):
+            with pytest.raises(ParameterError):
+                fock_embedding(a, b)
 
     def test_annihilator_shape_check(self, basis3):
         with pytest.raises(ShapeError):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chargedphi2 import hamiltonian
+from chargedphi2 import fock
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
-from chargedphi2.fock import FockOperator, dgamma, enumerate_basis, wick_operator
+from chargedphi2.fock import FockOperator, WickKernel, dgamma, enumerate_basis, hermitian_operator, wick_operator
 from chargedphi2.hamiltonian import (
     assemble,
     charge_operator,
@@ -85,8 +85,7 @@ class TestInteractionKernels:
 
     def test_zero_profile_kills_kernels(self, lat3):
         spec = interaction_spec([(4, 0, 1.0), (0, 4, 1.0)], zero_potential())
-        for kern in interaction_kernels(spec, lat3):
-            assert not np.any(kern.coeffs)
+        assert interaction_kernels(spec, lat3) == []
 
     def test_quadratic_against_smeared_field_oracle(self, lat3, gauss_g):
         basis = enumerate_basis(lat3, 3)
@@ -146,13 +145,36 @@ class TestFreeHamiltonian:
         assert diff.max() < 1e-13
 
 
+def _mixer(pot, lat):
+    b = b_matrix(pot, lat)
+    m = lat.size
+    block = np.zeros((2 * m, 2 * m), dtype=complex)
+    block[:m, m:] = b
+    block[m:, :m] = b.conj().T
+    return block
+
+
+def _pair_creator(pot, lat):
+    return WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lat).matrix)
+
+
+def _split_by_number(basis, mat):
+    """(number-preserving part, number-changing part) of a sparse matrix."""
+    coo = mat.tocoo()
+    totals = basis.totals()
+    same = totals[coo.row] == totals[coo.col]
+    parts = []
+    for keep in (same, ~same):
+        parts.append(sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=mat.shape))
+    return parts
+
+
 class TestChargeOperator:
     def test_zero_potential_gives_zero(self, basis3, lat3):
-        qd, qc, qa = charge_operator(zero_potential(), basis3, lat3)
-        assert qd.matrix.nnz == 0 and qc.matrix.nnz == 0 and qa.matrix.nnz == 0
+        assert charge_operator(zero_potential(), basis3, lat3).matrix.nnz == 0
 
     def test_one_particle_block_is_b(self, basis3, lat3, gauss_v):
-        qd, _, _ = charge_operator(gauss_v, basis3, lat3)
+        q = charge_operator(gauss_v, basis3, lat3)
         b = b_matrix(gauss_v, lat3)
         m = lat3.size
         for i in range(m):
@@ -161,7 +183,7 @@ class TestChargeOperator:
                 col = [0] * basis3.n_slots
                 row[i] = 1
                 col[m + j] = 1
-                val = qd.matrix[basis3.rank([row])[0], basis3.rank([col])[0]]
+                val = q.matrix[basis3.rank([row])[0], basis3.rank([col])[0]]
                 assert val == b[i, j]
 
     def test_commutator_identity(self, basis3, lat3, gauss_v):
@@ -169,52 +191,67 @@ class TestChargeOperator:
         # annihilator smeared with the matching row of b
         from chargedphi2.fock import annihilation, annihilator_of
 
-        qd, _, _ = charge_operator(gauss_v, basis3, lat3)
+        qd, _ = _split_by_number(basis3, charge_operator(gauss_v, basis3, lat3).matrix)
         b = b_matrix(gauss_v, lat3)
         m = lat3.size
         for idx in (0, 1):
             a1 = annihilation(basis3, 1, lat3.modes[idx]).matrix
-            comm = a1 @ qd.matrix - qd.matrix @ a1
+            comm = a1 @ qd - qd @ a1
             frow = np.concatenate([np.zeros(m), np.conj(b[idx, :])])
             expected = annihilator_of(basis3, frow).matrix
             cols = safe_columns(basis3, 1)
             assert np.max(np.abs((comm - expected).toarray()[:, cols])) < 1e-14
 
-    def test_pair_parts_are_adjoints(self, basis3, lat3, gauss_v):
-        _, qc, qa = charge_operator(gauss_v, basis3, lat3)
-        diff = qa.matrix - qc.matrix.getH().tocsr()
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+    def test_parts_are_mixer_and_pair_with_adjoint(self, basis3, lat3, gauss_v):
+        # bitwise: the number-preserving part is dGamma of the mixer, the
+        # number-changing part is W(2,0) + W(2,0)^H for the pair kernel R
+        q = charge_operator(gauss_v, basis3, lat3)
+        assert q.hermitian
+        mixer, pair = _split_by_number(basis3, q.matrix)
+        w = wick_operator(basis3, _pair_creator(gauss_v, lat3)).matrix
+        assert np.array_equal(mixer.toarray(), dgamma(basis3, _mixer(gauss_v, lat3)).dense())
+        assert np.array_equal(pair.toarray(), (w + w.getH()).toarray())
 
     def test_charge_bound_on_lattices(self, gauss_v):
         # || Q (N+1)^-1 || <= ||b|| + 4 ||R||_F on every test lattice
         for v, kap, n_max in [(1, 1.5, 3), (1, 2, 2), (2, 2, 2)]:
             lat = build_lattice(v, kap, 1.0)
             basis = enumerate_basis(lat, n_max)
-            qd, qc, qa = charge_operator(gauss_v, basis, lat)
-            q = (qd.matrix + qc.matrix + qa.matrix).toarray()
+            q = charge_operator(gauss_v, basis, lat).dense()
             n1 = 1.0 / (basis.totals() + 1)
             norm = operator_norm(q * n1[None, :])
             bound = operator_norm(b_matrix(gauss_v, lat)) + 4 * pair_kernel(gauss_v, lat).frobenius()
             assert norm <= bound
 
 
+def _desk_pieces(bundle):
+    """(H0, HI, Q) of a bundle, rebuilt with the public assembly functions."""
+    basis, lat = bundle.basis, bundle.lattice
+    return (
+        free_hamiltonian(basis).matrix,
+        hermitian_operator(basis, interaction_kernels(bundle.spec, lat)).matrix,
+        charge_operator(bundle.pot, basis, lat).matrix,
+    )
+
+
 class TestAssemble:
     def test_free_configuration_is_h0(self, basis3, lat3, free_spec):
         bundle = assemble(free_spec, zero_potential(), 0.0, basis3, lat3)
-        assert (bundle.h.matrix - bundle.h0.matrix).nnz == 0
+        assert (bundle.h.matrix - free_hamiltonian(basis3).matrix).nnz == 0
 
     def test_zero_kernels_are_not_expanded(self, basis3, lat3, free_spec, gauss_v, monkeypatch):
-        # the zero profile makes every interaction kernel zero; only the charge pair kernel is left
+        # the zero profile leaves no interaction kernel; only the two charge kernels are expanded
         seen = []
+        wick = fock.wick_operator
 
         def record(basis, kern):
             seen.append(kern)
-            return wick_operator(basis, kern)
+            return wick(basis, kern)
 
-        monkeypatch.setattr(hamiltonian, "wick_operator", record)
+        monkeypatch.setattr(fock, "wick_operator", record)
         bundle = assemble(free_spec, gauss_v, 0.0, basis3, lat3)
-        assert [(k.p, k.q, k.species) for k in seen] == [(2, 0, (1, 2))]
-        assert bundle.hi.matrix.nnz == 0
+        assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
+        assert (bundle.h.matrix - free_hamiltonian(basis3).matrix).nnz == 0
 
     def test_assembled_matrices_hold_exact_buffers(self, desk_bundle):
         # a scipy sparse sum allocates nnz(A) + nnz(B) entries; assembly trims them
@@ -223,10 +260,21 @@ class TestAssemble:
                 arr = arr.base
             return arr.nbytes
 
-        for op in (desk_bundle.hi, desk_bundle.h):
-            mat = op.matrix
+        _, hi, q = _desk_pieces(desk_bundle)
+        for mat in (hi, q, desk_bundle.h.matrix):
             assert allocation_nbytes(mat.data) == mat.nnz * mat.data.itemsize
             assert allocation_nbytes(mat.indices) == mat.nnz * mat.indices.itemsize
+
+    def test_bundle_holds_only_h(self, desk_bundle):
+        ops = [name for name, value in vars(desk_bundle).items() if isinstance(value, FockOperator)]
+        assert ops == ["h"]
+
+    def test_h_is_the_sum_of_its_public_pieces(self, desk_bundle):
+        h0, hi, q = _desk_pieces(desk_bundle)
+        ref = (h0 + hi + desk_bundle.lam * q).tocsr()
+        h = desk_bundle.h.matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(h, attr), getattr(ref, attr))
 
     def test_vacuum_expectation_zero_at_lambda_zero(self, basis3, lat3, quartic_spec):
         bundle = assemble(quartic_spec, zero_potential(), 0.0, basis3, lat3)
@@ -249,11 +297,10 @@ class TestAssemble:
         assert diff.nnz == 0
 
     def test_two_assembly_orders_agree(self, desk_bundle):
-        alt = (
-            dgamma(desk_bundle.basis, desk_bundle.one_particle_energy()).matrix
-            + desk_bundle.hi.matrix
-            + desk_bundle.lam * (desk_bundle.q_pair_create.matrix + desk_bundle.q_pair_annih.matrix)
-        )
+        basis = desk_bundle.basis
+        _, hi, _ = _desk_pieces(desk_bundle)
+        pair = hermitian_operator(basis, [_pair_creator(desk_bundle.pot, desk_bundle.lattice)]).matrix
+        alt = dgamma(basis, desk_bundle.one_particle_energy()).matrix + hi + desk_bundle.lam * pair
         diff = np.abs((desk_bundle.h.matrix - alt).toarray()).max()
         assert diff <= 1e-12
 
@@ -285,9 +332,10 @@ class TestAssemble:
         lam = 0.9 * bundle.coupling.lambda_quant
         delta, cconst = form_bound_constants(bundle.coupling, lam)
         assert delta < 1
-        q = bundle.charge().matrix
+        q = charge_operator(gauss_v, basis3, lat3).matrix
+        h0 = free_hamiltonian(basis3).matrix
         for sign in (1.0, -1.0):
-            mat = (delta * bundle.h0.matrix + cconst * sp.identity(basis3.dim) + sign * lam * q).toarray()
+            mat = (delta * h0 + cconst * sp.identity(basis3.dim) + sign * lam * q).toarray()
             assert np.linalg.eigvalsh(mat)[0] >= -1e-9
 
 
@@ -304,23 +352,18 @@ class TestCompress:
     def test_identity_compresses_to_identity(self, nest):
         pair, coarse, fine = nest
         eye = FockOperator(basis=fine, matrix=sp.identity(fine.dim, dtype=complex, format="csr"), hermitian=True)
-        out = compress(pair, eye, coarse)
+        out = compress(eye, coarse)
         assert (out.matrix - sp.identity(coarse.dim)).nnz == 0
 
     def test_free_hamiltonian_compresses_exactly(self, nest):
         pair, coarse, fine = nest
-        out = compress(pair, free_hamiltonian(fine), coarse)
+        out = compress(free_hamiltonian(fine), coarse)
         assert (out.matrix - free_hamiltonian(coarse).matrix).nnz == 0
 
     def test_charge_compresses_to_reweighted_coarse(self, nest, gauss_v):
         pair, coarse, fine = nest
-        qf = charge_operator(gauss_v, fine, pair.fine)
-        qc = charge_operator(gauss_v, coarse, pair.coarse)
-        fine_total = FockOperator(
-            basis=fine, matrix=(qf[0].matrix + qf[1].matrix + qf[2].matrix).tocsr(), hermitian=True
-        )
-        out = compress(pair, fine_total, coarse)
-        coarse_total = qc[0].matrix + qc[1].matrix + qc[2].matrix
+        out = compress(charge_operator(gauss_v, fine, pair.fine), coarse)
+        coarse_total = charge_operator(gauss_v, coarse, pair.coarse).matrix
         diff = np.abs((pair.ratio * out.matrix - coarse_total).toarray()).max()
         assert diff < 1e-14
 
@@ -329,7 +372,7 @@ class TestCompress:
         other = enumerate_basis(build_lattice(1, 2.5, 1.0), 2)
         eye = FockOperator(basis=fine, matrix=sp.identity(fine.dim, dtype=complex, format="csr"), hermitian=True)
         with pytest.raises(ParameterError):
-            compress(pair, eye, other)
+            compress(eye, other)
 
 
 def test_nested_bundles_share_threshold_gate(ladder_lattices, gauss_v):

@@ -162,6 +162,25 @@ class TestProjection:
         fine_eps = pair.fine.dispersion()[pair.mode_injection]
         assert np.array_equal(fine_eps, pair.coarse.dispersion())
 
+    def test_maps_equal_per_cell_loops(self):
+        # reference: one loop over coarse cells, the same products and sums
+        rng = np.random.default_rng(7)
+        ladder = refinement_ladder(1, 2, 1, 3)
+        for pair in (build_nested(ladder[0], ladder[1]), build_nested(ladder[0], ladder[2])):
+            w = 1.0 / math.sqrt(pair.ratio)
+            re, im = rng.standard_normal((2, 16, pair.fine.size))
+            g = rng.standard_normal(pair.coarse.size)
+            p = np.zeros((pair.coarse.size, pair.fine.size))
+            emb = np.zeros(pair.fine.size)
+            for i, j0 in enumerate(pair.mode_injection):
+                p[i, j0 : j0 + pair.ratio] = w
+                emb[j0 : j0 + pair.ratio] = w * g[i]
+            assert np.array_equal(projection_matrix(pair), p)
+            assert np.array_equal(embed(pair, g), emb)
+            for f in (re, re + 1j * im):
+                proj = np.stack([w * f[:, j0 : j0 + pair.ratio].sum(axis=-1) for j0 in pair.mode_injection], axis=-1)
+                assert np.array_equal(project(pair, f), proj)
+
     def test_shape_errors(self, pair):
         with pytest.raises(ShapeError):
             project(pair, np.zeros(pair.fine.size + 1))

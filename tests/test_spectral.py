@@ -9,8 +9,8 @@ import scipy.sparse.linalg as spla
 from chargedphi2 import spectral
 from chargedphi2.errors import ParameterError, ResourceLimitError
 from chargedphi2.fock import FockOperator, creation, enumerate_basis, fock_embedding
-from chargedphi2.hamiltonian import assemble, interaction_spec
-from chargedphi2.lattice import build_lattice, build_nested
+from chargedphi2.hamiltonian import assemble, free_hamiltonian, interaction_spec
+from chargedphi2.lattice import build_lattice
 from chargedphi2.linalg import operator_norm, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
@@ -44,7 +44,7 @@ class TestGroundState:
 
     def test_constant_shift(self, free_ladder_bundles):
         bundle = free_ladder_bundles[0]
-        e0, psi = ground_state(shifted(bundle.h0, 2.5))
+        e0, psi = ground_state(shifted(free_hamiltonian(bundle.basis), 2.5))
         assert e0 == 2.5
         assert abs(psi[0]) == pytest.approx(1.0)
 
@@ -207,7 +207,7 @@ class TestResolventConvergence:
         # the first pair takes the dense SVD path, the second Lanczos
         trace = resolvent_convergence(ladder_bundles)
         for coarse, fine, gap in zip(ladder_bundles, ladder_bundles[1:], trace.resolvent_gaps):
-            emb = fock_embedding(build_nested(coarse.lattice, fine.lattice), coarse.basis, fine.basis)
+            emb = fock_embedding(coarse.basis, fine.basis)
             assert gap == pytest.approx(dense_resolvent_gap(coarse, fine, emb, trace.beta), rel=1e-10)
 
     def test_free_difference_vanishes_before_arpack(self, free_ladder_bundles):
