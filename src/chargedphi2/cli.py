@@ -227,7 +227,7 @@ def run_convergence(cfg, outdir: Path) -> dict:
 
     bundles = _ladder_bundles(cfg)
     trace = resolvent_convergence(bundles)
-    higher = [higher_order_norm(b, trace.beta) for b in bundles]
+    higher = [higher_order_norm(b, trace.beta, solve) for b, solve in zip(bundles, trace.solves)]
     report = trace.as_dict()
     report["number_resolvent_norms"] = higher
     report["bundles"] = [b.metadata() for b in bundles]

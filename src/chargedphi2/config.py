@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,12 +26,24 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _typed(name: str, value, default):
+    """value checked against its default's type: a bool, an integral number or a finite number."""
+    if isinstance(default, bool):
+        _require(isinstance(value, bool), f"{name} must be true or false, got {value!r}")
+    elif isinstance(default, (int, float)):
+        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        _require(finite and not isinstance(value, bool), f"{name} must be a finite number, got {value!r}")
+        _require(isinstance(default, float) or int(value) == value, f"{name} must be an integer, got {value!r}")
+        return type(default)(value)
+    return value
+
+
 def _take(section: dict, name: str, allowed: dict) -> dict:
-    """Pop known keys with defaults; reject anything else."""
+    """Pop known keys with defaults, each typed like its default; reject anything else."""
     _require(isinstance(section, dict), f"'{name}' must be an object")
     unknown = set(section) - set(allowed)
     _require(not unknown, f"unknown keys in '{name}': {sorted(unknown)}")
-    return {k: section.get(k, v) for k, v in allowed.items()}
+    return {k: _typed(f"{name}.{k}", section.get(k, v), v) for k, v in allowed.items()}
 
 
 @dataclass(frozen=True)
@@ -144,7 +157,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = _take(raw, "config", top_allowed)
 
     lat = _take(top["lattice"], "lattice", {"v": "1", "kappa": 2.0, "mass": 1.0, "refinement_levels": 1})
-    _require(float(Fraction(str(lat["v"]))) > 0, "lattice.v must be positive")
+    try:
+        v = Fraction(str(lat["v"]))
+    except (ValueError, ZeroDivisionError):
+        v = Fraction(0)
+    _require(v > 0, f"lattice.v must be a positive rational, got {lat['v']!r}")
     _require(lat["kappa"] > 0, "lattice.kappa must be positive")
     _require(lat["mass"] > 0, "lattice.mass must be positive")
     _require(int(lat["refinement_levels"]) >= 1, "lattice.refinement_levels must be >= 1")
@@ -155,15 +172,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(prof["width"] > 0, f"{name}.width must be positive")
 
     poly = _take(top["polynomial"], "polynomial", {"coeffs": [[4, 0, 1.0], [0, 4, 1.0]]})
+    _require(isinstance(poly["coeffs"], list), "polynomial.coeffs must be a list")
     coeffs = []
     for entry in poly["coeffs"]:
         _require(
             isinstance(entry, (list, tuple)) and len(entry) == 3,
             "polynomial.coeffs entries must be [alpha1, alpha2, value]",
         )
-        a1, a2, val = entry
-        _require(int(a1) >= 0 and int(a2) >= 0, "monomial powers must be nonnegative")
-        coeffs.append((int(a1), int(a2), float(val)))
+        a1, a2, val = (_typed("polynomial.coeffs", x, d) for x, d in zip(entry, (0, 0, 0.0)))
+        _require(a1 >= 0 and a2 >= 0, "monomial powers must be nonnegative")
+        coeffs.append((a1, a2, val))
 
     coup = _take(top["coupling"], "coupling", {"lambda": 0.0})
     grid = _take(top["grid"], "grid", {"points": 128, "length": 32.0})
@@ -185,7 +203,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
     probe = _take(top["probe"], "probe", {"times": [4.0, 8.0, 16.0, 32.0], "f_center": 1.0, "f_width": 0.35})
-    _require(len(probe["times"]) >= 1, "probe.times must be nonempty")
+    _require(isinstance(probe["times"], list) and probe["times"], "probe.times must be a nonempty list")
+    probe["times"] = [_typed("probe.times", t, 0.0) for t in probe["times"]]
     _require(probe["f_width"] > 0, "probe.f_width must be positive")
 
     out = _take(top["output"], "output", {"dir": "out"})

@@ -23,7 +23,11 @@ The p < q kernels are the adjoints of the p > q ones and are never assembled.
 Matrix elements are a coefficient times a single square root of the exact
 integer product of the leg occupations, which makes structural identities
 (Hermiticity of second quantizations, adjoints of normal-ordered operators)
-hold bitwise, not just to rounding.
+hold bitwise, not just to rounding.  An operator is float64 when all its
+coefficients are real.  The gauge D = diag(i^{N_2}) (i on each species-2 slot
+of the one-particle space) maps A to D^* A D, multiplying a monomial that
+creates p2 and annihilates q2 species-2 particles by i^{q2 - p2}; a
+gauge-frame state psi is D psi in the lab frame.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from .lattice import MomentumLattice, build_nested
-from .linalg import operator_norm
+from .linalg import operator_norm, real_if_exact
 
 HARD_DIMENSION_CAP = 200_000
 # Basis columns expanded at once by `wick_operator`; bounds its working memory.
@@ -195,7 +199,7 @@ def annihilation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
 
 def number_operator(basis: FockBasis) -> FockOperator:
     """Total number operator, diagonal with the sector totals."""
-    totals = basis.totals().astype(complex)
+    totals = basis.totals().astype(float)
     return FockOperator(basis=basis, matrix=sp.diags(totals).tocsr(), hermitian=True)
 
 
@@ -295,16 +299,15 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     generate them, so equal kernels give bitwise equal matrices.
     """
     m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q
-    coeffs = np.asarray(kern.coeffs, dtype=complex)
+    coeffs = real_if_exact(np.asarray(kern.coeffs, dtype=complex))
     widths = tuple(2 * m if s is None else m for s in kern.species)
     if coeffs.shape != widths:
         raise ShapeError(f"kernel axes {coeffs.shape} do not match the {m}-mode lattice: need {widths}")
     if p == 0 and q == 0:
-        scalar = complex(coeffs)
         return FockOperator(
             basis=basis,
-            matrix=(scalar * sp.identity(dim, dtype=complex, format="csr")),
-            hermitian=abs(scalar.imag) == 0.0,
+            matrix=coeffs[()] * sp.identity(dim, dtype=coeffs.dtype, format="csr"),
+            hermitian=np.isrealobj(coeffs),
         )
     flat = coeffs.ravel()
     strides = np.cumprod((1,) + widths[:0:-1])[::-1]
@@ -359,7 +362,7 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
         keys.append(key[first])
         vals.append(np.add.reduceat(val, first))
     key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    val = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
+    val = np.concatenate(vals) if vals else np.zeros(0, dtype=coeffs.dtype)
     keep = val != 0
     mat = sp.csr_matrix((val[keep], (key[keep] % dim, key[keep] // dim)), shape=(dim, dim))
     return FockOperator(basis=basis, matrix=mat)
@@ -373,13 +376,35 @@ def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockO
     result is Hermitian bitwise.  Each sparse sum keeps scipy's nnz(A) +
     nnz(B) buffer, so the result is copied to its exact size.
     """
-    u = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    u = sp.csr_matrix((basis.dim, basis.dim))
     for kern in kernels:
         if kern.p < kern.q or not np.any(kern.coeffs):
             continue
         w = wick_operator(basis, kern).matrix
         u = u + (w if kern.p > kern.q else 0.5 * w)
     return FockOperator(basis=basis, matrix=(u + u.getH()).tocsr().copy(), hermitian=True)
+
+
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def gauge_phase(basis: FockBasis) -> np.ndarray:
+    """Diagonal of the gauge D: i^{N_2(n)} on each basis state n."""
+    return _QUARTER_TURNS[basis.occ[:, basis.n_modes :].sum(axis=1, dtype=np.int64) % 4]
+
+
+def slot_phase(n_modes: int) -> np.ndarray:
+    """The gauge on the one-particle space: 1 on species-1 slots, i on species 2."""
+    return np.repeat([1, 1j], n_modes)
+
+
+def gauge(basis: FockBasis, mat: sp.spmatrix) -> sp.csr_matrix:
+    """D^* mat D: entry (r, c) times i^{N_2(c) - N_2(r)}, float64 if all real."""
+    mat = sp.csr_matrix(mat)
+    n2 = basis.occ[:, basis.n_modes :].sum(axis=1, dtype=np.int64)
+    rows = np.repeat(n2, np.diff(mat.indptr))
+    data = real_if_exact(mat.data * _QUARTER_TURNS[(n2[mat.indices] - rows) % 4])
+    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> FockOperator:
@@ -390,18 +415,6 @@ def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> F
     """
     f = np.asarray(f, dtype=complex) / math.sqrt(2.0)
     return hermitian_operator(basis, [WickKernel(p=1, q=0, species=(species,), coeffs=f)])
-
-
-def smeared_field_coefficients(g_hat, lattice: MomentumLattice) -> np.ndarray:
-    """Mode coefficients of the point field smeared against a real profile g.
-
-    f_gamma = g_hat(gamma) / sqrt(2 pi v eps(gamma)); pairing these with
-    `field_operator` realizes the smeared field in the momentum picture.
-    """
-    eps = lattice.dispersion()
-    return np.asarray(g_hat(lattice.modes), dtype=complex) / np.sqrt(
-        2 * np.pi * float(lattice.v) * eps
-    )
 
 
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:

@@ -13,6 +13,11 @@ HI and Q are each assembled by the one rule of `fock.hermitian_operator`:
 U + U^H, with U the creator-heavy kernels (p > q) plus half of the balanced
 ones (p = q); the p < q kernels are the adjoints of the p > q ones and are
 never assembled.  H0 is diagonal, so H is Hermitian bitwise.
+
+`assemble` gauges the lab-frame HI and Q (`fock.gauge`, D = diag(i^{N_2})),
+so H is float64 for an even potential and a polynomial even in phi_2.  The
+eigenvectors of `bundle.h` are gauge-frame states: D psi, with D's diagonal
+from `fock.gauge_phase`, is the lab-frame state.
 """
 
 from __future__ import annotations
@@ -23,11 +28,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis,
-                   fock_embedding, hermitian_operator)
+from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge,
+                   hermitian_operator)
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
 from .potentials import Potential
@@ -64,6 +68,8 @@ def leading_form_minimum(monomials: Sequence[Monomial], degree: int, samples: in
     between samples are refined by bracketing, so the certificate is the value
     at a true critical point rather than at a grid node.
     """
+    from scipy.optimize import brentq  # here, so importing this module skips scipy.optimize
+
     theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     vals = _leading_form(monomials, degree, theta)
     best = float(np.min(vals))
@@ -184,9 +190,7 @@ def free_hamiltonian(basis: FockBasis) -> FockOperator:
     eps = basis.lattice.dispersion()
     eps_slots = np.concatenate([eps, eps])
     diag = basis.occ.astype(float) @ eps_slots
-    return FockOperator(
-        basis=basis, matrix=sp.diags(diag.astype(complex)).tocsr(), hermitian=True
-    )
+    return FockOperator(basis=basis, matrix=sp.diags(diag).tocsr(), hermitian=True)
 
 
 def charge_operator(pot: Potential, basis: FockBasis, lattice: MomentumLattice) -> FockOperator:
@@ -257,7 +261,7 @@ def assemble(
     lattice: MomentumLattice,
     override_stability: bool = False,
 ) -> HamiltonianBundle:
-    """Build H = H0 + HI + lam Q, Hermitian by construction.
+    """Build H = H0 + D^* (HI + lam Q) D in the gauge frame, Hermitian by construction.
 
     Refuses couplings at or above the stability threshold unless the override
     flag is set (exploration mode); the error carries the threshold.
@@ -266,8 +270,8 @@ def assemble(
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
     h0 = free_hamiltonian(basis).matrix
-    hi = hermitian_operator(basis, interaction_kernels(spec, lattice)).matrix
-    q = charge_operator(pot, basis, lattice).matrix
+    hi = gauge(basis, hermitian_operator(basis, interaction_kernels(spec, lattice)).matrix)
+    q = gauge(basis, charge_operator(pot, basis, lattice).matrix)
     # A sparse sum keeps scipy's nnz(A) + nnz(B) buffer; copy() trims it to nnz.
     h_mat = (h0 + hi + lam * q).tocsr().copy()
     del h0, hi, q  # freed before the Hermiticity check on H makes its own temporaries
@@ -280,19 +284,6 @@ def assemble(
         h=FockOperator(basis=basis, matrix=h_mat, hermitian=True),
         coupling=coupling,
     )
-
-
-def compress(fine_op: FockOperator, coarse_basis: FockBasis) -> FockOperator:
-    """Compress a fine-lattice Fock operator onto the coarse basis.
-
-    Uses the occupation-transport isometry (coarse modes keep their momentum
-    value on the fine lattice): compress = embed^H . fine_op . embed.  The
-    free Hamiltonian compresses exactly; quadrature-weighted kernels compress
-    to the coarse assembly up to the documented 1/v re-weighting.
-    """
-    emb = fock_embedding(coarse_basis, fine_op.basis)
-    mat = (emb.T.conj() @ fine_op.matrix @ emb).tocsr()
-    return FockOperator(basis=coarse_basis, matrix=mat, hermitian=fine_op.hermitian)
 
 
 def nested_bundles(

@@ -59,9 +59,6 @@ class MomentumLattice:
     def spacing(self) -> float:
         return 1.0 / float(self.v)
 
-    def params(self) -> dict:
-        return {"v": str(self.v), "kappa": self.kappa, "m": self.m, "size": self.size}
-
 
 def build_lattice(v: RationalLike, kappa: float, m: float) -> MomentumLattice:
     """Build the mode set {gamma in v^-1 Z : |gamma| <= kappa}, sorted ascending.

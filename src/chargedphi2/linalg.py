@@ -5,7 +5,8 @@ n <= DENSE_RATIO * ncv, with ncv = max(2k + 1, 20) ARPACK's Krylov size for k
 pairs.  A full dense matrix of a Fock operator is capped at DENSE_CEILING rows
 (ResourceLimitError above).  Lanczos starts from a fixed-seed Gaussian vector,
 so runs are reproducible and no basis symmetry (momentum parity, say) keeps a
-sector out of the Krylov space, as the uniform vector would.
+sector out of the Krylov space, as the uniform vector would.  Solvers keep
+the matrix dtype: a real symmetric matrix gets the real drivers.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a as a float64 copy when no entry has an imaginary part, else a itself."""
+    return a.real.copy() if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
 def is_diagonal(mat: sp.spmatrix) -> bool:
     return (mat - sp.diags(mat.diagonal())).nnz == 0
 
@@ -54,7 +60,7 @@ def lowest_eigenpairs(mat: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]
     if is_diagonal(mat):
         diag = mat.diagonal().real
         order = np.argsort(diag, kind="stable")[:k]
-        vecs = np.zeros((n, k), dtype=complex)
+        vecs = np.zeros((n, k), dtype=mat.dtype)
         vecs[order, np.arange(k)] = 1.0
         return diag[order], vecs
     if use_dense(n, k):

@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .fock import slot_phase
 from .lattice import MomentumLattice
-from .linalg import operator_norm
+from .linalg import operator_norm, real_if_exact
 from .potentials import Potential
 
 
@@ -133,7 +134,8 @@ class OneParticleBlockOperator:
     """Hermitian two-species block operator [[eps, lam*b], [lam*b^H, eps]].
 
     min_eig is the smallest eigenvalue of the assembled 2M x 2M matrix; it is
-    positive whenever |lam| stays below the stability threshold.
+    positive whenever |lam| stays below the stability threshold.  It is taken
+    in the gauge frame (`fock.slot_phase`), real for an even potential.
     """
 
     lattice: MomentumLattice
@@ -152,7 +154,8 @@ class OneParticleBlockOperator:
 
     @property
     def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.full())[0])
+        phase = slot_phase(self.lattice.size)
+        return float(np.linalg.eigvalsh(real_if_exact(phase.conj()[:, None] * self.full() * phase))[0])
 
 
 def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> OneParticleBlockOperator:
@@ -209,18 +212,19 @@ def weyl_quantize(symbol: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: 
 
     Matrix entries are (2 pi)^{-1} sum_l exp(i (x_i - x_j) k_l)
     a((x_i + x_j)/2, k_l) dk dx, so the squared Frobenius norm approximates
-    (2 pi)^{-1} times the squared L2 norm of the symbol.
+    (2 pi)^{-1} times the squared L2 norm of the symbol.  The phase is
+    e_il conj(e_jl) with e = exp(i x k), and on the equispaced grid the
+    midpoint of (i, j) is node i + j of the half-step grid (2n - 1 nodes).
     """
     x, k = grid.x, grid.k
     n = grid.size
+    mids = x[0] + 0.5 * grid.dx * np.arange(2 * n - 1)
+    table = np.broadcast_to(np.asarray(symbol(mids[:, None], k[None, :]), dtype=complex), (2 * n - 1, n))
+    e = np.exp(1j * x[:, None] * k[None, :])
     out = np.empty((n, n), dtype=complex)
-    pref = grid.dk * grid.dx / (2 * np.pi)
     for j in range(n):
-        mid = 0.5 * (x + x[j])
-        vals = np.asarray(symbol(mid[:, None], k[None, :]), dtype=complex)
-        phase = np.exp(1j * (x - x[j])[:, None] * k[None, :])
-        out[:, j] = pref * (phase * vals).sum(axis=1)
-    return out
+        out[:, j] = (e * table[j : j + n]) @ e[j].conj()
+    return grid.dk * grid.dx / (2 * np.pi) * out
 
 
 def hs_norm_squared(mat: np.ndarray) -> float:

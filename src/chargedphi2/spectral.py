@@ -3,6 +3,10 @@
 Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
 size rule.  Every reported eigenpair must meet the residual contract
 ||H psi - E psi|| <= 1e-8 max(1, |E|).
+
+`bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge`;
+overlaps, resolvent and number norms are gauge invariant, and the probe
+gauges its field coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import FockOperator, creation, field_operator, fock_embedding, number_operator
+from .fock import FockOperator, creation, field_operator, fock_embedding, number_operator, slot_phase
 from .hamiltonian import HamiltonianBundle
 from .linalg import check_dense, is_diagonal, lowest_eigenpairs, operator_norm
 
@@ -76,7 +80,7 @@ def _one_particle_excess_frame(bundle: HamiltonianBundle, psi0: np.ndarray) -> n
             if nrm > 1e-12:
                 cols.append(vec / nrm)
     if not cols:
-        return np.zeros((basis.dim, 0), dtype=complex)
+        return np.zeros((basis.dim, 0), dtype=psi0.dtype)
     q, _ = np.linalg.qr(np.column_stack(cols))
     return q
 
@@ -127,12 +131,13 @@ def hvz_gap_probe(
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Per-level ground energies and adjacent resolvent-difference norms."""
+    """Per-level ground energies, resolvent-difference norms and LU solves."""
 
     levels: tuple
     beta: float
     resolvent_gaps: tuple
     e0_trace: tuple
+    solves: tuple = field(default=(), repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -145,21 +150,19 @@ class ConvergenceTrace:
 
 def _solver_for(mat: sp.csr_matrix, beta: float):
     """Return x -> (mat + beta)^-1 x through a sparse LU factorization."""
-    shifted = mat + beta * sp.identity(mat.shape[0], dtype=complex, format="csr")
+    shifted = mat + beta * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
     return spla.splu(shifted.tocsc()).solve
 
 
-def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, beta: float):
-    """(H_coarse + beta)^-1 - E^H (H_fine + beta)^-1 E, Hermitian for real beta."""
+def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, solve_c, solve_f):
+    """(H_coarse + beta)^-1 - E^H (H_fine + beta)^-1 E from the two solves, Hermitian for real beta."""
     emb = fock_embedding(coarse.basis, fine.basis)
-    solve_c = _solver_for(coarse.h.matrix, beta)
-    solve_f = _solver_for(fine.h.matrix, beta)
 
     def diff(x):
         return solve_c(x) - emb.T.conj() @ solve_f(emb @ x)
 
-    n = coarse.basis.dim
-    return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=complex)
+    n, dtype = coarse.basis.dim, np.result_type(coarse.h.matrix.dtype, fine.h.matrix.dtype)
+    return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=dtype)
 
 
 def default_shift(bundle: HamiltonianBundle) -> float:
@@ -185,26 +188,27 @@ def resolvent_convergence(
     for e0 in e0s:
         if beta <= -e0:
             raise ParameterError(f"shift beta={beta} does not clear spectrum bottom {e0}")
+    solves = tuple(_solver_for(b.h.matrix, beta) for b in bundles)
     gaps = [
-        operator_norm(_resolvent_difference(coarse, fine, beta))
-        for coarse, fine in zip(bundles, bundles[1:])
+        operator_norm(_resolvent_difference(coarse, fine, *pair))
+        for coarse, fine, pair in zip(bundles, bundles[1:], zip(solves, solves[1:]))
     ]
     levels = tuple(
         {"v": str(b.lattice.v), "kappa": b.lattice.kappa, "dim": b.basis.dim} for b in bundles
     )
     return ConvergenceTrace(
-        levels=levels, beta=float(beta), resolvent_gaps=tuple(gaps), e0_trace=tuple(e0s)
+        levels=levels, beta=float(beta), resolvent_gaps=tuple(gaps), e0_trace=tuple(e0s), solves=solves
     )
 
 
-def higher_order_norm(bundle: HamiltonianBundle, beta: float) -> float:
-    """|| N (H + beta)^-1 ||, the single-power number-resolvent bound."""
-    n = bundle.basis.dim
+def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve=None) -> float:
+    """|| N (H + beta)^-1 ||; solve, if given, is that level's `ConvergenceTrace.solves`."""
+    n, dtype = bundle.basis.dim, bundle.h.matrix.dtype
     n_op = number_operator(bundle.basis).matrix
-    solve = _solver_for(bundle.h.matrix, beta)
+    solve = solve or _solver_for(bundle.h.matrix, beta)
     # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.
     op = spla.LinearOperator(
-        (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=complex
+        (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=dtype
     )
     return operator_norm(op)
 
@@ -250,9 +254,11 @@ def heisenberg_probe(
     exp(-it omega) F; psi (default: the ground state) evolves under the full H
     by `expm_multiply` from the previous time, or exactly if H is diagonal.
     For the free bundle the two evolutions intertwine exactly and the
-    expectation is time independent.  The recurrence time needs every
-    eigenvalue of H, so the dimension is capped by the dense ceiling; results
-    past it are flagged untrusted in the report.
+    expectation is time independent.  f_coeffs is a lab-frame vector and psi
+    a state in the frame of bundle.h (the gauge frame); F_t is gauged before
+    the field is built, so the values are the lab-frame ones.  The recurrence
+    time needs every eigenvalue of H, so the dimension is capped by the dense
+    ceiling; results past it are flagged untrusted in the report.
     """
     basis = bundle.basis
     check_dense(basis.dim)
@@ -262,6 +268,7 @@ def heisenberg_probe(
     omega = bundle.one_particle_energy()
     ww, u = np.linalg.eigh(omega)
     f_in_eig = u.conj().T @ f_coeffs
+    phase = slot_phase(basis.n_modes).conj()  # a species-2 creator leg gains -i
 
     hmat = bundle.h.matrix
     diagonal = is_diagonal(hmat)
@@ -281,7 +288,7 @@ def heisenberg_probe(
         elif t != t_prev:
             psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
             t_prev = t
-        values.append(field_operator(basis, None, f_t).expectation(psi_t))
+        values.append(field_operator(basis, None, f_t * phase).expectation(psi_t))
     return ProbeResult(
         times=tuple(float(t) for t in times),
         values=tuple(values),

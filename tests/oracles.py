@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from chargedphi2.fock import field_operator
+from chargedphi2.fock import FockOperator, field_operator, fock_embedding
 
 
 def dense_projection_from_cells(pair):
@@ -102,6 +102,31 @@ def smeared_interaction(basis, lattice, monomials, g, x_nodes, weights):
     return out
 
 
+def compress(fine_op, coarse_basis):
+    """Compress a fine-lattice Fock operator onto the coarse basis.
+
+    Uses the occupation-transport isometry (coarse modes keep their momentum
+    value on the fine lattice): compress = embed^H . fine_op . embed.  The
+    free Hamiltonian compresses exactly; quadrature-weighted kernels compress
+    to the coarse assembly up to the documented 1/v re-weighting.
+    """
+    emb = fock_embedding(coarse_basis, fine_op.basis)
+    mat = (emb.T.conj() @ fine_op.matrix @ emb).tocsr()
+    return FockOperator(basis=coarse_basis, matrix=mat, hermitian=fine_op.hermitian)
+
+
+def smeared_field_coefficients(g_hat, lattice):
+    """Mode coefficients of the point field smeared against a real profile g.
+
+    f_gamma = g_hat(gamma) / sqrt(2 pi v eps(gamma)); pairing these with
+    `field_operator` realizes the smeared field in the momentum picture.
+    """
+    eps = lattice.dispersion()
+    return np.asarray(g_hat(lattice.modes), dtype=complex) / np.sqrt(
+        2 * np.pi * float(lattice.v) * eps
+    )
+
+
 def safe_columns(basis, margin):
     """Indices of basis states whose total occupation is at most n_max - margin."""
     return np.flatnonzero(basis.totals() <= basis.n_max - margin)
@@ -150,14 +175,22 @@ def dense_resolvent_gap(coarse, fine, emb, beta):
     return float(np.linalg.norm(rc - e.conj().T @ rf @ e, 2))
 
 
-def dense_probe(bundle, f, times, psi):
-    """Heisenberg probe values from the full eigendecomposition of H.
+def lab_frame_phases(basis):
+    """i^{N_2} per basis state, each an exact power of 1j from the occupations."""
+    return np.array([1j ** int(n2) for n2 in basis.occ[:, basis.n_modes :].sum(axis=1)])
 
-    psi is evolved through every eigenpair of H, and F_t = expm(-it omega) F
-    by the dense matrix exponential.
+
+def dense_probe(bundle, f, times, psi):
+    """Heisenberg probe values in the lab frame from the full eigendecomposition.
+
+    bundle.h and psi are in the gauge frame; they are taken back to the lab
+    frame as D H D^* and D psi with D = diag(i^{N_2}), so the field of F_t is
+    the plain lab-frame one.  psi is evolved through every eigenpair of H, and
+    F_t = expm(-it omega) F by the dense matrix exponential.
     """
-    he, hv = np.linalg.eigh(bundle.h.dense())
-    coords = hv.conj().T @ psi
+    d = lab_frame_phases(bundle.basis)
+    he, hv = np.linalg.eigh(d[:, None] * bundle.h.dense() * d.conj())
+    coords = hv.conj().T @ (d * psi)
     omega = bundle.one_particle_energy()
     out = []
     for t in times:
@@ -165,3 +198,18 @@ def dense_probe(bundle, f, times, psi):
         f_t = sla.expm(-1j * t * omega) @ f
         out.append(np.vdot(psi_t, field_operator(bundle.basis, None, f_t).matrix @ psi_t))
     return np.array(out)
+
+
+def weyl_quantize_loop(symbol, grid):
+    """Midpoint Weyl matrix column by column, with the phase exp(i (x_i - x_j) k_l)
+    and the symbol at (x_i + x_j)/2 evaluated afresh for every column."""
+    x, k = grid.x, grid.k
+    n = grid.size
+    out = np.empty((n, n), dtype=complex)
+    pref = grid.dk * grid.dx / (2 * np.pi)
+    for j in range(n):
+        mid = 0.5 * (x + x[j])
+        vals = np.asarray(symbol(mid[:, None], k[None, :]), dtype=complex)
+        phase = np.exp(1j * (x - x[j])[:, None] * k[None, :])
+        out[:, j] = pref * (phase * vals).sum(axis=1)
+    return out

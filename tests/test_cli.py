@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +60,11 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             parse_config(minimal_config(**patch))
 
+    def test_integral_floats_accepted_for_integer_keys(self):
+        cfg = parse_config(minimal_config(n_max=2.0, solver={"basis_cap": 1000.0}))
+        assert (cfg.n_max, cfg.solver.basis_cap) == (2, 1000)
+        assert isinstance(cfg.n_max, int) and isinstance(cfg.solver.basis_cap, int)
+
     def test_hash_deterministic_and_sensitive(self):
         a = parse_config(minimal_config())
         b = parse_config(minimal_config())
@@ -100,6 +108,33 @@ class TestCliExitCodes:
         assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_CONFIG == 2
         assert f"solver.basis_cap must be in [1, {HARD_DIMENSION_CAP}]" in capsys.readouterr().err
         assert parse_config(minimal_config(solver={"basis_cap": HARD_DIMENSION_CAP})).solver.basis_cap == HARD_DIMENSION_CAP
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"solver": {"basis_cap": "abc"}}, "solver.basis_cap must be a finite number"),
+            ({"n_max": "x"}, "config.n_max must be a finite number"),
+            ({"solver": {"basis_cap": 1.9}}, "solver.basis_cap must be an integer"),
+            ({"n_max": 2.5}, "config.n_max must be an integer"),
+            ({"n_max": True}, "config.n_max must be a finite number"),
+            ({"lattice": {"kappa": True}}, "lattice.kappa must be a finite number"),
+            ({"lattice": {"kappa": float("nan")}}, "lattice.kappa must be a finite number"),
+            ({"lattice": {"v": "abc"}}, "lattice.v must be a positive rational"),
+            ({"coupling": {"lambda": "0.1"}}, "coupling.lambda must be a finite number"),
+            ({"grid": {"points": 32.5}}, "grid.points must be an integer"),
+            ({"polynomial": {"coeffs": [[4, 0, "1"]]}}, "polynomial.coeffs must be a finite number"),
+            ({"polynomial": {"coeffs": [[4.5, 0, 1.0]]}}, "polynomial.coeffs must be an integer"),
+            ({"polynomial": {"coeffs": 4}}, "polynomial.coeffs must be a list"),
+            ({"probe": {"times": [1.0, "2"]}}, "probe.times must be a finite number"),
+            ({"override_stability": 1}, "config.override_stability must be true or false"),
+        ],
+    )
+    def test_mistyped_value_exit_2(self, tmp_path, capsys, patch, message):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(minimal_config(**patch)))
+        assert cli.main(["validate", str(cfg)]) == cli.EXIT_CONFIG == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_lambda_quant_zero_potential_reports_inf(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
@@ -169,6 +204,23 @@ class TestCliExitCodes:
 
 
 class TestArtifacts:
+    def test_convergence_factors_each_level_once(self, tmp_path, monkeypatch):
+        from chargedphi2 import spectral
+
+        shapes = []
+        splu = spectral.spla.splu
+        monkeypatch.setattr(spectral.spla, "splu", lambda a, *args, **kw: shapes.append(a.shape) or splu(a, *args, **kw))
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main(["convergence", str(CONFIGS / "ladder.json")]) == 0
+        assert sorted(shapes) == [(66, 66), (276, 276), (1128, 1128)]
+
+    def test_cli_imports_skip_scipy_optimize(self):
+        code = "import sys, chargedphi2.cli, chargedphi2.hamiltonian, chargedphi2.spectral; print(sorted(sys.modules))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        modules = eval(out.stdout)
+        assert "chargedphi2.spectral" in modules and "scipy.optimize" not in modules
+
     def test_spectrum_writes_json_and_csv(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         cfg = tmp_path / "cfg.json"

@@ -20,11 +20,10 @@ from chargedphi2.fock import (
     hermitian_operator,
     ntau_check,
     number_operator,
-    smeared_field_coefficients,
     wick_operator,
 )
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
-from oracles import dense_wick, safe_columns, two_particle_tensor
+from oracles import dense_wick, safe_columns, smeared_field_coefficients, two_particle_tensor
 
 
 class TestEnumeration:

@@ -4,11 +4,11 @@ import scipy.sparse as sp
 
 from chargedphi2 import fock
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
-from chargedphi2.fock import FockOperator, WickKernel, dgamma, enumerate_basis, hermitian_operator, wick_operator
+from chargedphi2.fock import (FockOperator, WickKernel, dgamma, enumerate_basis, gauge, hermitian_operator,
+                              wick_operator)
 from chargedphi2.hamiltonian import (
     assemble,
     charge_operator,
-    compress,
     form_bound_constants,
     free_hamiltonian,
     interaction_kernels,
@@ -21,7 +21,7 @@ from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.oneparticle import b_matrix, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
-from oracles import safe_columns, smeared_interaction
+from oracles import compress, safe_columns, smeared_interaction
 
 # Ground energy of the shipped desk bundle (M=9, n_max=3, quartic polynomial,
 # unit gaussian potential, 0.25-gaussian profile, lambda = 0.1), pinned from a
@@ -225,12 +225,12 @@ class TestChargeOperator:
 
 
 def _desk_pieces(bundle):
-    """(H0, HI, Q) of a bundle, rebuilt with the public assembly functions."""
+    """(H0, HI, Q) of a bundle in its gauge frame, from the public lab-frame functions."""
     basis, lat = bundle.basis, bundle.lattice
     return (
         free_hamiltonian(basis).matrix,
-        hermitian_operator(basis, interaction_kernels(bundle.spec, lat)).matrix,
-        charge_operator(bundle.pot, basis, lat).matrix,
+        gauge(basis, hermitian_operator(basis, interaction_kernels(bundle.spec, lat)).matrix),
+        gauge(basis, charge_operator(bundle.pot, basis, lat).matrix),
     )
 
 
@@ -300,7 +300,8 @@ class TestAssemble:
         basis = desk_bundle.basis
         _, hi, _ = _desk_pieces(desk_bundle)
         pair = hermitian_operator(basis, [_pair_creator(desk_bundle.pot, desk_bundle.lattice)]).matrix
-        alt = dgamma(basis, desk_bundle.one_particle_energy()).matrix + hi + desk_bundle.lam * pair
+        one_body = dgamma(basis, desk_bundle.one_particle_energy()).matrix
+        alt = gauge(basis, one_body) + hi + desk_bundle.lam * gauge(basis, pair)
         diff = np.abs((desk_bundle.h.matrix - alt).toarray()).max()
         assert diff <= 1e-12
 

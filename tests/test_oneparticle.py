@@ -28,6 +28,7 @@ from chargedphi2.potentials import (
     sampled_potential,
     zero_potential,
 )
+from oracles import weyl_quantize_loop
 
 BUILTIN_POTENTIALS = [
     gaussian_potential(1.0, 1.0),
@@ -209,6 +210,18 @@ class TestWeyl:
         hs2 = hs_norm_squared(mat)
         assert 0.495 <= hs2 <= 0.505
         assert time.time() - t0 < 5.0
+
+    @pytest.mark.parametrize(
+        "symbol",
+        [
+            lambda x, k: np.exp(-(x**2 + k**2) / 2.0),
+            lambda x, k: np.exp(-((x - 0.5 * k) ** 2) / 3.0) * (1.0 + 1j * np.sin(x * k)),
+            lambda x, k: 0.25,
+        ],
+    )
+    def test_matches_column_loop(self, symbol):
+        for grid in (weyl_grid(64, 12.0), weyl_grid(256, 32.0)):
+            assert np.max(np.abs(weyl_quantize(symbol, grid) - weyl_quantize_loop(symbol, grid))) <= 1e-13
 
     def test_momentum_symbol_is_convolution_kernel(self):
         # a(k) Gaussian: exact transform sqrt(2 pi) e^{-w^2/2} / (2 pi)

@@ -15,6 +15,7 @@ from chargedphi2.linalg import operator_norm, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
     _resolvent_difference,
+    _solver_for,
     default_shift,
     ground_state,
     heisenberg_probe,
@@ -213,7 +214,7 @@ class TestResolventConvergence:
     def test_free_difference_vanishes_before_arpack(self, free_ladder_bundles):
         # ARPACK refuses the zero operator, so the norm must return 0.0 first
         coarse, fine = free_ladder_bundles[1:]
-        diff = _resolvent_difference(coarse, fine, 1.0)
+        diff = _resolvent_difference(coarse, fine, *(_solver_for(b.h.matrix, 1.0) for b in (coarse, fine)))
         with pytest.raises(spla.ArpackError, match="Starting vector is zero"):
             spla.eigsh(diff.H @ diff, k=1, which="LM", v0=start_vector(coarse.basis.dim))
         assert operator_norm(diff) == 0.0
