@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,8 +31,8 @@ def _typed(name: str, value, default):
     if isinstance(default, bool):
         _require(isinstance(value, bool), f"{name} must be true or false, got {value!r}")
     elif isinstance(default, (int, float)):
-        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-        _require(finite and not isinstance(value, bool), f"{name} must be a finite number, got {value!r}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        _require(number and abs(value) <= sys.float_info.max, f"{name} must be a finite number, got {value!r}")
         _require(isinstance(default, float) or int(value) == value, f"{name} must be an integer, got {value!r}")
         return type(default)(value)
     return value

@@ -26,7 +26,8 @@ integer product of the leg occupations, which makes structural identities
 hold bitwise, not just to rounding.  An operator is float64 when all its
 coefficients are real.  The gauge D = diag(i^{N_2}) (i on each species-2 slot
 of the one-particle space) maps A to D^* A D, multiplying a monomial that
-creates p2 and annihilates q2 species-2 particles by i^{q2 - p2}; a
+creates p2 and annihilates q2 species-2 particles by i^{q2 - p2}; this is
+applied to kernels (`gauge_kernel`), before any Wick expansion.  A
 gauge-frame state psi is D psi in the lab frame.
 """
 
@@ -385,26 +386,20 @@ def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockO
     return FockOperator(basis=basis, matrix=(u + u.getH()).tocsr().copy(), hermitian=True)
 
 
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+def gauge_kernel(kern: WickKernel) -> WickKernel:
+    """The kernel of D^* A D for A the monomial of kern and D = diag(i^{N_2}).
 
-
-def gauge_phase(basis: FockBasis) -> np.ndarray:
-    """Diagonal of the gauge D: i^{N_2(n)} on each basis state n."""
-    return _QUARTER_TURNS[basis.occ[:, basis.n_modes :].sum(axis=1, dtype=np.int64) % 4]
-
-
-def slot_phase(n_modes: int) -> np.ndarray:
-    """The gauge on the one-particle space: 1 on species-1 slots, i on species 2."""
-    return np.repeat([1, 1j], n_modes)
-
-
-def gauge(basis: FockBasis, mat: sp.spmatrix) -> sp.csr_matrix:
-    """D^* mat D: entry (r, c) times i^{N_2(c) - N_2(r)}, float64 if all real."""
-    mat = sp.csr_matrix(mat)
-    n2 = basis.occ[:, basis.n_modes :].sum(axis=1, dtype=np.int64)
-    rows = np.repeat(n2, np.diff(mat.indptr))
-    data = real_if_exact(mat.data * _QUARTER_TURNS[(n2[mat.indices] - rows) % 4])
-    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+    Each species-2 creator leg gains -i and each species-2 annihilator leg i;
+    a leg over all 2M slots gains that factor on its species-2 half.
+    """
+    coeffs = np.asarray(kern.coeffs, dtype=complex)
+    for axis, (s, width) in enumerate(zip(kern.species, coeffs.shape)):
+        if s == 1:
+            continue
+        phase = np.ones(width, dtype=complex)
+        phase[width // 2 if s is None else 0 :] = -1j if axis < kern.p else 1j
+        coeffs = coeffs * phase.reshape((width,) + (1,) * (coeffs.ndim - axis - 1))
+    return WickKernel(p=kern.p, q=kern.q, species=kern.species, coeffs=coeffs)
 
 
 def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> FockOperator:

@@ -14,10 +14,12 @@ U + U^H, with U the creator-heavy kernels (p > q) plus half of the balanced
 ones (p = q); the p < q kernels are the adjoints of the p > q ones and are
 never assembled.  H0 is diagonal, so H is Hermitian bitwise.
 
-`assemble` gauges the lab-frame HI and Q (`fock.gauge`, D = diag(i^{N_2})),
-so H is float64 for an even potential and a polynomial even in phi_2.  The
-eigenvectors of `bundle.h` are gauge-frame states: D psi, with D's diagonal
-from `fock.gauge_phase`, is the lab-frame state.
+`assemble` builds HI and Q from gauged kernels (`fock.gauge_kernel`, the
+frame of D^* A D with D = diag(i^{N_2})), so they are Wick-expanded in float64
+and H is float64 for an even potential and a polynomial even in phi_2.
+`interaction_kernels` and `charge_operator` (by default) stay in the lab
+frame.  The eigenvectors of `bundle.h` are gauge-frame states: D psi is the
+lab-frame state.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge,
+from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge_kernel,
                    hermitian_operator)
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
@@ -193,13 +195,16 @@ def free_hamiltonian(basis: FockBasis) -> FockOperator:
     return FockOperator(basis=basis, matrix=sp.diags(diag).tocsr(), hermitian=True)
 
 
-def charge_operator(pot: Potential, basis: FockBasis, lattice: MomentumLattice) -> FockOperator:
-    """The local charge coupling Q, Hermitian bitwise.
+def charge_operator(
+    pot: Potential, basis: FockBasis, lattice: MomentumLattice, gauged: bool = False
+) -> FockOperator:
+    """The local charge coupling Q, Hermitian bitwise; D^* Q D if gauged.
 
     Its number-preserving part second-quantizes the species mixer
     [[0, b], [b^H, 0]]; its pair part creates one particle of each species
     weighted by the antisymmetric kernel R, plus the adjoint that annihilates
-    them.
+    them.  Both lab-frame kernels are imaginary for an even potential, so the
+    gauged Q is float64.
     """
     b = b_matrix(pot, lattice)
     m = lattice.size
@@ -210,7 +215,7 @@ def charge_operator(pot: Potential, basis: FockBasis, lattice: MomentumLattice) 
         WickKernel(p=1, q=1, species=(None, None), coeffs=block),
         WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice).matrix),
     ]
-    return hermitian_operator(basis, kernels)
+    return hermitian_operator(basis, [gauge_kernel(k) for k in kernels] if gauged else kernels)
 
 
 def form_bound_constants(coupling: CouplingReport, lam: float) -> tuple[float, float]:
@@ -270,8 +275,8 @@ def assemble(
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
     h0 = free_hamiltonian(basis).matrix
-    hi = gauge(basis, hermitian_operator(basis, interaction_kernels(spec, lattice)).matrix)
-    q = gauge(basis, charge_operator(pot, basis, lattice).matrix)
+    hi = hermitian_operator(basis, [gauge_kernel(k) for k in interaction_kernels(spec, lattice)]).matrix
+    q = charge_operator(pot, basis, lattice, gauged=True).matrix
     # A sparse sum keeps scipy's nnz(A) + nnz(B) buffer; copy() trims it to nnz.
     h_mat = (h0 + hi + lam * q).tocsr().copy()
     del h0, hi, q  # freed before the Hermiticity check on H makes its own temporaries

@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .fock import slot_phase
 from .lattice import MomentumLattice
 from .linalg import operator_norm, real_if_exact
 from .potentials import Potential
@@ -135,7 +134,7 @@ class OneParticleBlockOperator:
 
     min_eig is the smallest eigenvalue of the assembled 2M x 2M matrix; it is
     positive whenever |lam| stays below the stability threshold.  It is taken
-    in the gauge frame (`fock.slot_phase`), real for an even potential.
+    in the gauge frame (i on each species-2 slot), real for an even potential.
     """
 
     lattice: MomentumLattice
@@ -154,7 +153,7 @@ class OneParticleBlockOperator:
 
     @property
     def min_eig(self) -> float:
-        phase = slot_phase(self.lattice.size)
+        phase = np.repeat([1, 1j], self.lattice.size)
         return float(np.linalg.eigvalsh(real_if_exact(phase.conj()[:, None] * self.full() * phase))[0])
 
 

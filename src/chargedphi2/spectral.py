@@ -4,7 +4,7 @@ Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
 size rule.  Every reported eigenpair must meet the residual contract
 ||H psi - E psi|| <= 1e-8 max(1, |E|).
 
-`bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge`;
+`bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant, and the probe
 gauges its field coefficients.
 """
@@ -20,7 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import FockOperator, creation, field_operator, fock_embedding, number_operator, slot_phase
+from .fock import (FockOperator, WickKernel, creation, field_operator, fock_embedding, gauge_kernel,
+                   number_operator)
 from .hamiltonian import HamiltonianBundle
 from .linalg import check_dense, is_diagonal, lowest_eigenpairs, operator_norm
 
@@ -137,7 +138,7 @@ class ConvergenceTrace:
     beta: float
     resolvent_gaps: tuple
     e0_trace: tuple
-    solves: tuple = field(default=(), repr=False, compare=False)
+    solves: tuple = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -201,11 +202,10 @@ def resolvent_convergence(
     )
 
 
-def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve=None) -> float:
-    """|| N (H + beta)^-1 ||; solve, if given, is that level's `ConvergenceTrace.solves`."""
+def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve) -> float:
+    """|| N (H + beta)^-1 ||, with solve the level's x -> (H + beta)^-1 x (`ConvergenceTrace.solves`)."""
     n, dtype = bundle.basis.dim, bundle.h.matrix.dtype
     n_op = number_operator(bundle.basis).matrix
-    solve = solve or _solver_for(bundle.h.matrix, beta)
     # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.
     op = spla.LinearOperator(
         (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=dtype
@@ -268,7 +268,6 @@ def heisenberg_probe(
     omega = bundle.one_particle_energy()
     ww, u = np.linalg.eigh(omega)
     f_in_eig = u.conj().T @ f_coeffs
-    phase = slot_phase(basis.n_modes).conj()  # a species-2 creator leg gains -i
 
     hmat = bundle.h.matrix
     diagonal = is_diagonal(hmat)
@@ -288,7 +287,8 @@ def heisenberg_probe(
         elif t != t_prev:
             psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
             t_prev = t
-        values.append(field_operator(basis, None, f_t * phase).expectation(psi_t))
+        gauged = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_t)).coeffs
+        values.append(field_operator(basis, None, gauged).expectation(psi_t))
     return ProbeResult(
         times=tuple(float(t) for t in times),
         values=tuple(values),

@@ -39,6 +39,7 @@ from chargedphi2.quantization import (
     polar_decompose,
 )
 from chargedphi2.spectral import (
+    _solver_for,
     default_shift,
     heisenberg_probe,
     higher_order_norm,
@@ -237,7 +238,7 @@ def test_criterion_08_resolvent_convergence(free_ladder_bundles, ladder_bundles)
 
 def test_criterion_09_higher_order_uniformity(ladder_bundles):
     beta = default_shift(ladder_bundles[0])
-    norms = [higher_order_norm(b, beta) for b in ladder_bundles]
+    norms = [higher_order_norm(b, beta, _solver_for(b.h.matrix, beta)) for b in ladder_bundles]
     spread = max(norms) / min(norms)
     ok = spread <= 1.1
     _report(9, ok, f"||N (H+beta)^-1|| across levels: {[f'{x:.5f}' for x in norms]}, spread {spread:.4f} <= 1.1")

@@ -119,6 +119,8 @@ class TestCliExitCodes:
             ({"n_max": True}, "config.n_max must be a finite number"),
             ({"lattice": {"kappa": True}}, "lattice.kappa must be a finite number"),
             ({"lattice": {"kappa": float("nan")}}, "lattice.kappa must be a finite number"),
+            ({"lattice": {"kappa": 10**400}}, "lattice.kappa must be a finite number"),
+            ({"n_max": 10**400}, "config.n_max must be a finite number"),
             ({"lattice": {"v": "abc"}}, "lattice.v must be a positive rational"),
             ({"coupling": {"lambda": "0.1"}}, "coupling.lambda must be a finite number"),
             ({"grid": {"points": 32.5}}, "grid.points must be an integer"),

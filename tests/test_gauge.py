@@ -13,7 +13,7 @@ import pytest
 
 from chargedphi2 import cli
 from chargedphi2.config import parse_config
-from chargedphi2.fock import (WickKernel, fock_embedding, gauge_phase, hermitian_operator, number_operator,
+from chargedphi2.fock import (WickKernel, fock_embedding, gauge_kernel, hermitian_operator, number_operator,
                               wick_operator)
 from chargedphi2.hamiltonian import (assemble, charge_operator, free_hamiltonian, interaction_kernels,
                                      interaction_spec, nested_bundles)
@@ -66,8 +66,15 @@ def test_ladder_h_is_float64_and_exactly_symmetric():
         _assert_real_symmetric(bundle.h.matrix)
 
 
-def test_phase_vector_is_i_to_the_species2_number(desk_bundle):
-    assert np.array_equal(gauge_phase(desk_bundle.basis), lab_frame_phases(desk_bundle.basis))
+@pytest.mark.parametrize("p, q, species", [(1, 0, (None,)), (1, 1, (None, None)), (2, 0, (1, 2)), (2, 1, (2, 1, None))])
+def test_gauged_kernel_expands_to_the_gauged_matrix(basis3, p, q, species):
+    # every entry of the Wick expansion gains the same quarter turn, so D^* A D is exact
+    r = np.random.default_rng(3)
+    shape = tuple(2 * basis3.n_modes if s is None else basis3.n_modes for s in species)
+    kern = WickKernel(p=p, q=q, species=species, coeffs=r.standard_normal(shape) + 1j * r.standard_normal(shape))
+    d = lab_frame_phases(basis3)
+    lab = wick_operator(basis3, kern).dense()
+    assert np.array_equal(wick_operator(basis3, gauge_kernel(kern)).dense(), d.conj()[:, None] * lab * d)
 
 
 @pytest.mark.parametrize("name", ["desk", "probe_m9"])
@@ -122,8 +129,8 @@ def test_dtype_follows_the_values(basis3, lat3, gauss_v):
     assert wick_operator(basis3, real).matrix.dtype == np.float64
     imag = WickKernel(p=1, q=1, species=(1, 2), coeffs=1j * np.ones((m, m)))
     assert wick_operator(basis3, imag).matrix.dtype == np.complex128
-    lab_q = charge_operator(gauss_v, basis3, lat3).matrix
-    assert lab_q.dtype == np.complex128
+    assert charge_operator(gauss_v, basis3, lat3).matrix.dtype == np.complex128
+    assert charge_operator(gauss_v, basis3, lat3, gauged=True).matrix.dtype == np.float64
 
 
 def test_complex_h_runs_the_resolvent_path(ladder_lattices, gauss_v):

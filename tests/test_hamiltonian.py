@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from chargedphi2 import fock
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
-from chargedphi2.fock import (FockOperator, WickKernel, dgamma, enumerate_basis, gauge, hermitian_operator,
+from chargedphi2.fock import (FockOperator, WickKernel, dgamma, enumerate_basis, gauge_kernel, hermitian_operator,
                               wick_operator)
 from chargedphi2.hamiltonian import (
     assemble,
@@ -225,12 +225,12 @@ class TestChargeOperator:
 
 
 def _desk_pieces(bundle):
-    """(H0, HI, Q) of a bundle in its gauge frame, from the public lab-frame functions."""
+    """(H0, HI, Q) of a bundle in its gauge frame, rebuilt with the public assembly functions."""
     basis, lat = bundle.basis, bundle.lattice
     return (
         free_hamiltonian(basis).matrix,
-        gauge(basis, hermitian_operator(basis, interaction_kernels(bundle.spec, lat)).matrix),
-        gauge(basis, charge_operator(bundle.pot, basis, lat).matrix),
+        hermitian_operator(basis, [gauge_kernel(k) for k in interaction_kernels(bundle.spec, lat)]).matrix,
+        charge_operator(bundle.pot, basis, lat, gauged=True).matrix,
     )
 
 
@@ -299,9 +299,10 @@ class TestAssemble:
     def test_two_assembly_orders_agree(self, desk_bundle):
         basis = desk_bundle.basis
         _, hi, _ = _desk_pieces(desk_bundle)
-        pair = hermitian_operator(basis, [_pair_creator(desk_bundle.pot, desk_bundle.lattice)]).matrix
-        one_body = dgamma(basis, desk_bundle.one_particle_energy()).matrix
-        alt = gauge(basis, one_body) + hi + desk_bundle.lam * gauge(basis, pair)
+        pair = hermitian_operator(basis, [gauge_kernel(_pair_creator(desk_bundle.pot, desk_bundle.lattice))]).matrix
+        d = np.repeat([1, 1j], basis.n_modes)  # dGamma(d^* A d) = D^* dGamma(A) D
+        one_body = dgamma(basis, d.conj()[:, None] * desk_bundle.one_particle_energy() * d).matrix
+        alt = one_body + hi + desk_bundle.lam * pair
         diff = np.abs((desk_bundle.h.matrix - alt).toarray()).max()
         assert diff <= 1e-12
 

@@ -241,14 +241,14 @@ class TestResolventConvergence:
 class TestHigherOrderNorm:
     def test_uniform_across_levels(self, ladder_bundles):
         beta = default_shift(ladder_bundles[0])
-        norms = [higher_order_norm(b, beta) for b in ladder_bundles]
+        norms = [higher_order_norm(b, beta, _solver_for(b.h.matrix, beta)) for b in ladder_bundles]
         assert max(norms) / min(norms) <= 1.1
 
     def test_free_value_explicit(self, free_ladder_bundles):
         # for H0 and beta: max over states of n / (sum eps + beta) at m = 1 is
         # n_max / (n_max m + beta)
         bundle = free_ladder_bundles[0]
-        val = higher_order_norm(bundle, 1.0)
+        val = higher_order_norm(bundle, 1.0, _solver_for(bundle.h.matrix, 1.0))
         n_max = bundle.basis.n_max
         assert val == pytest.approx(n_max / (n_max * 1.0 + 1.0), rel=1e-10)
 
