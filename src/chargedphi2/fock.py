@@ -12,7 +12,10 @@ monomial leg by leg over blocks of basis columns: annihilator legs first, each
 taking one particle out of an occupied slot in its range, then creator legs,
 each adding one.  Creation out of the top sector maps to zero, keeping every
 operator an endomorphism of one space; canonical-commutation checks therefore
-restrict to the sector N <= n_max - 1.
+restrict to the sector N <= n_max - 1.  Creators commute, and so do
+annihilators: a run of adjacent legs with one species label walks only
+non-decreasing slot tuples, each carrying the sum of the coefficients of its
+distinct orderings (the kernel is folded once).
 
 Every self-adjoint operator built from kernels (the Segal field, the charge
 coupling, the interaction) goes through one rule, `hermitian_operator`: given
@@ -20,23 +23,25 @@ a kernel list closed under adjoints, it assembles U from the creator-heavy
 kernels (p > q) plus half of the balanced ones (p = q) and returns U + U^H.
 The p < q kernels are the adjoints of the p > q ones and are never assembled.
 
-Matrix elements are a coefficient times a single square root of the exact
-integer product of the leg occupations, which makes structural identities
-(Hermiticity of second quantizations, adjoints of normal-ordered operators)
-hold bitwise, not just to rounding.  An operator is float64 when all its
-coefficients are real.  The gauge D = diag(i^{N_2}) (i on each species-2 slot
-of the one-particle space) maps A to D^* A D, multiplying a monomial that
-creates p2 and annihilates q2 species-2 particles by i^{q2 - p2}; this is
-applied to kernels (`gauge_kernel`), before any Wick expansion.  A
-gauge-frame state psi is D psi in the lab frame.
+Matrix elements are a folded coefficient times a single square root of the
+exact integer product of the leg occupations, so equal kernels give bitwise
+equal matrices and `hermitian_operator` is Hermitian bitwise.  A kernel and
+its adjoint fold their runs in one order (label, then length): Wick(k)^H ==
+Wick(k.adjoint()) bitwise when each matrix entry gets one term, e.g. when no
+creator shares a label with an annihilator.  An operator is float64 when all
+its coefficients are real.  The gauge D = diag(i^{N_2}) (i on each species-2
+slot) maps A to D^* A D, multiplying a monomial that creates p2 and
+annihilates q2 species-2 particles by i^{q2 - p2}; it is applied to kernels
+(`gauge_kernel`), before any Wick expansion.  A gauge-frame state psi is D psi
+in the lab frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, reduce
+from itertools import groupby, permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -239,8 +244,8 @@ class WickKernel:
 
     coeffs has one axis per leg, creators first.  A leg labelled 1 or 2 runs
     over that species' M modes; a leg labelled None runs over all 2M slots.
-    The tensor is kept symmetric under permutations of creator legs with equal
-    labels and of annihilator legs likewise (enforced by `symmetrized`).
+    Any tensor is valid: `wick_operator` sums the orderings of equal-label
+    runs itself, and `symmetrized` gives the symmetric tensor of the monomial.
     """
 
     p: int
@@ -290,14 +295,46 @@ def _species_perms(labels: Sequence[int]) -> list[tuple[int, ...]]:
     return out if out else [()]
 
 
+def _runs(kern: WickKernel) -> list[tuple[int, int]]:
+    """(first axis, length) of each run of adjacent legs with one label on one
+    side, ordered by label and length so a kernel and its adjoint share it."""
+    runs, start = [], 0
+    for side in (kern.species[: kern.p], kern.species[kern.p :]):
+        for _, legs in groupby(side):
+            length = len(list(legs))
+            runs += [(start, length)] if length > 1 else []
+            start += length
+    return sorted(runs, key=lambda run: (str(kern.species[run[0]]), run[1]))
+
+
+def _fold_run(coeffs: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Entry K, non-decreasing along the run's axes, becomes the sum of coeffs
+    over the distinct orderings of K (c[i, j] + c[j, i], or c[i, i], for a run
+    of two); every other entry becomes zero."""
+    axes, rest = list(range(start)), list(range(start + length, coeffs.ndim))
+    idx = [np.arange(coeffs.shape[a]).reshape([-1 if b == a else 1 for b in range(coeffs.ndim)])
+           for a in range(start, start + length)]
+    out = 0
+    for perm in permutations(range(length)):
+        term = np.transpose(coeffs, axes + [start + k for k in perm] + rest)
+        # the ordering was met before when perm swaps two equal adjacent modes
+        seen = [idx[i] == idx[i + 1] for i in range(length - 1) if perm[i] > perm[i + 1]]
+        out = out + (np.where(reduce(np.logical_or, seen), 0, term) if seen else term)
+    return np.where(reduce(np.logical_and, [idx[i] <= idx[i + 1] for i in range(length - 1)]), out, 0)
+
+
 def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     """Assemble a normal-ordered monomial operator from its kernel.
 
     All creators stand left of all annihilators, so the vacuum expectation
     vanishes whenever p + q > 0.  Columns whose image would exceed the
     particle cap are dropped (the truncation convention of `creation`).
-    Terms landing on one matrix entry are summed in the order the legs
-    generate them, so equal kernels give bitwise equal matrices.
+    A run of adjacent legs with one species label is expanded over
+    non-decreasing slot tuples only, each carrying the sum of the coefficients
+    of its distinct orderings (`_fold_run`, in a fixed permutation order);
+    this is exact for any kernel, symmetrized or not.  The terms landing on
+    one matrix entry are then summed in the order the legs generate them, so
+    equal kernels give bitwise equal matrices.
     """
     m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q
     coeffs = real_if_exact(np.asarray(kern.coeffs, dtype=complex))
@@ -305,11 +342,17 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     if coeffs.shape != widths:
         raise ShapeError(f"kernel axes {coeffs.shape} do not match the {m}-mode lattice: need {widths}")
     if p == 0 and q == 0:
-        return FockOperator(
-            basis=basis,
-            matrix=coeffs[()] * sp.identity(dim, dtype=coeffs.dtype, format="csr"),
-            hermitian=np.isrealobj(coeffs),
-        )
+        scalar = coeffs[()] * sp.identity(dim, dtype=coeffs.dtype, format="csr")
+        return FockOperator(basis=basis, matrix=scalar, hermitian=np.isrealobj(coeffs))
+    totals = basis.totals()
+    active = np.flatnonzero((totals >= q) & (totals - q + p <= basis.n_max))
+    if not len(active):
+        return FockOperator(basis=basis, matrix=sp.csr_matrix((dim, dim), dtype=coeffs.dtype))
+    # a leg that continues a run takes only slots >= the previous leg's slot
+    follows = np.zeros(p + q, dtype=bool)
+    for start, length in _runs(kern):
+        coeffs = _fold_run(coeffs, start, length)
+        follows[start + 1 : start + length] = True
     flat = coeffs.ravel()
     strides = np.cumprod((1,) + widths[:0:-1])[::-1]
     # per leg, the modes where some coefficient is nonzero, and their slots
@@ -317,10 +360,8 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     legs = range(p + q)
     modes = [np.flatnonzero(nonzero.any(axis=tuple(a for a in legs if a != leg))) for leg in legs]
     reach = [(0 if s is None else (s - 1) * m) + mode for s, mode in zip(kern.species, modes)]
-    totals = basis.totals()
-    active = np.flatnonzero((totals >= q) & (totals - q + p <= basis.n_max))
-    if any(len(mode) == 0 for mode in modes):  # a leg without coefficients: zero operator
-        active = active[:0]
+    if any(len(mode) == 0 for mode in modes):  # a leg without coefficients
+        return FockOperator(basis=basis, matrix=sp.csr_matrix((dim, dim), dtype=coeffs.dtype))
     if p:
         # up[i, s]: index of state i plus one particle at creator slot s, for
         # the states below the cap, which are a prefix of the basis
@@ -338,19 +379,27 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
         cidx = np.zeros(len(cols), dtype=np.int64)
         for leg in range(p, p + q):  # annihilators first, on occupation rows
             n = occ[:, reach[leg]]
+            if follows[leg]:
+                n = np.where(reach[leg] >= last[:, None], n, 0)
             r, j = np.nonzero(n)
             occ = occ[r]
             occ[np.arange(len(r)), reach[leg][j]] -= 1
             amp = amp[r] * n[r, j]
             cidx = cidx[r] + modes[leg][j] * strides[leg]
             cols = cols[r]
+            last = reach[leg][j]
         state = basis.rank(occ) if q else cols
         for leg in range(p):  # then creators, through the raise table
-            r, j = np.divmod(np.arange(len(state) * len(reach[leg])), len(reach[leg]))
+            # slots reach[leg][lo:], with lo past the previous leg's slot in a run
+            lo = np.searchsorted(reach[leg], last) if follows[leg] else np.zeros(len(state), dtype=np.int64)
+            count = len(reach[leg]) - lo
+            r = np.repeat(np.arange(len(state)), count)
+            j = np.arange(len(r)) - np.repeat(np.cumsum(count) - count - lo, count)
             state = up[state[r], reach[leg][j]]
             amp = amp[r] * basis.occ[state, reach[leg][j]]
             cidx = cidx[r] + modes[leg][j] * strides[leg]
             cols = cols[r]
+            last = reach[leg][j]
         c = flat[cidx]
         keep = np.flatnonzero(c != 0)
         if not len(keep):
@@ -364,8 +413,10 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
         vals.append(np.add.reduceat(val, first))
     key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
     val = np.concatenate(vals) if vals else np.zeros(0, dtype=coeffs.dtype)
-    keep = val != 0
-    mat = sp.csr_matrix((val[keep], (key[keep] % dim, key[keep] // dim)), shape=(dim, dim))
+    key, val = key[val != 0], val[val != 0]
+    # the keys ascend (blocks ascend in column), so they index a CSC matrix
+    indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
+    mat = sp.csc_matrix((val, key % dim, indptr), shape=(dim, dim)).tocsr()
     return FockOperator(basis=basis, matrix=mat)
 
 

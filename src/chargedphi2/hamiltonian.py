@@ -67,25 +67,22 @@ def leading_form_minimum(monomials: Sequence[Monomial], degree: int, samples: in
     """Minimum over the circle of the top-degree form of the polynomial.
 
     Dense sampling locates candidate wells; sign changes of the derivative
-    between samples are refined by bracketing, so the certificate is the value
-    at a true critical point rather than at a grid node.
+    between samples are refined together by bisection down to rounding, so the
+    certificate is the value at a true critical point rather than at a grid node.
     """
-    from scipy.optimize import brentq  # here, so importing this module skips scipy.optimize
-
     theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     vals = _leading_form(monomials, degree, theta)
-    best = float(np.min(vals))
     dvals = _leading_form_derivative(monomials, degree, theta)
-    f = lambda t: float(_leading_form_derivative(monomials, degree, np.array([t]))[0])
-    for i in range(samples):
-        a, b = theta[i], theta[(i + 1) % samples] if i + 1 < samples else 2 * np.pi
-        da, db = dvals[i], dvals[(i + 1) % samples]
-        if da == 0.0:
-            best = min(best, float(_leading_form(monomials, degree, np.array([a]))[0]))
-        elif da * db < 0.0:
-            root = brentq(f, a, b)
-            best = min(best, float(_leading_form(monomials, degree, np.array([root]))[0]))
-    return best
+    # a node where the derivative vanishes is a critical point already in vals;
+    # only strict sign changes are bracketed
+    bracket = np.flatnonzero(dvals * np.roll(dvals, -1) < 0.0)
+    lo, hi = theta[bracket], np.append(theta[1:], 2 * np.pi)[bracket]
+    positive = dvals[bracket] > 0.0  # the sign of the derivative at lo
+    for _ in range(45):  # halvings that take a 2 pi / 4096 bracket below the rounding of theta
+        mid = 0.5 * (lo + hi)
+        past = (_leading_form_derivative(monomials, degree, mid) > 0.0) == positive
+        lo, hi = np.where(past, mid, lo), np.where(past, hi, mid)
+    return float(np.min(np.concatenate([vals, _leading_form(monomials, degree, 0.5 * (lo + hi))])))
 
 
 @dataclass(frozen=True)

@@ -147,15 +147,6 @@ def _cell_block(pair: NestedPair) -> slice:
     return slice(j0, j0 + pair.ratio * pair.coarse.size)
 
 
-def projection_matrix(pair: NestedPair) -> np.ndarray:
-    """Dense matrix of the cell-average projection, coarse.size x fine.size.
-
-    Row gamma holds 1/sqrt(ratio) on the ratio fine modes inside the coarse
-    cell [gamma, gamma + 1/v_c); rows are orthonormal, so P @ P.T = identity.
-    """
-    return embed(pair, np.eye(pair.coarse.size))
-
-
 def project(pair: NestedPair, f: np.ndarray) -> np.ndarray:
     """Apply the cell-average projection to a fine coefficient vector.
 

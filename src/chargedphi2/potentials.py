@@ -4,7 +4,7 @@ The same container serves the electrostatic potential V and the spatial
 interaction cutoff g: a real function of position together with its Fourier
 transform in the convention f_hat(k) = integral e^{-ikx} f(x) dx.  Built-in
 shapes carry closed-form transforms so that matrix elements downstream have no
-quadrature noise; sampled user potentials fall back to an FFT table.
+quadrature noise.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ class Potential:
     def Vp_hat(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
         return 1j * k * np.asarray(self.V_hat(k))
-
-    def scaled(self, t: float) -> "Potential":
-        """Pointwise rescaling t*V (transform scales linearly)."""
-        return Potential(
-            label=f"{self.label}*{t:g}",
-            V=lambda x, _f=self.V: t * np.asarray(_f(x)),
-            V_hat=lambda k, _f=self.V_hat: t * np.asarray(_f(k)),
-        )
 
 
 def zero_potential() -> Potential:
@@ -87,41 +79,6 @@ def lorentzian_potential(amplitude: float = 1.0, width: float = 1.0) -> Potentia
         return (a * w * np.pi * np.exp(-w * np.abs(k))).astype(complex)
 
     return Potential(label=f"lorentzian(a={a:g},w={w:g})", V=v, V_hat=v_hat)
-
-
-def sampled_potential(
-    x_samples: np.ndarray, v_samples: np.ndarray, label: str = "sampled"
-) -> Potential:
-    """Potential from equispaced real samples; transform via an FFT table.
-
-    The transform is tabulated at the FFT dual frequencies of the sample grid
-    and evaluated elsewhere by linear interpolation of real and imaginary
-    parts.  Position values interpolate the samples (zero outside the grid).
-    """
-    x = np.asarray(x_samples, dtype=float)
-    vals = np.asarray(v_samples, dtype=float)
-    if x.ndim != 1 or x.shape != vals.shape or x.size < 2:
-        raise ParameterError("need matching 1d sample arrays with >= 2 points")
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx):
-        raise ParameterError("sample grid must be equispaced")
-
-    # f_hat(k) = dx * sum_j e^{-i k x_j} f(x_j) at the FFT frequencies.
-    freqs = 2 * np.pi * np.fft.fftfreq(x.size, d=dx)
-    table = dx * np.exp(-1j * freqs * x[0]) * np.fft.fft(vals)
-    order = np.argsort(freqs)
-    k_tab, f_tab = freqs[order], table[order]
-
-    def v(q):
-        return np.interp(np.asarray(q, dtype=float), x, vals, left=0.0, right=0.0)
-
-    def v_hat(k):
-        k = np.asarray(k, dtype=float)
-        re = np.interp(k, k_tab, f_tab.real, left=0.0, right=0.0)
-        im = np.interp(k, k_tab, f_tab.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    return Potential(label=label, V=v, V_hat=v_hat)
 
 
 _BUILTINS = {

@@ -12,7 +12,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from chargedphi2.errors import ParameterError
 from chargedphi2.fock import FockOperator, field_operator, fock_embedding
+from chargedphi2.lattice import embed
+from chargedphi2.potentials import Potential
 
 
 def dense_projection_from_cells(pair):
@@ -213,3 +216,54 @@ def weyl_quantize_loop(symbol, grid):
         phase = np.exp(1j * (x - x[j])[:, None] * k[None, :])
         out[:, j] = pref * (phase * vals).sum(axis=1)
     return out
+
+
+def projection_matrix(pair):
+    """Dense matrix of the cell-average projection, coarse.size x fine.size.
+
+    Row gamma holds 1/sqrt(ratio) on the ratio fine modes inside the coarse
+    cell [gamma, gamma + 1/v_c); rows are orthonormal, so P @ P.T = identity.
+    """
+    return embed(pair, np.eye(pair.coarse.size))
+
+
+def scaled(pot, t):
+    """Pointwise rescaling t*V (transform scales linearly)."""
+    return Potential(
+        label=f"{pot.label}*{t:g}",
+        V=lambda x, _f=pot.V: t * np.asarray(_f(x)),
+        V_hat=lambda k, _f=pot.V_hat: t * np.asarray(_f(k)),
+    )
+
+
+def sampled_potential(x_samples, v_samples, label="sampled"):
+    """Potential from equispaced real samples; transform via an FFT table.
+
+    The transform is tabulated at the FFT dual frequencies of the sample grid
+    and evaluated elsewhere by linear interpolation of real and imaginary
+    parts.  Position values interpolate the samples (zero outside the grid).
+    """
+    x = np.asarray(x_samples, dtype=float)
+    vals = np.asarray(v_samples, dtype=float)
+    if x.ndim != 1 or x.shape != vals.shape or x.size < 2:
+        raise ParameterError("need matching 1d sample arrays with >= 2 points")
+    dx = x[1] - x[0]
+    if not np.allclose(np.diff(x), dx):
+        raise ParameterError("sample grid must be equispaced")
+
+    # f_hat(k) = dx * sum_j e^{-i k x_j} f(x_j) at the FFT frequencies.
+    freqs = 2 * np.pi * np.fft.fftfreq(x.size, d=dx)
+    table = dx * np.exp(-1j * freqs * x[0]) * np.fft.fft(vals)
+    order = np.argsort(freqs)
+    k_tab, f_tab = freqs[order], table[order]
+
+    def v(q):
+        return np.interp(np.asarray(q, dtype=float), x, vals, left=0.0, right=0.0)
+
+    def v_hat(k):
+        k = np.asarray(k, dtype=float)
+        re = np.interp(k, k_tab, f_tab.real, left=0.0, right=0.0)
+        im = np.interp(k, k_tab, f_tab.imag, left=0.0, right=0.0)
+        return re + 1j * im
+
+    return Potential(label=label, V=v, V_hat=v_hat)

@@ -223,6 +223,25 @@ class TestArtifacts:
         modules = eval(out.stdout)
         assert "chargedphi2.spectral" in modules and "scipy.optimize" not in modules
 
+    def test_building_the_desk_bundle_skips_scipy_optimize(self):
+        # the certificate of interaction_spec runs in every CLI process
+        code = (
+            "import sys\n"
+            "from chargedphi2.fock import enumerate_basis\n"
+            "from chargedphi2.hamiltonian import assemble, interaction_spec\n"
+            "from chargedphi2.lattice import build_lattice\n"
+            "from chargedphi2.potentials import gaussian_potential\n"
+            "lat = build_lattice(2, 2.0, 1.0)\n"
+            "spec = interaction_spec([(4, 0, 1.0), (0, 4, 1.0)], gaussian_potential(0.25, 1.0))\n"
+            "bundle = assemble(spec, gaussian_potential(1.0, 1.0), 0.1, enumerate_basis(lat, 3), lat)\n"
+            "print(bundle.basis.dim, spec.certificate, 'scipy.optimize' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        dim, certificate, loaded = out.stdout.split()
+        assert (dim, loaded) == ("1330", "False")
+        assert float(certificate) == pytest.approx(0.5, abs=1e-12)
+
     def test_spectrum_writes_json_and_csv(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         cfg = tmp_path / "cfg.json"

@@ -232,6 +232,42 @@ class TestWickOperator:
         diff = wick_operator(basis3, kern).dense() - dense_wick(basis3, kern)
         assert np.max(np.abs(diff)) <= 1e-14
 
+    @given(
+        pq=st.sampled_from([(3, 1), (1, 3), (2, 2), (3, 0)]),
+        labels=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
+        repeated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unsymmetrized_runs_match_dense_ladder_oracle(self, basis3, pq, labels, repeated, seed):
+        # each side is one run of equal labels, of length 2 or 3; with
+        # `repeated` the kernel lives on c[i, ..., i, j, ..., j], the tuples
+        # whose orderings coincide
+        p, q = pq
+        r = np.random.default_rng(seed)
+        shape = (basis3.n_modes,) * (p + q)
+        coeffs = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        if repeated:
+            idx = np.indices(shape)
+            same = np.all(idx[:p] == idx[0], axis=0) & np.all(idx[p:] == idx[-1], axis=0)
+            coeffs = np.where(same, coeffs, 0)
+        kern = WickKernel(p=p, q=q, species=(labels[0],) * p + (labels[1],) * q, coeffs=coeffs)
+        diff = wick_operator(basis3, kern).dense() - dense_wick(basis3, kern)
+        assert np.max(np.abs(diff)) <= 1e-14
+
+    @pytest.mark.parametrize("p, species", [(2, (1, 1, 2, 2)), (2, (2, 2, 1, 1)), (3, (2, 2, 2, 1))])
+    def test_adjoint_is_structural_with_runs(self, basis3, p, species):
+        # unsymmetrized, so each folded coefficient is a sum of distinct entries;
+        # its own generator leaves the shared `rng` fixture's draws to later tests
+        rng = np.random.default_rng(11)
+        shape = (basis3.n_modes,) * 4
+        kern = WickKernel(p=p, q=4 - p, species=species,
+                          coeffs=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        left = wick_operator(basis3, kern).matrix.getH().tocsr()
+        right = wick_operator(basis3, kern.adjoint()).matrix
+        diff = left - right
+        assert right.nnz and (diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0)
+
     def test_hermitian_rule_equals_all_splits(self, basis3, rng):
         # a kernel list closed under adjoints: (2,1) with its (1,2), a
         # Hermitian (1,1), and (2,0) with its (0,2)

@@ -66,6 +66,16 @@ class TestInteractionSpec:
         # cos^2 + sin^2 = 1: derivative vanishes identically
         assert leading_form_minimum([(2, 0, 1.0), (0, 2, 1.0)], 2) == pytest.approx(1.0)
 
+    def test_leading_form_minimum_analytic(self):
+        # cos^4 - 1.5 cos^2 sin^2 + sin^4 = 1 - 3.5 x (1 - x) with x = cos^2: 1/8 at x = 1/2
+        assert leading_form_minimum([(4, 0, 1.0), (2, 2, -1.5), (0, 4, 1.0)], 4) == pytest.approx(0.125, abs=1e-12)
+        # a quadratic form's minimum is the lower eigenvalue of its matrix; it
+        # sits between grid nodes, where the nodes alone miss it by 3.4e-7
+        form = np.array([[1.0, 0.35], [0.35, 3.0]])
+        assert leading_form_minimum([(2, 0, 1.0), (1, 1, 0.7), (0, 2, 3.0)], 2) == pytest.approx(
+            np.linalg.eigvalsh(form)[0], abs=1e-12
+        )
+
 
 class TestInteractionKernels:
     def test_mass_term_splits(self, lat3, gauss_g):

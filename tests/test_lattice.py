@@ -13,10 +13,9 @@ from chargedphi2.lattice import (
     embed,
     integer_part,
     project,
-    projection_matrix,
     refinement_ladder,
 )
-from oracles import dense_projection_from_cells
+from oracles import dense_projection_from_cells, projection_matrix
 
 
 class TestBuildLattice:

@@ -25,10 +25,9 @@ from chargedphi2.potentials import (
     Potential,
     gaussian_potential,
     lorentzian_potential,
-    sampled_potential,
     zero_potential,
 )
-from oracles import weyl_quantize_loop
+from oracles import sampled_potential, scaled, weyl_quantize_loop
 
 BUILTIN_POTENTIALS = [
     gaussian_potential(1.0, 1.0),
@@ -144,8 +143,8 @@ class TestLambdaQuant:
     def test_one_homogeneous_scaling(self, t):
         lat = build_lattice(1, 2, 1.0)
         base = lambda_quant(gaussian_potential(1.0, 1.0), lat)
-        scaled = lambda_quant(gaussian_potential(1.0, 1.0).scaled(t), lat)
-        assert scaled.lambda_quant == pytest.approx(base.lambda_quant / t, rel=1e-9)
+        scaled_rep = lambda_quant(scaled(gaussian_potential(1.0, 1.0), t), lat)
+        assert scaled_rep.lambda_quant == pytest.approx(base.lambda_quant / t, rel=1e-9)
 
     def test_c1_equals_twice_pair_kernel_frobenius(self, gauss_v, lat9):
         # the index flip gamma' -> -gamma' sends the pair kernel to the

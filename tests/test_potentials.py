@@ -8,9 +8,9 @@ from chargedphi2.potentials import (
     gaussian_potential,
     lorentzian_potential,
     make_potential,
-    sampled_potential,
     zero_potential,
 )
+from oracles import sampled_potential, scaled
 
 
 @pytest.mark.parametrize(
@@ -53,7 +53,7 @@ def test_gaussian_peak_value():
 @given(t=st.floats(0.1, 10.0))
 @settings(max_examples=30, deadline=None)
 def test_scaling_is_pointwise(t):
-    pot = gaussian_potential(1.0, 1.0).scaled(t)
+    pot = scaled(gaussian_potential(1.0, 1.0), t)
     assert pot.V(np.array([0.3]))[0] == pytest.approx(t * np.exp(-0.045))
     assert complex(pot.V_hat(np.array([0.0]))[0]) == pytest.approx(t * np.sqrt(2 * np.pi))
 
