@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Compare the `report` blocks of two CLI output directories.
+
+Each directory is a CHARGEDPHI2_OUTDIR tree of JSON records.  For every
+record in the reference directory, the `report` of the record with the same
+file name in the other directory is walked key by key.  Numbers agree when
+they are within --atol or within --rtol of the reference value; anything
+else (strings, booleans, list lengths, key sets) must be equal.  One line per
+file gives the worst absolute and relative difference and the key where each
+occurs.  Exits 1 if any value disagrees or any file is missing, else 0.
+
+Example:
+    CHARGEDPHI2_OUTDIR=/tmp/before python -m chargedphi2 spectrum configs/desk_bundle.json
+    CHARGEDPHI2_OUTDIR=/tmp/after  python -m chargedphi2 spectrum configs/desk_bundle.json
+    python scripts/compare_reports.py /tmp/before /tmp/after --rtol 1e-12 --atol 1e-14
+"""
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of a JSON value, lists indexed and dicts keyed."""
+    if isinstance(value, dict):
+        yield path, ("keys", sorted(value))
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        yield path, ("length", len(value))
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(ref: dict, new: dict, rtol: float, atol: float):
+    """(worst absolute, its key, worst relative, its key, mismatched keys) of two reports."""
+    worst_abs, worst_rel, abs_key, rel_key, bad = 0.0, 0.0, "", "", []
+    new_leaves = dict(_leaves(new))
+    for path, a in _leaves(ref):
+        if path not in new_leaves:  # extra keys or items show up in "keys" or "length"
+            bad.append(path)
+            continue
+        b = new_leaves[path]
+        if not (_number(a) and _number(b)):
+            if a != b:
+                bad.append(path)
+            continue
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        diff = abs(b - a)
+        rel = diff / abs(a) if a else math.inf
+        if diff > worst_abs:
+            worst_abs, abs_key = diff, path
+        if rel > worst_rel:
+            worst_rel, rel_key = rel, path
+        if not (diff <= atol or rel <= rtol):
+            bad.append(path)
+    return worst_abs, abs_key, worst_rel, rel_key, bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("reference", type=Path, help="output directory of the reference run")
+    parser.add_argument("other", type=Path, help="output directory to check against it")
+    parser.add_argument("--rtol", type=float, default=1e-12)
+    parser.add_argument("--atol", type=float, default=1e-14)
+    args = parser.parse_args(argv)
+
+    files = sorted(args.reference.glob("*.json"))
+    if not files:
+        print(f"no JSON records in {args.reference}")
+        return 1
+    failed = False
+    for ref_path in files:
+        new_path = args.other / ref_path.name
+        if not new_path.exists():
+            print(f"{ref_path.name}: MISSING in {args.other}")
+            failed = True
+            continue
+        ref = json.loads(ref_path.read_text())["report"]
+        new = json.loads(new_path.read_text())["report"]
+        worst_abs, abs_key, worst_rel, rel_key, bad = compare(ref, new, args.rtol, args.atol)
+        status = "ok" if not bad else "DIFFERS at " + ", ".join(bad[:5]) + (" ..." if len(bad) > 5 else "")
+        print(f"{ref_path.name}: max abs {worst_abs:.3g} ({abs_key or '-'}), "
+              f"max rel {worst_rel:.3g} ({rel_key or '-'}): {status}")
+        failed = failed or bool(bad)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,8 @@ operator an endomorphism of one space; canonical-commutation checks therefore
 restrict to the sector N <= n_max - 1.  Creators commute, and so do
 annihilators: a run of adjacent legs with one species label walks only
 non-decreasing slot tuples, each carrying the sum of the coefficients of its
-distinct orderings (the kernel is folded once).
+distinct orderings (the kernel is folded once).  This fold is the only place
+that sums leg orderings; no kernel is put through a symmetrization before it.
 
 Every self-adjoint operator built from kernels (the Segal field, the charge
 coupling, the interaction) goes through one rule, `hermitian_operator`: given
@@ -244,8 +245,8 @@ class WickKernel:
 
     coeffs has one axis per leg, creators first.  A leg labelled 1 or 2 runs
     over that species' M modes; a leg labelled None runs over all 2M slots.
-    Any tensor is valid: `wick_operator` sums the orderings of equal-label
-    runs itself, and `symmetrized` gives the symmetric tensor of the monomial.
+    Any tensor is valid and none needs a symmetrization: `wick_operator`
+    alone sums the orderings of equal-label runs.
     """
 
     p: int
@@ -261,20 +262,6 @@ class WickKernel:
         if np.ndim(self.coeffs) != self.p + self.q:
             raise ShapeError("coefficient tensor rank must equal the leg count")
 
-    def symmetrized(self) -> "WickKernel":
-        """Average over leg permutations preserving species, per block."""
-        perms_c = _species_perms(self.species[: self.p])
-        perms_a = _species_perms(self.species[self.p :])
-        if len(perms_c) * len(perms_a) == 1:
-            return self
-        acc = np.zeros_like(np.asarray(self.coeffs, dtype=complex))
-        for pc in perms_c:
-            for pa in perms_a:
-                axes = list(pc) + [self.p + a for a in pa]
-                acc = acc + np.transpose(self.coeffs, axes)
-        acc /= len(perms_c) * len(perms_a)
-        return WickKernel(p=self.p, q=self.q, species=self.species, coeffs=acc)
-
     def adjoint(self) -> "WickKernel":
         """Kernel of the adjoint operator: legs swap roles, entries conjugate."""
         axes = list(range(self.p, self.p + self.q)) + list(range(self.p))
@@ -284,15 +271,6 @@ class WickKernel:
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(np.asarray(self.coeffs).ravel()))
-
-
-def _species_perms(labels: Sequence[int]) -> list[tuple[int, ...]]:
-    """All permutations of positions that fix the species labels pointwise."""
-    out = []
-    for perm in permutations(range(len(labels))):
-        if all(labels[perm[i]] == labels[i] for i in range(len(labels))):
-            out.append(perm)
-    return out if out else [()]
 
 
 def _runs(kern: WickKernel) -> list[tuple[int, int]]:
@@ -332,8 +310,8 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     A run of adjacent legs with one species label is expanded over
     non-decreasing slot tuples only, each carrying the sum of the coefficients
     of its distinct orderings (`_fold_run`, in a fixed permutation order);
-    this is exact for any kernel, symmetrized or not.  The terms landing on
-    one matrix entry are then summed in the order the legs generate them, so
+    this is exact for any kernel, without a symmetrization.  The terms landing
+    on one matrix entry are then summed in the order the legs generate them, so
     equal kernels give bitwise equal matrices.
     """
     m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q

@@ -140,7 +140,9 @@ def monomial_kernels(a1: int, a2: int, coeff: float, g: Potential, lattice: Mome
     The split (p1, p2 | q1, q2) carries the binomial count C(a1,p1) C(a2,p2),
     the per-leg weights (4 pi v)^(-1/2) eps^(-1/2), and g_hat at the total
     created-minus-annihilated momentum.  A split on which g_hat vanishes
-    identically (a zero profile) yields no kernel.
+    identically (a zero profile) yields no kernel.  The tensors are returned
+    as built, with no symmetrization: `wick_operator` sums the orderings of
+    legs of one species when it folds the kernel.
     """
     d = a1 + a2
     modes = lattice.modes
@@ -166,7 +168,7 @@ def monomial_kernels(a1: int, a2: int, coeff: float, g: Potential, lattice: Mome
             if not g_hat.any():
                 continue
             coeffs = pref * g_hat * amps
-            out.append(WickKernel(p=p, q=q, species=species, coeffs=coeffs).symmetrized())
+            out.append(WickKernel(p=p, q=q, species=species, coeffs=coeffs))
     return out
 
 

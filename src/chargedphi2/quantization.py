@@ -59,28 +59,19 @@ def _multiplier_matrix(grid: PhaseSpaceGrid, f) -> np.ndarray:
     return np.real(out)
 
 
-def _blocks(mat_or_none, g: int):
-    return np.zeros((g, g)) if mat_or_none is None else mat_or_none
-
-
-def _assemble(blocks) -> np.ndarray:
-    g = next(b.shape[0] for row in blocks for b in row if b is not None)
-    rows = [np.hstack([_blocks(b, g) for b in row]) for row in blocks]
-    return np.vstack(rows)
-
-
 @dataclass(frozen=True)
 class RealGenerator:
     """Generator of the classical flow with the energy Gram matrix.
 
     The generator is antisymmetric with respect to the metric,
     a^T metric + metric a = 0, which is the discrete statement that the flow
-    preserves the energy form.
+    preserves the energy form.  margin is the grid's `positivity_margin`.
     """
 
     grid: PhaseSpaceGrid
     matrix: np.ndarray = field(repr=False)
     metric: np.ndarray = field(repr=False)
+    margin: float
 
     def antisymmetry_residual(self) -> float:
         lhs = self.matrix.T @ self.metric + self.metric @ self.matrix
@@ -113,13 +104,13 @@ class KahlerStructure:
 def symplectic_gram(grid: PhaseSpaceGrid) -> np.ndarray:
     """Real symplectic Gram: Re omega(y, y') = sum_i (pi_i|phi_i') - (phi_i|pi_i')."""
     g = grid.points
-    eye = np.eye(g)
-    return grid.dx * _assemble(
+    eye, o = np.eye(g), np.zeros((g, g))
+    return grid.dx * np.block(
         [
-            [None, None, eye, None],
-            [None, None, None, eye],
-            [-eye, None, None, None],
-            [None, -eye, None, None],
+            [o, o, eye, o],
+            [o, o, o, eye],
+            [-eye, o, o, o],
+            [o, -eye, o, o],
         ]
     )
 
@@ -132,25 +123,33 @@ def _energy_grams(grid: PhaseSpaceGrid):
     g = grid.points
     m2 = grid.m**2
     e2 = _multiplier_matrix(grid, lambda k: k**2 + m2)
-    eye = np.eye(g)
+    eye, o = np.eye(g), np.zeros((g, g))
     vd = np.diag(grid.v_samples)
-    free = grid.dx * _assemble(
+    free = grid.dx * np.block(
         [
-            [eye, None, None, None],
-            [None, eye, None, None],
-            [None, None, e2, None],
-            [None, None, None, e2],
+            [eye, o, o, o],
+            [o, eye, o, o],
+            [o, o, e2, o],
+            [o, o, o, e2],
         ]
     )
-    cross = grid.dx * _assemble(
+    cross = grid.dx * np.block(
         [
-            [None, None, None, vd],
-            [None, None, -vd, None],
-            [None, -vd, None, None],
-            [vd, None, None, None],
+            [o, o, o, vd],
+            [o, o, -vd, o],
+            [o, -vd, o, o],
+            [vd, o, o, o],
         ]
     )
     return free, cross
+
+
+def _margin(free: np.ndarray, cross: np.ndarray) -> float:
+    """Largest magnitude of the generalized eigenvalues of cross against free."""
+    if not np.any(cross):
+        return 0.0
+    w = sla.eigh(cross, free, eigvals_only=True)
+    return float(np.max(np.abs(w)))
 
 
 def positivity_margin(grid: PhaseSpaceGrid) -> float:
@@ -160,41 +159,38 @@ def positivity_margin(grid: PhaseSpaceGrid) -> float:
     cross Gram against the free Gram; the configuration is stable iff the
     margin is below 1.  Scales linearly with the potential amplitude.
     """
-    free, cross = _energy_grams(grid)
-    if not np.any(cross):
-        return 0.0
-    w = sla.eigh(cross, free, eigvals_only=True)
-    return float(np.max(np.abs(w)))
+    return _margin(*_energy_grams(grid))
 
 
 def build_generator(grid: PhaseSpaceGrid) -> RealGenerator:
     """Realize the first-order evolution matrix and the energy Gram.
 
     Refuses unstable configurations (margin >= 1), for which the energy form
-    fails to be positive definite and no stable quantization exists.
+    fails to be positive definite and no stable quantization exists.  The
+    Gram pair and the margin are computed once and kept on the generator.
     """
-    delta = positivity_margin(grid)
+    free, cross = _energy_grams(grid)
+    delta = _margin(free, cross)
     if delta >= 1.0:
         raise UnstableConfigurationError(delta)
     g = grid.points
     m2 = grid.m**2
     e2 = _multiplier_matrix(grid, lambda k: k**2 + m2)
-    eye = np.eye(g)
+    eye, o = np.eye(g), np.zeros((g, g))
     vd = np.diag(grid.v_samples)
-    a = _assemble(
+    a = np.block(
         [
-            [None, vd, -e2, None],
-            [-vd, None, None, -e2],
-            [eye, None, None, vd],
-            [None, eye, -vd, None],
+            [o, vd, -e2, o],
+            [-vd, o, o, -e2],
+            [eye, o, o, vd],
+            [o, eye, -vd, o],
         ]
     )
-    free, cross = _energy_grams(grid)
-    return RealGenerator(grid=grid, matrix=a, metric=free + cross)
+    return RealGenerator(grid=grid, matrix=a, metric=free + cross, margin=delta)
 
 
 def polar_decompose(gen: RealGenerator) -> KahlerStructure:
-    """Metric polar decomposition a = j h via the symmetrized square root of -a^2.
+    """Metric polar decomposition a = j h via the metric-symmetric square root of -a^2.
 
     -a^2 is positive in the energy metric; its metric-symmetric square root is
     computed by a congruence with the Cholesky factor of the metric, which is
@@ -256,12 +252,13 @@ def free_complex_structure(grid: PhaseSpaceGrid) -> np.ndarray:
     m2 = grid.m**2
     eps = _multiplier_matrix(grid, lambda k: np.sqrt(k**2 + m2))
     eps_inv = _multiplier_matrix(grid, lambda k: 1.0 / np.sqrt(k**2 + m2))
-    return _assemble(
+    o = np.zeros((g, g))
+    return np.block(
         [
-            [None, None, -eps, None],
-            [None, None, None, -eps],
-            [eps_inv, None, None, None],
-            [None, eps_inv, None, None],
+            [o, o, -eps, o],
+            [o, o, o, -eps],
+            [eps_inv, o, o, o],
+            [o, eps_inv, o, o],
         ]
     )
 
@@ -325,9 +322,6 @@ def quantize_report(grid: PhaseSpaceGrid) -> dict:
     canonical free structure, intertwining and norm transport of the
     identification map.
     """
-    delta = positivity_margin(grid)
-    if delta >= 1.0:
-        raise UnstableConfigurationError(delta)
     gen = build_generator(grid)
     ks = polar_decompose(gen)
     g = grid.points
@@ -353,7 +347,7 @@ def quantize_report(grid: PhaseSpaceGrid) -> dict:
         transport_err = max(transport_err, float(inter))
 
     return {
-        "delta": delta,
+        "delta": gen.margin,
         "min_spec_hV": float(ks.h_spectrum[0]),
         "j_square_residual": ks.j_square_residual(),
         "reconstruction_residual": ks.reconstruction_residual(gen),

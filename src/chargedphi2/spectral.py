@@ -166,20 +166,15 @@ def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, so
     return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=dtype)
 
 
-def default_shift(bundle: HamiltonianBundle) -> float:
-    """The resolvent shift policy: 1 + |min spec H| at this (coarsest) level."""
-    e0, _ = ground_state(bundle.h)
-    return 1.0 + abs(e0)
-
-
 def resolvent_convergence(
     bundles: Sequence[HamiltonianBundle], beta: Optional[float] = None
 ) -> ConvergenceTrace:
     """Norms of (H_coarse + beta)^-1 - compress((H_fine + beta)^-1) per pair.
 
-    Levels must be strictly nested; beta defaults to the shift policy at the
-    coarsest level and must clear the spectrum bottom at every level.  The
-    free Hamiltonian compresses exactly, giving gap 0.
+    Levels must be strictly nested; beta defaults to the shift policy, which
+    lives here alone: 1 + |e0| at the coarsest level.  It must clear the
+    spectrum bottom at every level.  The free Hamiltonian compresses
+    exactly, giving gap 0.
     """
     if len(bundles) < 2:
         raise ParameterError("need at least two nested levels")

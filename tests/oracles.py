@@ -13,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from chargedphi2.errors import ParameterError
-from chargedphi2.fock import FockOperator, field_operator, fock_embedding
+from chargedphi2.fock import FockOperator, WickKernel, field_operator, fock_embedding
 from chargedphi2.lattice import embed
 from chargedphi2.potentials import Potential
 
@@ -168,6 +168,19 @@ def dense_wick(basis, kern):
             mat = mat @ (cre[slot] if leg < kern.p else ann[slot])
         out += coeffs[modes] * mat
     return out
+
+
+def symmetrized(kern):
+    """The kernel averaged over every leg permutation that keeps each leg on its
+    side (creator or annihilator) and its species label; the operator is the same."""
+
+    def perms(labels):
+        return [perm for perm in itertools.permutations(range(len(labels)))
+                if all(labels[k] == labels[i] for i, k in enumerate(perm))]
+
+    pairs = list(itertools.product(perms(kern.species[: kern.p]), perms(kern.species[kern.p :])))
+    coeffs = sum(np.transpose(kern.coeffs, list(pc) + [kern.p + a for a in pa]) for pc, pa in pairs)
+    return WickKernel(p=kern.p, q=kern.q, species=kern.species, coeffs=coeffs / len(pairs))
 
 
 def dense_resolvent_gap(coarse, fine, emb, beta):

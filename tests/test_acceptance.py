@@ -40,12 +40,13 @@ from chargedphi2.quantization import (
 )
 from chargedphi2.spectral import (
     _solver_for,
-    default_shift,
+    ground_state,
     heisenberg_probe,
     higher_order_norm,
     hvz_gap_probe,
     resolvent_convergence,
 )
+from oracles import symmetrized
 
 ACCEPTANCE_POTENTIALS = [
     gaussian_potential(1.0, 1.0),
@@ -180,7 +181,7 @@ def test_criterion_06_ccr_and_wick_suite(lat3, basis3, gauss_g):
     r = np.random.default_rng(7)
     m = basis3.n_modes
     coeffs = r.standard_normal((m, m, m)) + 1j * r.standard_normal((m, m, m))
-    kern = WickKernel(p=2, q=1, species=(1, 2, 2), coeffs=coeffs).symmetrized()
+    kern = symmetrized(WickKernel(p=2, q=1, species=(1, 2, 2), coeffs=coeffs))
     diff = wick_operator(basis3, kern).matrix.getH().tocsr() - wick_operator(basis3, kern.adjoint()).matrix
     adjoint_exact = diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
@@ -237,7 +238,8 @@ def test_criterion_08_resolvent_convergence(free_ladder_bundles, ladder_bundles)
 
 
 def test_criterion_09_higher_order_uniformity(ladder_bundles):
-    beta = default_shift(ladder_bundles[0])
+    # the shift policy of `resolvent_convergence`: 1 + |e0| at the coarsest level
+    beta = 1.0 + abs(ground_state(ladder_bundles[0].h)[0])
     norms = [higher_order_norm(b, beta, _solver_for(b.h.matrix, beta)) for b in ladder_bundles]
     spread = max(norms) / min(norms)
     ok = spread <= 1.1

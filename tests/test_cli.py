@@ -14,6 +14,18 @@ from chargedphi2.fock import HARD_DIMENSION_CAP
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 GOLDENS = REPO / "goldens" / "desk_suite.json"
+# The hash names every report file, so it must not move when the schema code
+# does: prefixes of `ExperimentConfig.hash()` of every shipped and benchmark config.
+CONFIG_HASHES = {
+    "configs/desk_bundle.json": "4576b10b",
+    "configs/free.json": "cc05f01b",
+    "configs/ladder.json": "548e24bf",
+    "configs/lambda_quant.json": "b419a69a",
+    "configs/probe.json": "26b1ac61",
+    "configs/quantize.json": "fff79c3a",
+    "perfbench/configs/m17_spectrum.json": "6cc9d0b9",
+    "perfbench/configs/probe_m9.json": "34789b82",
+}
 
 
 def minimal_config(**overrides):
@@ -71,6 +83,13 @@ class TestConfigSchema:
         c = parse_config(minimal_config(coupling={"lambda": 0.2}))
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
+
+    @pytest.mark.parametrize("path, prefix", sorted(CONFIG_HASHES.items()))
+    def test_config_hashes_pinned(self, path, prefix):
+        assert load_config(REPO / path).hash()[:8] == prefix
+
+    def test_desk_bundle_config_hashes_like_its_file(self):
+        assert cli.desk_bundle_config().hash() == load_config(CONFIGS / "desk_bundle.json").hash()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

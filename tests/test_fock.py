@@ -23,7 +23,7 @@ from chargedphi2.fock import (
     wick_operator,
 )
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
-from oracles import dense_wick, safe_columns, smeared_field_coefficients, two_particle_tensor
+from oracles import dense_wick, safe_columns, smeared_field_coefficients, symmetrized, two_particle_tensor
 
 
 class TestEnumeration:
@@ -212,7 +212,7 @@ class TestWickOperator:
         m = basis3.n_modes
         coeffs = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         kern = WickKernel(p=2, q=0, species=(1, 1), coeffs=coeffs)
-        sym = kern.symmetrized()
+        sym = symmetrized(kern)
         a = wick_operator(basis3, kern).matrix
         b = wick_operator(basis3, sym).matrix
         assert np.max(np.abs((a - b).toarray())) < 1e-14
@@ -228,7 +228,7 @@ class TestWickOperator:
         r = np.random.default_rng(seed)
         shape = (basis3.n_modes,) * (p + q)
         coeffs = r.standard_normal(shape) + 1j * r.standard_normal(shape)
-        kern = WickKernel(p=p, q=q, species=tuple(labels[: p + q]), coeffs=coeffs).symmetrized()
+        kern = symmetrized(WickKernel(p=p, q=q, species=tuple(labels[: p + q]), coeffs=coeffs))
         diff = wick_operator(basis3, kern).dense() - dense_wick(basis3, kern)
         assert np.max(np.abs(diff)) <= 1e-14
 
@@ -276,7 +276,7 @@ class TestWickOperator:
         c2 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         k21 = WickKernel(p=2, q=1, species=(1, 2, 1), coeffs=c3)
         k11 = WickKernel(p=1, q=1, species=(2, 2), coeffs=c2 + c2.conj().T)
-        k20 = WickKernel(p=2, q=0, species=(1, 1), coeffs=c2).symmetrized()
+        k20 = symmetrized(WickKernel(p=2, q=0, species=(1, 1), coeffs=c2))
         kernels = [k21, k21.adjoint(), k11, k20, k20.adjoint()]
         op = hermitian_operator(basis3, kernels)
         full = sum(wick_operator(basis3, k).matrix for k in kernels)

@@ -21,7 +21,7 @@ from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.oneparticle import b_matrix, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
-from oracles import compress, safe_columns, smeared_interaction
+from oracles import compress, safe_columns, smeared_interaction, symmetrized
 
 # Ground energy of the shipped desk bundle (M=9, n_max=3, quartic polynomial,
 # unit gaussian potential, 0.25-gaussian profile, lambda = 0.1), pinned from a
@@ -120,6 +120,21 @@ class TestInteractionKernels:
             if kern.p >= 2:
                 swapped = np.swapaxes(np.asarray(kern.coeffs), 0, 1)
                 assert np.max(np.abs(swapped - kern.coeffs)) == 0.0
+
+
+    @pytest.mark.parametrize("mono", [[(4, 0, 1.0), (0, 4, 1.0)], [(4, 0, 1.0), (0, 4, 1.0), (3, 0, 0.3)]])
+    def test_raw_kernels_assemble_like_symmetrized_ones(self, basis3, lat3, gauss_g, mono):
+        # only the fold in `wick_operator` sums leg orderings, so kernels built
+        # as they come give HI with the same pattern, up to rounding
+        kernels = interaction_kernels(interaction_spec(mono, gauss_g), lat3)
+        raw = hermitian_operator(basis3, kernels).matrix
+        sym = hermitian_operator(basis3, [symmetrized(k) for k in kernels]).matrix
+        assert np.array_equal(raw.indptr, sym.indptr) and np.array_equal(raw.indices, sym.indices)
+        assert np.max(np.abs(raw.data - sym.data)) <= 1e-15
+        for mat in (raw, sym):
+            diff = (mat - mat.getH()).tocsr()
+            diff.eliminate_zeros()
+            assert diff.nnz == 0
 
 
 class TestFreeHamiltonian:

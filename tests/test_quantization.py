@@ -64,6 +64,8 @@ class TestPositivityMargin:
 
     def test_gaussian_amp_02_stable(self, gauss_grid):
         assert positivity_margin(gauss_grid) < 1.0
+        # the generator keeps the margin it was checked against
+        assert build_generator(gauss_grid).margin == positivity_margin(gauss_grid)
 
 
 class TestGenerator:

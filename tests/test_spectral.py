@@ -16,7 +16,6 @@ from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
     _resolvent_difference,
     _solver_for,
-    default_shift,
     ground_state,
     heisenberg_probe,
     higher_order_norm,
@@ -224,9 +223,8 @@ class TestResolventConvergence:
         assert trace.resolvent_gaps[0] > trace.resolvent_gaps[1] > 0
 
     def test_shift_policy(self, ladder_bundles):
-        bundle = ladder_bundles[0]
-        beta = default_shift(bundle)
-        e0, _ = ground_state(bundle.h)
+        beta = resolvent_convergence(ladder_bundles).beta
+        e0, _ = ground_state(ladder_bundles[0].h)
         assert beta == pytest.approx(1.0 + abs(e0))
 
     def test_rejects_shift_below_spectrum(self, ladder_bundles):
@@ -240,8 +238,8 @@ class TestResolventConvergence:
 
 class TestHigherOrderNorm:
     def test_uniform_across_levels(self, ladder_bundles):
-        beta = default_shift(ladder_bundles[0])
-        norms = [higher_order_norm(b, beta, _solver_for(b.h.matrix, beta)) for b in ladder_bundles]
+        trace = resolvent_convergence(ladder_bundles)
+        norms = [higher_order_norm(b, trace.beta, solve) for b, solve in zip(ladder_bundles, trace.solves)]
         assert max(norms) / min(norms) <= 1.1
 
     def test_free_value_explicit(self, free_ladder_bundles):
