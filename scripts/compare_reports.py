@@ -9,6 +9,13 @@ else (strings, booleans, list lengths, key sets) must be equal.  One line per
 file gives the worst absolute and relative difference and the key where each
 occurs.  Exits 1 if any value disagrees or any file is missing, else 0.
 
+One key is compared at its own tolerance instead: `recurrence_time`, at the
+rtol that `perfbench/references.json` pins for it (the file is only read).
+It is 2 pi over the smallest level spacing, about 1e-6 on the probe inputs,
+so a change of H in its last bits moves it by 1e-9 to 1e-8 relative; at
+the command-line rtol every such change would fail.  Each file where it was
+compared says so.  All other keys keep --rtol and --atol.
+
 Example:
     CHARGEDPHI2_OUTDIR=/tmp/before python -m chargedphi2 spectrum configs/desk_bundle.json
     CHARGEDPHI2_OUTDIR=/tmp/after  python -m chargedphi2 spectrum configs/desk_bundle.json
@@ -20,6 +27,9 @@ import json
 import math
 import sys
 from pathlib import Path
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+PINNED_KEY = "recurrence_time"
 
 
 def _leaves(value, path=""):
@@ -40,8 +50,20 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def compare(ref: dict, new: dict, rtol: float, atol: float):
-    """(worst absolute, its key, worst relative, its key, mismatched keys) of two reports."""
+def pinned_rtol(references: Path = REFERENCES) -> float:
+    """The rtol that the benchmark references pin for PINNED_KEY."""
+    for workload in json.loads(references.read_text()).values():
+        for checks in workload.values() if isinstance(workload, dict) else ():
+            for check in checks:
+                if PINNED_KEY in check["values"]:
+                    return float(check["rtol"])
+    raise KeyError(f"{references} pins no rtol for {PINNED_KEY}")
+
+
+def compare(ref: dict, new: dict, rtol: float, atol: float, pinned: dict | None = None):
+    """(worst absolute, its key, worst relative, its key, mismatched keys) of two
+    reports; a top-level key in pinned is compared at its own rtol alone."""
+    pinned = pinned or {}
     worst_abs, worst_rel, abs_key, rel_key, bad = 0.0, 0.0, "", "", []
     new_leaves = dict(_leaves(new))
     for path, a in _leaves(ref):
@@ -61,7 +83,10 @@ def compare(ref: dict, new: dict, rtol: float, atol: float):
             worst_abs, abs_key = diff, path
         if rel > worst_rel:
             worst_rel, rel_key = rel, path
-        if not (diff <= atol or rel <= rtol):
+        if path in pinned:
+            if rel > pinned[path]:
+                bad.append(path)
+        elif not (diff <= atol or rel <= rtol):
             bad.append(path)
     return worst_abs, abs_key, worst_rel, rel_key, bad
 
@@ -78,6 +103,7 @@ def main(argv=None) -> int:
     if not files:
         print(f"no JSON records in {args.reference}")
         return 1
+    pinned = {PINNED_KEY: pinned_rtol()}
     failed = False
     for ref_path in files:
         new_path = args.other / ref_path.name
@@ -87,10 +113,12 @@ def main(argv=None) -> int:
             continue
         ref = json.loads(ref_path.read_text())["report"]
         new = json.loads(new_path.read_text())["report"]
-        worst_abs, abs_key, worst_rel, rel_key, bad = compare(ref, new, args.rtol, args.atol)
+        worst_abs, abs_key, worst_rel, rel_key, bad = compare(ref, new, args.rtol, args.atol, pinned)
         status = "ok" if not bad else "DIFFERS at " + ", ".join(bad[:5]) + (" ..." if len(bad) > 5 else "")
         print(f"{ref_path.name}: max abs {worst_abs:.3g} ({abs_key or '-'}), "
               f"max rel {worst_rel:.3g} ({rel_key or '-'}): {status}")
+        for key in sorted(pinned.keys() & ref.keys()):
+            print(f"  {key}: compared at its pinned rtol {pinned[key]:g} (perfbench/references.json)")
         failed = failed or bool(bad)
     return 1 if failed else 0
 

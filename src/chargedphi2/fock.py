@@ -19,22 +19,23 @@ distinct orderings (the kernel is folded once).  This fold is the only place
 that sums leg orderings; no kernel is put through a symmetrization before it.
 
 Every self-adjoint operator built from kernels (the Segal field, the charge
-coupling, the interaction) goes through one rule, `hermitian_operator`: given
-a kernel list closed under adjoints, it assembles U from the creator-heavy
-kernels (p > q) plus half of the balanced ones (p = q) and returns U + U^H.
-The p < q kernels are the adjoints of the p > q ones and are never assembled.
+coupling, the interaction) goes through one rule, `hermitian_operator`: the
+Wick entries of an adjoint-closed kernel list on and above the diagonal are
+reduced in one stream to a strictly upper triangle T and a real diagonal d
+(`hermitian_parts`: p > q kernels enter conjugated, p < q ones are skipped,
+balanced ones keep row <= column), and `mirror` returns T^H + diag(d) + T.
 
 Matrix elements are a folded coefficient times a single square root of the
 exact integer product of the leg occupations, so equal kernels give bitwise
-equal matrices and `hermitian_operator` is Hermitian bitwise.  A kernel and
-its adjoint fold their runs in one order (label, then length): Wick(k)^H ==
-Wick(k.adjoint()) bitwise when each matrix entry gets one term, e.g. when no
-creator shares a label with an annihilator.  An operator is float64 when all
-its coefficients are real.  The gauge D = diag(i^{N_2}) (i on each species-2
-slot) maps A to D^* A D, multiplying a monomial that creates p2 and
-annihilates q2 species-2 particles by i^{q2 - p2}; it is applied to kernels
-(`gauge_kernel`), before any Wick expansion.  A gauge-frame state psi is D psi
-in the lab frame.
+equal matrices; the mirror makes each self-adjoint one Hermitian bitwise.  A
+kernel and its adjoint fold their runs in one order (label, then length):
+Wick(k)^H == Wick(k.adjoint()) bitwise when each matrix entry gets one term,
+e.g. when no creator shares a label with an annihilator.  An operator is
+float64 when all its coefficients are real.  The gauge D = diag(i^{N_2}) (i on
+each species-2 slot) maps A to D^* A D, multiplying a monomial that creates p2
+and annihilates q2 species-2 particles by i^{q2 - p2}; it is applied to
+kernels (`gauge_kernel`), before any Wick expansion.  A gauge-frame state psi
+is D psi in the lab frame.
 """
 
 from __future__ import annotations
@@ -172,10 +173,8 @@ class FockOperator:
     hermitian: bool = False
 
     def __post_init__(self):
-        if self.hermitian:
-            diff = self.matrix - self.matrix.getH()
-            if diff.nnz and np.max(np.abs(diff.data)) > 1e-12:
-                raise ContractError("operator claimed Hermitian is not")
+        if self.hermitian and _hermitian_defect(self.matrix) > 1e-12:
+            raise ContractError("operator claimed Hermitian is not")
 
     @property
     def dim(self) -> int:
@@ -186,6 +185,17 @@ class FockOperator:
 
     def expectation(self, psi: np.ndarray) -> complex:
         return complex(np.vdot(psi, self.matrix @ psi))
+
+
+def _hermitian_defect(mat: sp.spmatrix) -> float:
+    """max |A - A^H| holding one transposed copy: a canonical CSR is compared with
+    its own CSC arrays, and only an asymmetric pattern is subtracted."""
+    if mat.format == "csr" and mat.has_canonical_format:
+        csc = mat.tocsc()
+        if np.array_equal(mat.indptr, csc.indptr) and np.array_equal(mat.indices, csc.indices):
+            other = csc.data.conj()
+            return 0.0 if np.array_equal(mat.data, other) else float(np.max(np.abs(mat.data - other)))
+    return float(np.max(np.abs((mat - mat.getH()).data), initial=0.0))
 
 
 def _unit_kernel(basis: FockBasis, species: int, gamma: float, create: bool) -> WickKernel:
@@ -349,7 +359,7 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
         raised[np.arange(len(raised)), np.tile(cslots, n_low)] += 1
         up = np.full((n_low, basis.n_slots), -1, dtype=np.int64)
         up[:, cslots] = basis.rank(raised).reshape(n_low, len(cslots))
-    keys, vals = [], []
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=coeffs.dtype))]
     for start in range(0, len(active), COLUMN_BLOCK):
         cols = active[start : start + COLUMN_BLOCK]
         occ = basis.occ[cols]
@@ -380,39 +390,70 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
             last = reach[leg][j]
         c = flat[cidx]
         keep = np.flatnonzero(c != 0)
-        if not len(keep):
-            continue
-        key = cols[keep] * dim + state[keep]
-        val = c[keep] * np.sqrt(amp[keep].astype(float))
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], val[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        keys.append(key[first])
-        vals.append(np.add.reduceat(val, first))
-    key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    val = np.concatenate(vals) if vals else np.zeros(0, dtype=coeffs.dtype)
-    key, val = key[val != 0], val[val != 0]
+        blocks.append(_summed([(cols[keep] * dim + state[keep], c[keep] * np.sqrt(amp[keep].astype(float)))]))
+    key, val = (np.concatenate(part) for part in zip(*blocks))
     # the keys ascend (blocks ascend in column), so they index a CSC matrix
     indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
     mat = sp.csc_matrix((val, key % dim, indptr), shape=(dim, dim)).tocsr()
     return FockOperator(basis=basis, matrix=mat)
 
 
-def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockOperator:
-    """U + U^H for U the p > q kernels plus half of the p = q ones.
+def _summed(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys of (keys, values) blocks, ascending, with their values summed
+    in list order and zero sums dropped; the list is emptied before the sort."""
+    key, val = (np.concatenate(part) for part in zip(*blocks))
+    blocks.clear()
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, val = key[first], np.add.reduceat(val, first)
+    return key[val != 0], val[val != 0]
 
-    For a kernel list closed under adjoints this is the sum of all its
-    monomials; the p < q kernels and all-zero kernels are skipped, and the
-    result is Hermitian bitwise.  Each sparse sum keeps scipy's nnz(A) +
-    nnz(B) buffer, so the result is copied to its exact size.
+
+def hermitian_parts(basis: FockBasis, kernels: Sequence[WickKernel]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(T, d): the strictly upper triangle and real diagonal of the sum of an
+    adjoint-closed kernel list, reduced from one stream of Wick entries.
+
+    p > q kernels raise the particle number, so their entries lie below the
+    diagonal of the number-ordered basis and enter T conjugated; p < q kernels
+    (their adjoints) and all-zero ones are not expanded.  Balanced (p = q) ones
+    keep their row <= column entries, so their folded tensors, summed per label
+    tuple, must be adjoint-closed to 1e-12 relative (else ContractError).
     """
-    u = sp.csr_matrix((basis.dim, basis.dim))
-    for kern in kernels:
-        if kern.p < kern.q or not np.any(kern.coeffs):
-            continue
-        w = wick_operator(basis, kern).matrix
-        u = u + (w if kern.p > kern.q else 0.5 * w)
-    return FockOperator(basis=basis, matrix=(u + u.getH()).tocsr().copy(), hermitian=True)
+    folded = {}
+    for kern in (k for k in kernels if k.p == k.q):
+        c = reduce(lambda c, run: _fold_run(c, *run), _runs(kern), np.asarray(kern.coeffs, dtype=complex))
+        folded[kern.species] = folded.get(kern.species, 0) + c
+    scale = max((np.max(np.abs(c)) for c in folded.values()), default=0.0)
+    for labels, c in folded.items():
+        adj = WickKernel(p=len(labels) // 2, q=len(labels) // 2, species=labels, coeffs=c).adjoint()
+        if np.max(np.abs(folded.get(adj.species, 0) - adj.coeffs)) > 1e-12 * scale:
+            raise ContractError(f"balanced kernels labelled {labels} are not closed under adjoints")
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for kern in (k for k in kernels if k.p >= k.q and np.any(k.coeffs)):
+        w = wick_operator(basis, kern).matrix  # p > q: all below the diagonal, so it enters mirrored
+        w = (w.getH() if kern.p > kern.q else sp.triu(w)).tocoo()
+        blocks.append((w.row.astype(np.int64) * basis.dim + w.col, w.data))
+        del w
+    key, val = _summed(blocks)
+    row, col = np.divmod(key, basis.dim)
+    up = row < col
+    d = np.zeros(basis.dim)
+    d[row[~up]] = val[~up].real
+    indptr = np.r_[0, np.cumsum(np.bincount(row[up], minlength=basis.dim))]
+    return sp.csr_matrix((val[up], col[up], indptr), shape=(basis.dim, basis.dim)), d
+
+
+def mirror(t: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+    """T^H + diag(d) + T for T strictly upper and d real: Hermitian bitwise, and
+    the three patterns are disjoint, so each sum copies entries into exact-size
+    buffers (a temporary is freed as soon as the next sum has consumed it)."""
+    return t.getH().tocsr() + sp.diags(d, format="csr") + t
+
+
+def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockOperator:
+    """The sum of an adjoint-closed kernel list: `mirror` of its `hermitian_parts`."""
+    return FockOperator(basis=basis, matrix=mirror(*hermitian_parts(basis, kernels)), hermitian=True)
 
 
 def gauge_kernel(kern: WickKernel) -> WickKernel:

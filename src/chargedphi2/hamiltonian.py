@@ -9,10 +9,10 @@ vacuum: no self-contraction terms are generated, so the vacuum expectation of
 HI vanishes identically.  Q second-quantizes the species mixer b and the
 pair kernel R.
 
-HI and Q are each assembled by the one rule of `fock.hermitian_operator`:
-U + U^H, with U the creator-heavy kernels (p > q) plus half of the balanced
-ones (p = q); the p < q kernels are the adjoints of the p > q ones and are
-never assembled.  H0 is diagonal, so H is Hermitian bitwise.
+HI and Q each follow the one rule of `fock.hermitian_operator`: an upper
+triangle and a real diagonal reduced from one Wick stream (`hermitian_parts`),
+mirrored once.  `assemble` sums H0, HI and lambda Q on the upper triangle and
+mirrors that once, so H is Hermitian bitwise and bitwise the sum of its pieces.
 
 `assemble` builds HI and Q from gauged kernels (`fock.gauge_kernel`, the
 frame of D^* A D with D = diag(i^{N_2})), so they are Wick-expanded in float64
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, StabilityError
 from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge_kernel,
-                   hermitian_operator)
+                   hermitian_operator, hermitian_parts, mirror)
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
 from .potentials import Potential
@@ -273,19 +273,20 @@ def assemble(
     coupling = lambda_quant(pot, lattice)
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
-    h0 = free_hamiltonian(basis).matrix
-    hi = hermitian_operator(basis, [gauge_kernel(k) for k in interaction_kernels(spec, lattice)]).matrix
+    h0 = free_hamiltonian(basis).matrix.diagonal()
+    t, d = hermitian_parts(basis, [gauge_kernel(k) for k in interaction_kernels(spec, lattice)])
     q = charge_operator(pot, basis, lattice, gauged=True).matrix
-    # A sparse sum keeps scipy's nnz(A) + nnz(B) buffer; copy() trims it to nnz.
-    h_mat = (h0 + hi + lam * q).tocsr().copy()
-    del h0, hi, q  # freed before the Hermiticity check on H makes its own temporaries
+    # H0 + HI + lam Q on the upper triangle, mirrored once: lam is real, so H is bitwise that sum
+    t, d = t + lam * sp.triu(q, k=1, format="csr"), h0 + d + lam * q.diagonal().real
+    h = mirror(t, d)
+    del h0, q, t, d  # freed before the Hermiticity check on H
     return HamiltonianBundle(
         basis=basis,
         lattice=lattice,
         spec=spec,
         pot=pot,
         lam=float(lam),
-        h=FockOperator(basis=basis, matrix=h_mat, hermitian=True),
+        h=FockOperator(basis=basis, matrix=h, hermitian=True),
         coupling=coupling,
     )
 

@@ -46,7 +46,10 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
 
 
 def is_diagonal(mat: sp.spmatrix) -> bool:
-    return (mat - sp.diags(mat.diagonal())).nnz == 0
+    """True iff no entry stored off the diagonal is nonzero, read from the CSR arrays."""
+    mat = sp.csr_matrix(mat)
+    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    return not np.any((rows != mat.indices) & (mat.data != 0))
 
 
 def lowest_eigenpairs(mat: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:

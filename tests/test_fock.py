@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chargedphi2.errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from chargedphi2.fock import (
+    FockOperator,
     WickKernel,
     annihilation,
     annihilator_of,
@@ -171,6 +172,28 @@ class TestDgamma:
             dgamma(basis3, h)
 
 
+class TestHermitianCheck:
+    def test_asymmetric_pattern_rejected(self, basis3):
+        mat = sp.csr_matrix(([1.0], ([0], [1])), shape=(basis3.dim, basis3.dim))
+        with pytest.raises(ContractError):
+            FockOperator(basis=basis3, matrix=mat, hermitian=True)
+
+    @pytest.mark.parametrize("skew, ok", [(2e-12, False), (1e-13, True)])
+    def test_value_skew_on_a_symmetric_pattern(self, basis3, skew, ok):
+        mat = sp.csr_matrix(([1.0, 1.0 + skew, 0.5], ([0, 1, 2], [1, 0, 2])), shape=(basis3.dim, basis3.dim))
+        if ok:
+            assert FockOperator(basis=basis3, matrix=mat, hermitian=True).hermitian
+        else:
+            with pytest.raises(ContractError):
+                FockOperator(basis=basis3, matrix=mat, hermitian=True)
+
+    def test_complex_entries_are_conjugated(self, basis3):
+        mat = sp.csr_matrix(([1j, -1j], ([0, 1], [1, 0])), shape=(basis3.dim, basis3.dim))
+        assert FockOperator(basis=basis3, matrix=mat, hermitian=True).hermitian
+        with pytest.raises(ContractError):
+            FockOperator(basis=basis3, matrix=mat * 1j, hermitian=True)
+
+
 class TestWickOperator:
     def test_scalar_kernel(self, basis3):
         kern = WickKernel(p=0, q=0, species=(), coeffs=np.array(2.5 + 0j))
@@ -284,6 +307,41 @@ class TestWickOperator:
         assert np.max(np.abs((op.matrix - full).toarray())) <= 1e-14
         dense = op.dense()
         assert np.array_equal(dense, dense.conj().T)
+
+    @given(
+        labels=st.lists(
+            st.sampled_from([((1, 1), (2, 2)), ((1, 2), (1, 2)), ((2,), (2,)), ((1, 2), (1,)), ((1, 1), ())]),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_stream_rule_matches_dense_oracle(self, labels, seed):
+        # random adjoint-closed lists: each kernel with its adjoint, among them
+        # balanced ones whose adjoint has other labels, (1,1|2,2) with (2,2|1,1)
+        basis = enumerate_basis(build_lattice(1, 1.5, 1.0), 2)
+        r = np.random.default_rng(seed)
+        kernels = []
+        for cre, ann in labels:
+            shape = (basis.n_modes,) * (len(cre) + len(ann))
+            kern = WickKernel(p=len(cre), q=len(ann), species=cre + ann,
+                              coeffs=r.standard_normal(shape) + 1j * r.standard_normal(shape))
+            kernels += [kern, kern.adjoint()]
+        dense = hermitian_operator(basis, kernels).dense()
+        assert np.max(np.abs(dense - sum(dense_wick(basis, k) for k in kernels))) <= 1e-14
+        assert np.array_equal(dense, dense.conj().T)
+
+    def test_balanced_kernels_must_be_closed_under_adjoints(self, basis3):
+        r = np.random.default_rng(5)
+        shape = (basis3.n_modes,) * 4
+        coeffs = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        kern = WickKernel(p=2, q=2, species=(1, 1, 2, 2), coeffs=coeffs)
+        assert hermitian_operator(basis3, [kern, kern.adjoint()]).hermitian
+        with pytest.raises(ContractError):
+            hermitian_operator(basis3, [kern])
+        # its own labels are self-adjoint, but the tensor is not Hermitian
+        with pytest.raises(ContractError):
+            hermitian_operator(basis3, [WickKernel(p=2, q=2, species=(1, 2, 1, 2), coeffs=kern.coeffs)])
 
     def test_kernel_shape_validation(self, basis3):
         with pytest.raises(ShapeError):

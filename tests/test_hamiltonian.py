@@ -1,8 +1,12 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from chargedphi2 import fock
+from chargedphi2.config import load_config
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
 from chargedphi2.fock import (FockOperator, WickKernel, dgamma, enumerate_basis, gauge_kernel, hermitian_operator,
                               wick_operator)
@@ -300,6 +304,21 @@ class TestAssemble:
         h = desk_bundle.h.matrix
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(h, attr), getattr(ref, attr))
+
+    def test_m17_assembly_peak_within_three_csr(self):
+        # the traced peak of building the m17 bundle, over the bytes of its H
+        cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "m17_spectrum.json")
+        lattice = cfg.base_lattice()
+        basis = enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
+        spec, pot = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff()), cfg.make_potential()
+        tracemalloc.start()
+        try:
+            h = assemble(spec, pot, cfg.coupling.lam, basis, lattice).h.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 7770
+        assert peak <= 3.0 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
 
     def test_vacuum_expectation_zero_at_lambda_zero(self, basis3, lat3, quartic_spec):
         bundle = assemble(quartic_spec, zero_potential(), 0.0, basis3, lat3)

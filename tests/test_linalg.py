@@ -66,3 +66,18 @@ class TestOperatorNorm:
         monkeypatch.setattr(linalg.spla, "eigsh", stuck)
         with pytest.raises(SolverError):
             operator_norm(sp.random(300, 300, density=0.05, random_state=rng, format="csr"))
+
+
+class TestIsDiagonal:
+    def test_explicit_off_diagonal_zeros_are_diagonal(self):
+        mat = sp.csr_matrix(([2.0, 0.0, 3.0, 0.0], ([0, 0, 1, 2], [0, 2, 1, 0])), shape=(3, 3))
+        assert mat.nnz == 4 and linalg.is_diagonal(mat)
+
+    def test_one_off_diagonal_entry(self):
+        mat = sp.csr_matrix(([2.0, 1e-300, 3.0], ([0, 1, 1], [0, 2, 1])), shape=(3, 3))
+        assert not linalg.is_diagonal(mat)
+
+    def test_agrees_with_the_subtraction(self, desk_bundle, free_ladder_bundles):
+        for mat in [desk_bundle.h.matrix] + [b.h.matrix for b in free_ladder_bundles]:
+            assert linalg.is_diagonal(mat) == ((mat - sp.diags(mat.diagonal())).nnz == 0)
+        assert all(linalg.is_diagonal(b.h.matrix) for b in free_ladder_bundles)
