@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Compare the assembled Hamiltonians of two source trees, bundle by bundle.
+
+Usage: python scripts/compare_h.py REF_ROOT NEW_ROOT
+
+Each root is a checkout of this repository.  For every bundle in BUNDLES
+(a config path relative to the root), each tree assembles `bundle.h` from its
+own `src/` and its own copy of the config, in a child process with BLAS pinned
+to one thread; the children run one at a time and hand the CSR arrays back
+through a temporary .npz file.  One line per bundle says whether indptr,
+indices and data are bitwise equal (same dtype, same bytes) and gives the
+largest |H_new - H_ref|.  Exits 1 if any bundle differs or fails to build,
+else 0.
+
+Example:
+    git archive HEAD~1 | (mkdir -p /tmp/ref && tar -x -C /tmp/ref)
+    python scripts/compare_h.py /tmp/ref .
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BUNDLES = {
+    "desk": "configs/desk_bundle.json",
+    "probe.json": "configs/probe.json",
+    "probe_m9": "perfbench/configs/probe_m9.json",
+    "m17": "perfbench/configs/m17_spectrum.json",
+}
+
+CHILD = """
+import sys
+import numpy as np
+from chargedphi2.config import load_config
+from chargedphi2.fock import enumerate_basis
+from chargedphi2.hamiltonian import assemble, interaction_spec
+
+cfg = load_config(sys.argv[1])
+lattice = cfg.base_lattice()
+basis = enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
+spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
+h = assemble(spec, cfg.make_potential(), cfg.coupling.lam, basis, lattice, cfg.override_stability).h.matrix
+np.savez(sys.argv[2], indptr=h.indptr, indices=h.indices, data=h.data, shape=np.array(h.shape))
+"""
+
+
+def assemble_in(root: Path, config: str, out: Path) -> sp.csr_matrix:
+    """bundle.h of config as root's own source builds it, in a child process."""
+    env = dict(os.environ, **THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", CHILD, str(root / config), str(out)], env=env, check=True)
+    with np.load(out) as arrays:
+        return sp.csr_matrix((arrays["data"], arrays["indices"], arrays["indptr"]), shape=tuple(arrays["shape"]))
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref_root", type=Path, help="reference checkout")
+    parser.add_argument("new_root", type=Path, help="checkout under test")
+    args = parser.parse_args(argv)
+
+    differ = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in BUNDLES.items():
+            try:
+                ref = assemble_in(args.ref_root.resolve(), config, Path(tmp) / "ref.npz")
+                new = assemble_in(args.new_root.resolve(), config, Path(tmp) / "new.npz")
+            except subprocess.CalledProcessError as exc:
+                print(f"{name:10s} assembly failed with exit code {exc.returncode}")
+                differ = True
+                continue
+            same = {attr: _bitwise(getattr(ref, attr), getattr(new, attr)) for attr in ("indptr", "indices", "data")}
+            delta = abs(new - ref)
+            largest = float(delta.max()) if delta.nnz else 0.0
+            flags = "  ".join(f"{attr} {'equal' if ok else 'DIFFER'}" for attr, ok in same.items())
+            print(f"{name:10s} dim {ref.shape[0]:>6,}  nnz {ref.nnz:>10,} -> {new.nnz:>10,}  {flags}  "
+                  f"max|dH| {largest:.3g}")
+            differ |= not all(same.values())
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,12 +67,13 @@ class SolverError(ChargedPhi2Error, RuntimeError):
 
 
 class ResourceLimitError(ChargedPhi2Error, RuntimeError):
-    """A Fock dimension exceeds a cap: the configured basis cap or the dense ceiling."""
+    """A Fock dimension exceeds a cap, named in the message by limit: the
+    configured basis cap ("hard cap") or the dense ceiling ("dense ceiling")."""
 
-    def __init__(self, dim: int, cap: int):
+    def __init__(self, dim: int, cap: int, limit: str = "hard cap"):
         self.dim = dim
         self.cap = cap
-        super().__init__(f"Fock basis dimension {dim} exceeds the hard cap {cap}")
+        super().__init__(f"Fock basis dimension {dim} exceeds the {limit} {cap}")
 
 
 class MissingGoldenError(ChargedPhi2Error, RuntimeError):

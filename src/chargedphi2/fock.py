@@ -19,11 +19,11 @@ distinct orderings (the kernel is folded once).  This fold is the only place
 that sums leg orderings; no kernel is put through a symmetrization before it.
 
 Every self-adjoint operator built from kernels (the Segal field, the charge
-coupling, the interaction) goes through one rule, `hermitian_operator`: the
-Wick entries of an adjoint-closed kernel list on and above the diagonal are
-reduced in one stream to a strictly upper triangle T and a real diagonal d
-(`hermitian_parts`: p > q kernels enter conjugated, p < q ones are skipped,
-balanced ones keep row <= column), and `mirror` returns T^H + diag(d) + T.
+coupling, H) goes through one rule: the Wick entries of an adjoint-closed list
+of kernels with real weights on and above the diagonal are reduced in one stream
+to a strictly upper triangle T and a real diagonal d (`hermitian_parts`: p > q
+kernels enter conjugated, p < q ones are skipped, balanced ones keep row <=
+column), and `mirror` returns T^H + diag(d) + T (`hermitian_operator`: weight 1).
 
 Matrix elements are a folded coefficient times a single square root of the
 exact integer product of the leg occupations, so equal kernels give bitwise
@@ -404,44 +404,51 @@ def _summed(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     key, val = (np.concatenate(part) for part in zip(*blocks))
     blocks.clear()
     order = np.argsort(key, kind="stable")
-    key, val = key[order], val[order]
+    key = key[order]
+    val = val[order]
+    del order
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    key, val = key[first], np.add.reduceat(val, first)
+    val = np.add.reduceat(val, first)
+    key = key[first]
     return key[val != 0], val[val != 0]
 
 
-def hermitian_parts(basis: FockBasis, kernels: Sequence[WickKernel]) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(T, d): the strictly upper triangle and real diagonal of the sum of an
-    adjoint-closed kernel list, reduced from one stream of Wick entries.
+def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(T, d): the strictly upper triangle and real diagonal of the sum of w K over
+    (w, K) terms, real weights on an adjoint-closed kernel list, from one stream.
 
     p > q kernels raise the particle number, so their entries lie below the
     diagonal of the number-ordered basis and enter T conjugated; p < q kernels
     (their adjoints) and all-zero ones are not expanded.  Balanced (p = q) ones
-    keep their row <= column entries, so their folded tensors, summed per label
-    tuple, must be adjoint-closed to 1e-12 relative (else ContractError).
+    keep their row <= column entries, so their weighted folded tensors, summed
+    per label tuple, must be adjoint-closed to 1e-12 relative (else
+    ContractError).  A weight scales the expanded entries, never the
+    coefficients; the terms on one entry are summed in list order.
     """
     folded = {}
-    for kern in (k for k in kernels if k.p == k.q):
+    for w, kern in ((w, k) for w, k in terms if k.p == k.q):
         c = reduce(lambda c, run: _fold_run(c, *run), _runs(kern), np.asarray(kern.coeffs, dtype=complex))
-        folded[kern.species] = folded.get(kern.species, 0) + c
+        folded[kern.species] = folded.get(kern.species, 0) + w * c
     scale = max((np.max(np.abs(c)) for c in folded.values()), default=0.0)
     for labels, c in folded.items():
         adj = WickKernel(p=len(labels) // 2, q=len(labels) // 2, species=labels, coeffs=c).adjoint()
         if np.max(np.abs(folded.get(adj.species, 0) - adj.coeffs)) > 1e-12 * scale:
             raise ContractError(f"balanced kernels labelled {labels} are not closed under adjoints")
+    dim = basis.dim
     blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
-    for kern in (k for k in kernels if k.p >= k.q and np.any(k.coeffs)):
+    for weight, kern in ((w, k) for w, k in terms if k.p >= k.q and np.any(k.coeffs)):
         w = wick_operator(basis, kern).matrix  # p > q: all below the diagonal, so it enters mirrored
         w = (w.getH() if kern.p > kern.q else sp.triu(w)).tocoo()
-        blocks.append((w.row.astype(np.int64) * basis.dim + w.col, w.data))
+        blocks.append((w.row.astype(np.int64) * dim + w.col, w.data * weight))
         del w
     key, val = _summed(blocks)
-    row, col = np.divmod(key, basis.dim)
-    up = row < col
-    d = np.zeros(basis.dim)
-    d[row[~up]] = val[~up].real
-    indptr = np.r_[0, np.cumsum(np.bincount(row[up], minlength=basis.dim))]
-    return sp.csr_matrix((val[up], col[up], indptr), shape=(basis.dim, basis.dim)), d
+    on_diagonal = key % (dim + 1) == 0  # key = row * dim + col, and row <= col
+    d = np.zeros(dim)
+    d[key[on_diagonal] // (dim + 1)] = val[on_diagonal].real
+    key = key[~on_diagonal]  # ascending, so these are T's entries in CSR order
+    val = val[~on_diagonal]
+    indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
+    return sp.csr_matrix((val, key % dim, indptr), shape=(dim, dim)), d
 
 
 def mirror(t: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
@@ -452,8 +459,9 @@ def mirror(t: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
 
 
 def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockOperator:
-    """The sum of an adjoint-closed kernel list: `mirror` of its `hermitian_parts`."""
-    return FockOperator(basis=basis, matrix=mirror(*hermitian_parts(basis, kernels)), hermitian=True)
+    """The sum of an adjoint-closed kernel list: `mirror` of its `hermitian_parts`, weights 1.0."""
+    matrix = mirror(*hermitian_parts(basis, [(1.0, kern) for kern in kernels]))
+    return FockOperator(basis=basis, matrix=matrix, hermitian=True)
 
 
 def gauge_kernel(kern: WickKernel) -> WickKernel:

@@ -7,19 +7,17 @@ factor (4 pi v)^(-1/2) and one eps^(-1/2) per leg, and a g_hat evaluated at
 the total momentum transfer.  Wick ordering is relative to the lattice
 vacuum: no self-contraction terms are generated, so the vacuum expectation of
 HI vanishes identically.  Q second-quantizes the species mixer b and the
-pair kernel R.
+pair kernel R (`charge_kernels`).
 
-HI and Q each follow the one rule of `fock.hermitian_operator`: an upper
-triangle and a real diagonal reduced from one Wick stream (`hermitian_parts`),
-mirrored once.  `assemble` sums H0, HI and lambda Q on the upper triangle and
-mirrors that once, so H is Hermitian bitwise and bitwise the sum of its pieces.
-
-`assemble` builds HI and Q from gauged kernels (`fock.gauge_kernel`, the
-frame of D^* A D with D = diag(i^{N_2})), so they are Wick-expanded in float64
-and H is float64 for an even potential and a polynomial even in phi_2.
-`interaction_kernels` and `charge_operator` (by default) stay in the lab
-frame.  The eigenvectors of `bundle.h` are gauge-frame states: D psi is the
-lab-frame state.
+`assemble` streams the gauged interaction kernels (weight 1) and charge
+kernels (weight lambda) through one `fock.hermitian_parts` pass, adds the free
+energies to the diagonal and mirrors once: H is Hermitian bitwise and bitwise
+H0 + HI + lambda Q, since each entry of Q is one term of one charge kernel.
+The gauge (`fock.gauge_kernel`, the frame of D^* A D with D = diag(i^{N_2}))
+is applied there alone, so H is float64 for an even potential and a
+polynomial even in phi_2; every other function here works in the lab frame.
+The eigenvectors of `bundle.h` are gauge-frame states: D psi is the lab-frame
+state.
 """
 
 from __future__ import annotations
@@ -186,35 +184,40 @@ def interaction_kernels(spec: InteractionSpec, lattice: MomentumLattice) -> list
     return kernels
 
 
+def free_energies(basis: FockBasis) -> np.ndarray:
+    """The diagonal of H0: each basis state's summed lattice energies."""
+    eps = basis.lattice.dispersion()
+    return basis.occ.astype(float) @ np.concatenate([eps, eps])
+
+
 def free_hamiltonian(basis: FockBasis) -> FockOperator:
     """Second quantization of the lattice dispersion: diagonal sector energies."""
-    eps = basis.lattice.dispersion()
-    eps_slots = np.concatenate([eps, eps])
-    diag = basis.occ.astype(float) @ eps_slots
-    return FockOperator(basis=basis, matrix=sp.diags(diag).tocsr(), hermitian=True)
+    return FockOperator(basis=basis, matrix=sp.diags(free_energies(basis)).tocsr(), hermitian=True)
 
 
-def charge_operator(
-    pot: Potential, basis: FockBasis, lattice: MomentumLattice, gauged: bool = False
-) -> FockOperator:
-    """The local charge coupling Q, Hermitian bitwise; D^* Q D if gauged.
+def charge_kernels(pot: Potential, lattice: MomentumLattice) -> list[WickKernel]:
+    """The two lab-frame kernels of the local charge coupling Q, closed under adjoints.
 
-    Its number-preserving part second-quantizes the species mixer
-    [[0, b], [b^H, 0]]; its pair part creates one particle of each species
-    weighted by the antisymmetric kernel R, plus the adjoint that annihilates
-    them.  Both lab-frame kernels are imaginary for an even potential, so the
-    gauged Q is float64.
+    The number-preserving one second-quantizes the species mixer
+    [[0, b], [b^H, 0]]; the pair one creates one particle of each species
+    weighted by the antisymmetric kernel R (its adjoint is implied).  Both are
+    imaginary for an even potential; no two legs share a label, so each entry
+    of Q is one term of one kernel.
     """
     b = b_matrix(pot, lattice)
     m = lattice.size
     block = np.zeros((2 * m, 2 * m), dtype=complex)
     block[:m, m:] = b
     block[m:, :m] = b.conj().T
-    kernels = [
+    return [
         WickKernel(p=1, q=1, species=(None, None), coeffs=block),
         WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice).matrix),
     ]
-    return hermitian_operator(basis, [gauge_kernel(k) for k in kernels] if gauged else kernels)
+
+
+def charge_operator(pot: Potential, basis: FockBasis, lattice: MomentumLattice) -> FockOperator:
+    """The lab-frame local charge coupling Q, Hermitian bitwise."""
+    return hermitian_operator(basis, charge_kernels(pot, lattice))
 
 
 def form_bound_constants(coupling: CouplingReport, lam: float) -> tuple[float, float]:
@@ -265,7 +268,7 @@ def assemble(
     lattice: MomentumLattice,
     override_stability: bool = False,
 ) -> HamiltonianBundle:
-    """Build H = H0 + D^* (HI + lam Q) D in the gauge frame, Hermitian by construction.
+    """Build H = H0 + D^* (HI + lam Q) D in the gauge frame from one Wick stream.
 
     Refuses couplings at or above the stability threshold unless the override
     flag is set (exploration mode); the error carries the threshold.
@@ -273,13 +276,12 @@ def assemble(
     coupling = lambda_quant(pot, lattice)
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
-    h0 = free_hamiltonian(basis).matrix.diagonal()
-    t, d = hermitian_parts(basis, [gauge_kernel(k) for k in interaction_kernels(spec, lattice)])
-    q = charge_operator(pot, basis, lattice, gauged=True).matrix
-    # H0 + HI + lam Q on the upper triangle, mirrored once: lam is real, so H is bitwise that sum
-    t, d = t + lam * sp.triu(q, k=1, format="csr"), h0 + d + lam * q.diagonal().real
-    h = mirror(t, d)
-    del h0, q, t, d  # freed before the Hermiticity check on H
+    terms = [(1.0, gauge_kernel(k)) for k in interaction_kernels(spec, lattice)]
+    terms += [(lam, gauge_kernel(k)) for k in charge_kernels(pot, lattice)]
+    t, d = hermitian_parts(basis, terms)
+    del terms  # the gauged kernels, freed before the mirror
+    h = mirror(t, free_energies(basis) + d)
+    del t, d  # freed before the Hermiticity check on H
     return HamiltonianBundle(
         basis=basis,
         lattice=lattice,

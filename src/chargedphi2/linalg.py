@@ -32,7 +32,7 @@ def use_dense(n: int, k: int = 1) -> bool:
 def check_dense(n: int):
     """Refuse a full dense n x n matrix above the memory ceiling."""
     if n > DENSE_CEILING:
-        raise ResourceLimitError(n, DENSE_CEILING)
+        raise ResourceLimitError(n, DENSE_CEILING, "dense ceiling")
 
 
 def start_vector(n: int) -> np.ndarray:

@@ -165,28 +165,21 @@ def positivity_margin(grid: PhaseSpaceGrid) -> float:
 def build_generator(grid: PhaseSpaceGrid) -> RealGenerator:
     """Realize the first-order evolution matrix and the energy Gram.
 
-    Refuses unstable configurations (margin >= 1), for which the energy form
-    fails to be positive definite and no stable quantization exists.  The
-    Gram pair and the margin are computed once and kept on the generator.
+    The generator is a = Omega^-1 metric (Hamilton's equations for the energy
+    form, Omega the `symplectic_gram`): the metric's block rows
+    [-m3, -m4, m1, m2] / dx.  Refuses unstable configurations (margin >= 1),
+    for which the energy form fails to be positive definite and no stable
+    quantization exists.  The Gram pair and the margin are computed once and
+    kept on the generator.
     """
     free, cross = _energy_grams(grid)
     delta = _margin(free, cross)
     if delta >= 1.0:
         raise UnstableConfigurationError(delta)
-    g = grid.points
-    m2 = grid.m**2
-    e2 = _multiplier_matrix(grid, lambda k: k**2 + m2)
-    eye, o = np.eye(g), np.zeros((g, g))
-    vd = np.diag(grid.v_samples)
-    a = np.block(
-        [
-            [o, vd, -e2, o],
-            [-vd, o, o, -e2],
-            [eye, o, o, vd],
-            [o, eye, -vd, o],
-        ]
-    )
-    return RealGenerator(grid=grid, matrix=a, metric=free + cross, margin=delta)
+    metric = free + cross
+    m1, m2, m3, m4 = np.split(metric, 4)
+    a = np.concatenate([-m3, -m4, m1, m2]) / grid.dx
+    return RealGenerator(grid=grid, matrix=a, metric=metric, margin=delta)
 
 
 def polar_decompose(gen: RealGenerator) -> KahlerStructure:
@@ -292,18 +285,11 @@ def free_dyn_gram(grid: PhaseSpaceGrid) -> np.ndarray:
     return omega @ free_complex_structure(grid) + 1j * omega
 
 
-def time_reversal_matrix(points: int) -> np.ndarray:
+def time_reversal(y: np.ndarray) -> np.ndarray:
     """Involution (pi, phi) -> (-conj pi, conj phi) on real components.
 
-    Anti-commutes with the generator for any real potential and squares to
-    the identity.
+    Anti-commutes with the generator for any real potential.
     """
-    g = points
-    signs = np.concatenate([-np.ones(g), np.ones(g), np.ones(g), -np.ones(g)])
-    return np.diag(signs)
-
-
-def time_reversal(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.size % 4 != 0:
         raise ShapeError("phase vector length must be a multiple of 4")

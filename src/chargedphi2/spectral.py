@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import (FockOperator, WickKernel, creation, field_operator, fock_embedding, gauge_kernel,
+from .fock import (FockOperator, WickKernel, annihilator_of, creation, fock_embedding, gauge_kernel,
                    number_operator)
 from .hamiltonian import HamiltonianBundle
 from .linalg import check_dense, is_diagonal, lowest_eigenpairs, operator_norm
@@ -250,10 +250,12 @@ def heisenberg_probe(
     by `expm_multiply` from the previous time, or exactly if H is diagonal.
     For the free bundle the two evolutions intertwine exactly and the
     expectation is time independent.  f_coeffs is a lab-frame vector and psi
-    a state in the frame of bundle.h (the gauge frame); F_t is gauged before
-    the field is built, so the values are the lab-frame ones.  The recurrence
-    time needs every eigenvalue of H, so the dimension is capped by the dense
-    ceiling; results past it are flagged untrusted in the report.
+    a state in the frame of bundle.h (the gauge frame); F_t is gauged first, so
+    the values are the lab-frame ones.  The field a*(G) + a(G) with G =
+    F_t / sqrt(2) is never built: its expectation is 2 Re <psi_t, a(G) psi_t>,
+    exactly real.  The recurrence time needs every eigenvalue of H, so the
+    dimension is capped by the dense ceiling; results past it are flagged
+    untrusted in the report.
     """
     basis = bundle.basis
     check_dense(basis.dim)
@@ -282,8 +284,8 @@ def heisenberg_probe(
         elif t != t_prev:
             psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
             t_prev = t
-        gauged = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_t)).coeffs
-        values.append(field_operator(basis, None, gauged).expectation(psi_t))
+        g_t = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_t / math.sqrt(2.0))).coeffs
+        values.append(2.0 * float(np.vdot(psi_t, annihilator_of(basis, g_t).matrix @ psi_t).real))
     return ProbeResult(
         times=tuple(float(t) for t in times),
         values=tuple(values),

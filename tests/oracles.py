@@ -216,6 +216,28 @@ def dense_probe(bundle, f, times, psi):
     return np.array(out)
 
 
+def generator_blocks(grid):
+    """The generator of the classical flow written out block by block.
+
+    In the order (pi_1, pi_2, phi_1, phi_2): d pi = -e2 phi + V-mixing and
+    d phi = pi + V-mixing, with e2 the Fourier multiplier k^2 + m^2 on the
+    grid and V the diagonal of the potential samples.
+    """
+    g = grid.points
+    k = grid.fft_momenta()
+    e2 = np.real(np.fft.ifft((k**2 + grid.m**2)[:, None] * np.fft.fft(np.eye(g), axis=0), axis=0))
+    eye, o = np.eye(g), np.zeros((g, g))
+    vd = np.diag(grid.v_samples)
+    return np.block(
+        [
+            [o, vd, -e2, o],
+            [-vd, o, o, -e2],
+            [eye, o, o, vd],
+            [o, eye, -vd, o],
+        ]
+    )
+
+
 def weyl_quantize_loop(symbol, grid):
     """Midpoint Weyl matrix column by column, with the phase exp(i (x_i - x_j) k_l)
     and the symbol at (x_i + x_j)/2 evaluated afresh for every column."""

@@ -203,6 +203,15 @@ class TestCliExitCodes:
         assert "1330 exceeds the hard cap 1000" in capsys.readouterr().err
         assert not list(tmp_path.glob("spectrum_*"))
 
+    def test_dense_ceiling_exit_6(self, tmp_path, monkeypatch, capsys):
+        # the m17 bundle (dim 7,770) is within the basis cap but over the dense
+        # ceiling that the probe's full eigendecomposition needs
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        cfg = REPO / "perfbench" / "configs" / "m17_spectrum.json"
+        assert cli.main(["probe-scattering", str(cfg)]) == cli.EXIT_RESOURCE == 6
+        assert "7770 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert not list(tmp_path.glob("probe_*"))
+
     @pytest.mark.parametrize(
         "coeffs, message",
         [([[3, 0, 1.0]], "degree 3 is odd"), ([[4, 0, -1.0]], "unbounded below")],

@@ -18,11 +18,15 @@ from chargedphi2.fock import (
     field_operator,
     fock_dimension,
     fock_embedding,
+    gauge_kernel,
     hermitian_operator,
+    hermitian_parts,
+    mirror,
     ntau_check,
     number_operator,
     wick_operator,
 )
+from chargedphi2.hamiltonian import charge_kernels, interaction_kernels, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from oracles import dense_wick, safe_columns, smeared_field_coefficients, symmetrized, two_particle_tensor
 
@@ -330,6 +334,48 @@ class TestWickOperator:
         dense = hermitian_operator(basis, kernels).dense()
         assert np.max(np.abs(dense - sum(dense_wick(basis, k) for k in kernels))) <= 1e-14
         assert np.array_equal(dense, dense.conj().T)
+
+    @given(
+        labels=st.lists(
+            st.sampled_from([((1, 1), (2, 2)), ((1, 2), (1, 2)), ((2,), (2,)), ((1, 2), (1,)), ((1, 1), ())]),
+            min_size=2, max_size=4,
+        ),
+        split=st.integers(1, 3),
+        weight=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_weighted_parts_equal_the_weighted_sum(self, labels, split, weight, seed):
+        # one stream of A (weight 1) and B (weight w) against H(A) + w H(B), two streams
+        basis = enumerate_basis(build_lattice(1, 1.5, 1.0), 2)
+        r = np.random.default_rng(seed)
+        pairs = []
+        for cre, ann in labels:
+            shape = (basis.n_modes,) * (len(cre) + len(ann))
+            kern = WickKernel(p=len(cre), q=len(ann), species=cre + ann,
+                              coeffs=r.standard_normal(shape) + 1j * r.standard_normal(shape))
+            pairs.append([kern, kern.adjoint()])
+        split = min(split, len(pairs) - 1)
+        a = [k for pair in pairs[:split] for k in pair]
+        b = [k for pair in pairs[split:] for k in pair]
+        h = mirror(*hermitian_parts(basis, [(1.0, k) for k in a] + [(weight, k) for k in b])).toarray()
+        ref = (hermitian_operator(basis, a).matrix + weight * hermitian_operator(basis, b).matrix).toarray()
+        assert np.max(np.abs(h - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+        assert np.array_equal(h, h.conj().T)
+
+    def test_single_term_weighted_entries_add_bitwise(self, basis3, lat3, gauss_v, gauss_g):
+        # a phi_1 phi_2 monomial shares entries with the species mixer of Q; the
+        # charge kernels reach each entry in one term, so lam Q adds exactly as in H(A) + lam Q
+        spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4), (1, 1, 0.1)], gauss_g)
+        a = [gauge_kernel(k) for k in interaction_kernels(spec, lat3)]
+        b = [gauge_kernel(k) for k in charge_kernels(gauss_v, lat3)]
+        lam = 0.15
+        h = mirror(*hermitian_parts(basis3, [(1.0, k) for k in a] + [(lam, k) for k in b]))
+        ha, q = hermitian_operator(basis3, a).matrix, hermitian_operator(basis3, b).matrix
+        assert ha.multiply(q).nnz  # entries that both reach
+        ref = (ha + lam * q).tocsr()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(h, attr), getattr(ref, attr))
 
     def test_balanced_kernels_must_be_closed_under_adjoints(self, basis3):
         r = np.random.default_rng(5)

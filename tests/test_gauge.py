@@ -15,8 +15,8 @@ from chargedphi2 import cli
 from chargedphi2.config import parse_config
 from chargedphi2.fock import (WickKernel, fock_embedding, gauge_kernel, hermitian_operator, number_operator,
                               wick_operator)
-from chargedphi2.hamiltonian import (assemble, charge_operator, free_hamiltonian, interaction_kernels,
-                                     interaction_spec, nested_bundles)
+from chargedphi2.hamiltonian import (assemble, charge_kernels, charge_operator, free_hamiltonian,
+                                     interaction_kernels, interaction_spec, nested_bundles)
 from chargedphi2.oneparticle import omega_block
 from chargedphi2.potentials import gaussian_potential
 from chargedphi2.spectral import heisenberg_probe, higher_order_norm, resolvent_convergence
@@ -133,7 +133,8 @@ def test_dtype_follows_the_values(basis3, lat3, gauss_v):
     imag = WickKernel(p=1, q=1, species=(1, 2), coeffs=1j * np.ones((m, m)))
     assert wick_operator(basis3, imag).matrix.dtype == np.complex128
     assert charge_operator(gauss_v, basis3, lat3).matrix.dtype == np.complex128
-    assert charge_operator(gauss_v, basis3, lat3, gauged=True).matrix.dtype == np.float64
+    gauged_q = hermitian_operator(basis3, [gauge_kernel(k) for k in charge_kernels(gauss_v, lat3)])
+    assert gauged_q.matrix.dtype == np.float64
 
 
 def test_complex_h_runs_the_resolvent_path(ladder_lattices, gauss_v):

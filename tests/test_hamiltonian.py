@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chargedphi2 import fock
+from chargedphi2 import fock, hamiltonian
 from chargedphi2.config import load_config
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
 from chargedphi2.fock import (FockOperator, WickKernel, dgamma, enumerate_basis, gauge_kernel, hermitian_operator,
                               wick_operator)
 from chargedphi2.hamiltonian import (
     assemble,
+    charge_kernels,
     charge_operator,
     form_bound_constants,
     free_hamiltonian,
@@ -259,7 +260,7 @@ def _desk_pieces(bundle):
     return (
         free_hamiltonian(basis).matrix,
         hermitian_operator(basis, [gauge_kernel(k) for k in interaction_kernels(bundle.spec, lat)]).matrix,
-        charge_operator(bundle.pot, basis, lat, gauged=True).matrix,
+        hermitian_operator(basis, [gauge_kernel(k) for k in charge_kernels(bundle.pot, lat)]).matrix,
     )
 
 
@@ -281,6 +282,23 @@ class TestAssemble:
         bundle = assemble(free_spec, gauss_v, 0.0, basis3, lat3)
         assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
         assert (bundle.h.matrix - free_hamiltonian(basis3).matrix).nnz == 0
+
+    def test_one_stream_one_mirror_one_check(self, basis3, lat3, quartic_spec, gauss_v, monkeypatch):
+        # HI and lam Q share one Wick stream: H is mirrored once and checked once, and Q is never built
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(fock, "mirror", counted("mirror", fock.mirror))
+        monkeypatch.setattr(hamiltonian, "mirror", counted("mirror", hamiltonian.mirror))
+        monkeypatch.setattr(fock, "_hermitian_defect", counted("check", fock._hermitian_defect))
+        monkeypatch.setattr(hamiltonian, "charge_operator", counted("charge_operator", charge_operator))
+        assemble(quartic_spec, gauss_v, 0.1, basis3, lat3)
+        assert sorted(calls) == ["check", "mirror"]
 
     def test_assembled_matrices_hold_exact_buffers(self, desk_bundle):
         # a scipy sparse sum allocates nnz(A) + nnz(B) entries; assembly trims them

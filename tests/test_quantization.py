@@ -18,8 +18,8 @@ from chargedphi2.quantization import (
     quantize_report,
     symplectic_gram,
     time_reversal,
-    time_reversal_matrix,
 )
+from oracles import generator_blocks
 
 G = 64
 L = 16.0
@@ -77,6 +77,15 @@ class TestGenerator:
         e2 = np.real(np.fft.ifft((k**2 + 1.0)[:, None] * np.fft.fft(eye, axis=0), axis=0))
         expected = -np.kron(np.eye(4), e2)
         assert np.max(np.abs(a2 - expected)) < 1e-10
+
+    def test_generator_is_the_block_formula(self):
+        # a = Omega^-1 metric: bitwise at dx = 0.25, one rounding of the metric's 1/dx apart at dx = 0.3
+        pot = gaussian_potential(0.2, 1.0)
+        quarter = phase_space_grid(128, 32.0, 1.0, pot)
+        assert np.array_equal(build_generator(quarter).matrix, generator_blocks(quarter))
+        grid = phase_space_grid(G, 0.3 * G, 1.0, pot)
+        ref = generator_blocks(grid)
+        assert np.max(np.abs(build_generator(grid).matrix - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_free_metric_antisymmetry(self, free_grid):
         assert build_generator(free_grid).antisymmetry_residual() < 1e-12
@@ -193,7 +202,7 @@ class TestTimeReversal:
 
     def test_anticommutes_with_generator(self, gauss_grid):
         gen = build_generator(gauss_grid)
-        kappa = time_reversal_matrix(G)
+        kappa = np.apply_along_axis(time_reversal, 0, np.eye(4 * G))
         resid = np.max(np.abs(kappa @ gen.matrix @ kappa + gen.matrix))
         assert resid < 1e-12 * max(1.0, np.max(np.abs(gen.matrix)))
 

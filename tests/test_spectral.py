@@ -299,6 +299,17 @@ class TestHeisenbergProbe:
         res = heisenberg_probe(desk_bundle, full, times, psi)
         assert np.max(np.abs(np.array(res.values) - dense_probe(desk_bundle, full, times, psi))) < 1e-12
 
+    def test_values_are_exactly_real(self, desk_bundle):
+        # the expectation of a Hermitian field, read as 2 Re <psi_t, a(F_t / sqrt 2) psi_t>
+        modes = desk_bundle.lattice.modes
+        f = np.exp(-((modes - 0.5) ** 2))
+        full = np.concatenate([f, 1j * f]).astype(complex)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(desk_bundle.basis.dim) + 1j * rng.standard_normal(desk_bundle.basis.dim)
+        psi /= np.linalg.norm(psi)
+        res = heisenberg_probe(desk_bundle, full, [0.0, 4.0], psi)
+        assert res.as_dict()["values_im"] == [0.0, 0.0]
+
     def test_requires_normalized_state(self, free_bundle):
         full = np.ones(free_bundle.basis.n_slots, dtype=complex)
         with pytest.raises(ParameterError):
