@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -39,7 +40,7 @@ def _utc_now() -> str:
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
@@ -51,13 +52,11 @@ def _write_report(outdir: Path, name: str, record: dict) -> Path:
 
 def _write_csv(outdir: Path, name: str, header: list, rows: list) -> Path:
     path = outdir / f"{name}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".csv.tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
     return path
 
 
@@ -255,8 +254,12 @@ def run_convergence(cfg, outdir: Path) -> dict:
 def run_probe(cfg, outdir: Path) -> dict:
     import numpy as np
 
+    from .fock import fock_dimension
+    from .linalg import check_dense
     from .spectral import heisenberg_probe
 
+    # the probe needs every eigenvalue of H: refuse an oversized basis before assembly
+    check_dense(fock_dimension(2 * cfg.base_lattice().size, cfg.n_max))
     bundle = _single_level_bundle(cfg)
     modes = bundle.lattice.modes
     f = np.exp(-((modes - cfg.probe.f_center) ** 2) / (2 * cfg.probe.f_width**2))
@@ -323,7 +326,7 @@ def _golden_registry() -> dict:
         from .potentials import gaussian_potential
 
         lat = build_lattice(4, 8.0, 1.0)
-        return pair_kernel(gaussian_potential(1.0, 1.0), lat).frobenius()
+        return float(np.linalg.norm(pair_kernel(gaussian_potential(1.0, 1.0), lat)))
 
     def desk_bundle_e0():
         from .spectral import ground_state

@@ -18,8 +18,8 @@ non-decreasing slot tuples, each carrying the sum of the coefficients of its
 distinct orderings (the kernel is folded once).  This fold is the only place
 that sums leg orderings; no kernel is put through a symmetrization before it.
 
-Every self-adjoint operator built from kernels (the Segal field, the charge
-coupling, H) goes through one rule: the Wick entries of an adjoint-closed list
+Every self-adjoint operator built from kernels (H, or Q from its
+`charge_kernels`) goes through one rule: the Wick entries of an adjoint-closed list
 of kernels with real weights on and above the diagonal are reduced in one stream
 to a strictly upper triangle T and a real diagonal d (`hermitian_parts`: p > q
 kernels enter conjugated, p < q ones are skipped, balanced ones keep row <=
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import groupby, permutations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,11 +93,6 @@ class FockBasis:
         if not 0 <= idx < self.n_modes or abs(self.lattice.modes[idx] - gamma) > 1e-12:
             raise ParameterError(f"momentum {gamma} is not a lattice mode")
         return idx
-
-    def vacuum(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[0] = 1.0
-        return out
 
     def totals(self) -> np.ndarray:
         return self.occ.sum(axis=1, dtype=np.int64)
@@ -183,9 +178,6 @@ class FockOperator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def expectation(self, psi: np.ndarray) -> complex:
-        return complex(np.vdot(psi, self.matrix @ psi))
-
 
 def _hermitian_defect(mat: sp.spmatrix) -> float:
     """max |A - A^H| holding one transposed copy: a canonical CSR is compared with
@@ -220,35 +212,6 @@ def number_operator(basis: FockBasis) -> FockOperator:
     return FockOperator(basis=basis, matrix=sp.diags(totals).tocsr(), hermitian=True)
 
 
-def _promote_one_particle(basis: FockBasis, h) -> np.ndarray:
-    """Accept a 2M x 2M matrix, an M x M per-species matrix, or a block operator."""
-    if hasattr(h, "full"):
-        h = h.full()
-    h = np.asarray(h, dtype=complex)
-    m = basis.n_modes
-    if h.shape == (m, m):
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = h
-        out[m:, m:] = h
-        return out
-    if h.shape == (2 * m, 2 * m):
-        return h
-    raise ShapeError(f"one-particle matrix must be {m} or {2 * m} square, got {h.shape}")
-
-
-def dgamma(basis: FockBasis, h) -> FockOperator:
-    """Second quantization of a Hermitian one-particle operator.
-
-    Vacuum expectation is zero, the one-particle block reproduces h, and the
-    output commutes with the number operator sector decomposition.
-    """
-    hm = _promote_one_particle(basis, h)
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(hm)))):
-        raise ContractError("dgamma requires a Hermitian one-particle matrix")
-    op = wick_operator(basis, WickKernel(p=1, q=1, species=(None, None), coeffs=hm))
-    return FockOperator(basis=basis, matrix=op.matrix, hermitian=True)
-
-
 @dataclass(frozen=True)
 class WickKernel:
     """Coefficient tensor of a normal-ordered monomial with species labels.
@@ -278,9 +241,6 @@ class WickKernel:
         coeffs = np.conj(np.transpose(self.coeffs, axes)) if self.p + self.q else np.conj(self.coeffs)
         species = self.species[self.p :] + self.species[: self.p]
         return WickKernel(p=self.q, q=self.p, species=species, coeffs=coeffs)
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.coeffs).ravel()))
 
 
 def _runs(kern: WickKernel) -> list[tuple[int, int]]:
@@ -478,16 +438,6 @@ def gauge_kernel(kern: WickKernel) -> WickKernel:
         phase[width // 2 if s is None else 0 :] = -1j if axis < kern.p else 1j
         coeffs = coeffs * phase.reshape((width,) + (1,) * (coeffs.ndim - axis - 1))
     return WickKernel(p=kern.p, q=kern.q, species=kern.species, coeffs=coeffs)
-
-
-def field_operator(basis: FockBasis, species: Optional[int], f: np.ndarray) -> FockOperator:
-    """Hermitian Segal field (a*(f) + a(f)) / sqrt(2).
-
-    With species 1 or 2, f is a length-M coefficient vector for that species;
-    with species None, f covers all 2M slots.  a(f) is antilinear in f.
-    """
-    f = np.asarray(f, dtype=complex) / math.sqrt(2.0)
-    return hermitian_operator(basis, [WickKernel(p=1, q=0, species=(species,), coeffs=f)])
 
 
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:

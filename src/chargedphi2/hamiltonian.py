@@ -1,4 +1,4 @@
-"""Cutoff Hamiltonians: free part, normal-ordered interaction, charge coupling.
+"""Cutoff Hamiltonians: free energies, interaction and charge kernels, one assembly.
 
 The full operator is H = H0 + HI + lambda Q on the truncated Fock space of a
 momentum lattice.  HI comes from a bounded-below polynomial in the two field
@@ -7,7 +7,7 @@ factor (4 pi v)^(-1/2) and one eps^(-1/2) per leg, and a g_hat evaluated at
 the total momentum transfer.  Wick ordering is relative to the lattice
 vacuum: no self-contraction terms are generated, so the vacuum expectation of
 HI vanishes identically.  Q second-quantizes the species mixer b and the
-pair kernel R (`charge_kernels`).
+pair kernel R (`charge_kernels`); H0 is diagonal (`free_energies`).
 
 `assemble` streams the gauged interaction kernels (weight 1) and charge
 kernels (weight lambda) through one `fock.hermitian_parts` pass, adds the free
@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, StabilityError
 from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge_kernel,
-                   hermitian_operator, hermitian_parts, mirror)
+                   hermitian_parts, mirror)
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
 from .potentials import Potential
@@ -190,11 +189,6 @@ def free_energies(basis: FockBasis) -> np.ndarray:
     return basis.occ.astype(float) @ np.concatenate([eps, eps])
 
 
-def free_hamiltonian(basis: FockBasis) -> FockOperator:
-    """Second quantization of the lattice dispersion: diagonal sector energies."""
-    return FockOperator(basis=basis, matrix=sp.diags(free_energies(basis)).tocsr(), hermitian=True)
-
-
 def charge_kernels(pot: Potential, lattice: MomentumLattice) -> list[WickKernel]:
     """The two lab-frame kernels of the local charge coupling Q, closed under adjoints.
 
@@ -211,13 +205,8 @@ def charge_kernels(pot: Potential, lattice: MomentumLattice) -> list[WickKernel]
     block[m:, :m] = b.conj().T
     return [
         WickKernel(p=1, q=1, species=(None, None), coeffs=block),
-        WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice).matrix),
+        WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice)),
     ]
-
-
-def charge_operator(pot: Potential, basis: FockBasis, lattice: MomentumLattice) -> FockOperator:
-    """The lab-frame local charge coupling Q, Hermitian bitwise."""
-    return hermitian_operator(basis, charge_kernels(pot, lattice))
 
 
 def form_bound_constants(coupling: CouplingReport, lam: float) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Momentum lattices, the integer-part map, and nested-lattice projections.
+"""Momentum lattices, the integer-part map, and nested lattice pairs.
 
 A lattice holds the finite symmetric mode set {gamma in v^-1 Z : |gamma| <= kappa}
 together with the massive dispersion eps(gamma) = sqrt(gamma^2 + m^2).  Each mode
@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -94,8 +94,9 @@ class NestedPair:
 
     The fine inverse spacing is a power-of-two multiple of the coarse one and
     the fine cutoff is large enough that every coarse cell is exactly a union
-    of fine cells; this makes the cell-average projection an exact co-isometry
-    and mode containment an integer statement.
+    of fine cells; mode containment is then an integer statement, and
+    `fock.fock_embedding` carries each coarse mode to the fine mode with the
+    same momentum.
 
     Attributes:
         coarse, fine: the two lattices (same mass).
@@ -139,44 +140,6 @@ def build_nested(coarse: MomentumLattice, fine: MomentumLattice) -> NestedPair:
     coarse_js = np.arange(-coarse.n_half, coarse.n_half + 1)
     injection = coarse_js * ratio + fine.n_half
     return NestedPair(coarse=coarse, fine=fine, ratio=ratio, mode_injection=injection)
-
-
-def _cell_block(pair: NestedPair) -> slice:
-    """The fine modes covered by coarse cells: one contiguous run, ratio per cell."""
-    j0 = int(pair.mode_injection[0])
-    return slice(j0, j0 + pair.ratio * pair.coarse.size)
-
-
-def project(pair: NestedPair, f: np.ndarray) -> np.ndarray:
-    """Apply the cell-average projection to a fine coefficient vector.
-
-    Commutes with complex conjugation (the matrix is real) and contracts the
-    l2 norm; on vectors constant over a single coarse cell it is an isometry.
-    """
-    f = np.asarray(f)
-    if f.shape[-1] != pair.fine.size:
-        raise ShapeError(
-            f"expected fine dimension {pair.fine.size}, got {f.shape[-1]}"
-        )
-    cells = f[..., _cell_block(pair)].reshape(f.shape[:-1] + (pair.coarse.size, pair.ratio))
-    out = (1.0 / math.sqrt(pair.ratio)) * cells.sum(axis=-1)
-    return out.astype(f.dtype if f.dtype.kind == "c" else float, copy=False)
-
-
-def embed(pair: NestedPair, g: np.ndarray) -> np.ndarray:
-    """Adjoint of `project`: isometric embedding of coarse coefficients.
-
-    project(embed(g)) == g exactly, and embed(project(.)) is the orthogonal
-    projection onto the coarse subspace of the fine coefficient space.
-    """
-    g = np.asarray(g)
-    if g.shape[-1] != pair.coarse.size:
-        raise ShapeError(
-            f"expected coarse dimension {pair.coarse.size}, got {g.shape[-1]}"
-        )
-    out = np.zeros(g.shape[:-1] + (pair.fine.size,), dtype=g.dtype if g.dtype.kind == "c" else float)
-    out[..., _cell_block(pair)] = np.repeat((1.0 / math.sqrt(pair.ratio)) * g, pair.ratio, axis=-1)
-    return out
 
 
 def refinement_ladder(

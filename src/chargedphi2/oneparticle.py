@@ -46,23 +46,11 @@ def b_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     return 1j * sym * m
 
 
-@dataclass(frozen=True)
-class PairKernel:
-    """Antisymmetric pair-creation kernel R over lattice mode pairs.
-
-    matrix[i, j] couples a species-1 creator at mode i with a species-2
-    creator at mode j; antisymmetry R_ij = -R_ji is exact by construction.
-    """
-
-    lattice: MomentumLattice
-    matrix: np.ndarray
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-def pair_kernel(pot: Potential, lattice: MomentumLattice) -> PairKernel:
+def pair_kernel(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     """Kernel of the pair-creation part of the charge operator.
+
+    Entry (i, j) couples a species-1 creator at mode i with a species-2
+    creator at mode j; antisymmetry R_ij = -R_ji is exact by construction.
 
     R(g, g') = (i/4pi) V_hat(g+g') (eps(g)^{1/2} eps(g')^{-1/2}
                 - eps(g)^{-1/2} eps(g')^{1/2}) / v.
@@ -75,8 +63,7 @@ def pair_kernel(pot: Potential, lattice: MomentumLattice) -> PairKernel:
     ratio = s[:, None] / s[None, :]
     bracket = ratio - ratio.T
     vhat = np.asarray(pot.V_hat(g[:, None] + g[None, :]), dtype=complex)
-    mat = (1j / (4 * np.pi)) * vhat * bracket / float(lattice.v)
-    return PairKernel(lattice=lattice, matrix=mat)
+    return (1j / (4 * np.pi)) * vhat * bracket / float(lattice.v)
 
 
 def pair_kernel_bound(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
@@ -230,21 +217,3 @@ def hs_norm_squared(mat: np.ndarray) -> float:
     """Squared Frobenius norm, the discrete Hilbert-Schmidt size of an operator."""
     return float(np.linalg.norm(mat) ** 2)
 
-
-def weighted_kernel_norm(kern: PairKernel, s: float) -> float:
-    """Frobenius norm of the kernel after a spectral |d/dk1|^s weight.
-
-    The fractional difference acts along the first mode axis through the DFT
-    of the lattice, with dual frequencies 2 pi fftfreq(M, 1/v); s = 0 returns
-    the plain Frobenius norm exactly.  Used to monitor kernel smoothness under
-    lattice refinement.
-    """
-    if s < 0:
-        raise ParameterError(f"weight exponent must be nonnegative, got {s}")
-    if s == 0:
-        return kern.frobenius()
-    mat = kern.matrix
-    n = mat.shape[0]
-    xi = 2 * np.pi * np.fft.fftfreq(n, d=kern.lattice.spacing())
-    weighted = (np.abs(xi) ** s)[:, None] * np.fft.fft(mat, axis=0)
-    return float(np.linalg.norm(weighted) / math.sqrt(n))

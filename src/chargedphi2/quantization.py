@@ -73,10 +73,6 @@ class RealGenerator:
     metric: np.ndarray = field(repr=False)
     margin: float
 
-    def antisymmetry_residual(self) -> float:
-        lhs = self.matrix.T @ self.metric + self.metric @ self.matrix
-        return operator_norm(lhs) / max(1.0, operator_norm(self.metric @ self.matrix))
-
 
 @dataclass(frozen=True)
 class KahlerStructure:
@@ -283,21 +279,6 @@ def free_dyn_gram(grid: PhaseSpaceGrid) -> np.ndarray:
     """Hermitian Gram of the free dynamical inner product."""
     omega = symplectic_gram(grid)
     return omega @ free_complex_structure(grid) + 1j * omega
-
-
-def time_reversal(y: np.ndarray) -> np.ndarray:
-    """Involution (pi, phi) -> (-conj pi, conj phi) on real components.
-
-    Anti-commutes with the generator for any real potential.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size % 4 != 0:
-        raise ShapeError("phase vector length must be a multiple of 4")
-    g = y.size // 4
-    out = y.copy()
-    out[:g] = -out[:g]
-    out[3 * g :] = -out[3 * g :]
-    return out
 
 
 def quantize_report(grid: PhaseSpaceGrid) -> dict:

@@ -1,7 +1,7 @@
 """Independent reference constructions used to pin expected values.
 
 Everything here recomputes quantities from first principles along a different
-route than the library (interval intersections, explicit tensor products,
+route than the library (explicit ladder-matrix products, tensor products,
 Hermite recursions against matrix powers), so tests compare two independent
 derivations rather than a function against itself.
 """
@@ -13,27 +13,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from chargedphi2.errors import ParameterError
-from chargedphi2.fock import FockOperator, WickKernel, field_operator, fock_embedding
-from chargedphi2.lattice import embed
+from chargedphi2.fock import WickKernel, fock_embedding, hermitian_operator
 from chargedphi2.potentials import Potential
-
-
-def dense_projection_from_cells(pair):
-    """Cell-average projection rebuilt from interval overlap integrals.
-
-    Entry (i, j) is sqrt(v_c v_f) times the length of the intersection of the
-    coarse cell [gamma_i, gamma_i + 1/v_c) with the fine cell
-    [gamma'_j, gamma'_j + 1/v_f).
-    """
-    vc, vf = float(pair.coarse.v), float(pair.fine.v)
-    out = np.zeros((pair.coarse.size, pair.fine.size))
-    for i, gc in enumerate(pair.coarse.modes):
-        for j, gf in enumerate(pair.fine.modes):
-            lo = max(gc, gf)
-            hi = min(gc + 1.0 / vc, gf + 1.0 / vf)
-            if hi > lo:
-                out[i, j] = np.sqrt(vc * vf) * (hi - lo)
-    return out
 
 
 def two_particle_tensor(h, state_pairs):
@@ -83,9 +64,9 @@ def hermite_wick_power(phi_mat, n, c):
 def smeared_interaction(basis, lattice, monomials, g, x_nodes, weights):
     """Interaction assembled from explicit field matrices at quadrature nodes.
 
-    Independent of the kernel route: builds phi_i(x) as Segal fields of the
-    momentum coefficients at each node, normal-orders through the Hermite
-    rule, and integrates g(x) by quadrature.
+    Independent of the kernel route: builds phi_i(x) as Segal fields
+    (a*(f) + a(f)) / sqrt(2) of the momentum coefficients f at each node,
+    normal-orders through the Hermite rule, and integrates g(x) by quadrature.
     """
     dim = basis.dim
     eps = lattice.dispersion()
@@ -96,8 +77,8 @@ def smeared_interaction(basis, lattice, monomials, g, x_nodes, weights):
             continue
         f = np.exp(-1j * lattice.modes * x) / np.sqrt(2 * np.pi * float(lattice.v) * eps)
         c = float(np.linalg.norm(f) ** 2) / 2.0
-        phi1 = field_operator(basis, 1, f).matrix
-        phi2 = field_operator(basis, 2, f).matrix
+        phi1, phi2 = (hermitian_operator(basis, [WickKernel(p=1, q=0, species=(s,), coeffs=f / np.sqrt(2.0))]).matrix
+                      for s in (1, 2))
         acc = sp.csr_matrix((dim, dim), dtype=complex)
         for a1, a2, coeff in monomials:
             acc = acc + coeff * (hermite_wick_power(phi1, a1, c) @ hermite_wick_power(phi2, a2, c))
@@ -105,24 +86,24 @@ def smeared_interaction(basis, lattice, monomials, g, x_nodes, weights):
     return out
 
 
-def compress(fine_op, coarse_basis):
-    """Compress a fine-lattice Fock operator onto the coarse basis.
+def compress(fine_mat, fine_basis, coarse_basis):
+    """Compress a matrix on the fine-lattice Fock basis onto the coarse basis.
 
-    Uses the occupation-transport isometry (coarse modes keep their momentum
-    value on the fine lattice): compress = embed^H . fine_op . embed.  The
-    free Hamiltonian compresses exactly; quadrature-weighted kernels compress
-    to the coarse assembly up to the documented 1/v re-weighting.
+    Uses the occupation-transport isometry E (coarse modes keep their momentum
+    value on the fine lattice): compress = E^H . fine_mat . E.  The free
+    Hamiltonian compresses exactly; quadrature-weighted kernels compress to
+    the coarse assembly up to the documented 1/v re-weighting.
     """
-    emb = fock_embedding(coarse_basis, fine_op.basis)
-    mat = (emb.T.conj() @ fine_op.matrix @ emb).tocsr()
-    return FockOperator(basis=coarse_basis, matrix=mat, hermitian=fine_op.hermitian)
+    emb = fock_embedding(coarse_basis, fine_basis)
+    return (emb.T.conj() @ fine_mat @ emb).tocsr()
 
 
 def smeared_field_coefficients(g_hat, lattice):
     """Mode coefficients of the point field smeared against a real profile g.
 
-    f_gamma = g_hat(gamma) / sqrt(2 pi v eps(gamma)); pairing these with
-    `field_operator` realizes the smeared field in the momentum picture.
+    f_gamma = g_hat(gamma) / sqrt(2 pi v eps(gamma)); the smeared field is the
+    Segal field (a*(f) + a(f)) / sqrt(2) of these coefficients, the
+    `hermitian_operator` of the single creator kernel f / sqrt(2).
     """
     eps = lattice.dispersion()
     return np.asarray(g_hat(lattice.modes), dtype=complex) / np.sqrt(
@@ -212,7 +193,8 @@ def dense_probe(bundle, f, times, psi):
     for t in times:
         psi_t = hv @ (np.exp(-1j * t * he) * coords)
         f_t = sla.expm(-1j * t * omega) @ f
-        out.append(np.vdot(psi_t, field_operator(bundle.basis, None, f_t).matrix @ psi_t))
+        field = hermitian_operator(bundle.basis, [WickKernel(p=1, q=0, species=(None,), coeffs=f_t / np.sqrt(2.0))])
+        out.append(np.vdot(psi_t, field.matrix @ psi_t))
     return np.array(out)
 
 
@@ -251,15 +233,6 @@ def weyl_quantize_loop(symbol, grid):
         phase = np.exp(1j * (x - x[j])[:, None] * k[None, :])
         out[:, j] = pref * (phase * vals).sum(axis=1)
     return out
-
-
-def projection_matrix(pair):
-    """Dense matrix of the cell-average projection, coarse.size x fine.size.
-
-    Row gamma holds 1/sqrt(ratio) on the ratio fine modes inside the coarse
-    cell [gamma, gamma + 1/v_c); rows are orthonormal, so P @ P.T = identity.
-    """
-    return embed(pair, np.eye(pair.coarse.size))
 
 
 def scaled(pot, t):

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL table.
 Tolerances are pinned here and nowhere else; every expected value traces to
-an oracle in the module tests (cell-overlap projections, Hermite smeared
-fields, dense eigensolves, quadrature transforms).
+an oracle in the module tests (explicit ladder-matrix products, Hermite
+smeared fields, dense eigensolves, quadrature transforms).
 """
 
 import time
@@ -12,11 +12,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chargedphi2.fock import enumerate_basis, wick_operator
+from chargedphi2.fock import enumerate_basis, hermitian_operator, wick_operator
 from chargedphi2.hamiltonian import (
-    charge_operator,
+    charge_kernels,
     form_bound_constants,
-    free_hamiltonian,
+    free_energies,
     interaction_kernels,
     interaction_spec,
 )
@@ -104,8 +104,8 @@ def test_criterion_03_coupling_threshold_form_bounds():
     basis = enumerate_basis(lat, 3)
     pot = gaussian_potential(1.0, 1.0)
     coup = lambda_quant(pot, lat)
-    q = charge_operator(pot, basis, lat).matrix
-    h0 = free_hamiltonian(basis).matrix
+    q = hermitian_operator(basis, charge_kernels(pot, lat)).matrix
+    h0 = sp.diags(free_energies(basis))
     v0 = np.full(basis.dim, 1.0 / np.sqrt(basis.dim))
     worst_eig = np.inf
     worst_omega = np.inf
@@ -133,10 +133,10 @@ def test_criterion_04_charge_operator_bound():
     for lat in ACCEPTANCE_LATTICES:
         basis = enumerate_basis(lat, 2)
         pot = gaussian_potential(1.0, 1.0)
-        q = charge_operator(pot, basis, lat).dense()
+        q = hermitian_operator(basis, charge_kernels(pot, lat)).dense()
         inv_n1 = 1.0 / (basis.totals() + 1.0)
         norm = operator_norm(q * inv_n1[None, :])
-        bound = operator_norm(b_matrix(pot, lat)) + 4 * pair_kernel(pot, lat).frobenius()
+        bound = operator_norm(b_matrix(pot, lat)) + 4 * np.linalg.norm(pair_kernel(pot, lat))
         worst_margin = min(worst_margin, bound - norm)
     ok = worst_margin >= 0
     _report(4, ok, f"||Q (N+1)^-1|| <= ||b|| + 4||R||_F on all lattices (min margin {worst_margin:.4f})")
@@ -147,7 +147,7 @@ def test_criterion_05_pair_kernel_entrywise_bound():
     checked = 0
     for pot in ACCEPTANCE_POTENTIALS:
         for lat in ACCEPTANCE_LATTICES:
-            r = pair_kernel(pot, lat).matrix
+            r = pair_kernel(pot, lat)
             bound = pair_kernel_bound(pot, lat)
             violations += int(np.sum(np.abs(r) > bound))
             checked += r.size

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chargedphi2 import cli
+from chargedphi2 import cli, hamiltonian
 from chargedphi2.config import load_config, parse_config
 from chargedphi2.errors import ConfigError
 from chargedphi2.fock import HARD_DIMENSION_CAP
@@ -205,7 +205,12 @@ class TestCliExitCodes:
 
     def test_dense_ceiling_exit_6(self, tmp_path, monkeypatch, capsys):
         # the m17 bundle (dim 7,770) is within the basis cap but over the dense
-        # ceiling that the probe's full eigendecomposition needs
+        # ceiling that the probe's full eigendecomposition needs; it is refused
+        # before H is assembled
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled a bundle over the dense ceiling")
+
+        monkeypatch.setattr(hamiltonian, "assemble", refuse)
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         cfg = REPO / "perfbench" / "configs" / "m17_spectrum.json"
         assert cli.main(["probe-scattering", str(cfg)]) == cli.EXIT_RESOURCE == 6
@@ -280,6 +285,11 @@ class TestArtifacts:
         assert len(json_files) == 1 and len(csv_files) == 1
         record = json.loads(json_files[0].read_text())
         assert {"config_hash", "version", "report", "quantities"} <= set(record)
+        # csv.writer bytes: a header, then one row per eigenvalue, each ended by \r\n
+        eigenvalues = record["report"]["eigenvalues"]
+        assert len(eigenvalues) == 4
+        rows = "".join(f"{i},{e!r}\r\n" for i, e in enumerate(eigenvalues))
+        assert csv_files[0].read_bytes() == f"index,eigenvalue\r\n{rows}".encode()
 
     def test_reports_are_deterministic(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))

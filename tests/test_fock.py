@@ -13,9 +13,7 @@ from chargedphi2.fock import (
     annihilation,
     annihilator_of,
     creation,
-    dgamma,
     enumerate_basis,
-    field_operator,
     fock_dimension,
     fock_embedding,
     gauge_kernel,
@@ -114,15 +112,17 @@ class TestLadderOperators:
 
 
 class TestDgamma:
+    # dGamma(h) is the Wick operator of the (1, 1) kernel h over all 2M slots
     def test_identity_gives_number(self, basis3):
-        n_slots = basis3.n_slots
-        dg = dgamma(basis3, np.eye(n_slots))
+        eye = np.eye(basis3.n_slots)
+        dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=eye))
         assert (dg.matrix - number_operator(basis3).matrix).nnz == 0
 
     def test_dispersion_eigenvalue_on_one_particle(self, basis3):
         lat = basis3.lattice
         eps = lat.dispersion()
-        dg = dgamma(basis3, np.diag(np.concatenate([eps, eps])))
+        h = np.diag(np.concatenate([eps, eps]))
+        dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=h))
         for mode_idx, gamma in enumerate(lat.modes):
             state = [0] * basis3.n_slots
             state[mode_idx] = 1
@@ -133,7 +133,7 @@ class TestDgamma:
         n = basis3.n_slots
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = 0.5 * (h + h.conj().T)
-        dg = dgamma(basis3, h).dense()
+        dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=h)).dense()
         pairs = []
         rows = []
         for idx, state in enumerate(basis3.occ.tolist()):
@@ -146,20 +146,11 @@ class TestDgamma:
         oracle = two_particle_tensor(h, pairs)
         assert np.max(np.abs(block - oracle)) < 1e-12
 
-    def test_per_species_matrix_promoted(self, basis3, rng):
-        m = basis3.n_modes
-        h = rng.standard_normal((m, m))
-        h = 0.5 * (h + h.T)
-        full = np.zeros((2 * m, 2 * m))
-        full[:m, :m] = h
-        full[m:, m:] = h
-        assert (dgamma(basis3, h).matrix - dgamma(basis3, full).matrix).nnz == 0
-
     def test_number_commutes(self, basis3, rng):
         n = basis3.n_slots
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = 0.5 * (h + h.conj().T)
-        dg = dgamma(basis3, h).matrix
+        dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=h)).matrix
         nop = number_operator(basis3).matrix
         assert np.max(np.abs((dg @ nop - nop @ dg).toarray())) == 0.0
 
@@ -167,13 +158,7 @@ class TestDgamma:
         n = basis3.n_slots
         h = rng.standard_normal((n, n))
         h = 0.5 * (h + h.T)
-        assert dgamma(basis3, h).matrix[0, 0] == 0.0
-
-    def test_non_hermitian_rejected(self, basis3):
-        h = np.zeros((basis3.n_slots, basis3.n_slots))
-        h[0, 1] = 1.0
-        with pytest.raises(ContractError):
-            dgamma(basis3, h)
+        assert wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=h)).matrix[0, 0] == 0.0
 
 
 class TestHermitianCheck:
@@ -217,7 +202,8 @@ class TestWickOperator:
         kern = WickKernel(p=1, q=1, species=(2, 2), coeffs=np.diag(d).astype(complex))
         h = np.zeros((2 * m, 2 * m), dtype=complex)
         h[m:, m:] = np.diag(d)
-        assert np.max(np.abs((wick_operator(basis3, kern).matrix - dgamma(basis3, h).matrix).toarray())) == 0.0
+        dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=h))
+        assert np.max(np.abs((wick_operator(basis3, kern).matrix - dg.matrix).toarray())) == 0.0
 
     def test_vacuum_expectation_vanishes(self, basis3, rng):
         m = basis3.n_modes
@@ -395,30 +381,29 @@ class TestWickOperator:
 
 
 class TestFieldOperator:
+    # the Segal field (a*(f) + a(f)) / sqrt(2) is the Hermitian sum of the creator kernel f / sqrt(2)
     def test_vacuum_one_point_function_zero(self, basis3, rng):
         f = rng.standard_normal(basis3.n_modes) + 1j * rng.standard_normal(basis3.n_modes)
-        phi = field_operator(basis3, 1, f)
+        phi = hermitian_operator(basis3, [WickKernel(p=1, q=0, species=(1,), coeffs=f / np.sqrt(2.0))])
         assert phi.matrix[0, 0] == 0.0
 
     def test_vacuum_two_point_function(self, basis3, rng):
         f = rng.standard_normal(basis3.n_modes) + 1j * rng.standard_normal(basis3.n_modes)
-        phi = field_operator(basis3, 2, f).matrix
-        vac = basis3.vacuum()
-        val = np.vdot(vac, (phi @ (phi @ vac)))
-        assert val == pytest.approx(np.linalg.norm(f) ** 2 / 2)
+        phi = hermitian_operator(basis3, [WickKernel(p=1, q=0, species=(2,), coeffs=f / np.sqrt(2.0))]).matrix
+        assert (phi @ phi)[0, 0] == pytest.approx(np.linalg.norm(f) ** 2 / 2)
 
     def test_species_commute_on_safe_sector(self, basis3, rng):
         f = rng.standard_normal(basis3.n_modes) + 1j * rng.standard_normal(basis3.n_modes)
         g = rng.standard_normal(basis3.n_modes) + 1j * rng.standard_normal(basis3.n_modes)
-        phi1 = field_operator(basis3, 1, f).matrix
-        phi2 = field_operator(basis3, 2, g).matrix
+        phi1 = hermitian_operator(basis3, [WickKernel(p=1, q=0, species=(1,), coeffs=f / np.sqrt(2.0))]).matrix
+        phi2 = hermitian_operator(basis3, [WickKernel(p=1, q=0, species=(2,), coeffs=g / np.sqrt(2.0))]).matrix
         comm = (phi1 @ phi2 - phi2 @ phi1).toarray()
         safe = safe_columns(basis3, 2)
         assert np.max(np.abs(comm[:, safe])) < 1e-13
 
     def test_hermitian_structurally(self, basis3, rng):
         f = rng.standard_normal(2 * basis3.n_modes) + 1j * rng.standard_normal(2 * basis3.n_modes)
-        phi = field_operator(basis3, None, f)
+        phi = hermitian_operator(basis3, [WickKernel(p=1, q=0, species=(None,), coeffs=f / np.sqrt(2.0))])
         assert (phi.matrix - phi.matrix.getH()).nnz == 0
 
     def test_smeared_coefficients_weights(self, lat9):

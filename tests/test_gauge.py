@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chargedphi2 import cli
 from chargedphi2.config import parse_config
 from chargedphi2.fock import (WickKernel, fock_embedding, gauge_kernel, hermitian_operator, number_operator,
                               wick_operator)
-from chargedphi2.hamiltonian import (assemble, charge_kernels, charge_operator, free_hamiltonian,
-                                     interaction_kernels, interaction_spec, nested_bundles)
+from chargedphi2.hamiltonian import (assemble, charge_kernels, free_energies, interaction_kernels, interaction_spec,
+                                     nested_bundles)
 from chargedphi2.oneparticle import omega_block
 from chargedphi2.potentials import gaussian_potential
 from chargedphi2.spectral import heisenberg_probe, higher_order_norm, resolvent_convergence
@@ -43,9 +44,9 @@ def _lab_h(bundle):
     """H0 + HI + lam Q from the lab-frame public functions, with no gauge."""
     basis, lat = bundle.basis, bundle.lattice
     return (
-        free_hamiltonian(basis).matrix
+        sp.diags(free_energies(basis))
         + hermitian_operator(basis, interaction_kernels(bundle.spec, lat)).matrix
-        + bundle.lam * charge_operator(bundle.pot, basis, lat).matrix
+        + bundle.lam * hermitian_operator(basis, charge_kernels(bundle.pot, lat)).matrix
     )
 
 
@@ -125,14 +126,14 @@ def test_min_eig_equals_lab_frame_eigvalsh(lat9, gauss_v, lam):
 
 
 def test_dtype_follows_the_values(basis3, lat3, gauss_v):
-    assert free_hamiltonian(basis3).matrix.dtype == np.float64
+    assert sp.diags(free_energies(basis3)).dtype == np.float64
     assert number_operator(basis3).matrix.dtype == np.float64
     m = lat3.size
     real = WickKernel(p=1, q=1, species=(1, 2), coeffs=np.ones((m, m), dtype=complex))
     assert wick_operator(basis3, real).matrix.dtype == np.float64
     imag = WickKernel(p=1, q=1, species=(1, 2), coeffs=1j * np.ones((m, m)))
     assert wick_operator(basis3, imag).matrix.dtype == np.complex128
-    assert charge_operator(gauss_v, basis3, lat3).matrix.dtype == np.complex128
+    assert hermitian_operator(basis3, charge_kernels(gauss_v, lat3)).matrix.dtype == np.complex128
     gauged_q = hermitian_operator(basis3, [gauge_kernel(k) for k in charge_kernels(gauss_v, lat3)])
     assert gauged_q.matrix.dtype == np.float64
 

@@ -8,14 +8,13 @@ import scipy.sparse as sp
 from chargedphi2 import fock, hamiltonian
 from chargedphi2.config import load_config
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
-from chargedphi2.fock import (FockOperator, WickKernel, dgamma, enumerate_basis, gauge_kernel, hermitian_operator,
+from chargedphi2.fock import (FockOperator, WickKernel, enumerate_basis, gauge_kernel, hermitian_operator,
                               wick_operator)
 from chargedphi2.hamiltonian import (
     assemble,
     charge_kernels,
-    charge_operator,
     form_bound_constants,
-    free_hamiltonian,
+    free_energies,
     interaction_kernels,
     interaction_spec,
     leading_form_minimum,
@@ -143,35 +142,35 @@ class TestInteractionKernels:
 
 
 class TestFreeHamiltonian:
+    # H0 is the diagonal matrix of the free energies
     def test_vacuum_energy_zero(self, basis3):
-        assert free_hamiltonian(basis3).matrix[0, 0] == 0.0
+        assert free_energies(basis3)[0] == 0.0
 
     def test_one_particle_at_origin_has_mass_energy(self, basis3):
-        h0 = free_hamiltonian(basis3)
         state = [0] * basis3.n_slots
         state[1] = 1  # species 1, mode 0
         i = basis3.rank([state])[0]
-        assert h0.matrix[i, i] == pytest.approx(basis3.lattice.m)
+        assert free_energies(basis3)[i] == pytest.approx(basis3.lattice.m)
 
     def test_two_particle_energy_is_sum(self, basis3):
-        h0 = free_hamiltonian(basis3)
         eps = basis3.lattice.dispersion()
         state = [0] * basis3.n_slots
         state[0] = 1
         state[5] = 1  # species 2, mode index 2
         i = basis3.rank([state])[0]
-        assert h0.matrix[i, i] == pytest.approx(eps[0] + eps[2])
+        assert free_energies(basis3)[i] == pytest.approx(eps[0] + eps[2])
 
     def test_gap_above_vacuum_is_mass(self, basis3):
-        diag = np.sort(free_hamiltonian(basis3).matrix.diagonal().real)
+        diag = np.sort(free_energies(basis3))
         assert diag[0] == 0.0
         assert diag[1] == pytest.approx(basis3.lattice.m)
 
     def test_matches_dgamma_of_dispersion(self, basis3):
         # summation order differs between the two routes: ulp-level agreement
         eps = basis3.lattice.dispersion()
-        via_dgamma = dgamma(basis3, np.diag(np.concatenate([eps, eps])))
-        diff = np.abs((free_hamiltonian(basis3).matrix - via_dgamma.matrix).toarray())
+        h = np.diag(np.concatenate([eps, eps]))
+        via_dgamma = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=h))
+        diff = np.abs((sp.diags(free_energies(basis3)) - via_dgamma.matrix).toarray())
         assert diff.max() < 1e-13
 
 
@@ -185,7 +184,7 @@ def _mixer(pot, lat):
 
 
 def _pair_creator(pot, lat):
-    return WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lat).matrix)
+    return WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lat))
 
 
 def _split_by_number(basis, mat):
@@ -200,11 +199,12 @@ def _split_by_number(basis, mat):
 
 
 class TestChargeOperator:
+    # the lab-frame Q is the Hermitian sum of its two charge kernels
     def test_zero_potential_gives_zero(self, basis3, lat3):
-        assert charge_operator(zero_potential(), basis3, lat3).matrix.nnz == 0
+        assert hermitian_operator(basis3, charge_kernels(zero_potential(), lat3)).matrix.nnz == 0
 
     def test_one_particle_block_is_b(self, basis3, lat3, gauss_v):
-        q = charge_operator(gauss_v, basis3, lat3)
+        q = hermitian_operator(basis3, charge_kernels(gauss_v, lat3))
         b = b_matrix(gauss_v, lat3)
         m = lat3.size
         for i in range(m):
@@ -221,7 +221,7 @@ class TestChargeOperator:
         # annihilator smeared with the matching row of b
         from chargedphi2.fock import annihilation, annihilator_of
 
-        qd, _ = _split_by_number(basis3, charge_operator(gauss_v, basis3, lat3).matrix)
+        qd, _ = _split_by_number(basis3, hermitian_operator(basis3, charge_kernels(gauss_v, lat3)).matrix)
         b = b_matrix(gauss_v, lat3)
         m = lat3.size
         for idx in (0, 1):
@@ -235,11 +235,12 @@ class TestChargeOperator:
     def test_parts_are_mixer_and_pair_with_adjoint(self, basis3, lat3, gauss_v):
         # bitwise: the number-preserving part is dGamma of the mixer, the
         # number-changing part is W(2,0) + W(2,0)^H for the pair kernel R
-        q = charge_operator(gauss_v, basis3, lat3)
+        q = hermitian_operator(basis3, charge_kernels(gauss_v, lat3))
         assert q.hermitian
         mixer, pair = _split_by_number(basis3, q.matrix)
         w = wick_operator(basis3, _pair_creator(gauss_v, lat3)).matrix
-        assert np.array_equal(mixer.toarray(), dgamma(basis3, _mixer(gauss_v, lat3)).dense())
+        dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=_mixer(gauss_v, lat3)))
+        assert np.array_equal(mixer.toarray(), dg.dense())
         assert np.array_equal(pair.toarray(), (w + w.getH()).toarray())
 
     def test_charge_bound_on_lattices(self, gauss_v):
@@ -247,10 +248,10 @@ class TestChargeOperator:
         for v, kap, n_max in [(1, 1.5, 3), (1, 2, 2), (2, 2, 2)]:
             lat = build_lattice(v, kap, 1.0)
             basis = enumerate_basis(lat, n_max)
-            q = charge_operator(gauss_v, basis, lat).dense()
+            q = hermitian_operator(basis, charge_kernels(gauss_v, lat)).dense()
             n1 = 1.0 / (basis.totals() + 1)
             norm = operator_norm(q * n1[None, :])
-            bound = operator_norm(b_matrix(gauss_v, lat)) + 4 * pair_kernel(gauss_v, lat).frobenius()
+            bound = operator_norm(b_matrix(gauss_v, lat)) + 4 * np.linalg.norm(pair_kernel(gauss_v, lat))
             assert norm <= bound
 
 
@@ -258,7 +259,7 @@ def _desk_pieces(bundle):
     """(H0, HI, Q) of a bundle in its gauge frame, rebuilt with the public assembly functions."""
     basis, lat = bundle.basis, bundle.lattice
     return (
-        free_hamiltonian(basis).matrix,
+        sp.diags(free_energies(basis)),
         hermitian_operator(basis, [gauge_kernel(k) for k in interaction_kernels(bundle.spec, lat)]).matrix,
         hermitian_operator(basis, [gauge_kernel(k) for k in charge_kernels(bundle.pot, lat)]).matrix,
     )
@@ -267,7 +268,7 @@ def _desk_pieces(bundle):
 class TestAssemble:
     def test_free_configuration_is_h0(self, basis3, lat3, free_spec):
         bundle = assemble(free_spec, zero_potential(), 0.0, basis3, lat3)
-        assert (bundle.h.matrix - free_hamiltonian(basis3).matrix).nnz == 0
+        assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
     def test_zero_kernels_are_not_expanded(self, basis3, lat3, free_spec, gauss_v, monkeypatch):
         # the zero profile leaves no interaction kernel; only the two charge kernels are expanded
@@ -281,7 +282,7 @@ class TestAssemble:
         monkeypatch.setattr(fock, "wick_operator", record)
         bundle = assemble(free_spec, gauss_v, 0.0, basis3, lat3)
         assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
-        assert (bundle.h.matrix - free_hamiltonian(basis3).matrix).nnz == 0
+        assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
     def test_one_stream_one_mirror_one_check(self, basis3, lat3, quartic_spec, gauss_v, monkeypatch):
         # HI and lam Q share one Wick stream: H is mirrored once and checked once, and Q is never built
@@ -296,7 +297,7 @@ class TestAssemble:
         monkeypatch.setattr(fock, "mirror", counted("mirror", fock.mirror))
         monkeypatch.setattr(hamiltonian, "mirror", counted("mirror", hamiltonian.mirror))
         monkeypatch.setattr(fock, "_hermitian_defect", counted("check", fock._hermitian_defect))
-        monkeypatch.setattr(hamiltonian, "charge_operator", counted("charge_operator", charge_operator))
+        monkeypatch.setattr(fock, "hermitian_operator", counted("hermitian_operator", fock.hermitian_operator))
         assemble(quartic_spec, gauss_v, 0.1, basis3, lat3)
         assert sorted(calls) == ["check", "mirror"]
 
@@ -363,7 +364,8 @@ class TestAssemble:
         _, hi, _ = _desk_pieces(desk_bundle)
         pair = hermitian_operator(basis, [gauge_kernel(_pair_creator(desk_bundle.pot, desk_bundle.lattice))]).matrix
         d = np.repeat([1, 1j], basis.n_modes)  # dGamma(d^* A d) = D^* dGamma(A) D
-        one_body = dgamma(basis, d.conj()[:, None] * desk_bundle.one_particle_energy() * d).matrix
+        gauged = d.conj()[:, None] * desk_bundle.one_particle_energy() * d
+        one_body = wick_operator(basis, WickKernel(p=1, q=1, species=(None, None), coeffs=gauged)).matrix
         alt = one_body + hi + desk_bundle.lam * pair
         diff = np.abs((desk_bundle.h.matrix - alt).toarray()).max()
         assert diff <= 1e-12
@@ -396,8 +398,8 @@ class TestAssemble:
         lam = 0.9 * bundle.coupling.lambda_quant
         delta, cconst = form_bound_constants(bundle.coupling, lam)
         assert delta < 1
-        q = charge_operator(gauss_v, basis3, lat3).matrix
-        h0 = free_hamiltonian(basis3).matrix
+        q = hermitian_operator(basis3, charge_kernels(gauss_v, lat3)).matrix
+        h0 = sp.diags(free_energies(basis3))
         for sign in (1.0, -1.0):
             mat = (delta * h0 + cconst * sp.identity(basis3.dim) + sign * lam * q).toarray()
             assert np.linalg.eigvalsh(mat)[0] >= -1e-9
@@ -415,28 +417,26 @@ def nest():
 class TestCompress:
     def test_identity_compresses_to_identity(self, nest):
         pair, coarse, fine = nest
-        eye = FockOperator(basis=fine, matrix=sp.identity(fine.dim, dtype=complex, format="csr"), hermitian=True)
-        out = compress(eye, coarse)
-        assert (out.matrix - sp.identity(coarse.dim)).nnz == 0
+        out = compress(sp.identity(fine.dim, dtype=complex, format="csr"), fine, coarse)
+        assert (out - sp.identity(coarse.dim)).nnz == 0
 
     def test_free_hamiltonian_compresses_exactly(self, nest):
         pair, coarse, fine = nest
-        out = compress(free_hamiltonian(fine), coarse)
-        assert (out.matrix - free_hamiltonian(coarse).matrix).nnz == 0
+        out = compress(sp.diags(free_energies(fine)), fine, coarse)
+        assert (out - sp.diags(free_energies(coarse))).nnz == 0
 
     def test_charge_compresses_to_reweighted_coarse(self, nest, gauss_v):
         pair, coarse, fine = nest
-        out = compress(charge_operator(gauss_v, fine, pair.fine), coarse)
-        coarse_total = charge_operator(gauss_v, coarse, pair.coarse).matrix
-        diff = np.abs((pair.ratio * out.matrix - coarse_total).toarray()).max()
+        out = compress(hermitian_operator(fine, charge_kernels(gauss_v, pair.fine)).matrix, fine, coarse)
+        coarse_total = hermitian_operator(coarse, charge_kernels(gauss_v, pair.coarse)).matrix
+        diff = np.abs((pair.ratio * out - coarse_total).toarray()).max()
         assert diff < 1e-14
 
     def test_non_nested_rejected(self, nest):
         pair, coarse, fine = nest
         other = enumerate_basis(build_lattice(1, 2.5, 1.0), 2)
-        eye = FockOperator(basis=fine, matrix=sp.identity(fine.dim, dtype=complex, format="csr"), hermitian=True)
         with pytest.raises(ParameterError):
-            compress(eye, other)
+            compress(sp.identity(fine.dim, dtype=complex, format="csr"), fine, other)
 
 
 def test_nested_bundles_share_threshold_gate(ladder_lattices, gauss_v):

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chargedphi2.errors import ParameterError, ShapeError
-from chargedphi2.lattice import (
-    build_lattice,
-    build_nested,
-    embed,
-    integer_part,
-    project,
-    refinement_ladder,
-)
-from oracles import dense_projection_from_cells, projection_matrix
+from chargedphi2.errors import ParameterError
+from chargedphi2.lattice import build_lattice, build_nested, integer_part, refinement_ladder
 
 
 class TestBuildLattice:
@@ -109,82 +101,12 @@ class TestNesting:
         lat = build_lattice(2, 3, 1)
         pair = build_nested(lat, lat)
         assert pair.ratio == 1
-        f = np.linspace(0, 1, lat.size)
-        assert np.array_equal(project(pair, f), f)
+        assert np.array_equal(pair.mode_injection, np.arange(lat.size))
 
-
-@pytest.fixture(scope="module")
-def pair():
-    ladder = refinement_ladder(1, 2, 1, 2)
-    return build_nested(ladder[0], ladder[1])
-
-
-class TestProjection:
-    def test_matches_cell_overlap_oracle(self, pair):
-        assert np.allclose(projection_matrix(pair), dense_projection_from_cells(pair), atol=1e-12)
-
-    def test_cell_constant_isometry(self, pair):
-        # constant over the fine cells of one coarse mode
-        f = np.zeros(pair.fine.size)
-        j0 = pair.mode_injection[1]
-        f[j0 : j0 + pair.ratio] = 0.7
-        out = project(pair, f)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(f), rel=1e-15)
-        assert np.argmax(np.abs(out)) == 1
-
-    def test_zero_maps_to_zero(self, pair):
-        assert not np.any(project(pair, np.zeros(pair.fine.size)))
-
-    def test_contraction_random(self, pair, rng):
-        p = dense_projection_from_cells(pair)
-        for _ in range(10):
-            f = rng.standard_normal(pair.fine.size) + 1j * rng.standard_normal(pair.fine.size)
-            out = project(pair, f)
-            assert np.linalg.norm(out) <= np.linalg.norm(f) + 1e-12
-            assert np.allclose(out, p @ f, atol=1e-12)
-
-    def test_project_embed_is_identity(self, pair, rng):
-        g = rng.standard_normal(pair.coarse.size)
-        assert np.allclose(project(pair, embed(pair, g)), g, atol=1e-14)
-
-    def test_embed_project_is_orthogonal_projection(self, pair):
-        p = projection_matrix(pair)
-        q = p.T @ p
-        assert np.allclose(q @ q, q, atol=1e-13)
-        assert np.allclose(q, q.T, atol=1e-15)
-
-    def test_conjugation_equivariance(self, pair, rng):
-        f = rng.standard_normal(pair.fine.size) + 1j * rng.standard_normal(pair.fine.size)
-        assert np.allclose(project(pair, f.conj()), project(pair, f).conj(), atol=0)
-
-    def test_dispersion_restriction_exact(self, pair):
+    def test_dispersion_restriction_exact(self):
+        pair = build_nested(*refinement_ladder(1, 2, 1, 2))
         fine_eps = pair.fine.dispersion()[pair.mode_injection]
         assert np.array_equal(fine_eps, pair.coarse.dispersion())
-
-    def test_maps_equal_per_cell_loops(self):
-        # reference: one loop over coarse cells, the same products and sums
-        rng = np.random.default_rng(7)
-        ladder = refinement_ladder(1, 2, 1, 3)
-        for pair in (build_nested(ladder[0], ladder[1]), build_nested(ladder[0], ladder[2])):
-            w = 1.0 / math.sqrt(pair.ratio)
-            re, im = rng.standard_normal((2, 16, pair.fine.size))
-            g = rng.standard_normal(pair.coarse.size)
-            p = np.zeros((pair.coarse.size, pair.fine.size))
-            emb = np.zeros(pair.fine.size)
-            for i, j0 in enumerate(pair.mode_injection):
-                p[i, j0 : j0 + pair.ratio] = w
-                emb[j0 : j0 + pair.ratio] = w * g[i]
-            assert np.array_equal(projection_matrix(pair), p)
-            assert np.array_equal(embed(pair, g), emb)
-            for f in (re, re + 1j * im):
-                proj = np.stack([w * f[:, j0 : j0 + pair.ratio].sum(axis=-1) for j0 in pair.mode_injection], axis=-1)
-                assert np.array_equal(project(pair, f), proj)
-
-    def test_shape_errors(self, pair):
-        with pytest.raises(ShapeError):
-            project(pair, np.zeros(pair.fine.size + 1))
-        with pytest.raises(ShapeError):
-            embed(pair, np.zeros(pair.coarse.size + 2))
 
 
 class TestLadder:

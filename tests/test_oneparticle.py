@@ -17,7 +17,6 @@ from chargedphi2.oneparticle import (
     pair_kernel,
     pair_kernel_bound,
     potential_matrix,
-    weighted_kernel_norm,
     weyl_grid,
     weyl_quantize,
 )
@@ -99,25 +98,25 @@ class TestBMatrix:
 
 class TestPairKernel:
     def test_zero_potential(self, lat9):
-        assert not np.any(pair_kernel(zero_potential(), lat9).matrix)
+        assert not np.any(pair_kernel(zero_potential(), lat9))
 
     def test_diagonal_vanishes(self, gauss_v, lat9):
-        assert np.max(np.abs(np.diag(pair_kernel(gauss_v, lat9).matrix))) == 0.0
+        assert np.max(np.abs(np.diag(pair_kernel(gauss_v, lat9)))) == 0.0
 
     def test_antisymmetry_exact(self, gauss_v, lat9):
-        r = pair_kernel(gauss_v, lat9).matrix
+        r = pair_kernel(gauss_v, lat9)
         assert np.max(np.abs(r + r.T)) == 0.0
 
     @pytest.mark.parametrize("pot", BUILTIN_POTENTIALS)
     @pytest.mark.parametrize("lat", LATTICES)
     def test_entrywise_bound_zero_violations(self, pot, lat):
-        r = pair_kernel(pot, lat).matrix
+        r = pair_kernel(pot, lat)
         bound = pair_kernel_bound(pot, lat)
         assert int(np.sum(np.abs(r) > bound)) == 0
 
     def test_frobenius_dominated_by_bound_matrix(self, gauss_v, lat9):
         r = pair_kernel(gauss_v, lat9)
-        assert r.frobenius() <= np.linalg.norm(pair_kernel_bound(gauss_v, lat9))
+        assert np.linalg.norm(r) <= np.linalg.norm(pair_kernel_bound(gauss_v, lat9))
 
 
 class TestLambdaQuant:
@@ -150,7 +149,7 @@ class TestLambdaQuant:
         # the index flip gamma' -> -gamma' sends the pair kernel to the
         # weighted commutator, so c1 must equal 2 ||R||_F on a symmetric grid
         rep = lambda_quant(gauss_v, lat9)
-        assert rep.c1 == pytest.approx(2 * pair_kernel(gauss_v, lat9).frobenius(), rel=1e-12)
+        assert rep.c1 == pytest.approx(2 * np.linalg.norm(pair_kernel(gauss_v, lat9)), rel=1e-12)
 
     def test_invariant_formula(self, gauss_v, lat9):
         rep = lambda_quant(gauss_v, lat9)
@@ -246,27 +245,6 @@ class TestWeyl:
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             weyl_grid(33, 8.0)
-
-
-class TestWeightedKernelNorm:
-    def test_zero_kernel(self, lat9):
-        assert weighted_kernel_norm(pair_kernel(zero_potential(), lat9), 1.0) == 0.0
-
-    def test_s_zero_is_frobenius(self, gauss_v, lat9):
-        kern = pair_kernel(gauss_v, lat9)
-        assert weighted_kernel_norm(kern, 0.0) == kern.frobenius()
-
-    def test_stabilizes_under_refinement(self, gauss_v):
-        vals = []
-        for v, kap in [(2, 8.0), (4, 16.0), (8, 32.0)]:
-            kern = pair_kernel(gauss_v, build_lattice(v, kap, 1.0))
-            vals.append(weighted_kernel_norm(kern, 1.0))
-        ratio = vals[-1] / vals[-2]
-        assert 0.9 <= ratio <= 1.1
-
-    def test_negative_exponent_rejected(self, gauss_v, lat9):
-        with pytest.raises(ParameterError):
-            weighted_kernel_norm(pair_kernel(gauss_v, lat9), -0.5)
 
 
 class TestOperatorNorm:

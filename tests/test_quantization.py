@@ -17,7 +17,6 @@ from chargedphi2.quantization import (
     positivity_margin,
     quantize_report,
     symplectic_gram,
-    time_reversal,
 )
 from oracles import generator_blocks
 
@@ -88,10 +87,15 @@ class TestGenerator:
         assert np.max(np.abs(build_generator(grid).matrix - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_free_metric_antisymmetry(self, free_grid):
-        assert build_generator(free_grid).antisymmetry_residual() < 1e-12
+        # a^T metric + metric a = 0, relative to || metric a ||
+        gen = build_generator(free_grid)
+        lhs = gen.matrix.T @ gen.metric + gen.metric @ gen.matrix
+        assert operator_norm(lhs) / max(1.0, operator_norm(gen.metric @ gen.matrix)) < 1e-12
 
     def test_gaussian_metric_antisymmetry(self, gauss_grid):
-        assert build_generator(gauss_grid).antisymmetry_residual() < 1e-10
+        gen = build_generator(gauss_grid)
+        lhs = gen.matrix.T @ gen.metric + gen.metric @ gen.matrix
+        assert operator_norm(lhs) / max(1.0, operator_norm(gen.metric @ gen.matrix)) < 1e-10
 
     def test_unstable_configuration_rejected(self):
         grid = phase_space_grid(32, 8.0, 1.0, gaussian_potential(50.0, 1.0))
@@ -194,22 +198,12 @@ class TestFreeIdentification:
 
 
 class TestTimeReversal:
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_involution(self, seed):
-        y = np.random.default_rng(seed).standard_normal(32)
-        assert np.array_equal(time_reversal(time_reversal(y)), y)
-
     def test_anticommutes_with_generator(self, gauss_grid):
+        # (pi, phi) -> (-conj pi, conj phi) on real components: diag(-1, 1, 1, -1) per G block
         gen = build_generator(gauss_grid)
-        kappa = np.apply_along_axis(time_reversal, 0, np.eye(4 * G))
+        kappa = np.diag(np.repeat([-1.0, 1.0, 1.0, -1.0], G))
         resid = np.max(np.abs(kappa @ gen.matrix @ kappa + gen.matrix))
         assert resid < 1e-12 * max(1.0, np.max(np.abs(gen.matrix)))
-
-    def test_fixes_real_field_with_zero_momentum(self):
-        y = np.zeros(4 * 8)
-        y[2 * 8 : 3 * 8] = np.linspace(0, 1, 8)  # real field component only
-        assert np.array_equal(time_reversal(y), y)
 
 
 class TestQuantizeReport:

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from chargedphi2 import spectral
 from chargedphi2.errors import ParameterError, ResourceLimitError
 from chargedphi2.fock import FockOperator, creation, enumerate_basis, fock_embedding
-from chargedphi2.hamiltonian import assemble, free_hamiltonian, interaction_spec
+from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice
 from chargedphi2.linalg import operator_norm, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
@@ -44,7 +44,7 @@ class TestGroundState:
 
     def test_constant_shift(self, free_ladder_bundles):
         bundle = free_ladder_bundles[0]
-        e0, psi = ground_state(shifted(free_hamiltonian(bundle.basis), 2.5))
+        e0, psi = ground_state(shifted(bundle.h, 2.5))  # the free bundle's H is H0
         assert e0 == 2.5
         assert abs(psi[0]) == pytest.approx(1.0)
 
@@ -278,14 +278,17 @@ class TestHeisenbergProbe:
         assert np.max(np.abs(vals - vals[0])) < 1e-10
 
     def test_time_zero_matches_static_expectation(self, desk_bundle):
-        from chargedphi2.fock import field_operator
+        from chargedphi2.fock import WickKernel, hermitian_operator
 
         modes = desk_bundle.lattice.modes
         f = np.exp(-((modes - 0.5) ** 2))
         full = np.concatenate([f, np.zeros_like(f)]).astype(complex)
         e0, psi = ground_state(desk_bundle.h)
         res = heisenberg_probe(desk_bundle, full, [0.0], psi)
-        static = field_operator(desk_bundle.basis, None, full).expectation(psi)
+        # the Segal field (a*(F) + a(F)) / sqrt(2), built from its creator kernel
+        kern = WickKernel(p=1, q=0, species=(None,), coeffs=full / np.sqrt(2.0))
+        field = hermitian_operator(desk_bundle.basis, [kern])
+        static = np.vdot(psi, field.matrix @ psi)
         assert res.values[0] == pytest.approx(static, abs=1e-12)
 
     def test_matches_eigh_evolution(self, desk_bundle, rng):
@@ -312,8 +315,10 @@ class TestHeisenbergProbe:
 
     def test_requires_normalized_state(self, free_bundle):
         full = np.ones(free_bundle.basis.n_slots, dtype=complex)
+        twice_vacuum = np.zeros(free_bundle.basis.dim, dtype=complex)
+        twice_vacuum[0] = 2.0
         with pytest.raises(ParameterError):
-            heisenberg_probe(free_bundle, full, [1.0], 2.0 * free_bundle.basis.vacuum())
+            heisenberg_probe(free_bundle, full, [1.0], twice_vacuum)
 
     def test_dimension_cap(self, free_bundle, monkeypatch):
         import chargedphi2.linalg as linalg
