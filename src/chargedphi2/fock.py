@@ -7,23 +7,36 @@ by total number and then lexicographically, so basis enumeration is
 deterministic across runs.  `FockBasis.rank` maps occupation rows back to
 their indices through the combinatorial number system.
 
-Every operator is assembled by `wick_operator`.  It builds a normal-ordered
-monomial leg by leg over blocks of basis columns: annihilator legs first, each
-taking one particle out of an occupied slot in its range, then creator legs,
-each adding one.  Creation out of the top sector maps to zero, keeping every
-operator an endomorphism of one space; canonical-commutation checks therefore
-restrict to the sector N <= n_max - 1.  Creators commute, and so do
-annihilators: a run of adjacent legs with one species label walks only
-non-decreasing slot tuples, each carrying the sum of the coefficients of its
-distinct orderings (the kernel is folded once).  This fold is the only place
-that sums leg orderings; no kernel is put through a symmetrization before it.
+Every operator is expanded by one generator, `_wick_blocks`.  It builds a
+normal-ordered monomial leg by leg over blocks of basis columns: annihilator
+legs first, each taking one particle out of an occupied slot in its range,
+then creator legs, each adding one through the basis's raise table.  Creation
+out of the top sector maps to zero, keeping every operator an endomorphism of
+one space; canonical-commutation checks therefore restrict to the sector
+N <= n_max - 1.  Creators commute, and so do annihilators: a run of adjacent
+legs with one species label walks only non-decreasing slot tuples, each
+carrying the sum of the coefficients of its distinct orderings (the kernel is
+folded once).  This fold is the only place that sums leg orderings; no kernel
+is put through a symmetrization before it.  Each block yields the summed
+entries of whole columns, keyed column * dim + row; `wick_operator` is the
+CSR matrix of all of them.
 
 Every self-adjoint operator built from kernels (H, or Q from its
 `charge_kernels`) goes through one rule: the Wick entries of an adjoint-closed list
 of kernels with real weights on and above the diagonal are reduced in one stream
-to a strictly upper triangle T and a real diagonal d (`hermitian_parts`: p > q
-kernels enter conjugated, p < q ones are skipped, balanced ones keep row <=
-column), and `mirror` returns T^H + diag(d) + T (`hermitian_operator`: weight 1).
+to a strictly upper triangle T and a real diagonal d (`hermitian_parts`), and
+`mirror` returns T^H + diag(d) + T (`hermitian_operator`: weight 1).  The
+stream takes the generator's blocks as they come, concatenated once per
+kernel.  A p > q kernel raises the particle number, so all its entries lie
+below the diagonal and enter T transposed and conjugated; p < q ones (their
+adjoints) are skipped.  A balanced kernel is expanded on and above the
+diagonal only: its creator legs take no slot below the lowest annihilated
+slot, and of what remains the entries with row <= column are kept.  The bound
+drops no such entry.  The basis is ordered by number and then
+lexicographically, slot 0 first.  A term whose lowest created slot lies below
+every annihilated slot first changes the occupations at that slot, where it
+adds a particle, so its new state comes later in the order: the term lands
+strictly below the diagonal.
 
 Matrix elements are a folded coefficient times a single square root of the
 exact integer product of the leg occupations, so equal kernels give bitwise
@@ -54,7 +67,7 @@ from .lattice import MomentumLattice, build_nested
 from .linalg import operator_norm, real_if_exact
 
 HARD_DIMENSION_CAP = 200_000
-# Basis columns expanded at once by `wick_operator`; bounds its working memory.
+# Basis columns expanded at once by `_wick_blocks`; bounds its working memory.
 COLUMN_BLOCK = 256
 
 
@@ -114,6 +127,18 @@ class FockBasis:
                 lex[:, r, x] = lex[:, r, x - 1] + comp[r - x + 1]
         offsets = np.array([fock_dimension(s, k - 1) for k in range(n + 1)], dtype=np.int64)
         return lex, offsets
+
+    @cached_property
+    def raise_table(self) -> np.ndarray:
+        """up[i, s]: the index of state i plus one particle at slot s, for the
+        states below the cap, which are a prefix of the basis (creation out of
+        the top sector gives zero, so no other state needs a row)."""
+        n_low, s = fock_dimension(self.n_slots, self.n_max - 1), self.n_slots
+        raised = np.repeat(self.occ[:n_low], s, axis=0)
+        raised[np.arange(len(raised)), np.tile(np.arange(s), n_low)] += 1
+        up = self.rank(raised).reshape(n_low, s)
+        up.flags.writeable = False
+        return up
 
     def rank(self, occ_rows) -> np.ndarray:
         """Basis indices of occupation rows, each 2M long with total <= n_max."""
@@ -218,8 +243,8 @@ class WickKernel:
 
     coeffs has one axis per leg, creators first.  A leg labelled 1 or 2 runs
     over that species' M modes; a leg labelled None runs over all 2M slots.
-    Any tensor is valid and none needs a symmetrization: `wick_operator`
-    alone sums the orderings of equal-label runs.
+    Any tensor is valid and none needs a symmetrization: the Wick expansion
+    (`_wick_blocks`) alone sums the orderings of equal-label runs.
     """
 
     p: int
@@ -271,31 +296,27 @@ def _fold_run(coeffs: np.ndarray, start: int, length: int) -> np.ndarray:
     return np.where(reduce(np.logical_and, [idx[i] <= idx[i + 1] for i in range(length - 1)]), out, 0)
 
 
-def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
-    """Assemble a normal-ordered monomial operator from its kernel.
+def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
+    """Yield the entries of kern's monomial operator as (keys, vals) blocks, an
+    entry (row, col) keyed col * dim + row.
 
-    All creators stand left of all annihilators, so the vacuum expectation
-    vanishes whenever p + q > 0.  Columns whose image would exceed the
-    particle cap are dropped (the truncation convention of `creation`).
-    A run of adjacent legs with one species label is expanded over
-    non-decreasing slot tuples only, each carrying the sum of the coefficients
-    of its distinct orderings (`_fold_run`, in a fixed permutation order);
-    this is exact for any kernel, without a symmetrization.  The terms landing
-    on one matrix entry are then summed in the order the legs generate them, so
-    equal kernels give bitwise equal matrices.
+    Blocks ascend in column and each holds whole columns, so every entry comes
+    once, in key order, with the nonzero sum of its terms.  The first block is
+    empty and carries the dtype of the values.  With upper (for a balanced
+    kernel) only the entries with row <= column are made: creator legs take only
+    slots at or above the lowest annihilated slot, since every other term lies
+    strictly below the diagonal (module docstring).
     """
     m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q
     coeffs = real_if_exact(np.asarray(kern.coeffs, dtype=complex))
     widths = tuple(2 * m if s is None else m for s in kern.species)
     if coeffs.shape != widths:
         raise ShapeError(f"kernel axes {coeffs.shape} do not match the {m}-mode lattice: need {widths}")
-    if p == 0 and q == 0:
-        scalar = coeffs[()] * sp.identity(dim, dtype=coeffs.dtype, format="csr")
-        return FockOperator(basis=basis, matrix=scalar, hermitian=np.isrealobj(coeffs))
+    yield np.zeros(0, dtype=np.int64), np.zeros(0, dtype=coeffs.dtype)
     totals = basis.totals()
     active = np.flatnonzero((totals >= q) & (totals - q + p <= basis.n_max))
     if not len(active):
-        return FockOperator(basis=basis, matrix=sp.csr_matrix((dim, dim), dtype=coeffs.dtype))
+        return
     # a leg that continues a run takes only slots >= the previous leg's slot
     follows = np.zeros(p + q, dtype=bool)
     for start, length in _runs(kern):
@@ -309,22 +330,15 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
     modes = [np.flatnonzero(nonzero.any(axis=tuple(a for a in legs if a != leg))) for leg in legs]
     reach = [(0 if s is None else (s - 1) * m) + mode for s, mode in zip(kern.species, modes)]
     if any(len(mode) == 0 for mode in modes):  # a leg without coefficients
-        return FockOperator(basis=basis, matrix=sp.csr_matrix((dim, dim), dtype=coeffs.dtype))
-    if p:
-        # up[i, s]: index of state i plus one particle at creator slot s, for
-        # the states below the cap, which are a prefix of the basis
-        n_low = int(np.count_nonzero(totals < basis.n_max))
-        cslots = np.unique(np.concatenate(reach[:p]))
-        raised = np.repeat(basis.occ[:n_low], len(cslots), axis=0)
-        raised[np.arange(len(raised)), np.tile(cslots, n_low)] += 1
-        up = np.full((n_low, basis.n_slots), -1, dtype=np.int64)
-        up[:, cslots] = basis.rank(raised).reshape(n_low, len(cslots))
-    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=coeffs.dtype))]
+        return
+    up = basis.raise_table if p else None
     for start in range(0, len(active), COLUMN_BLOCK):
         cols = active[start : start + COLUMN_BLOCK]
         occ = basis.occ[cols]
         amp = np.ones(len(cols), dtype=np.int64)
         cidx = np.zeros(len(cols), dtype=np.int64)
+        # the lowest slot a creator may take: with upper, the lowest annihilated slot
+        floor = np.full(len(cols), basis.n_slots if upper and q else 0)
         for leg in range(p, p + q):  # annihilators first, on occupation rows
             n = occ[:, reach[leg]]
             if follows[leg]:
@@ -336,10 +350,11 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
             cidx = cidx[r] + modes[leg][j] * strides[leg]
             cols = cols[r]
             last = reach[leg][j]
+            floor = np.minimum(floor[r], last) if upper else floor[r]
         state = basis.rank(occ) if q else cols
         for leg in range(p):  # then creators, through the raise table
             # slots reach[leg][lo:], with lo past the previous leg's slot in a run
-            lo = np.searchsorted(reach[leg], last) if follows[leg] else np.zeros(len(state), dtype=np.int64)
+            lo = np.searchsorted(reach[leg], last if follows[leg] else floor)
             count = len(reach[leg]) - lo
             r = np.repeat(np.arange(len(state)), count)
             j = np.arange(len(r)) - np.repeat(np.cumsum(count) - count - lo, count)
@@ -347,12 +362,29 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
             amp = amp[r] * basis.occ[state, reach[leg][j]]
             cidx = cidx[r] + modes[leg][j] * strides[leg]
             cols = cols[r]
+            floor = floor[r]
             last = reach[leg][j]
         c = flat[cidx]
-        keep = np.flatnonzero(c != 0)
-        blocks.append(_summed([(cols[keep] * dim + state[keep], c[keep] * np.sqrt(amp[keep].astype(float)))]))
-    key, val = (np.concatenate(part) for part in zip(*blocks))
-    # the keys ascend (blocks ascend in column), so they index a CSC matrix
+        keep = np.flatnonzero((c != 0) & (state <= cols)) if upper else np.flatnonzero(c != 0)
+        yield _summed([(cols[keep] * dim + state[keep], c[keep] * np.sqrt(amp[keep].astype(float)))])
+
+
+def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
+    """Assemble a normal-ordered monomial operator from its kernel.
+
+    All creators stand left of all annihilators, so the vacuum expectation
+    vanishes whenever p + q > 0.  Columns whose image would exceed the
+    particle cap are dropped (the truncation convention of `creation`).
+    A run of adjacent legs with one species label is expanded over
+    non-decreasing slot tuples only, each carrying the sum of the coefficients
+    of its distinct orderings (`_fold_run`, in a fixed permutation order);
+    this is exact for any kernel, without a symmetrization.  The terms landing
+    on one matrix entry are then summed in the order the legs generate them, so
+    equal kernels give bitwise equal matrices.  The entries come from
+    `_wick_blocks`, in column order, so they index a CSC matrix directly.
+    """
+    dim = basis.dim
+    key, val = (np.concatenate(part) for part in zip(*_wick_blocks(basis, kern)))
     indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
     mat = sp.csc_matrix((val, key % dim, indptr), shape=(dim, dim)).tocsr()
     return FockOperator(basis=basis, matrix=mat)
@@ -373,17 +405,35 @@ def _summed(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     return key[val != 0], val[val != 0]
 
 
+def _triangle_entries(basis: FockBasis, kern: WickKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(key, val): what a p >= q kernel adds to T and the diagonal, unweighted, with
+    key = col * dim + row of the entry of T.  A balanced kernel gives its own entries
+    with row <= col, in stream order; a p > q one's lie below the diagonal, so T
+    gets each conjugated at the transposed place.  Concatenated once per kernel."""
+    dim = basis.dim
+    if kern.p == kern.q:
+        parts = list(_wick_blocks(basis, kern, upper=True))
+    else:
+        parts = [(key % dim * dim + key // dim, val.conj()) for key, val in _wick_blocks(basis, kern)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]]) -> tuple[sp.csr_matrix, np.ndarray]:
     """(T, d): the strictly upper triangle and real diagonal of the sum of w K over
     (w, K) terms, real weights on an adjoint-closed kernel list, from one stream.
 
-    p > q kernels raise the particle number, so their entries lie below the
-    diagonal of the number-ordered basis and enter T conjugated; p < q kernels
-    (their adjoints) and all-zero ones are not expanded.  Balanced (p = q) ones
-    keep their row <= column entries, so their weighted folded tensors, summed
-    per label tuple, must be adjoint-closed to 1e-12 relative (else
-    ContractError).  A weight scales the expanded entries, never the
-    coefficients; the terms on one entry are summed in list order.
+    Each p >= q kernel's `_wick_blocks` go straight into the stream, one
+    concatenation per kernel (`_triangle_entries`), keyed by T's columns, the
+    order in which balanced blocks come; T is converted to CSR once.  p > q
+    kernels raise the particle number, so their entries lie below the diagonal
+    of the number-ordered basis and enter T transposed and conjugated; p < q
+    kernels (their adjoints) and all-zero ones are not expanded.  Balanced
+    (p = q) ones give only their row <= column entries: their creator legs skip
+    every slot below the lowest annihilated slot, which is exact because such a
+    term lies strictly below the diagonal (module docstring).  Their weighted
+    folded tensors, summed per label tuple, must therefore be adjoint-closed to
+    1e-12 relative (else ContractError).  A weight scales the expanded entries,
+    never the coefficients; the terms on one entry are summed in list order.
     """
     folded = {}
     for w, kern in ((w, k) for w, k in terms if k.p == k.q):
@@ -397,18 +447,18 @@ def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]])
     dim = basis.dim
     blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
     for weight, kern in ((w, k) for w, k in terms if k.p >= k.q and np.any(k.coeffs)):
-        w = wick_operator(basis, kern).matrix  # p > q: all below the diagonal, so it enters mirrored
-        w = (w.getH() if kern.p > kern.q else sp.triu(w)).tocoo()
-        blocks.append((w.row.astype(np.int64) * dim + w.col, w.data * weight))
-        del w
+        key, val = _triangle_entries(basis, kern)
+        val *= weight  # the expanded entries, in place
+        blocks.append((key, val))
+        del key, val
     key, val = _summed(blocks)
-    on_diagonal = key % (dim + 1) == 0  # key = row * dim + col, and row <= col
+    on_diagonal = key % (dim + 1) == 0  # key = col * dim + row, and row <= col
     d = np.zeros(dim)
     d[key[on_diagonal] // (dim + 1)] = val[on_diagonal].real
-    key = key[~on_diagonal]  # ascending, so these are T's entries in CSR order
+    key = key[~on_diagonal]  # ascending, so these are T's entries in CSC order
     val = val[~on_diagonal]
     indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
-    return sp.csr_matrix((val, key % dim, indptr), shape=(dim, dim)), d
+    return sp.csc_matrix((val, key % dim, indptr), shape=(dim, dim)).tocsr(), d
 
 
 def mirror(t: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:

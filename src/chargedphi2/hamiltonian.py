@@ -138,7 +138,7 @@ def monomial_kernels(a1: int, a2: int, coeff: float, g: Potential, lattice: Mome
     the per-leg weights (4 pi v)^(-1/2) eps^(-1/2), and g_hat at the total
     created-minus-annihilated momentum.  A split on which g_hat vanishes
     identically (a zero profile) yields no kernel.  The tensors are returned
-    as built, with no symmetrization: `wick_operator` sums the orderings of
+    as built, with no symmetrization: the Wick expansion sums the orderings of
     legs of one species when it folds the kernel.
     """
     d = a1 + a2

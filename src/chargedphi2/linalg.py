@@ -7,6 +7,17 @@ pairs.  A full dense matrix of a Fock operator is capped at DENSE_CEILING rows
 so runs are reproducible and no basis symmetry (momentum parity, say) keeps a
 sector out of the Krylov space, as the uniform vector would.  Solvers keep
 the matrix dtype: a real symmetric matrix gets the real drivers.
+
+This module owns the residual contract: every reported eigenpair has
+||A v - E v|| <= RESIDUAL_RTOL max(1, |E|), which `spectral.low_lying` checks
+on every pair.  Lanczos stops there, not at machine precision: ARPACK gets
+tol = RESIDUAL_RTOL / 100 and ends once each wanted Ritz pair's residual
+estimate is below tol |E| (its stopping rule: Lehoucq, Sorensen & Yang, SIAM
+1998).  The factor 100 leaves room for the gap between that estimate and the
+true residual.  An eigenvalue is then accurate to the square of the residual
+over the gap, far below the contract.  `operator_norm` keeps ARPACK's default,
+machine precision: a norm has no residual contract, and its tests pin it at
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from .errors import ResourceLimitError, ShapeError, SolverError
 
 DENSE_RATIO = 10
 DENSE_CEILING = 4_000
+RESIDUAL_RTOL = 1e-8
 
 
 def use_dense(n: int, k: int = 1) -> bool:
@@ -70,7 +82,7 @@ def lowest_eigenpairs(mat: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]
         check_dense(n)
         return sla.eigh(mat.toarray(), subset_by_index=[0, k - 1])
     try:
-        w, vecs = spla.eigsh(mat, k=k, which="SA", v0=start_vector(n), maxiter=20000)
+        w, vecs = spla.eigsh(mat, k=k, which="SA", v0=start_vector(n), maxiter=20000, tol=RESIDUAL_RTOL / 100)
     except spla.ArpackError as exc:
         raise SolverError(f"Lanczos failed to converge: {exc}") from exc
     order = np.argsort(w)

@@ -1,8 +1,8 @@
 """Eigenvalue experiments: ground states, gap probes, cutoff convergence.
 
 Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
-size rule.  Every reported eigenpair must meet the residual contract
-||H psi - E psi|| <= 1e-8 max(1, |E|).
+size rule.  Every reported eigenpair must meet `linalg`'s residual contract
+||H psi - E psi|| <= RESIDUAL_RTOL max(1, |E|), RESIDUAL_RTOL = 1e-8.
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant, and the probe
@@ -20,12 +20,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import (FockOperator, WickKernel, annihilator_of, creation, fock_embedding, gauge_kernel,
-                   number_operator)
+from .fock import FockOperator, WickKernel, annihilator_of, fock_embedding, gauge_kernel, number_operator
 from .hamiltonian import HamiltonianBundle
-from .linalg import check_dense, is_diagonal, lowest_eigenpairs, operator_norm
-
-RESIDUAL_RTOL = 1e-8
+from .linalg import RESIDUAL_RTOL, check_dense, is_diagonal, lowest_eigenpairs, operator_norm
 
 
 def low_lying(op: FockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,15 +68,20 @@ class SpectralReport:
 
 
 def _one_particle_excess_frame(bundle: HamiltonianBundle, psi0: np.ndarray) -> np.ndarray:
-    """Orthonormal frame for span{a*_slot psi0}: ground state plus one particle."""
+    """Orthonormal frame for span{a*_slot psi0}: ground state plus one particle.
+
+    a*_s psi0 is read off the basis's raise table: it puts sqrt(n_s) psi0[i] at
+    state up[i, s], where n_s counts the raised state; the top sector has no image.
+    """
     basis = bundle.basis
+    up = basis.raise_table
     cols = []
-    for species in (1, 2):
-        for gamma in basis.lattice.modes:
-            vec = creation(basis, species, gamma).matrix @ psi0
-            nrm = np.linalg.norm(vec)
-            if nrm > 1e-12:
-                cols.append(vec / nrm)
+    for s in range(basis.n_slots):
+        vec = np.zeros_like(psi0)
+        vec[up[:, s]] = np.sqrt(basis.occ[up[:, s], s].astype(float)) * psi0[: len(up)]
+        nrm = np.linalg.norm(vec)
+        if nrm > 1e-12:
+            cols.append(vec / nrm)
     if not cols:
         return np.zeros((basis.dim, 0), dtype=psi0.dtype)
     q, _ = np.linalg.qr(np.column_stack(cols))

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from chargedphi2.errors import ParameterError
-from chargedphi2.fock import WickKernel, fock_embedding, hermitian_operator
+from chargedphi2.fock import WickKernel, creation, fock_embedding, hermitian_operator, wick_operator
 from chargedphi2.potentials import Potential
 
 
@@ -149,6 +149,32 @@ def dense_wick(basis, kern):
             mat = mat @ (cre[slot] if leg < kern.p else ann[slot])
         out += coeffs[modes] * mat
     return out
+
+
+def triangle_entries(basis, kern):
+    """(key, val) of what one p >= q kernel adds to the upper triangle T and the
+    diagonal, by the conversion the one stream replaces: the whole Wick matrix,
+    then sp.triu of it for p = q and its conjugate transpose for p > q.  Keys are
+    col * dim + row of T, ascending."""
+    w = wick_operator(basis, kern).matrix
+    t = (w.getH() if kern.p > kern.q else sp.triu(w)).tocsc()
+    cols = np.repeat(np.arange(basis.dim, dtype=np.int64), np.diff(t.indptr))
+    return cols * basis.dim + t.indices, t.data
+
+
+def creation_frame(bundle, psi0):
+    """The hvz frame from the 2M creation matrices: a*_s psi0 for every slot,
+    normalized where nonzero, then orthonormalized by the same QR."""
+    basis = bundle.basis
+    cols = []
+    for species in (1, 2):
+        for gamma in basis.lattice.modes:
+            vec = creation(basis, species, gamma).matrix @ psi0
+            nrm = np.linalg.norm(vec)
+            if nrm > 1e-12:
+                cols.append(vec / nrm)
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    return q
 
 
 def symmetrized(kern):

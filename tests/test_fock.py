@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargedphi2 import fock
 from chargedphi2.errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from chargedphi2.fock import (
     FockOperator,
@@ -26,7 +27,8 @@ from chargedphi2.fock import (
 )
 from chargedphi2.hamiltonian import charge_kernels, interaction_kernels, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
-from oracles import dense_wick, safe_columns, smeared_field_coefficients, symmetrized, two_particle_tensor
+from oracles import (dense_wick, safe_columns, smeared_field_coefficients, symmetrized, triangle_entries,
+                     two_particle_tensor)
 
 
 class TestEnumeration:
@@ -348,6 +350,34 @@ class TestWickOperator:
         ref = (hermitian_operator(basis, a).matrix + weight * hermitian_operator(basis, b).matrix).toarray()
         assert np.max(np.abs(h - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
         assert np.array_equal(h, h.conj().T)
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_triangle_stream_is_exact(self, data, seed):
+        # the stream skips creator slots below the lowest annihilated one and keeps
+        # row <= col; every entry of the full conversion must still come, bitwise
+        basis = enumerate_basis(build_lattice(1, 1, 1.0), 3)
+
+        def side(legs):  # runs of 1-3 adjacent legs, each with one label
+            labels = []
+            while len(labels) < legs:
+                run = data.draw(st.integers(1, min(3, legs - len(labels))))
+                labels += [data.draw(st.sampled_from([1, 2, None]))] * run
+            return tuple(labels)
+
+        q = data.draw(st.integers(0, 3))
+        p = q if q == 3 or data.draw(st.booleans()) else data.draw(st.integers(q + 1, 3))
+        species = side(p) + side(q)
+        r = np.random.default_rng(seed)
+        shape = tuple(basis.n_slots if s is None else basis.n_modes for s in species)
+        coeffs = r.standard_normal(shape) + 1j * r.standard_normal(shape) * data.draw(st.booleans())
+        coeffs = coeffs * (r.random(shape) < data.draw(st.sampled_from([0.3, 1.0])))
+        kern = WickKernel(p=p, q=q, species=species, coeffs=coeffs)
+        key, val = fock._triangle_entries(basis, kern)
+        order = np.argsort(key)
+        ref_key, ref_val = triangle_entries(basis, kern)
+        assert np.array_equal(key[order], ref_key)
+        assert val.dtype == ref_val.dtype and val[order].tobytes() == ref_val.tobytes()
 
     def test_single_term_weighted_entries_add_bitwise(self, basis3, lat3, gauss_v, gauss_g):
         # a phi_1 phi_2 monomial shares entries with the species mixer of Q; the

@@ -273,13 +273,13 @@ class TestAssemble:
     def test_zero_kernels_are_not_expanded(self, basis3, lat3, free_spec, gauss_v, monkeypatch):
         # the zero profile leaves no interaction kernel; only the two charge kernels are expanded
         seen = []
-        wick = fock.wick_operator
+        blocks = fock._wick_blocks
 
-        def record(basis, kern):
+        def record(basis, kern, **kwargs):
             seen.append(kern)
-            return wick(basis, kern)
+            return blocks(basis, kern, **kwargs)
 
-        monkeypatch.setattr(fock, "wick_operator", record)
+        monkeypatch.setattr(fock, "_wick_blocks", record)
         bundle = assemble(free_spec, gauss_v, 0.0, basis3, lat3)
         assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
         assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0

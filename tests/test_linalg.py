@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 import chargedphi2.linalg as linalg
 from chargedphi2.errors import SolverError
-from chargedphi2.linalg import lowest_eigenpairs, operator_norm, use_dense
+from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
 
 
 class TestRule:
@@ -35,6 +35,24 @@ class TestLowestEigenpairs:
         w, vecs = lowest_eigenpairs(h, 3)
         assert np.allclose(w, np.linalg.eigvalsh(h.toarray())[:3], atol=1e-10)
         assert np.allclose(vecs[::-1, 0], -vecs[:, 0], atol=1e-8)
+
+    def test_lanczos_stops_at_the_contract(self, rng, monkeypatch):
+        # eigsh stops at RESIDUAL_RTOL / 100 and its pairs meet the contract;
+        # operator_norm keeps ARPACK's default, machine precision
+        tols = []
+        eigsh = linalg.spla.eigsh
+
+        def record(*args, **kwargs):
+            tols.append(kwargs.get("tol", 0))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "eigsh", record)
+        h = parity_odd_ground(600, rng)
+        w, vecs = lowest_eigenpairs(h, 3)
+        res = np.linalg.norm(h @ vecs - vecs * w, axis=0)
+        assert np.all(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
+        operator_norm(h)
+        assert tols == [RESIDUAL_RTOL / 100, 0]
 
     def test_dense_path_returns_wanted_pairs_only(self, rng):
         h = parity_odd_ground(100, rng)

@@ -24,7 +24,7 @@ from chargedphi2.spectral import (
     recurrence_time,
     resolvent_convergence,
 )
-from oracles import dense_probe, dense_resolvent_gap
+from oracles import creation_frame, dense_probe, dense_resolvent_gap
 
 
 def shifted(op, c):
@@ -134,6 +134,19 @@ class TestHvzProbe:
         assert rep.e0 == rep.eigenvalues[0] and rep.gap == rep.eigenvalues[1] - rep.eigenvalues[0]
         assert onset == np.flatnonzero(rep.onset_overlaps[1:] >= 0.5)[0] + 1
         assert rep.hvz_onset_estimate == pytest.approx(w[onset], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, level",
+        [("desk_bundle", None), ("ladder_bundles", 0), ("ladder_bundles", 1), ("ladder_bundles", 2)],
+    )
+    def test_frame_equals_the_creation_matrices_frame(self, request, name, level):
+        # one raise table gives every a*_s psi0 bitwise as the 2M creation matrices do
+        bundle = request.getfixturevalue(name)
+        bundle = bundle if level is None else bundle[level]
+        psi0 = ground_state(bundle.h)[1]
+        frame = spectral._one_particle_excess_frame(bundle, psi0)
+        assert frame.shape == (bundle.basis.dim, bundle.basis.n_slots)
+        assert frame.tobytes() == creation_frame(bundle, psi0).tobytes()
 
     def test_onset_past_report_depth_widens_search(self, desk_bundle, low_lying_calls):
         # level 1 has overlap 0.99888, level 2 0.99963: the onset is past depth 1
