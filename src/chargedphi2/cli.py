@@ -83,15 +83,21 @@ def _outdir(cfg) -> Path:
     return Path(os.environ.get("CHARGEDPHI2_OUTDIR", cfg.output.dir))
 
 
-def _single_level_bundle(cfg):
+def _base_basis(cfg):
     from .fock import enumerate_basis
+
+    return enumerate_basis(cfg.base_lattice(), cfg.n_max, cap=cfg.solver.basis_cap)
+
+
+def _single_level_bundle(cfg, basis=None):
+    """The bundle of the config's base lattice, on basis when the caller has enumerated it."""
     from .hamiltonian import assemble, interaction_spec
 
-    lattice = cfg.base_lattice()
-    basis = enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
+    if basis is None:
+        basis = _base_basis(cfg)
     spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
     return assemble(
-        spec, cfg.make_potential(), cfg.coupling.lam, basis, lattice, cfg.override_stability
+        spec, cfg.make_potential(), cfg.coupling.lam, basis, basis.lattice, cfg.override_stability
     )
 
 
@@ -254,13 +260,12 @@ def run_convergence(cfg, outdir: Path) -> dict:
 def run_probe(cfg, outdir: Path) -> dict:
     import numpy as np
 
-    from .fock import fock_dimension
-    from .linalg import check_dense
-    from .spectral import heisenberg_probe
+    from .spectral import check_probe_ceiling, heisenberg_probe
 
-    # the probe needs every eigenvalue of H: refuse an oversized basis before assembly
-    check_dense(fock_dimension(2 * cfg.base_lattice().size, cfg.n_max))
-    bundle = _single_level_bundle(cfg)
+    # refuse an oversized parity block from the basis alone, before assembly
+    basis = _base_basis(cfg)
+    check_probe_ceiling(basis)
+    bundle = _single_level_bundle(cfg, basis)
     modes = bundle.lattice.modes
     f = np.exp(-((modes - cfg.probe.f_center) ** 2) / (2 * cfg.probe.f_width**2))
     full = np.concatenate([f, np.zeros_like(f)]).astype(complex)

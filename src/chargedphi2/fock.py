@@ -140,6 +140,14 @@ class FockBasis:
         up.flags.writeable = False
         return up
 
+    @cached_property
+    def reflection(self) -> np.ndarray:
+        """Momentum parity on the basis: the index of each state with every
+        particle's momentum negated (`MomentumLattice.slot_reflection`)."""
+        refl = self.rank(self.occ[:, self.lattice.slot_reflection()])
+        refl.flags.writeable = False
+        return refl
+
     def rank(self, occ_rows) -> np.ndarray:
         """Basis indices of occupation rows, each 2M long with total <= n_max."""
         rows = np.asarray(occ_rows)

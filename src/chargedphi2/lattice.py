@@ -59,6 +59,12 @@ class MomentumLattice:
     def spacing(self) -> float:
         return 1.0 / float(self.v)
 
+    def slot_reflection(self) -> np.ndarray:
+        """Momentum parity on the 2 * size species-major slots: the index of the
+        slot with the same species and the negated momentum."""
+        mirror = np.arange(self.size)[::-1]
+        return np.concatenate([mirror, mirror + self.size])
+
 
 def build_lattice(v: RationalLike, kappa: float, m: float) -> MomentumLattice:
     """Build the mode set {gamma in v^-1 Z : |gamma| <= kappa}, sorted ascending.

@@ -18,6 +18,13 @@ true residual.  An eigenvalue is then accurate to the square of the residual
 over the gap, far below the contract.  `operator_norm` keeps ARPACK's default,
 machine precision: a norm has no residual contract, and its tests pin it at
 1e-12 relative.
+
+A full dense spectrum goes through one splitter, `reflected_eigvalsh`.  When
+the matrix commutes with an involutive permutation P of its indices (momentum
+parity, say), it is block diagonal in the basis (e_s + e_Ps)/sqrt(2),
+(e_s - e_Ps)/sqrt(2), with each fixed point e_s in the even block; the two
+blocks are diagonalized apart and their eigenvalues merged.  The dense
+ceiling then bounds the larger block, not the whole matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .errors import ResourceLimitError, ShapeError, SolverError
 DENSE_RATIO = 10
 DENSE_CEILING = 4_000
 RESIDUAL_RTOL = 1e-8
+# A matrix commutes with a permutation P when max|P A P - A| <= REFLECTION_RTOL max|A|.
+REFLECTION_RTOL = 1e-14
 
 
 def use_dense(n: int, k: int = 1) -> bool:
@@ -45,6 +54,50 @@ def check_dense(n: int):
     """Refuse a full dense n x n matrix above the memory ceiling."""
     if n > DENSE_CEILING:
         raise ResourceLimitError(n, DENSE_CEILING, "dense ceiling")
+
+
+def reflection_isometries(perm: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The isometries onto the even and odd subspaces of an involutive permutation.
+
+    For each pair s < perm[s] the even one has the column (e_s + e_perm[s]) / sqrt(2)
+    and the odd one (e_s - e_perm[s]) / sqrt(2); each fixed point e_s is an even
+    column.  So the even block is the larger one, and the two sizes sum to n.
+    """
+    perm = np.asarray(perm)
+    idx = np.arange(len(perm))
+    if perm.ndim != 1 or not np.array_equal(np.sort(perm), idx) or not np.array_equal(perm[perm], idx):
+        raise ShapeError("reflection must be an involutive permutation of the indices")
+    pair, fixed = np.flatnonzero(idx < perm), np.flatnonzero(idx == perm)
+    n, n_pair, r = len(perm), len(pair), 1.0 / math.sqrt(2.0)
+    cols = np.arange(n_pair)
+    even = sp.csr_matrix(
+        (np.r_[np.full(2 * n_pair, r), np.ones(len(fixed))],
+         (np.r_[pair, perm[pair], fixed], np.r_[cols, cols, n_pair + np.arange(len(fixed))])),
+        shape=(n, n_pair + len(fixed)),
+    )
+    odd = sp.csr_matrix(
+        (np.r_[np.full(n_pair, r), np.full(n_pair, -r)], (np.r_[pair, perm[pair]], np.r_[cols, cols])),
+        shape=(n, n_pair),
+    )
+    return even, odd
+
+
+def reflected_eigvalsh(mat, perm: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a Hermitian matrix (dense or sparse), sorted ascending.
+
+    When mat commutes with the involutive permutation perm, the even and odd
+    blocks of `reflection_isometries` are diagonalized apart and merged, and the
+    dense ceiling bounds each block; otherwise one full eigvalsh runs under
+    the ceiling.
+    """
+    mat = sp.csr_matrix(mat)
+    if abs(mat[perm][:, perm] - mat).max() <= REFLECTION_RTOL * abs(mat).max():
+        blocks = [iso.T @ mat @ iso for iso in reflection_isometries(perm)]
+    else:
+        blocks = [mat]
+    check_dense(max(b.shape[0] for b in blocks))
+    # each dense block is a fresh copy, so LAPACK may overwrite it (one dense block live, not two)
+    return np.sort(np.concatenate([sla.eigvalsh(b.toarray(), overwrite_a=True, driver="evd") for b in blocks]))
 
 
 def start_vector(n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .lattice import MomentumLattice
-from .linalg import operator_norm, real_if_exact
+from .linalg import operator_norm, real_if_exact, reflected_eigvalsh
 from .potentials import Potential
 
 
@@ -121,7 +121,9 @@ class OneParticleBlockOperator:
 
     min_eig is the smallest eigenvalue of the assembled 2M x 2M matrix; it is
     positive whenever |lam| stays below the stability threshold.  It is taken
-    in the gauge frame (i on each species-2 slot), real for an even potential.
+    in the gauge frame (i on each species-2 slot), real for an even potential,
+    and split into the momentum-parity blocks of the lattice's
+    `slot_reflection` when the matrix commutes with it (`linalg.reflected_eigvalsh`).
     """
 
     lattice: MomentumLattice
@@ -141,7 +143,8 @@ class OneParticleBlockOperator:
     @property
     def min_eig(self) -> float:
         phase = np.repeat([1, 1j], self.lattice.size)
-        return float(np.linalg.eigvalsh(real_if_exact(phase.conj()[:, None] * self.full() * phase))[0])
+        gauged = real_if_exact(phase.conj()[:, None] * self.full() * phase)
+        return float(reflected_eigvalsh(gauged, self.lattice.slot_reflection())[0])
 
 
 def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> OneParticleBlockOperator:

@@ -6,7 +6,8 @@ size rule.  Every reported eigenpair must meet `linalg`'s residual contract
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant, and the probe
-gauges its field coefficients.
+gauges its field coefficients.  The probe's full spectrum is the one dense
+spectrum here; it is split into momentum-parity blocks by `linalg`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import FockOperator, WickKernel, annihilator_of, fock_embedding, gauge_kernel, number_operator
+from .fock import FockBasis, FockOperator, WickKernel, annihilator_of, fock_embedding, gauge_kernel, number_operator
 from .hamiltonian import HamiltonianBundle
-from .linalg import RESIDUAL_RTOL, check_dense, is_diagonal, lowest_eigenpairs, operator_norm
+from .linalg import (
+    RESIDUAL_RTOL,
+    check_dense,
+    is_diagonal,
+    lowest_eigenpairs,
+    operator_norm,
+    reflected_eigvalsh,
+    reflection_isometries,
+)
 
 
 def low_lying(op: FockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +248,12 @@ class ProbeResult:
         }
 
 
+def check_probe_ceiling(basis: FockBasis):
+    """Refuse a basis whose larger momentum-parity block is over the dense
+    ceiling: the probe diagonalizes each block of H in full."""
+    check_dense(reflection_isometries(basis.reflection)[0].shape[1])
+
+
 def heisenberg_probe(
     bundle: HamiltonianBundle,
     f_coeffs: np.ndarray,
@@ -248,19 +263,23 @@ def heisenberg_probe(
     """Expectations <psi| e^{itH} phi(F_t) e^{-itH} |psi> with F_t one-particle evolved.
 
     F evolves backward under the dressed one-particle energy, F_t =
-    exp(-it omega) F; psi (default: the ground state) evolves under the full H
-    by `expm_multiply` from the previous time, or exactly if H is diagonal.
+    exp(-it omega) F.  An explicit psi evolves under the full H by
+    `expm_multiply` from the previous time, or exactly if H is diagonal.  The
+    default psi is the computed ground state psi0, which is not evolved:
+    psi_t = e^{-i E0 t} psi0, and the phase cancels in the expectation.
     For the free bundle the two evolutions intertwine exactly and the
     expectation is time independent.  f_coeffs is a lab-frame vector and psi
     a state in the frame of bundle.h (the gauge frame); F_t is gauged first, so
     the values are the lab-frame ones.  The field a*(G) + a(G) with G =
     F_t / sqrt(2) is never built: its expectation is 2 Re <psi_t, a(G) psi_t>,
-    exactly real.  The recurrence time needs every eigenvalue of H, so the
-    dimension is capped by the dense ceiling; results past it are flagged
-    untrusted in the report.
+    exactly real.  The recurrence time needs every eigenvalue of H: they come
+    from `linalg.reflected_eigvalsh` over the basis's momentum parity, so the
+    dense ceiling bounds the larger parity block (the whole H when H does not
+    commute with the parity); results past it are flagged untrusted in the
+    report.
     """
     basis = bundle.basis
-    check_dense(basis.dim)
+    check_probe_ceiling(basis)
     f_coeffs = np.asarray(f_coeffs, dtype=complex)
     if f_coeffs.shape != (basis.n_slots,):
         raise ParameterError(f"probe vector must cover all {basis.n_slots} slots")
@@ -270,8 +289,9 @@ def heisenberg_probe(
 
     hmat = bundle.h.matrix
     diagonal = is_diagonal(hmat)
-    he = hmat.diagonal().real if diagonal else np.linalg.eigvalsh(hmat.toarray())
-    if psi is None:
+    he = hmat.diagonal().real if diagonal else reflected_eigvalsh(hmat, basis.reflection)
+    stationary = psi is None
+    if stationary:
         psi = ground_state(bundle.h)[1]
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -283,7 +303,7 @@ def heisenberg_probe(
         f_t = u @ (np.exp(-1j * t * ww) * f_in_eig)
         if diagonal:
             psi_t = np.exp(-1j * t * he) * psi
-        elif t != t_prev:
+        elif not stationary and t != t_prev:
             psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
             t_prev = t
         g_t = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_t / math.sqrt(2.0))).coeffs

@@ -1,5 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from chargedphi2 import cli
+from chargedphi2.config import load_config
 
 from chargedphi2.fock import enumerate_basis
 from chargedphi2.hamiltonian import assemble, interaction_spec, nested_bundles
@@ -44,6 +49,13 @@ def desk_bundle(lat9, gauss_v, quartic_spec):
     """The pinned desk-scale bundle: M=9 modes, n_max=3, quartic, lambda=0.1."""
     basis = enumerate_basis(lat9, 3)
     return assemble(quartic_spec, gauss_v, 0.1, basis, lat9)
+
+
+@pytest.fixture(scope="session")
+def probe_m9_bundle():
+    """The benchmark's probe input: the desk lattice with a cubic species-1 term, lambda=0.15."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "probe_m9.json")
+    return cli._single_level_bundle(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -204,17 +204,21 @@ class TestCliExitCodes:
         assert not list(tmp_path.glob("spectrum_*"))
 
     def test_dense_ceiling_exit_6(self, tmp_path, monkeypatch, capsys):
-        # the m17 bundle (dim 7,770) is within the basis cap but over the dense
-        # ceiling that the probe's full eigendecomposition needs; it is refused
+        # the desk bundle at v = 5 (dim 14,190) is within the basis cap, but its
+        # larger momentum-parity block (7,130; the odd one is 7,060) is over the
+        # dense ceiling that the probe's full spectrum needs; it is refused
         # before H is assembled
         def refuse(*args, **kwargs):
             raise AssertionError("assembled a bundle over the dense ceiling")
 
         monkeypatch.setattr(hamiltonian, "assemble", refuse)
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
-        cfg = REPO / "perfbench" / "configs" / "m17_spectrum.json"
+        raw = json.loads((CONFIGS / "desk_bundle.json").read_text())
+        raw["lattice"]["v"] = "5"
+        cfg = tmp_path / "v5.json"
+        cfg.write_text(json.dumps(raw))
         assert cli.main(["probe-scattering", str(cfg)]) == cli.EXIT_RESOURCE == 6
-        assert "7770 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert "7130 exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert not list(tmp_path.glob("probe_*"))
 
     @pytest.mark.parametrize(

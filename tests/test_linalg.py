@@ -4,8 +4,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import chargedphi2.linalg as linalg
-from chargedphi2.errors import SolverError
+from chargedphi2.errors import ShapeError, SolverError
 from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
+from chargedphi2.oneparticle import omega_block
 
 
 class TestRule:
@@ -99,3 +100,81 @@ class TestIsDiagonal:
         for mat in [desk_bundle.h.matrix] + [b.h.matrix for b in free_ladder_bundles]:
             assert linalg.is_diagonal(mat) == ((mat - sp.diags(mat.diagonal())).nnz == 0)
         assert all(linalg.is_diagonal(b.h.matrix) for b in free_ladder_bundles)
+
+
+def gauged_omega(lam, pot, lat):
+    """The one-particle block in the gauge frame, as `min_eig` diagonalizes it."""
+    phase = np.repeat([1, 1j], lat.size)
+    return linalg.real_if_exact(phase.conj()[:, None] * omega_block(lam, pot, lat).full() * phase)
+
+
+@pytest.fixture
+def isometry_calls(monkeypatch):
+    """The permutations `reflected_eigvalsh` split by: one entry per split, none per fallback."""
+    calls = []
+    isometries = linalg.reflection_isometries
+
+    def record(perm):
+        calls.append(len(perm))
+        return isometries(perm)
+
+    monkeypatch.setattr(linalg, "reflection_isometries", record)
+    return calls
+
+
+class TestReflectedEigvalsh:
+    @pytest.mark.parametrize(
+        "name, level",
+        [("desk_bundle", None), ("probe_m9_bundle", None)] + [("ladder_bundles", i) for i in range(3)],
+    )
+    def test_split_matches_full_spectrum(self, request, name, level, isometry_calls):
+        bundle = request.getfixturevalue(name)
+        bundle = bundle if level is None else bundle[level]
+        mat = bundle.h.matrix
+        w = linalg.reflected_eigvalsh(mat, bundle.basis.reflection)
+        assert isometry_calls == [bundle.basis.dim]
+        assert np.max(np.abs(w - np.linalg.eigvalsh(mat.toarray()))) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+    def test_one_particle_block(self, lat9, gauss_v, lam, isometry_calls):
+        mat = gauged_omega(lam, gauss_v, lat9)
+        w = linalg.reflected_eigvalsh(mat, lat9.slot_reflection())
+        assert isometry_calls == [2 * lat9.size]
+        assert np.max(np.abs(w - np.linalg.eigvalsh(mat))) <= 1e-12
+        assert omega_block(lam, gauss_v, lat9).min_eig == w[0]
+
+    def test_broken_reflection_falls_back(self, desk_bundle, isometry_calls):
+        perm = desk_bundle.basis.reflection
+        s = int(np.flatnonzero(perm != np.arange(len(perm)))[0])
+        # a diagonal bump at s but not at its mirror state perm[s]
+        bump = sp.csr_matrix(([1e-3], ([s], [s])), shape=desk_bundle.h.matrix.shape)
+        mat = (desk_bundle.h.matrix + bump).tocsr()
+        w = linalg.reflected_eigvalsh(mat, perm)
+        assert isometry_calls == []
+        assert np.max(np.abs(w - np.linalg.eigvalsh(mat.toarray()))) <= 1e-12
+
+    def test_isometries_block_the_reflection(self, desk_bundle):
+        perm = desk_bundle.basis.reflection
+        n = len(perm)
+        even, odd = linalg.reflection_isometries(perm)
+        fixed = np.flatnonzero(perm == np.arange(n))
+        assert fixed.size and even.shape[1] + odd.shape[1] == n
+        assert even.shape[1] - odd.shape[1] == fixed.size
+        both = sp.hstack([even, odd]).toarray()
+        assert np.allclose(both.T @ both, np.eye(n), atol=1e-15)
+        assert np.array_equal(even.toarray()[perm], even.toarray())
+        assert np.array_equal(odd.toarray()[perm], -odd.toarray())
+        # each fixed point is a unit column of the even block
+        hits = even[fixed].tocsr()
+        assert np.array_equal(hits.getnnz(axis=1), np.ones(fixed.size)) and np.all(hits.data == 1.0)
+
+    def test_basis_reflection_is_momentum_parity(self, desk_bundle):
+        basis = desk_bundle.basis
+        refl = basis.occ[:, basis.lattice.slot_reflection()]
+        assert np.array_equal(basis.occ[basis.reflection], refl)
+        assert basis.reflection is basis.reflection
+
+    @pytest.mark.parametrize("perm", [[1, 2, 0], [0, 0, 1], [2, 1]])
+    def test_rejects_non_involutions(self, perm):
+        with pytest.raises(ShapeError):
+            linalg.reflection_isometries(np.array(perm))

@@ -345,3 +345,49 @@ class TestHeisenbergProbe:
         full = np.ones(free_bundle.basis.n_slots, dtype=complex)
         res = heisenberg_probe(free_bundle, full, [1.0])
         assert res.trusted() == (res.times[0] < res.recurrence_time,)
+
+
+def probe_vector(bundle):
+    """The probe config's field: a Gaussian bump at 0.75 of width 0.3 on species 1."""
+    f = np.exp(-((bundle.lattice.modes - 0.75) ** 2) / (2 * 0.3**2))
+    return np.concatenate([f, np.zeros_like(f)]).astype(complex)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    calls = []
+    expm = spectral.spla.expm_multiply
+    monkeypatch.setattr(spectral.spla, "expm_multiply", lambda *a, **kw: calls.append(1) or expm(*a, **kw))
+    return calls
+
+
+class TestProbeShortcuts:
+    @pytest.mark.parametrize("name", ["desk_bundle", "probe_m9_bundle"])
+    def test_default_state_is_not_evolved(self, request, name, expm_calls):
+        # the ground state only gains a phase, which cancels in the expectation;
+        # desk's polynomial is even, so its values are rounding-level zeros (atol)
+        bundle = request.getfixturevalue(name)
+        full, times = probe_vector(bundle), [4.0, 8.0, 16.0, 32.0]
+        res = heisenberg_probe(bundle, full, times)
+        assert expm_calls == []
+        ref = dense_probe(bundle, full, times, ground_state(bundle.h)[1]).real
+        assert np.all(np.abs(np.array(res.values) - ref) <= 1e-9 * np.abs(ref) + 1e-14)
+        full_spectrum = np.linalg.eigvalsh(bundle.h.dense())
+        assert res.recurrence_time == pytest.approx(recurrence_time(full_spectrum), rel=1e-6)
+
+    def test_explicit_state_is_evolved(self, desk_bundle, expm_calls):
+        psi = ground_state(desk_bundle.h)[1]
+        heisenberg_probe(desk_bundle, probe_vector(desk_bundle), [4.0, 8.0], psi)
+        assert len(expm_calls) == 2
+
+    def test_dense_ceiling_bounds_the_larger_block(self, desk_bundle, monkeypatch):
+        import chargedphi2.linalg as linalg
+
+        even, odd = linalg.reflection_isometries(desk_bundle.basis.reflection)
+        assert odd.shape[1] < even.shape[1] < desk_bundle.basis.dim
+        monkeypatch.setattr(linalg, "DENSE_CEILING", even.shape[1])
+        res = heisenberg_probe(desk_bundle, probe_vector(desk_bundle), [4.0])
+        assert math.isfinite(res.recurrence_time)
+        monkeypatch.setattr(linalg, "DENSE_CEILING", even.shape[1] - 1)
+        with pytest.raises(ResourceLimitError):
+            heisenberg_probe(desk_bundle, probe_vector(desk_bundle), [4.0])
