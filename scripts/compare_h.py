@@ -5,7 +5,8 @@ Usage: python scripts/compare_h.py REF_ROOT NEW_ROOT
 
 Each root is a checkout of this repository.  For every bundle in BUNDLES
 (a config path relative to the root), each tree assembles `bundle.h` from its
-own `src/` and its own copy of the config, in a child process with BLAS pinned
+own `src/` and its own copy of the config, as `spectrum` builds it
+(`cli._single_level_bundle`), in a child process with BLAS pinned
 to one thread; the children run one at a time and hand the CSR arrays back
 through a temporary .npz file.  One line per bundle says whether indptr,
 indices and data are bitwise equal (same dtype, same bytes) and gives the
@@ -38,15 +39,10 @@ BUNDLES = {
 CHILD = """
 import sys
 import numpy as np
+from chargedphi2 import cli
 from chargedphi2.config import load_config
-from chargedphi2.fock import enumerate_basis
-from chargedphi2.hamiltonian import assemble, interaction_spec
 
-cfg = load_config(sys.argv[1])
-lattice = cfg.base_lattice()
-basis = enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
-spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
-h = assemble(spec, cfg.make_potential(), cfg.coupling.lam, basis, lattice, cfg.override_stability).h.matrix
+h = cli._single_level_bundle(load_config(sys.argv[1])).h.matrix
 np.savez(sys.argv[2], indptr=h.indptr, indices=h.indices, data=h.data, shape=np.array(h.shape))
 """
 

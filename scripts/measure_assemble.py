@@ -5,8 +5,9 @@ Usage: python scripts/measure_assemble.py CONFIG [--n-max N]
 
 The bundle of CONFIG (its base lattice, n_max, polynomial, potential and
 coupling, as `spectrum` builds it) is assembled in a child process whose
-BLAS pools are pinned to one thread.  The child times `hamiltonian.assemble`
-alone; the peak is the child's whole-process maximum RSS as `wait4` reports
+BLAS pools are pinned to one thread.  The child times the bundle built on an
+enumerated basis (`cli._single_level_bundle`: the polynomial's certificate,
+which takes milliseconds, and `hamiltonian.assemble`); the peak is the child's whole-process maximum RSS as `wait4` reports
 it, imports and basis included.  --n-max replaces the config's particle cap:
 perfbench/configs/m17_spectrum.json has dim 7,770 and reaches dim 73,815 with
 --n-max 4.  Measure one configuration at a time; two processes on a two-core
@@ -27,19 +28,15 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS
 
 CHILD = """
 import dataclasses, sys, time
+from chargedphi2 import cli
 from chargedphi2.config import load_config
-from chargedphi2.fock import enumerate_basis
-from chargedphi2.hamiltonian import assemble, interaction_spec
 
 cfg = load_config(sys.argv[1])
 if sys.argv[2]:
     cfg = dataclasses.replace(cfg, n_max=int(sys.argv[2]))
-lattice = cfg.base_lattice()
-basis = enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
-spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
-pot = cfg.make_potential()
+basis = cli._base_basis(cfg)
 t0 = time.perf_counter()
-h = assemble(spec, pot, cfg.coupling.lam, basis, lattice, cfg.override_stability).h.matrix
+h = cli._single_level_bundle(cfg, basis).h.matrix
 wall = time.perf_counter() - t0
 print(basis.dim, h.nnz, h.data.nbytes + h.indices.nbytes + h.indptr.nbytes, wall)
 """

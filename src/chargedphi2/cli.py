@@ -96,9 +96,7 @@ def _single_level_bundle(cfg, basis=None):
     if basis is None:
         basis = _base_basis(cfg)
     spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
-    return assemble(
-        spec, cfg.make_potential(), cfg.coupling.lam, basis, basis.lattice, cfg.override_stability
-    )
+    return assemble(spec, cfg.make_potential(), cfg.coupling.lam, basis, cfg.override_stability)
 
 
 # -- subcommand runners ------------------------------------------------------
@@ -109,14 +107,12 @@ def run_validate(cfg, outdir: Path) -> dict:
 
 
 def run_lambda_quant(cfg, outdir: Path) -> dict:
-    from .oneparticle import lambda_quant, omega_block
+    from .oneparticle import lambda_quant, omega_bottom
 
     lattice = cfg.base_lattice()
     pot = cfg.make_potential()
-    rep = lambda_quant(pot, lattice)
-    block = omega_block(cfg.coupling.lam, pot, lattice)
-    report = rep.as_dict()
-    report["min_eig_omega"] = block.min_eig
+    report = lambda_quant(pot, lattice).as_dict()
+    report["min_eig_omega"] = omega_bottom(cfg.coupling.lam, pot, lattice)
     report["lambda"] = cfg.coupling.lam
     quantities = {
         "c0": "half operator norm of eps^-1 V + V eps^-1",

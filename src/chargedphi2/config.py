@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .fock import HARD_DIMENSION_CAP
 from .lattice import MomentumLattice, build_lattice, refinement_ladder
-from .potentials import Potential, make_potential
+from .potentials import _BUILTINS, Potential, make_potential
 
 
 def _require(condition: bool, message: str):
@@ -168,6 +168,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(lat["refinement_levels"] >= 1, "lattice.refinement_levels must be >= 1")
 
     for name in ("potential", "cutoff"):
+        kind = top[name]["kind"]
+        _require(kind in _BUILTINS, f"{name}.kind must be one of {sorted(_BUILTINS)}, got {kind!r}")
         _require(top[name]["width"] > 0, f"{name}.width must be positive")
 
     poly = top["polynomial"]

@@ -13,11 +13,12 @@ pair kernel R (`charge_kernels`); H0 is diagonal (`free_energies`).
 kernels (weight lambda) through one `fock.hermitian_parts` pass, adds the free
 energies to the diagonal and mirrors once: H is Hermitian bitwise and bitwise
 H0 + HI + lambda Q, since each entry of Q is one term of one charge kernel.
-The gauge (`fock.gauge_kernel`, the frame of D^* A D with D = diag(i^{N_2}))
-is applied there alone, so H is float64 for an even potential and a
-polynomial even in phi_2; every other function here works in the lab frame.
-The eigenvectors of `bundle.h` are gauge-frame states: D psi is the lab-frame
-state.
+The kernel builders and `free_energies` are lab frame; `assemble` gauges
+every kernel (`fock.gauge_kernel`, the frame of D^* A D with D =
+diag(i^{N_2})), so `bundle.h` is gauge frame, float64 for an even potential
+and a polynomial even in phi_2, as is its one-particle energy
+`oneparticle.omega_block`.  An eigenvector psi of `bundle.h` is the
+lab-frame state D psi.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ContractError, ParameterError, StabilityError
 from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge_kernel,
                    hermitian_parts, mirror)
 from .lattice import MomentumLattice
-from .oneparticle import CouplingReport, b_matrix, lambda_quant, omega_block, pair_kernel
+from .oneparticle import CouplingReport, lambda_quant, mixer, pair_kernel
 from .potentials import Potential
 
 Monomial = tuple[int, int, float]
@@ -193,18 +194,14 @@ def charge_kernels(pot: Potential, lattice: MomentumLattice) -> list[WickKernel]
     """The two lab-frame kernels of the local charge coupling Q, closed under adjoints.
 
     The number-preserving one second-quantizes the species mixer
-    [[0, b], [b^H, 0]]; the pair one creates one particle of each species
-    weighted by the antisymmetric kernel R (its adjoint is implied).  Both are
+    [[0, b], [b^H, 0]] (`oneparticle.mixer`); the pair one creates one
+    particle of each species weighted by the antisymmetric kernel R (its
+    adjoint is implied).  Both are
     imaginary for an even potential; no two legs share a label, so each entry
     of Q is one term of one kernel.
     """
-    b = b_matrix(pot, lattice)
-    m = lattice.size
-    block = np.zeros((2 * m, 2 * m), dtype=complex)
-    block[:m, m:] = b
-    block[m:, :m] = b.conj().T
     return [
-        WickKernel(p=1, q=1, species=(None, None), coeffs=block),
+        WickKernel(p=1, q=1, species=(None, None), coeffs=mixer(pot, lattice)),
         WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice)),
     ]
 
@@ -221,19 +218,18 @@ def form_bound_constants(coupling: CouplingReport, lam: float) -> tuple[float, f
 
 @dataclass(frozen=True)
 class HamiltonianBundle:
-    """One assembled cutoff Hamiltonian with the inputs it was built from."""
+    """One assembled cutoff Hamiltonian with the inputs it was built from; its lattice is the basis's."""
 
     basis: FockBasis
-    lattice: MomentumLattice
     spec: InteractionSpec
     pot: Potential
     lam: float
     h: FockOperator
     coupling: CouplingReport = field(repr=False)
 
-    def one_particle_energy(self) -> np.ndarray:
-        """Dense dressed one-particle block [[eps, lam b], [lam b^H, eps]]."""
-        return omega_block(self.lam, self.pot, self.lattice).full()
+    @property
+    def lattice(self) -> MomentumLattice:
+        return self.basis.lattice
 
     def metadata(self) -> dict:
         diag = self.h.matrix.diagonal().real
@@ -254,14 +250,15 @@ def assemble(
     pot: Potential,
     lam: float,
     basis: FockBasis,
-    lattice: MomentumLattice,
     override_stability: bool = False,
 ) -> HamiltonianBundle:
     """Build H = H0 + D^* (HI + lam Q) D in the gauge frame from one Wick stream.
 
-    Refuses couplings at or above the stability threshold unless the override
-    flag is set (exploration mode); the error carries the threshold.
+    The lattice is the basis's.  Refuses couplings at or above the stability
+    threshold unless the override flag is set (exploration mode); the error
+    carries the threshold.
     """
+    lattice = basis.lattice
     coupling = lambda_quant(pot, lattice)
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
@@ -273,7 +270,6 @@ def assemble(
     del t, d  # freed before the Hermiticity check on H
     return HamiltonianBundle(
         basis=basis,
-        lattice=lattice,
         spec=spec,
         pot=pot,
         lam=float(lam),
@@ -293,6 +289,6 @@ def nested_bundles(
 ) -> list[HamiltonianBundle]:
     """Assemble one bundle per ladder level."""
     return [
-        assemble(spec, pot, lam, enumerate_basis(lat, n_max, cap=cap), lat, override_stability)
+        assemble(spec, pot, lam, enumerate_basis(lat, n_max, cap=cap), override_stability)
         for lat in lattices
     ]

@@ -6,6 +6,10 @@ K(gamma, gamma') / v.  That single 1/v quadrature weight makes the matrix
 2-norm approximate the operator norm and the plain Frobenius norm approximate
 the Hilbert-Schmidt norm of the continuum kernel, so the two norm constants
 entering the stability threshold are read off the weighted matrices directly.
+
+Every matrix here is lab frame except the dressed one-particle energy
+`omega_block`, built once in the gauge frame of H (`fock.gauge_kernel`).
+`mixer` lays out [[0, b], [b^H, 0]] for it and for the charge kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .fock import WickKernel, gauge_kernel
 from .lattice import MomentumLattice
 from .linalg import operator_norm, real_if_exact, reflected_eigvalsh
 from .potentials import Potential
@@ -115,41 +120,34 @@ def lambda_quant(pot: Potential, lattice: MomentumLattice) -> CouplingReport:
     return CouplingReport(c0=c0, c1=c1, lambda_quant=lam, lattice=lattice)
 
 
-@dataclass(frozen=True)
-class OneParticleBlockOperator:
-    """Hermitian two-species block operator [[eps, lam*b], [lam*b^H, eps]].
+def mixer(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
+    """The species mixer [[0, b], [b^H, 0]] over the 2M species-major slots (lab frame)."""
+    b = b_matrix(pot, lattice)
+    m = lattice.size
+    out = np.zeros((2 * m, 2 * m), dtype=complex)
+    out[:m, m:] = b
+    out[m:, :m] = b.conj().T
+    return out
 
-    min_eig is the smallest eigenvalue of the assembled 2M x 2M matrix; it is
-    positive whenever |lam| stays below the stability threshold.  It is taken
-    in the gauge frame (i on each species-2 slot), real for an even potential,
-    and split into the momentum-parity blocks of the lattice's
-    `slot_reflection` when the matrix commutes with it (`linalg.reflected_eigvalsh`).
+
+def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> np.ndarray:
+    """The dressed one-particle energy D^* omega D in the gauge frame of H.
+
+    omega = [[eps, lam b], [lam b^H, eps]] is laid out in the lab frame and
+    passed through `fock.gauge_kernel` as a (1, 1) kernel over all 2M slots,
+    so D = diag(i^{N_2}) multiplies the species-2 slots by i.  The block is
+    float64 for an even potential (b is then imaginary) and complex Hermitian
+    otherwise.
     """
-
-    lattice: MomentumLattice
-    lam: float
-    b: np.ndarray
-
-    def full(self) -> np.ndarray:
-        n = self.lattice.size
-        eps = self.lattice.dispersion()
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, :n] = np.diag(eps)
-        out[n:, n:] = np.diag(eps)
-        out[:n, n:] = self.lam * self.b
-        out[n:, :n] = self.lam * self.b.conj().T
-        return out
-
-    @property
-    def min_eig(self) -> float:
-        phase = np.repeat([1, 1j], self.lattice.size)
-        gauged = real_if_exact(phase.conj()[:, None] * self.full() * phase)
-        return float(reflected_eigvalsh(gauged, self.lattice.slot_reflection())[0])
+    eps = lattice.dispersion()
+    lab = lam * mixer(pot, lattice)
+    np.fill_diagonal(lab, np.concatenate([eps, eps]))
+    return real_if_exact(gauge_kernel(WickKernel(p=1, q=1, species=(None, None), coeffs=lab)).coeffs)
 
 
-def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> OneParticleBlockOperator:
-    """The dressed one-particle energy at coupling lam; min_eig reports its bottom."""
-    return OneParticleBlockOperator(lattice=lattice, lam=float(lam), b=b_matrix(pot, lattice))
+def omega_bottom(lam: float, pot: Potential, lattice: MomentumLattice) -> float:
+    """The bottom of `omega_block` over its momentum-parity blocks; positive for |lam| < lambda_quant."""
+    return float(reflected_eigvalsh(omega_block(lam, pot, lattice), lattice.slot_reflection())[0])
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ size rule.  Every reported eigenpair must meet `linalg`'s residual contract
 ||H psi - E psi|| <= RESIDUAL_RTOL max(1, |E|), RESIDUAL_RTOL = 1e-8.
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
-overlaps, resolvent and number norms are gauge invariant, and the probe
-gauges its field coefficients.  The probe's full spectrum is the one dense
-spectrum here; it is split into momentum-parity blocks by `linalg`.
+overlaps, resolvent and number norms are gauge invariant.  The probe gauges
+its lab-frame field coefficients once and evolves them under
+`oneparticle.omega_block`, in the same frame.  The probe's full spectrum is
+the one dense spectrum here; it is split into momentum-parity blocks by
+`linalg`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import (
     reflected_eigvalsh,
     reflection_isometries,
 )
+from .oneparticle import omega_block
 
 
 def low_lying(op: FockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,23 +272,25 @@ def heisenberg_probe(
     psi_t = e^{-i E0 t} psi0, and the phase cancels in the expectation.
     For the free bundle the two evolutions intertwine exactly and the
     expectation is time independent.  f_coeffs is a lab-frame vector and psi
-    a state in the frame of bundle.h (the gauge frame); F_t is gauged first, so
-    the values are the lab-frame ones.  The field a*(G) + a(G) with G =
-    F_t / sqrt(2) is never built: its expectation is 2 Re <psi_t, a(G) psi_t>,
-    exactly real.  The recurrence time needs every eigenvalue of H: they come
-    from `linalg.reflected_eigvalsh` over the basis's momentum parity, so the
-    dense ceiling bounds the larger parity block (the whole H when H does not
-    commute with the parity); results past it are flagged untrusted in the
-    report.
+    a state in the frame of bundle.h (the gauge frame).  G = F / sqrt(2) is
+    gauged once and evolves in that frame, G_t = exp(-it omega_g) G_0 with
+    omega_g = `omega_block` (real for an even potential), so the values are
+    the lab-frame ones.  The field
+    a*(G_t) + a(G_t) is never built: its expectation is 2 Re <psi_t, a(G_t)
+    psi_t>, exactly real.  The recurrence time needs every eigenvalue of H:
+    they come from `linalg.reflected_eigvalsh` over the basis's momentum
+    parity, so the dense ceiling bounds the larger parity block (the whole H
+    when H does not commute with the parity); results past it are flagged
+    untrusted in the report.
     """
     basis = bundle.basis
     check_probe_ceiling(basis)
     f_coeffs = np.asarray(f_coeffs, dtype=complex)
     if f_coeffs.shape != (basis.n_slots,):
         raise ParameterError(f"probe vector must cover all {basis.n_slots} slots")
-    omega = bundle.one_particle_energy()
-    ww, u = np.linalg.eigh(omega)
-    f_in_eig = u.conj().T @ f_coeffs
+    g0 = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_coeffs / math.sqrt(2.0))).coeffs
+    ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
+    g_in_eig = u.conj().T @ g0
 
     hmat = bundle.h.matrix
     diagonal = is_diagonal(hmat)
@@ -300,13 +305,12 @@ def heisenberg_probe(
     values = []
     psi_t, t_prev = psi, 0.0
     for t in times:
-        f_t = u @ (np.exp(-1j * t * ww) * f_in_eig)
+        g_t = u @ (np.exp(-1j * t * ww) * g_in_eig)
         if diagonal:
             psi_t = np.exp(-1j * t * he) * psi
         elif not stationary and t != t_prev:
             psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
             t_prev = t
-        g_t = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_t / math.sqrt(2.0))).coeffs
         values.append(2.0 * float(np.vdot(psi_t, annihilator_of(basis, g_t).matrix @ psi_t).real))
     return ProbeResult(
         times=tuple(float(t) for t in times),

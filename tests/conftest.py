@@ -48,7 +48,7 @@ def quartic_spec(gauss_g):
 def desk_bundle(lat9, gauss_v, quartic_spec):
     """The pinned desk-scale bundle: M=9 modes, n_max=3, quartic, lambda=0.1."""
     basis = enumerate_basis(lat9, 3)
-    return assemble(quartic_spec, gauss_v, 0.1, basis, lat9)
+    return assemble(quartic_spec, gauss_v, 0.1, basis)
 
 
 @pytest.fixture(scope="session")

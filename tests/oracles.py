@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from chargedphi2.errors import ParameterError
 from chargedphi2.fock import WickKernel, creation, fock_embedding, hermitian_operator, wick_operator
+from chargedphi2.oneparticle import b_matrix
 from chargedphi2.potentials import Potential
 
 
@@ -203,6 +204,14 @@ def lab_frame_phases(basis):
     return np.array([1j ** int(n2) for n2 in basis.occ[:, basis.n_modes :].sum(axis=1)])
 
 
+def lab_omega(lam, pot, lat):
+    """The dressed one-particle energy [[eps, lam b], [lam b^H, eps]] in the lab
+    frame, laid out block by block from `b_matrix` and the dispersion."""
+    eps = np.diag(lat.dispersion()).astype(complex)
+    b = lam * b_matrix(pot, lat)
+    return np.block([[eps, b], [b.conj().T, eps]])
+
+
 def dense_probe(bundle, f, times, psi):
     """Heisenberg probe values in the lab frame from the full eigendecomposition.
 
@@ -214,7 +223,7 @@ def dense_probe(bundle, f, times, psi):
     d = lab_frame_phases(bundle.basis)
     he, hv = np.linalg.eigh(d[:, None] * bundle.h.dense() * d.conj())
     coords = hv.conj().T @ (d * psi)
-    omega = bundle.one_particle_energy()
+    omega = lab_omega(bundle.lam, bundle.pot, bundle.lattice)
     out = []
     for t in times:
         psi_t = hv @ (np.exp(-1j * t * he) * coords)

@@ -25,7 +25,7 @@ from chargedphi2.oneparticle import (
     b_matrix,
     hs_norm_squared,
     lambda_quant,
-    omega_block,
+    omega_bottom,
     operator_norm,
     pair_kernel,
     pair_kernel_bound,
@@ -111,7 +111,7 @@ def test_criterion_03_coupling_threshold_form_bounds():
     worst_omega = np.inf
     for frac in (0.25, 0.5, 0.9):
         lam = frac * coup.lambda_quant
-        worst_omega = min(worst_omega, omega_block(lam, pot, lat).min_eig)
+        worst_omega = min(worst_omega, omega_bottom(lam, pot, lat))
         delta, cshift = form_bound_constants(coup, lam)
         assert delta < 1
         for sign in (1.0, -1.0):
@@ -252,7 +252,7 @@ def test_criterion_10_heisenberg_probe(free_spec):
     # free case: exact time independence on a deterministic mixed state
     lat_free = build_lattice(2, 2.0, 1.0)
     basis_free = enumerate_basis(lat_free, 2)
-    free_bundle = assemble(free_spec, zero_potential(), 0.0, basis_free, lat_free)
+    free_bundle = assemble(free_spec, zero_potential(), 0.0, basis_free)
     rng = np.random.default_rng(11)
     psi = rng.standard_normal(basis_free.dim) + 1j * rng.standard_normal(basis_free.dim)
     psi /= np.linalg.norm(psi)
@@ -266,7 +266,7 @@ def test_criterion_10_heisenberg_probe(free_spec):
     lat = build_lattice(4, 1.25, 1.0)
     basis = enumerate_basis(lat, 3)
     spec = interaction_spec([(4, 0, 1.0), (0, 4, 1.0), (3, 0, 0.3)], gaussian_potential(0.25, 1.0))
-    bundle = assemble(spec, gaussian_potential(1.0, 1.0), 0.15, basis, lat)
+    bundle = assemble(spec, gaussian_potential(1.0, 1.0), 0.15, basis)
     fprobe = np.exp(-((lat.modes - 0.75) ** 2) / (2 * 0.3**2))
     full_probe = np.concatenate([fprobe, np.zeros_like(fprobe)]).astype(complex)
     times = [4.0, 8.0, 16.0, 32.0]

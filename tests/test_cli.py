@@ -148,6 +148,8 @@ class TestCliExitCodes:
             ({"polynomial": {"coeffs": 4}}, "polynomial.coeffs must be a list"),
             ({"probe": {"times": [1.0, "2"]}}, "probe.times must be a finite number"),
             ({"override_stability": 1}, "config.override_stability must be true or false"),
+            ({"potential": {"kind": "square"}}, "potential.kind must be one of ['gaussian', 'lorentzian', 'zero']"),
+            ({"cutoff": {"kind": "box"}}, "cutoff.kind must be one of ['gaussian', 'lorentzian', 'zero']"),
         ],
     )
     def test_mistyped_value_exit_2(self, tmp_path, capsys, patch, message):
@@ -270,7 +272,7 @@ class TestArtifacts:
             "from chargedphi2.potentials import gaussian_potential\n"
             "lat = build_lattice(2, 2.0, 1.0)\n"
             "spec = interaction_spec([(4, 0, 1.0), (0, 4, 1.0)], gaussian_potential(0.25, 1.0))\n"
-            "bundle = assemble(spec, gaussian_potential(1.0, 1.0), 0.1, enumerate_basis(lat, 3), lat)\n"
+            "bundle = assemble(spec, gaussian_potential(1.0, 1.0), 0.1, enumerate_basis(lat, 3))\n"
             "print(bundle.basis.dim, spec.certificate, 'scipy.optimize' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}

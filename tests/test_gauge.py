@@ -18,10 +18,10 @@ from chargedphi2.fock import (WickKernel, fock_embedding, gauge_kernel, hermitia
                               wick_operator)
 from chargedphi2.hamiltonian import (assemble, charge_kernels, free_energies, interaction_kernels, interaction_spec,
                                      nested_bundles)
-from chargedphi2.oneparticle import omega_block
+from chargedphi2.oneparticle import omega_bottom
 from chargedphi2.potentials import gaussian_potential
 from chargedphi2.spectral import heisenberg_probe, higher_order_norm, resolvent_convergence
-from oracles import dense_probe, dense_resolvent_gap, lab_frame_phases
+from oracles import dense_probe, dense_resolvent_gap, lab_frame_phases, lab_omega
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -89,10 +89,10 @@ def test_ungauged_h_is_the_lab_h_with_the_same_spectrum(name):
     assert np.max(np.abs(spec - np.linalg.eigvalsh(lab))) <= 1e-12
 
 
-def test_mixed_monomial_keeps_h_complex(lat3, basis3, gauss_v):
+def test_mixed_monomial_keeps_h_complex(basis3, gauss_v):
     # phi_1 phi_2 has odd species-2 power: its kernels gain +-i under the gauge
     spec = interaction_spec([(4, 0, 1.0), (0, 4, 1.0), (1, 1, 0.1)], gaussian_potential(0.25, 1.0))
-    bundle = assemble(spec, gauss_v, 0.1, basis3, lat3)
+    bundle = assemble(spec, gauss_v, 0.1, basis3)
     h = bundle.h.matrix
     assert h.dtype == np.complex128 and np.any(h.data.imag)
     diff = (h - h.getH()).tocsr()
@@ -121,8 +121,8 @@ def test_probe_with_species2_components_matches_lab_oracle(desk_bundle, weights)
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
 def test_min_eig_equals_lab_frame_eigvalsh(lat9, gauss_v, lam):
-    block = omega_block(lam, gauss_v, lat9)
-    assert block.min_eig == pytest.approx(np.linalg.eigvalsh(block.full())[0], abs=1e-12)
+    lab = np.linalg.eigvalsh(lab_omega(lam, gauss_v, lat9))[0]
+    assert omega_bottom(lam, gauss_v, lat9) == pytest.approx(lab, abs=1e-12)
 
 
 def test_dtype_follows_the_values(basis3, lat3, gauss_v):

@@ -22,7 +22,7 @@ from chargedphi2.hamiltonian import (
     nested_bundles,
 )
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
-from chargedphi2.oneparticle import b_matrix, operator_norm, pair_kernel
+from chargedphi2.oneparticle import b_matrix, omega_block, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
 from oracles import compress, safe_columns, smeared_interaction, symmetrized
@@ -266,11 +266,11 @@ def _desk_pieces(bundle):
 
 
 class TestAssemble:
-    def test_free_configuration_is_h0(self, basis3, lat3, free_spec):
-        bundle = assemble(free_spec, zero_potential(), 0.0, basis3, lat3)
+    def test_free_configuration_is_h0(self, basis3, free_spec):
+        bundle = assemble(free_spec, zero_potential(), 0.0, basis3)
         assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
-    def test_zero_kernels_are_not_expanded(self, basis3, lat3, free_spec, gauss_v, monkeypatch):
+    def test_zero_kernels_are_not_expanded(self, basis3, free_spec, gauss_v, monkeypatch):
         # the zero profile leaves no interaction kernel; only the two charge kernels are expanded
         seen = []
         blocks = fock._wick_blocks
@@ -280,11 +280,11 @@ class TestAssemble:
             return blocks(basis, kern, **kwargs)
 
         monkeypatch.setattr(fock, "_wick_blocks", record)
-        bundle = assemble(free_spec, gauss_v, 0.0, basis3, lat3)
+        bundle = assemble(free_spec, gauss_v, 0.0, basis3)
         assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
         assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
-    def test_one_stream_one_mirror_one_check(self, basis3, lat3, quartic_spec, gauss_v, monkeypatch):
+    def test_one_stream_one_mirror_one_check(self, basis3, quartic_spec, gauss_v, monkeypatch):
         # HI and lam Q share one Wick stream: H is mirrored once and checked once, and Q is never built
         calls = []
 
@@ -298,7 +298,7 @@ class TestAssemble:
         monkeypatch.setattr(hamiltonian, "mirror", counted("mirror", hamiltonian.mirror))
         monkeypatch.setattr(fock, "_hermitian_defect", counted("check", fock._hermitian_defect))
         monkeypatch.setattr(fock, "hermitian_operator", counted("hermitian_operator", fock.hermitian_operator))
-        assemble(quartic_spec, gauss_v, 0.1, basis3, lat3)
+        assemble(quartic_spec, gauss_v, 0.1, basis3)
         assert sorted(calls) == ["check", "mirror"]
 
     def test_assembled_matrices_hold_exact_buffers(self, desk_bundle):
@@ -332,15 +332,15 @@ class TestAssemble:
         spec, pot = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff()), cfg.make_potential()
         tracemalloc.start()
         try:
-            h = assemble(spec, pot, cfg.coupling.lam, basis, lattice).h.matrix
+            h = assemble(spec, pot, cfg.coupling.lam, basis).h.matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert basis.dim == 7770
         assert peak <= 3.0 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
 
-    def test_vacuum_expectation_zero_at_lambda_zero(self, basis3, lat3, quartic_spec):
-        bundle = assemble(quartic_spec, zero_potential(), 0.0, basis3, lat3)
+    def test_vacuum_expectation_zero_at_lambda_zero(self, basis3, quartic_spec):
+        bundle = assemble(quartic_spec, zero_potential(), 0.0, basis3)
         assert bundle.h.matrix[0, 0] == 0.0
 
     def test_stability_gate(self, basis3, lat3, quartic_spec, gauss_v):
@@ -348,9 +348,9 @@ class TestAssemble:
 
         lq = lambda_quant(gauss_v, lat3).lambda_quant
         with pytest.raises(StabilityError) as exc:
-            assemble(quartic_spec, gauss_v, 1.1 * lq, basis3, lat3)
+            assemble(quartic_spec, gauss_v, 1.1 * lq, basis3)
         assert exc.value.lambda_quant == pytest.approx(lq)
-        bundle = assemble(quartic_spec, gauss_v, 1.1 * lq, basis3, lat3, override_stability=True)
+        bundle = assemble(quartic_spec, gauss_v, 1.1 * lq, basis3, override_stability=True)
         assert bundle.lam == pytest.approx(1.1 * lq)
 
     def test_desk_hamiltonian_exactly_hermitian(self, desk_bundle):
@@ -363,8 +363,8 @@ class TestAssemble:
         basis = desk_bundle.basis
         _, hi, _ = _desk_pieces(desk_bundle)
         pair = hermitian_operator(basis, [gauge_kernel(_pair_creator(desk_bundle.pot, desk_bundle.lattice))]).matrix
-        d = np.repeat([1, 1j], basis.n_modes)  # dGamma(d^* A d) = D^* dGamma(A) D
-        gauged = d.conj()[:, None] * desk_bundle.one_particle_energy() * d
+        # dGamma(d^* A d) = D^* dGamma(A) D: the gauged one-particle block gives the gauged one-body part
+        gauged = omega_block(desk_bundle.lam, desk_bundle.pot, desk_bundle.lattice)
         one_body = wick_operator(basis, WickKernel(p=1, q=1, species=(None, None), coeffs=gauged)).matrix
         alt = one_body + hi + desk_bundle.lam * pair
         diff = np.abs((desk_bundle.h.matrix - alt).toarray()).max()
@@ -377,7 +377,7 @@ class TestAssemble:
     @pytest.mark.slow
     def test_desk_truncation_drift_at_nmax4(self, lat9, gauss_v, quartic_spec):
         basis4 = enumerate_basis(lat9, 4)
-        bundle4 = assemble(quartic_spec, gauss_v, 0.1, basis4, lat9)
+        bundle4 = assemble(quartic_spec, gauss_v, 0.1, basis4)
         e0, _ = ground_state(bundle4.h)
         assert abs(e0 - GOLDEN_DESK_E0) < 1.1 * DESK_E0_DRIFT_NMAX4
 
@@ -394,7 +394,7 @@ class TestAssemble:
         assert cconst == pytest.approx(0.5 * c.c1)
 
     def test_form_bound_semidefinite(self, basis3, lat3, quartic_spec, gauss_v):
-        bundle = assemble(quartic_spec, gauss_v, 0.1, basis3, lat3)
+        bundle = assemble(quartic_spec, gauss_v, 0.1, basis3)
         lam = 0.9 * bundle.coupling.lambda_quant
         delta, cconst = form_bound_constants(bundle.coupling, lam)
         assert delta < 1

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import chargedphi2.linalg as linalg
 from chargedphi2.errors import ShapeError, SolverError
 from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
-from chargedphi2.oneparticle import omega_block
+from chargedphi2.oneparticle import omega_block, omega_bottom
 
 
 class TestRule:
@@ -102,12 +102,6 @@ class TestIsDiagonal:
         assert all(linalg.is_diagonal(b.h.matrix) for b in free_ladder_bundles)
 
 
-def gauged_omega(lam, pot, lat):
-    """The one-particle block in the gauge frame, as `min_eig` diagonalizes it."""
-    phase = np.repeat([1, 1j], lat.size)
-    return linalg.real_if_exact(phase.conj()[:, None] * omega_block(lam, pot, lat).full() * phase)
-
-
 @pytest.fixture
 def isometry_calls(monkeypatch):
     """The permutations `reflected_eigvalsh` split by: one entry per split, none per fallback."""
@@ -137,11 +131,11 @@ class TestReflectedEigvalsh:
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
     def test_one_particle_block(self, lat9, gauss_v, lam, isometry_calls):
-        mat = gauged_omega(lam, gauss_v, lat9)
+        mat = omega_block(lam, gauss_v, lat9)
         w = linalg.reflected_eigvalsh(mat, lat9.slot_reflection())
         assert isometry_calls == [2 * lat9.size]
         assert np.max(np.abs(w - np.linalg.eigvalsh(mat))) <= 1e-12
-        assert omega_block(lam, gauss_v, lat9).min_eig == w[0]
+        assert omega_bottom(lam, gauss_v, lat9) == w[0]
 
     def test_broken_reflection_falls_back(self, desk_bundle, isometry_calls):
         perm = desk_bundle.basis.reflection

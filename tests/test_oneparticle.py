@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargedphi2 import linalg
 from chargedphi2.errors import ParameterError
 from chargedphi2.lattice import build_lattice
 from chargedphi2.oneparticle import (
@@ -13,6 +14,7 @@ from chargedphi2.oneparticle import (
     hs_norm_squared,
     lambda_quant,
     omega_block,
+    omega_bottom,
     operator_norm,
     pair_kernel,
     pair_kernel_bound,
@@ -26,7 +28,7 @@ from chargedphi2.potentials import (
     lorentzian_potential,
     zero_potential,
 )
-from oracles import sampled_potential, scaled, weyl_quantize_loop
+from oracles import lab_omega, sampled_potential, scaled, weyl_quantize_loop
 
 BUILTIN_POTENTIALS = [
     gaussian_potential(1.0, 1.0),
@@ -165,35 +167,60 @@ class TestLambdaQuant:
         assert abs(last.c1 - prev.c1) <= 1e-2 * last.c1
 
 
+def shifted_gaussian(shift):
+    """exp(-(x - shift)^2 / 2): real and not even, so its transform is complex."""
+
+    def v_hat(k):
+        k = np.asarray(k, dtype=float)
+        return np.sqrt(2 * np.pi) * np.exp(-1j * k * shift - k**2 / 2)
+
+    return Potential(label=f"shifted({shift:g})", V=lambda x: np.exp(-((np.asarray(x, float) - shift) ** 2) / 2),
+                     V_hat=v_hat)
+
+
 class TestOmegaBlock:
     def test_free_block_spectrum(self, lat9):
-        blk = omega_block(0.0, zero_potential(), lat9)
-        w = np.linalg.eigvalsh(blk.full())
+        w = np.linalg.eigvalsh(omega_block(0.0, zero_potential(), lat9))
         assert np.allclose(np.sort(w), np.sort(np.repeat(lat9.dispersion(), 2)))
-        assert blk.min_eig == pytest.approx(lat9.m)
+        assert omega_bottom(0.0, zero_potential(), lat9) == pytest.approx(lat9.m)
 
     def test_positive_below_threshold(self, gauss_v, lat9):
         lq = lambda_quant(gauss_v, lat9).lambda_quant
-        assert omega_block(0.99 * lq, gauss_v, lat9).min_eig > 0
+        assert omega_bottom(0.99 * lq, gauss_v, lat9) > 0
 
     def test_crossing_not_below_threshold(self, gauss_v, lat9):
         # bisect the first sign change of the bottom eigenvalue; the coupling
         # threshold is a one-sided bound for it
         lq = lambda_quant(gauss_v, lat9).lambda_quant
         lo, hi = lq, 50 * lq
-        if omega_block(hi, gauss_v, lat9).min_eig > 0:
+        if omega_bottom(hi, gauss_v, lat9) > 0:
             pytest.skip("no crossing below 50x threshold")
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if omega_block(mid, gauss_v, lat9).min_eig > 0:
+            if omega_bottom(mid, gauss_v, lat9) > 0:
                 lo = mid
             else:
                 hi = mid
         assert hi >= lq * (1 - 1e-9)
 
     def test_hermitian_assembly(self, gauss_v, lat9):
-        full = omega_block(0.3, gauss_v, lat9).full()
+        # an even potential gives a real block in the gauge frame
+        full = omega_block(0.3, gauss_v, lat9)
+        assert full.dtype == np.float64
         assert np.max(np.abs(full - full.conj().T)) <= 1e-12
+
+    def test_non_even_potential_takes_the_unsplit_fallback(self, lat9, monkeypatch):
+        pot = shifted_gaussian(0.7)
+        lam = 0.5 * lambda_quant(pot, lat9).lambda_quant
+        block = omega_block(lam, pot, lat9)
+        assert block.dtype == np.complex128 and np.any(block.imag)
+        assert np.array_equal(block, block.conj().T)
+        splits = []
+        isometries = linalg.reflection_isometries
+        monkeypatch.setattr(linalg, "reflection_isometries", lambda perm: splits.append(perm) or isometries(perm))
+        bottom = omega_bottom(lam, pot, lat9)
+        assert splits == []
+        assert bottom == pytest.approx(np.linalg.eigvalsh(lab_omega(lam, pot, lat9))[0], abs=1e-12)
 
 
 class TestWeyl:

@@ -11,7 +11,7 @@ from chargedphi2.errors import ParameterError, ResourceLimitError
 from chargedphi2.fock import FockOperator, creation, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice
-from chargedphi2.linalg import operator_norm, start_vector
+from chargedphi2.linalg import operator_norm, reflected_eigvalsh, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
     _resolvent_difference,
@@ -57,7 +57,7 @@ class TestGroundState:
         e0s = []
         for n_max in (2, 3, 4):
             basis = enumerate_basis(lat3, n_max)
-            bundle = assemble(quartic_spec, gauss_v, 0.2, basis, lat3)
+            bundle = assemble(quartic_spec, gauss_v, 0.2, basis)
             e0s.append(ground_state(bundle.h)[0])
         assert e0s[1] <= e0s[0] + 1e-12
         assert e0s[2] <= e0s[1] + 1e-12
@@ -184,7 +184,7 @@ class TestHvzProbe:
     def test_uncharged_weak_polynomial_onset(self, lat9):
         # lambda = 0, weak polynomial: onset within the finite-size tolerance
         spec = interaction_spec([(2, 0, 0.2), (0, 2, 0.2)], gaussian_potential(0.2, 1.0))
-        bundle = assemble(spec, zero_potential(), 0.0, enumerate_basis(lat9, 2), lat9)
+        bundle = assemble(spec, zero_potential(), 0.0, enumerate_basis(lat9, 2))
         rep = hvz_gap_probe(bundle)
         tau = 0.05
         assert rep.e0 + lat9.m - tau <= rep.hvz_onset_estimate <= rep.e0 + lat9.m + tau
@@ -208,7 +208,7 @@ class TestHvzProbe:
 class TestResolventConvergence:
     def test_identical_lattices_give_zero(self, lat9, gauss_v, quartic_spec):
         basis = enumerate_basis(lat9, 2)
-        bundle = assemble(quartic_spec, gauss_v, 0.1, basis, lat9)
+        bundle = assemble(quartic_spec, gauss_v, 0.1, basis)
         trace = resolvent_convergence([bundle, bundle])
         assert trace.resolvent_gaps[0] == 0.0
 
@@ -276,7 +276,7 @@ class TestRecurrence:
 def free_bundle():
     lat = build_lattice(2, 2.0, 1.0)
     spec = interaction_spec([(4, 0, 1.0), (0, 4, 1.0)], zero_potential())
-    return assemble(spec, zero_potential(), 0.0, enumerate_basis(lat, 2), lat)
+    return assemble(spec, zero_potential(), 0.0, enumerate_basis(lat, 2))
 
 
 class TestHeisenbergProbe:
@@ -372,8 +372,13 @@ class TestProbeShortcuts:
         assert expm_calls == []
         ref = dense_probe(bundle, full, times, ground_state(bundle.h)[1]).real
         assert np.all(np.abs(np.array(res.values) - ref) <= 1e-9 * np.abs(ref) + 1e-14)
+        # 2 pi over the smallest spacing g_min: a level moved by dw moves g_min by
+        # up to 2 dw, so the split and the full eigvalsh may disagree by 2 dw / g_min
         full_spectrum = np.linalg.eigvalsh(bundle.h.dense())
-        assert res.recurrence_time == pytest.approx(recurrence_time(full_spectrum), rel=1e-6)
+        ref_time = recurrence_time(full_spectrum)
+        split = reflected_eigvalsh(bundle.h.matrix, bundle.basis.reflection)
+        rounding = 2 * np.max(np.abs(split - full_spectrum)) * ref_time / (2 * np.pi)
+        assert res.recurrence_time == pytest.approx(ref_time, rel=1e-6 + rounding)
 
     def test_explicit_state_is_evolved(self, desk_bundle, expm_calls):
         psi = ground_state(desk_bundle.h)[1]
