@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Compare the `report` blocks of two CLI output directories.
+"""Compare two CLI output directories: every JSON record and every CSV table.
 
-Each directory is a CHARGEDPHI2_OUTDIR tree of JSON records.  For every
-record in the reference directory, the `report` of the record with the same
-file name in the other directory is walked key by key.  Numbers agree when
-they are within --atol or within --rtol of the reference value; anything
-else (strings, booleans, list lengths, key sets) must be equal.  One line per
-file gives the worst absolute and relative difference and the key where each
-occurs.  Exits 1 if any value disagrees or any file is missing, else 0.
+Each directory is a CHARGEDPHI2_OUTDIR tree.  Every `.json` and `.csv` file
+of either directory is paired with the file of the same name in the other;
+a file that one side lacks fails.  A record's `report` is walked key by key
+and a table cell by cell.  Numbers agree when they are within --atol or
+within --rtol of the reference value; anything else (strings, booleans, list
+lengths, key sets, a CSV cell that is not a number) must be equal.  The other
+fields of a record (`subcommand`, `config_hash`, `version`, `quantities`)
+must be equal; only `created_utc` is skipped.  One line per file gives the
+worst absolute and relative difference and the key or cell (`[row][column]`)
+where each occurs.  Exits 1 if any value disagrees or any file is missing,
+else 0; `--rtol 0 --atol 0` checks that two trees hold the same values apart
+from `created_utc` and the one key below (its max rel still shows a change).
 
-One key is compared at its own tolerance instead: `recurrence_time`, at the
+One report key is compared at its own tolerance instead: `recurrence_time`, at the
 rtol that `perfbench/references.json` pins for it (the file is only read).
 It is 2 pi over the smallest level spacing, about 1e-6 on the probe inputs,
 so a change of H in its last bits moves it by 1e-9 to 1e-8 relative; at
@@ -23,6 +28,7 @@ Example:
 """
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -91,6 +97,23 @@ def compare(ref: dict, new: dict, rtol: float, atol: float, pinned: dict | None 
     return worst_abs, abs_key, worst_rel, rel_key, bad
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def load(path: Path):
+    """(compared value, fields that must be equal) of one output file: a CSV's
+    rows of cells, or a record's report and its fields apart from created_utc."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as fh:
+            return [[_cell(cell) for cell in row] for row in csv.reader(fh)], {}
+    record = json.loads(path.read_text())
+    return record.pop("report"), {k: v for k, v in record.items() if k != "created_utc"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("reference", type=Path, help="output directory of the reference run")
@@ -99,25 +122,28 @@ def main(argv=None) -> int:
     parser.add_argument("--atol", type=float, default=1e-14)
     args = parser.parse_args(argv)
 
-    files = sorted(args.reference.glob("*.json"))
-    if not files:
-        print(f"no JSON records in {args.reference}")
+    trees = (args.reference, args.other)
+    names = sorted({p.name for tree in trees for pattern in ("*.json", "*.csv") for p in tree.glob(pattern)})
+    if not names:
+        print(f"no JSON records or CSV tables in {args.reference} or {args.other}")
         return 1
     pinned = {PINNED_KEY: pinned_rtol()}
     failed = False
-    for ref_path in files:
-        new_path = args.other / ref_path.name
-        if not new_path.exists():
-            print(f"{ref_path.name}: MISSING in {args.other}")
+    for name in names:
+        absent = [tree for tree in trees if not (tree / name).exists()]
+        if absent:
+            print(f"{name}: MISSING in {absent[0]}")
             failed = True
             continue
-        ref = json.loads(ref_path.read_text())["report"]
-        new = json.loads(new_path.read_text())["report"]
+        (ref, ref_fields), (new, new_fields) = (load(tree / name) for tree in trees)
         worst_abs, abs_key, worst_rel, rel_key, bad = compare(ref, new, args.rtol, args.atol, pinned)
-        status = "ok" if not bad else "DIFFERS at " + ", ".join(bad[:5]) + (" ..." if len(bad) > 5 else "")
-        print(f"{ref_path.name}: max abs {worst_abs:.3g} ({abs_key or '-'}), "
+        fields = sorted(ref_fields.keys() | new_fields.keys())
+        bad += [key for key in fields if ref_fields.get(key) != new_fields.get(key)]
+        where = [key or "(top level)" for key in bad[:5]]
+        status = "ok" if not bad else "DIFFERS at " + ", ".join(where) + (" ..." if len(bad) > 5 else "")
+        print(f"{name}: max abs {worst_abs:.3g} ({abs_key or '-'}), "
               f"max rel {worst_rel:.3g} ({rel_key or '-'}): {status}")
-        for key in sorted(pinned.keys() & ref.keys()):
+        for key in sorted(pinned.keys() & ref.keys()) if isinstance(ref, dict) else ():
             print(f"  {key}: compared at its pinned rtol {pinned[key]:g} (perfbench/references.json)")
         failed = failed or bool(bad)
     return 1 if failed else 0

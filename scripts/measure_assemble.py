@@ -6,8 +6,8 @@ Usage: python scripts/measure_assemble.py CONFIG [--n-max N]
 The bundle of CONFIG (its base lattice, n_max, polynomial, potential and
 coupling, as `spectrum` builds it) is assembled in a child process whose
 BLAS pools are pinned to one thread.  The child times the bundle built on an
-enumerated basis (`cli._single_level_bundle`: the polynomial's certificate,
-which takes milliseconds, and `hamiltonian.assemble`); the peak is the child's whole-process maximum RSS as `wait4` reports
+enumerated basis (`cli._bundle`: the polynomial's certificate, which takes
+milliseconds, and `hamiltonian.assemble`); the peak is the child's whole-process maximum RSS as `wait4` reports
 it, imports and basis included.  --n-max replaces the config's particle cap:
 perfbench/configs/m17_spectrum.json has dim 7,770 and reaches dim 73,815 with
 --n-max 4.  Measure one configuration at a time; two processes on a two-core
@@ -34,9 +34,9 @@ from chargedphi2.config import load_config
 cfg = load_config(sys.argv[1])
 if sys.argv[2]:
     cfg = dataclasses.replace(cfg, n_max=int(sys.argv[2]))
-basis = cli._base_basis(cfg)
+basis = cli._basis(cfg, cfg.base_lattice())
 t0 = time.perf_counter()
-h = cli._single_level_bundle(cfg, basis).h.matrix
+h = cli._bundle(cfg, basis).h.matrix
 wall = time.perf_counter() - t0
 print(basis.dim, h.nnz, h.data.nbytes + h.indices.nbytes + h.indptr.nbytes, wall)
 """

@@ -1,11 +1,13 @@
 """Command-line entry point: experiment orchestration and persistence.
 
-One run is one process reading one config file; artifacts are a JSON report
-(machine readable, deterministic payload) and CSV traces for per-level or
-per-time data.  Exit codes: 0 success, 2 config validation error, 3 stability
-error, 4 solver failure, 5 missing golden suite, 6 dimension over a resource
-cap, 7 any other violated contract (an odd or unbounded polynomial, say), 1
-anything else.
+One run is one process reading one config file.  Every runner builds its
+report, the `quantities` that label it and its CSV tables, and hands them to
+`_persist`, the one writer: a JSON record (machine readable, deterministic
+apart from `created_utc`) and one CSV file per table, named by the first 8
+hex digits of the config hash.  Exit codes: 0 success, 2 config validation
+error, 3 stability error, 4 solver failure, 5 missing golden suite, 6
+dimension over a resource cap or out of memory, 7 any other violated
+contract (an odd or unbounded polynomial, say), 1 anything else.
 
 Environment overrides (the only ones honored): CHARGEDPHI2_OUTDIR replaces
 the configured output directory, CHARGEDPHI2_THREADS pins BLAS thread counts
@@ -33,10 +35,6 @@ EXIT_RESOURCE = 6
 EXIT_CONTRACT = 7
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -44,66 +42,90 @@ def _atomic_write(path: Path, text: str):
     os.replace(tmp, path)
 
 
-def _write_report(outdir: Path, name: str, record: dict) -> Path:
-    path = outdir / f"{name}.json"
-    _atomic_write(path, json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    return path
+def _write_report(outdir: Path, name: str, record: dict):
+    _atomic_write(outdir / f"{name}.json", json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(outdir: Path, name: str, header: list, rows: list) -> Path:
-    path = outdir / f"{name}.csv"
+def _write_csv(outdir: Path, name: str, header: list, rows: list):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
-    return path
+    _atomic_write(outdir / f"{name}.csv", buf.getvalue())
 
 
-def _jsonable(value):
+def _inf_as_text(value):
+    """value with every infinite float, at any depth, replaced by "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {key: _inf_as_text(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_as_text(item) for item in value]
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return "inf" if value > 0 else "-inf"
     return value
 
 
-def _record(cfg, subcommand: str, report: dict, quantities: dict) -> dict:
+def _persist(cfg, outdir: Path, subcommand: str, stem, report: dict, quantities: dict, tables=()) -> dict:
+    """The run's record, written as `{stem}_{tag}.json` with each (suffix, header,
+    rows) table as `{stem}{suffix}_{tag}.csv`; a stem of None writes nothing."""
     from . import __version__
 
-    return {
-        "subcommand": subcommand,
-        "config_hash": cfg.hash(),
-        "version": __version__,
-        "created_utc": _utc_now(),
-        "report": report,
-        "quantities": quantities,
-    }
+    config_hash = cfg.hash()
+    record = _inf_as_text(
+        {
+            "subcommand": subcommand,
+            "config_hash": config_hash,
+            "version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "report": report,
+            "quantities": quantities,
+        }
+    )
+    if stem is not None:
+        tag = config_hash[:8]
+        _write_report(outdir, f"{stem}_{tag}", record)
+        for suffix, header, rows in tables:
+            _write_csv(outdir, f"{stem}{suffix}_{tag}", header, rows)
+    return record
 
 
-def _outdir(cfg) -> Path:
-    return Path(os.environ.get("CHARGEDPHI2_OUTDIR", cfg.output.dir))
-
-
-def _base_basis(cfg):
+def _basis(cfg, lattice):
     from .fock import enumerate_basis
 
-    return enumerate_basis(cfg.base_lattice(), cfg.n_max, cap=cfg.solver.basis_cap)
+    return enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
 
 
-def _single_level_bundle(cfg, basis=None):
-    """The bundle of the config's base lattice, on basis when the caller has enumerated it."""
+def _bundle(cfg, basis):
+    """The config's Hamiltonian on basis; every bundle of every subcommand is built here."""
     from .hamiltonian import assemble, interaction_spec
 
-    if basis is None:
-        basis = _base_basis(cfg)
     spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
     return assemble(spec, cfg.make_potential(), cfg.coupling.lam, basis, cfg.override_stability)
+
+
+def _single_level_bundle(cfg):
+    return _bundle(cfg, _basis(cfg, cfg.base_lattice()))
+
+
+def _ladder_bundles(cfg):
+    return [_bundle(cfg, _basis(cfg, lattice)) for lattice in cfg.lattice_ladder()]
+
+
+def _gap_probe(cfg, bundle):
+    from .spectral import hvz_gap_probe
+
+    return hvz_gap_probe(
+        bundle,
+        report_depth=cfg.solver.num_eigenvalues,
+        overlap_threshold=cfg.solver.overlap_threshold,
+    )
 
 
 # -- subcommand runners ------------------------------------------------------
 
 
 def run_validate(cfg, outdir: Path) -> dict:
-    return _record(cfg, "validate", {"valid": True, "canonical": cfg.canonical()}, {})
+    return _persist(cfg, outdir, "validate", None, {"valid": True, "canonical": cfg.canonical()}, {})
 
 
 def run_lambda_quant(cfg, outdir: Path) -> dict:
@@ -120,9 +142,7 @@ def run_lambda_quant(cfg, outdir: Path) -> dict:
         "lambda_quant": "stability threshold 1 / (c0 + c1/m)",
         "min_eig_omega": "bottom of the dressed one-particle energy at the configured coupling",
     }
-    record = _record(cfg, "lambda-quant", report, quantities)
-    _write_report(outdir, f"lambda_quant_{cfg.hash()[:8]}", record)
-    return record
+    return _persist(cfg, outdir, "lambda-quant", "lambda_quant", report, quantities)
 
 
 def run_quantize(cfg, outdir: Path) -> dict:
@@ -137,90 +157,37 @@ def run_quantize(cfg, outdir: Path) -> dict:
         "reconstruction_residual": "relative norm of j h - generator",
         "free_check_error": "worst V=0 cross-check error on the same grid",
     }
-    record = _record(cfg, "quantize", report, quantities)
-    _write_report(outdir, f"quantize_{cfg.hash()[:8]}", record)
-    return record
+    return _persist(cfg, outdir, "quantize", "quantize", report, quantities)
 
 
 def run_spectrum(cfg, outdir: Path) -> dict:
-    from .spectral import hvz_gap_probe
-
     bundle = _single_level_bundle(cfg)
-    rep = hvz_gap_probe(
-        bundle,
-        report_depth=cfg.solver.num_eigenvalues,
-        overlap_threshold=cfg.solver.overlap_threshold,
-    )
-    report = rep.as_dict()
+    report = _gap_probe(cfg, bundle).as_dict()
     report["bundle"] = bundle.metadata()
     quantities = {
         "e0": "ground state energy",
         "gap": "first spectral gap e1 - e0",
         "hvz_onset_estimate": "onset of the ground-state-plus-free-particle branch",
     }
-    record = _record(cfg, "spectrum", report, quantities)
-    tag = cfg.hash()[:8]
-    _write_report(outdir, f"spectrum_{tag}", record)
-    _write_csv(
-        outdir,
-        f"spectrum_{tag}",
-        ["index", "eigenvalue"],
-        list(enumerate(report["eigenvalues"])),
-    )
-    return record
-
-
-def _ladder_bundles(cfg):
-    from .hamiltonian import interaction_spec, nested_bundles
-
-    lattices = cfg.lattice_ladder()
-    spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
-    return nested_bundles(
-        spec,
-        cfg.make_potential(),
-        cfg.coupling.lam,
-        lattices,
-        cfg.n_max,
-        cfg.override_stability,
-        cap=cfg.solver.basis_cap,
-    )
+    eigenvalues = ("", ["index", "eigenvalue"], list(enumerate(report["eigenvalues"])))
+    return _persist(cfg, outdir, "spectrum", "spectrum", report, quantities, [eigenvalues])
 
 
 def run_hvz(cfg, outdir: Path) -> dict:
-    from .spectral import hvz_gap_probe
-
-    bundles = _ladder_bundles(cfg)
-    rows = []
-    per_level = []
-    for b in bundles:
-        rep = hvz_gap_probe(
-            b,
-            report_depth=cfg.solver.num_eigenvalues,
-            overlap_threshold=cfg.solver.overlap_threshold,
-        )
+    header = ["v", "kappa", "dim", "e0", "onset", "onset_mismatch"]
+    levels = []
+    for b in _ladder_bundles(cfg):
+        rep = _gap_probe(cfg, b)
         onset = rep.hvz_onset_estimate
-        mism = None if onset is None else abs(onset - (rep.e0 + b.lattice.m))
-        per_level.append(
-            {
-                "v": str(b.lattice.v),
-                "kappa": b.lattice.kappa,
-                "dim": b.basis.dim,
-                "e0": rep.e0,
-                "onset": onset,
-                "onset_mismatch": mism,
-            }
-        )
-        rows.append([str(b.lattice.v), b.lattice.kappa, b.basis.dim, rep.e0, onset, mism])
-    report = {"levels": per_level, "mass": cfg.lattice.mass}
+        mismatch = None if onset is None else abs(onset - (rep.e0 + b.lattice.m))
+        levels.append(dict(zip(header, [str(b.lattice.v), b.lattice.kappa, b.basis.dim, rep.e0, onset, mismatch])))
+    report = {"levels": levels, "mass": cfg.lattice.mass}
     quantities = {
         "onset": "lowest excited level dominated by one extra particle over the ground state",
         "onset_mismatch": "|onset - (e0 + m)|, shrinking under refinement",
     }
-    record = _record(cfg, "hvz", report, quantities)
-    tag = cfg.hash()[:8]
-    _write_report(outdir, f"hvz_{tag}", record)
-    _write_csv(outdir, f"hvz_{tag}", ["v", "kappa", "dim", "e0", "onset", "onset_mismatch"], rows)
-    return record
+    table = ("", header, [list(level.values()) for level in levels])
+    return _persist(cfg, outdir, "hvz", "hvz", report, quantities, [table])
 
 
 def run_convergence(cfg, outdir: Path) -> dict:
@@ -236,21 +203,15 @@ def run_convergence(cfg, outdir: Path) -> dict:
         "resolvent_gaps": "norm of coarse resolvent minus compressed fine resolvent",
         "number_resolvent_norms": "norm of N (H + beta)^-1 per level (uniformity probe)",
     }
-    record = _record(cfg, "convergence", report, quantities)
-    tag = cfg.hash()[:8]
-    _write_report(outdir, f"convergence_{tag}", record)
     rows = [
-        [lvl["v"], lvl["kappa"], lvl["dim"], e0, hi]
-        for lvl, e0, hi in zip(report["levels"], report["e0_trace"], higher)
+        [level["v"], level["kappa"], level["dim"], e0, hi]
+        for level, e0, hi in zip(report["levels"], report["e0_trace"], higher)
     ]
-    _write_csv(outdir, f"convergence_levels_{tag}", ["v", "kappa", "dim", "e0", "number_resolvent_norm"], rows)
-    _write_csv(
-        outdir,
-        f"convergence_gaps_{tag}",
-        ["pair", "resolvent_gap"],
-        list(enumerate(report["resolvent_gaps"])),
-    )
-    return record
+    tables = [
+        ("_levels", ["v", "kappa", "dim", "e0", "number_resolvent_norm"], rows),
+        ("_gaps", ["pair", "resolvent_gap"], list(enumerate(report["resolvent_gaps"]))),
+    ]
+    return _persist(cfg, outdir, "convergence", "convergence", report, quantities, tables)
 
 
 def run_probe(cfg, outdir: Path) -> dict:
@@ -259,33 +220,24 @@ def run_probe(cfg, outdir: Path) -> dict:
     from .spectral import check_probe_ceiling, heisenberg_probe
 
     # refuse an oversized parity block from the basis alone, before assembly
-    basis = _base_basis(cfg)
+    basis = _basis(cfg, cfg.base_lattice())
     check_probe_ceiling(basis)
-    bundle = _single_level_bundle(cfg, basis)
+    bundle = _bundle(cfg, basis)
     modes = bundle.lattice.modes
     f = np.exp(-((modes - cfg.probe.f_center) ** 2) / (2 * cfg.probe.f_width**2))
     full = np.concatenate([f, np.zeros_like(f)]).astype(complex)
     result = heisenberg_probe(bundle, full, cfg.probe.times)
     report = result.as_dict()
     report["bundle"] = bundle.metadata()
-    diffs = [
-        abs(result.values[i + 1] - result.values[i]) for i in range(len(result.values) - 1)
-    ]
-    report["cauchy_differences"] = diffs
+    report["cauchy_differences"] = [abs(b - a) for a, b in zip(result.values, result.values[1:])]
     quantities = {
         "values_re": "Heisenberg-picture field expectation, real part",
         "recurrence_time": "2 pi over the smallest positive level spacing",
         "cauchy_differences": "successive differences along the time grid",
     }
-    record = _record(cfg, "probe-scattering", report, quantities)
-    tag = cfg.hash()[:8]
-    _write_report(outdir, f"probe_{tag}", record)
-    rows = [
-        [t, v.real, v.imag, tr]
-        for t, v, tr in zip(result.times, result.values, result.trusted())
-    ]
-    _write_csv(outdir, f"probe_{tag}", ["t", "re", "im", "trusted"], rows)
-    return record
+    rows = list(zip(report["times"], report["values_re"], report["values_im"], report["trusted"]))
+    table = ("", ["t", "re", "im", "trusted"], rows)
+    return _persist(cfg, outdir, "probe-scattering", "probe", report, quantities, [table])
 
 
 RUNNERS = {
@@ -433,14 +385,16 @@ def main(argv=None) -> int:
         from .config import load_config
 
         cfg = load_config(args.config)
-        outdir = _outdir(cfg)
+        outdir = Path(os.environ.get("CHARGEDPHI2_OUTDIR", cfg.output.dir))
         record = RUNNERS[args.subcommand](cfg, outdir)
         if args.subcommand == "validate":
             print(f"config valid; hash {cfg.hash()}")
         else:
-            summary = {k: _jsonable(v) for k, v in record["report"].items()}
-            print(json.dumps(summary, default=str, sort_keys=True)[:2000])
+            print(json.dumps(record["report"], sort_keys=True)[:2000])
         return EXIT_OK
+    except MemoryError:
+        print(f"resource error: out of memory during {args.subcommand}", file=sys.stderr)
+        return EXIT_RESOURCE
     except errors.ChargedPhi2Error as exc:
         for kinds, label, code in exits:
             if isinstance(exc, kinds):

@@ -30,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import (HARD_DIMENSION_CAP, FockBasis, FockOperator, WickKernel, enumerate_basis, gauge_kernel,
-                   hermitian_parts, mirror)
+from .fock import FockBasis, FockOperator, WickKernel, gauge_kernel, hermitian_parts, mirror
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, lambda_quant, mixer, pair_kernel
 from .potentials import Potential
@@ -241,7 +240,7 @@ class HamiltonianBundle:
             "min_diag": float(diag.min()),
             "max_diag": float(diag.max()),
             "lambda": self.lam,
-            "lambda_quant": "inf" if math.isinf(self.coupling.lambda_quant) else self.coupling.lambda_quant,
+            "lambda_quant": self.coupling.lambda_quant,
         }
 
 
@@ -276,19 +275,3 @@ def assemble(
         h=FockOperator(basis=basis, matrix=h, hermitian=True),
         coupling=coupling,
     )
-
-
-def nested_bundles(
-    spec: InteractionSpec,
-    pot: Potential,
-    lam: float,
-    lattices: Sequence[MomentumLattice],
-    n_max: int,
-    override_stability: bool = False,
-    cap: int = HARD_DIMENSION_CAP,
-) -> list[HamiltonianBundle]:
-    """Assemble one bundle per ladder level."""
-    return [
-        assemble(spec, pot, lam, enumerate_basis(lat, n_max, cap=cap), override_stability)
-        for lat in lattices
-    ]

@@ -7,7 +7,7 @@ from chargedphi2 import cli
 from chargedphi2.config import load_config
 
 from chargedphi2.fock import enumerate_basis
-from chargedphi2.hamiltonian import assemble, interaction_spec, nested_bundles
+from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice, refinement_ladder
 from chargedphi2.potentials import gaussian_potential, zero_potential
 
@@ -73,12 +73,12 @@ def ladder_lattices():
 def ladder_bundles(ladder_lattices, gauss_v):
     """Three nested interacting levels: quadratic polynomial plus charge term."""
     spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4)], gaussian_potential(0.3, 1.0))
-    return nested_bundles(spec, gauss_v, 0.15, ladder_lattices, 2)
+    return [assemble(spec, gauss_v, 0.15, enumerate_basis(lat, 2)) for lat in ladder_lattices]
 
 
 @pytest.fixture(scope="session")
 def free_ladder_bundles(ladder_lattices, free_spec):
-    return nested_bundles(free_spec, zero_potential(), 0.0, ladder_lattices, 2)
+    return [assemble(free_spec, zero_potential(), 0.0, enumerate_basis(lat, 2)) for lat in ladder_lattices]
 
 
 @pytest.fixture(scope="session")

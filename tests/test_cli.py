@@ -236,6 +236,16 @@ class TestCliExitCodes:
         assert err.startswith("contract error: ") and message in err
         assert not list(tmp_path.glob("spectrum_*"))
 
+    def test_out_of_memory_exit_6(self, tmp_path, monkeypatch, capsys):
+        def exhaust(cfg, outdir):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.RUNNERS, "convergence", exhaust)
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main(["convergence", str(CONFIGS / "ladder.json")]) == cli.EXIT_RESOURCE == 6
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "resource error: out of memory during convergence\n")
+
     def test_convergence_free_config_exact_zero_gaps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         assert cli.main(["convergence", str(CONFIGS / "free.json")]) == 0
@@ -296,6 +306,61 @@ class TestArtifacts:
         assert len(eigenvalues) == 4
         rows = "".join(f"{i},{e!r}\r\n" for i, e in enumerate(eigenvalues))
         assert csv_files[0].read_bytes() == f"index,eigenvalue\r\n{rows}".encode()
+
+    @pytest.mark.parametrize(
+        "subcommand, stem, headers",
+        [
+            ("validate", None, {}),
+            ("lambda-quant", "lambda_quant", {}),
+            ("quantize", "quantize", {}),
+            ("spectrum", "spectrum", {"spectrum": "index,eigenvalue"}),
+            ("hvz", "hvz", {"hvz": "v,kappa,dim,e0,onset,onset_mismatch"}),
+            (
+                "convergence",
+                "convergence",
+                {
+                    "convergence_levels": "v,kappa,dim,e0,number_resolvent_norm",
+                    "convergence_gaps": "pair,resolvent_gap",
+                },
+            ),
+            ("probe-scattering", "probe", {"probe": "t,re,im,trusted"}),
+        ],
+    )
+    def test_every_subcommand_writes_its_files(self, tmp_path, monkeypatch, subcommand, stem, headers):
+        # stem names the JSON record (None: nothing is written), headers maps
+        # the name of each CSV file to its header line
+        out = tmp_path / "out"
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(out))
+        cfg = tmp_path / "cfg.json"
+        raw = minimal_config(
+            lattice={"v": "1", "kappa": 2.0, "mass": 1.0, "refinement_levels": 2},
+            n_max=2,
+            grid={"points": 32, "length": 8.0},
+        )
+        cfg.write_text(json.dumps(raw))
+        assert cli.main([subcommand, str(cfg)]) == 0
+        tag = load_config(cfg).hash()[:8]
+        expected = {f"{name}_{tag}.csv" for name in headers} | ({f"{stem}_{tag}.json"} if stem else set())
+        assert {p.name for p in out.glob("*")} == expected
+        for name, header in headers.items():
+            lines = (out / f"{name}_{tag}.csv").read_text().splitlines()
+            assert lines[0] == header and len(lines) > 1
+        if stem:
+            record = json.loads((out / f"{stem}_{tag}.json").read_text())
+            assert set(record) == {"subcommand", "config_hash", "version", "created_utc", "report", "quantities"}
+            assert (record["subcommand"], record["config_hash"][:8]) == (subcommand, tag)
+
+    def test_probe_without_particles_writes_inf_recurrence(self, tmp_path, monkeypatch, capsys):
+        # at n_max 0 H is the one vacuum level: no spacing, so the recurrence time is infinite
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "probe.json").read_text())
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps({**raw, "n_max": 0}))
+        assert cli.main(["probe-scattering", str(cfg)]) == 0
+        record = json.loads(next(tmp_path.glob("probe_*.json")).read_text())
+        assert record["report"]["recurrence_time"] == "inf"
+        assert record["report"]["trusted"] == [True] * 4
+        assert json.loads(capsys.readouterr().out)["recurrence_time"] == "inf"
 
     def test_reports_are_deterministic(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))

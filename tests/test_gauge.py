@@ -14,10 +14,9 @@ import scipy.sparse as sp
 
 from chargedphi2 import cli
 from chargedphi2.config import parse_config
-from chargedphi2.fock import (WickKernel, fock_embedding, gauge_kernel, hermitian_operator, number_operator,
-                              wick_operator)
-from chargedphi2.hamiltonian import (assemble, charge_kernels, free_energies, interaction_kernels, interaction_spec,
-                                     nested_bundles)
+from chargedphi2.fock import (WickKernel, enumerate_basis, fock_embedding, gauge_kernel, hermitian_operator,
+                              number_operator, wick_operator)
+from chargedphi2.hamiltonian import assemble, charge_kernels, free_energies, interaction_kernels, interaction_spec
 from chargedphi2.oneparticle import omega_bottom
 from chargedphi2.potentials import gaussian_potential
 from chargedphi2.spectral import heisenberg_probe, higher_order_norm, resolvent_convergence
@@ -141,7 +140,7 @@ def test_dtype_follows_the_values(basis3, lat3, gauss_v):
 def test_complex_h_runs_the_resolvent_path(ladder_lattices, gauss_v):
     # a mixed monomial keeps every level complex; the dtype picks complex LU and Lanczos
     spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4), (1, 1, 0.1)], gaussian_potential(0.3, 1.0))
-    bundles = nested_bundles(spec, gauss_v, 0.15, ladder_lattices[:2], 2)
+    bundles = [assemble(spec, gauss_v, 0.15, enumerate_basis(lat, 2)) for lat in ladder_lattices[:2]]
     assert all(b.h.matrix.dtype == np.complex128 for b in bundles)
     trace = resolvent_convergence(bundles)
     emb = fock_embedding(bundles[0].basis, bundles[1].basis)

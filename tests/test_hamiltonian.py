@@ -19,7 +19,6 @@ from chargedphi2.hamiltonian import (
     interaction_spec,
     leading_form_minimum,
     monomial_kernels,
-    nested_bundles,
 )
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.oneparticle import b_matrix, omega_block, operator_norm, pair_kernel
@@ -441,7 +440,7 @@ class TestCompress:
 
 def test_nested_bundles_share_threshold_gate(ladder_lattices, gauss_v):
     spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4)], gaussian_potential(0.3, 1.0))
-    bundles = nested_bundles(spec, gauss_v, 0.15, ladder_lattices, 2)
+    bundles = [assemble(spec, gauss_v, 0.15, enumerate_basis(lat, 2)) for lat in ladder_lattices]
     assert len(bundles) == 3
     for b in bundles:
         assert abs(b.lam) < b.coupling.lambda_quant
