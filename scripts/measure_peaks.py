@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Measure CLI subcommands one at a time: wall time and process peak of each.
+
+Usage: python scripts/measure_peaks.py [SUBCOMMAND INPUT ...]
+
+Each (subcommand, input) pair runs `python -m chargedphi2 SUBCOMMAND INPUT` in
+a child process whose BLAS pools are pinned to one thread, with its output
+written to a temporary directory.  The peak is the child's whole-process
+maximum RSS as `wait4` reports it, imports included.  Without arguments the
+nine operations of the benchmark's solver suite run on its inputs: the
+shipped configs, and the probe at kappa 1.0 (perfbench/configs/probe_m9.json,
+dim 1,330).  The exit status is 1 if any child failed.  Run
+nothing else meanwhile; two processes on a two-core machine slow each other.
+
+Example:
+    python scripts/measure_peaks.py quantize configs/quantize.json
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SUITE = [
+    ("lambda-quant", "configs/lambda_quant.json"),
+    ("quantize", "configs/quantize.json"),
+    ("spectrum", "configs/desk_bundle.json"),
+    ("golden-check", "goldens/desk_suite.json"),
+    ("probe-scattering", "perfbench/configs/probe_m9.json"),
+    ("hvz", "configs/ladder.json"),
+    ("convergence", "configs/ladder.json"),
+    ("hvz", "configs/free.json"),
+    ("convergence", "configs/free.json"),
+]
+
+
+def measure(sub: str, path: str, env: dict) -> tuple[int, float, float]:
+    """(exit code, wall seconds, wait4 peak in MiB) of one CLI run."""
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "chargedphi2", sub, path],
+                                 env=dict(env, CHARGEDPHI2_OUTDIR=out), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)  # its own ru_maxrss; RUSAGE_CHILDREN is a running maximum
+        wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) % 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    pairs = list(zip(argv[::2], argv[1::2])) or [(sub, str(ROOT / path)) for sub, path in SUITE]
+    env = dict(os.environ, **THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    peaks, failed = [], False
+    for sub, path in pairs:
+        code, wall, peak = measure(sub, path, env)
+        peaks.append(peak)
+        failed |= code != 0
+        print(f"{sub:16s} {Path(path).name:20s} exit {code}  {wall:7.2f} s  wait4 peak {peak:6.1f} MiB", flush=True)
+    print(f"max wait4 peak {max(peaks):.1f} MiB")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

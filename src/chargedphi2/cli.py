@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -265,6 +266,7 @@ def _golden_registry() -> dict:
         mat = weyl_quantize(lambda x, k: np.exp(-(x**2 + k**2) / 2.0), grid)
         return hs_norm_squared(mat)
 
+    @functools.cache  # one coupling for the three goldens that read it
     def _gaussian_coupling():
         from .lattice import build_lattice
         from .oneparticle import lambda_quant

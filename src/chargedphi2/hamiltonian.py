@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ContractError, ParameterError, StabilityError
 from .fock import FockBasis, FockOperator, WickKernel, gauge_kernel, hermitian_parts, mirror
 from .lattice import MomentumLattice
-from .oneparticle import CouplingReport, lambda_quant, mixer, pair_kernel
+from .oneparticle import CouplingReport, b_matrix, lambda_quant, mixer, pair_kernel
 from .potentials import Potential
 
 Monomial = tuple[int, int, float]
@@ -200,7 +200,7 @@ def charge_kernels(pot: Potential, lattice: MomentumLattice) -> list[WickKernel]
     of Q is one term of one kernel.
     """
     return [
-        WickKernel(p=1, q=1, species=(None, None), coeffs=mixer(pot, lattice)),
+        WickKernel(p=1, q=1, species=(None, None), coeffs=mixer(b_matrix(pot, lattice))),
         WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice)),
     ]
 

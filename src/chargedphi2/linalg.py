@@ -24,7 +24,10 @@ the matrix commutes with an involutive permutation P of its indices (momentum
 parity, say), it is block diagonal in the basis (e_s + e_Ps)/sqrt(2),
 (e_s - e_Ps)/sqrt(2), with each fixed point e_s in the even block; the two
 blocks are diagonalized apart and their eigenvalues merged.  The dense
-ceiling then bounds the larger block, not the whole matrix.
+ceiling then bounds the larger block, not the whole matrix.  Dense input stays
+dense and sparse input sparse: the commutation is checked a chunk of rows at a
+time and each block is the product iso^T A iso, so no full-size copy of the
+input (a CSR conversion, P A P, or a difference) is ever made.
 """
 
 from __future__ import annotations
@@ -82,22 +85,30 @@ def reflection_isometries(perm: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matri
     return even, odd
 
 
+def _commutes(mat, perm: np.ndarray) -> bool:
+    """max|P A P - A| <= REFLECTION_RTOL max|A|, read 256 rows at a time."""
+    chunks = [slice(r, r + 256) for r in range(0, mat.shape[0], 256)]
+    top = max(abs(mat[rows]).max() for rows in chunks)
+    return all(abs(mat[perm[rows]][:, perm] - mat[rows]).max() <= REFLECTION_RTOL * top for rows in chunks)
+
+
 def reflected_eigvalsh(mat, perm: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of a Hermitian matrix (dense or sparse), sorted ascending.
+    """Every eigenvalue of a Hermitian matrix (ndarray or CSR), sorted ascending.
 
     When mat commutes with the involutive permutation perm, the even and odd
     blocks of `reflection_isometries` are diagonalized apart and merged, and the
-    dense ceiling bounds each block; otherwise one full eigvalsh runs under
-    the ceiling.
+    dense ceiling bounds each block; otherwise the one block is mat itself
+    (through the identity isometry) and the ceiling bounds it.
     """
-    mat = sp.csr_matrix(mat)
-    if abs(mat[perm][:, perm] - mat).max() <= REFLECTION_RTOL * abs(mat).max():
-        blocks = [iso.T @ mat @ iso for iso in reflection_isometries(perm)]
-    else:
-        blocks = [mat]
-    check_dense(max(b.shape[0] for b in blocks))
-    # each dense block is a fresh copy, so LAPACK may overwrite it (one dense block live, not two)
-    return np.sort(np.concatenate([sla.eigvalsh(b.toarray(), overwrite_a=True, driver="evd") for b in blocks]))
+    isometries = reflection_isometries(perm) if _commutes(mat, perm) else [sp.identity(len(perm), format="csr")]
+    check_dense(max(iso.shape[1] for iso in isometries))
+    return np.sort(np.concatenate([_block_eigvalsh(mat, iso) for iso in isometries]))
+
+
+def _block_eigvalsh(mat, iso) -> np.ndarray:
+    """Eigenvalues of iso^T mat iso: a fresh copy, so LAPACK may overwrite it, freed on return."""
+    block = iso.T @ mat @ iso
+    return sla.eigvalsh(block.toarray() if sp.issparse(block) else block, overwrite_a=True, driver="evd")
 
 
 def start_vector(n: int) -> np.ndarray:

@@ -9,7 +9,8 @@ entering the stability threshold are read off the weighted matrices directly.
 
 Every matrix here is lab frame except the dressed one-particle energy
 `omega_block`, built once in the gauge frame of H (`fock.gauge_kernel`).
-`mixer` lays out [[0, b], [b^H, 0]] for it and for the charge kernel.
+`mixer` lays out [[0, c], [c^H, 0]] for it (c its gauged corner) and for
+the charge kernel (c = b).
 """
 
 from __future__ import annotations
@@ -120,29 +121,30 @@ def lambda_quant(pot: Potential, lattice: MomentumLattice) -> CouplingReport:
     return CouplingReport(c0=c0, c1=c1, lambda_quant=lam, lattice=lattice)
 
 
-def mixer(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
-    """The species mixer [[0, b], [b^H, 0]] over the 2M species-major slots (lab frame)."""
-    b = b_matrix(pot, lattice)
-    m = lattice.size
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, m:] = b
-    out[m:, :m] = b.conj().T
+def mixer(corner: np.ndarray) -> np.ndarray:
+    """[[0, corner], [corner^H, 0]] over the 2M species-major slots, in corner's dtype."""
+    m = corner.shape[0]
+    out = np.zeros((2 * m, 2 * m), dtype=corner.dtype)
+    out[:m, m:] = corner
+    out[m:, :m] = corner.conj().T
     return out
 
 
 def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     """The dressed one-particle energy D^* omega D in the gauge frame of H.
 
-    omega = [[eps, lam b], [lam b^H, eps]] is laid out in the lab frame and
-    passed through `fock.gauge_kernel` as a (1, 1) kernel over all 2M slots,
-    so D = diag(i^{N_2}) multiplies the species-2 slots by i.  The block is
-    float64 for an even potential (b is then imaginary) and complex Hermitian
-    otherwise.
+    omega = [[eps, lam b], [lam b^H, eps]] over the 2M species-major slots and
+    D = diag(i^{N_2}), which multiplies the species-2 slots by i.  Only the
+    off-diagonal block changes: lam b goes through `fock.gauge_kernel` as a
+    (1, 1) kernel from species 2 to species 1, and `mixer` lays out the
+    gauged corner once.  The block is float64 for an even potential (b is then
+    imaginary) and complex Hermitian otherwise.
     """
     eps = lattice.dispersion()
-    lab = lam * mixer(pot, lattice)
-    np.fill_diagonal(lab, np.concatenate([eps, eps]))
-    return real_if_exact(gauge_kernel(WickKernel(p=1, q=1, species=(None, None), coeffs=lab)).coeffs)
+    corner = gauge_kernel(WickKernel(p=1, q=1, species=(1, 2), coeffs=lam * b_matrix(pot, lattice))).coeffs
+    out = mixer(real_if_exact(corner))
+    np.fill_diagonal(out, np.concatenate([eps, eps]))
+    return out
 
 
 def omega_bottom(lam: float, pot: Potential, lattice: MomentumLattice) -> float:

@@ -7,6 +7,12 @@ diagonal in the discrete Fourier basis and the potential coupling carries all
 the nontrivial structure.  The construction is: energy metric -> generator of
 the classical flow (metric-antisymmetric) -> polar decomposition a = j h in
 the metric -> complex structure j and one-particle energy h.
+
+The phase vector splits into two charge sectors, A = (pi_1, phi_2) and
+B = (pi_2, phi_1) (`charge_sectors`).  The energy metric has no A x B block and
+the generator maps A to B and B to A, so its square is block diagonal: the
+margin, the polar decomposition and the singular-value check run on the 2G x 2G
+sector blocks, and only the results j and h are laid out as 4G x 4G matrices.
 """
 
 from __future__ import annotations
@@ -76,18 +82,12 @@ class RealGenerator:
 
 @dataclass(frozen=True)
 class KahlerStructure:
-    """Polar data of the generator: a = j h with j^2 = -1 and h metric-positive.
-
-    dyn_gram is the Hermitian Gram matrix of the dynamical inner product,
-    (y1|y2) = y1^T (Omega j) y2 + i y1^T Omega y2 for the real symplectic
-    Gram Omega, stored as the complex matrix Omega j + i Omega.
-    """
+    """Polar data of the generator: a = j h with j^2 = -1 and h metric-positive."""
 
     grid: PhaseSpaceGrid
     j: np.ndarray = field(repr=False)
     h_v: np.ndarray = field(repr=False)
     h_spectrum: np.ndarray = field(repr=False)
-    dyn_gram: np.ndarray = field(repr=False)
 
     def j_square_residual(self) -> float:
         n = self.j.shape[0]
@@ -99,16 +99,8 @@ class KahlerStructure:
 
 def symplectic_gram(grid: PhaseSpaceGrid) -> np.ndarray:
     """Real symplectic Gram: Re omega(y, y') = sum_i (pi_i|phi_i') - (phi_i|pi_i')."""
-    g = grid.points
-    eye, o = np.eye(g), np.zeros((g, g))
-    return grid.dx * np.block(
-        [
-            [o, o, eye, o],
-            [o, o, o, eye],
-            [-eye, o, o, o],
-            [o, -eye, o, o],
-        ]
-    )
+    eye, o = np.eye(2 * grid.points), np.zeros((2 * grid.points, 2 * grid.points))
+    return grid.dx * np.block([[o, eye], [-eye, o]])
 
 
 def _energy_grams(grid: PhaseSpaceGrid):
@@ -119,16 +111,9 @@ def _energy_grams(grid: PhaseSpaceGrid):
     g = grid.points
     m2 = grid.m**2
     e2 = _multiplier_matrix(grid, lambda k: k**2 + m2)
-    eye, o = np.eye(g), np.zeros((g, g))
+    o = np.zeros((g, g))
     vd = np.diag(grid.v_samples)
-    free = grid.dx * np.block(
-        [
-            [eye, o, o, o],
-            [o, eye, o, o],
-            [o, o, e2, o],
-            [o, o, o, e2],
-        ]
-    )
+    free = grid.dx * sla.block_diag(np.eye(2 * g), e2, e2)
     cross = grid.dx * np.block(
         [
             [o, o, o, vd],
@@ -140,12 +125,18 @@ def _energy_grams(grid: PhaseSpaceGrid):
     return free, cross
 
 
+def charge_sectors(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the sectors A = (pi_1, phi_2) and B = (pi_2, phi_1) in the 4G phase vector."""
+    r = np.arange(points)
+    return np.r_[r, r + 3 * points], np.r_[r + points, r + 2 * points]
+
+
 def _margin(free: np.ndarray, cross: np.ndarray) -> float:
-    """Largest magnitude of the generalized eigenvalues of cross against free."""
+    """Largest magnitude of the generalized eigenvalues of cross against free, sector by sector."""
     if not np.any(cross):
         return 0.0
-    w = sla.eigh(cross, free, eigvals_only=True)
-    return float(np.max(np.abs(w)))
+    blocks = [np.ix_(s, s) for s in charge_sectors(free.shape[0] // 4)]
+    return max(float(np.max(np.abs(sla.eigh(cross[b], free[b], eigvals_only=True)))) for b in blocks)
 
 
 def positivity_margin(grid: PhaseSpaceGrid) -> float:
@@ -184,50 +175,51 @@ def polar_decompose(gen: RealGenerator) -> KahlerStructure:
     -a^2 is positive in the energy metric; its metric-symmetric square root is
     computed by a congruence with the Cholesky factor of the metric, which is
     numerically stable at these sizes and keeps j exactly a function of a.
+    Everything runs per charge sector: a^2 restricted to sector x is
+    a_xy a_yx for y the other sector.
     """
     a, metric = gen.matrix, gen.metric
-    n = a.shape[0]
-    s_min = float(np.linalg.svd(a, compute_uv=False)[-1])
+    sectors = charge_sectors(a.shape[0] // 4)
+    a_out = [a[np.ix_(x, y)] for x, y in zip(sectors, sectors[::-1])]  # a_AB, a_BA
+    s_min = min(float(np.linalg.svd(blk, compute_uv=False)[-1]) for blk in a_out)
     if s_min <= SINGULAR_THRESHOLD:
         raise IllConditionedError(s_min, SINGULAR_THRESHOLD)
-    lo = sla.cholesky(metric, lower=True)
-    s = metric @ (-(a @ a))
-    s = 0.5 * (s + s.T)
-    # B = L^-1 S L^-T is symmetric; eigenvalues are the squared frequencies.
-    tmp = sla.solve_triangular(lo, s, lower=True)
-    b = sla.solve_triangular(lo, tmp.T, lower=True).T
-    b = 0.5 * (b + b.T)
-    w, q = np.linalg.eigh(b)
-    smallest = math.sqrt(max(float(w[0]), 0.0))
-    if smallest <= SINGULAR_THRESHOLD:
-        raise IllConditionedError(smallest, SINGULAR_THRESHOLD)
-    sqrt_w = np.sqrt(w)
-    # h = L^-T f(B) L^T for f = sqrt, and j = a h^-1.
-    lt = lo.T
-    h_core = q @ (sqrt_w[:, None] * q.T)
-    hinv_core = q @ ((1.0 / sqrt_w)[:, None] * q.T)
-    h_v = sla.solve_triangular(lt, h_core @ lt, lower=False)
-    h_inv = sla.solve_triangular(lt, hinv_core @ lt, lower=False)
-    j = a @ h_inv
-    omega = symplectic_gram(gen.grid)
-    dyn = omega @ j + 1j * omega
-    return KahlerStructure(
-        grid=gen.grid, j=j, h_v=h_v, h_spectrum=np.sort(sqrt_w), dyn_gram=dyn
-    )
+    j, h_v, spectrum = np.zeros_like(a), np.zeros_like(a), []
+    for x, y, a_xy, a_yx in zip(sectors, sectors[::-1], a_out, a_out[::-1]):
+        m_x = metric[np.ix_(x, x)]
+        lo = sla.cholesky(m_x, lower=True)
+        s = m_x @ (-(a_xy @ a_yx))
+        s = 0.5 * (s + s.T)
+        # B = L^-1 S L^-T is symmetric; eigenvalues are the squared frequencies.
+        tmp = sla.solve_triangular(lo, s, lower=True)
+        b = sla.solve_triangular(lo, tmp.T, lower=True).T
+        w, q = np.linalg.eigh(0.5 * (b + b.T))
+        smallest = math.sqrt(max(float(w[0]), 0.0))
+        if smallest <= SINGULAR_THRESHOLD:
+            raise IllConditionedError(smallest, SINGULAR_THRESHOLD)
+        # h = L^-T f(B) L^T for f = sqrt, and j = a h^-1, whose block out of sector x is a_yx h^-1_x.
+        sqrt_w, lt = np.sqrt(w), lo.T
+        h_v[np.ix_(x, x)] = sla.solve_triangular(lt, q @ (sqrt_w[:, None] * q.T) @ lt, lower=False)
+        j[np.ix_(y, x)] = a_yx @ sla.solve_triangular(lt, q @ ((1.0 / sqrt_w)[:, None] * q.T) @ lt, lower=False)
+        spectrum.append(sqrt_w)
+    return KahlerStructure(grid=gen.grid, j=j, h_v=h_v, h_spectrum=np.sort(np.concatenate(spectrum)))
 
 
 def dyn_inner(ks: KahlerStructure, y1: np.ndarray, y2: np.ndarray) -> complex:
     """Dynamical inner product y1^T (Omega j) y2 + i y1^T Omega y2.
 
-    Positive on the diagonal; j-sesquilinear with the antilinear slot first:
+    Omega is the real `symplectic_gram`; the Hermitian Gram Omega j + i Omega
+    is never formed.  Positive on the diagonal; j-sesquilinear with the
+    antilinear slot first:
     dyn_inner(y1, j y2) = i dyn_inner(y1, y2) and
     dyn_inner(j y1, y2) = -i dyn_inner(y1, y2).
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    if y1.shape != (ks.dyn_gram.shape[0],) or y2.shape != y1.shape:
+    if y1.shape != (ks.j.shape[0],) or y2.shape != y1.shape:
         raise ShapeError("phase vectors must have dimension 4G")
-    return complex(y1 @ ks.dyn_gram @ y2)
+    w = y1 @ symplectic_gram(ks.grid)
+    return complex(w @ (ks.j @ y2) + 1j * (w @ y2))
 
 
 def free_complex_structure(grid: PhaseSpaceGrid) -> np.ndarray:
@@ -281,18 +273,9 @@ def free_dyn_gram(grid: PhaseSpaceGrid) -> np.ndarray:
     return omega @ free_complex_structure(grid) + 1j * omega
 
 
-def quantize_report(grid: PhaseSpaceGrid) -> dict:
-    """Run the full quantization pipeline and collect the diagnostics.
-
-    free_check_error is the worst error among the V = 0 cross checks on the
-    same grid: spectrum of h against the grid dispersion, polar j against the
-    canonical free structure, intertwining and norm transport of the
-    identification map.
-    """
-    gen = build_generator(grid)
-    ks = polar_decompose(gen)
+def _free_check_error(grid: PhaseSpaceGrid) -> float:
+    """Worst error of the V = 0 cross checks on the points, length and mass of grid."""
     g = grid.points
-
     free_grid = PhaseSpaceGrid(x=grid.x, dx=grid.dx, m=grid.m, v_samples=np.zeros(g))
     free_ks = polar_decompose(build_generator(free_grid))
     eps_sorted = np.sort(np.repeat(np.sqrt(free_grid.fft_momenta() ** 2 + grid.m**2), 4))
@@ -312,11 +295,25 @@ def quantize_report(grid: PhaseSpaceGrid) -> dict:
         w1, w2 = free_identification(free_grid, j0 @ y)
         inter = max(np.max(np.abs(w1 - 1j * u1)), np.max(np.abs(w2 - 1j * u2)))
         transport_err = max(transport_err, float(inter))
+    return max(spec_err, j_err, transport_err)
 
+
+def quantize_report(grid: PhaseSpaceGrid) -> dict:
+    """Run the full quantization pipeline and collect the diagnostics.
+
+    free_check_error is the worst error among the V = 0 cross checks on the
+    same grid: spectrum of h against the grid dispersion, polar j against the
+    canonical free structure, intertwining and norm transport of the
+    identification map.  The checks run first and are released before the
+    V != 0 structure is built.
+    """
+    free_check_error = _free_check_error(grid)
+    gen = build_generator(grid)
+    ks = polar_decompose(gen)
     return {
         "delta": gen.margin,
         "min_spec_hV": float(ks.h_spectrum[0]),
         "j_square_residual": ks.j_square_residual(),
         "reconstruction_residual": ks.reconstruction_residual(gen),
-        "free_check_error": max(spec_err, j_err, transport_err),
+        "free_check_error": free_check_error,
     }

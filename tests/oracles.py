@@ -16,6 +16,7 @@ from chargedphi2.errors import ParameterError
 from chargedphi2.fock import WickKernel, creation, fock_embedding, hermitian_operator, wick_operator
 from chargedphi2.oneparticle import b_matrix
 from chargedphi2.potentials import Potential
+from chargedphi2.quantization import symplectic_gram
 
 
 def two_particle_tensor(h, state_pairs):
@@ -253,6 +254,30 @@ def generator_blocks(grid):
             [o, eye, -vd, o],
         ]
     )
+
+
+def full_polar_decompose(gen):
+    """Metric polar decomposition a = j h on the full 4G x 4G matrices.
+
+    The Cholesky congruence and eigendecomposition of the metric-symmetric
+    -a^2 run over the whole phase space, with no use of its charge sectors.
+    Returns (j, h_v, h_spectrum, dyn_gram) with dyn_gram = Omega j + i Omega,
+    the Hermitian Gram of the dynamical inner product.
+    """
+    a, metric = gen.matrix, gen.metric
+    lo = sla.cholesky(metric, lower=True)
+    s = metric @ (-(a @ a))
+    s = 0.5 * (s + s.T)
+    tmp = sla.solve_triangular(lo, s, lower=True)
+    b = sla.solve_triangular(lo, tmp.T, lower=True).T
+    w, q = np.linalg.eigh(0.5 * (b + b.T))
+    sqrt_w = np.sqrt(w)
+    lt = lo.T
+    h_v = sla.solve_triangular(lt, q @ (sqrt_w[:, None] * q.T) @ lt, lower=False)
+    h_inv = sla.solve_triangular(lt, q @ ((1.0 / sqrt_w)[:, None] * q.T) @ lt, lower=False)
+    j = a @ h_inv
+    omega = symplectic_gram(gen.grid)
+    return j, h_v, np.sort(sqrt_w), omega @ j + 1j * omega
 
 
 def weyl_quantize_loop(symbol, grid):

@@ -147,6 +147,20 @@ class TestReflectedEigvalsh:
         assert isometry_calls == []
         assert np.max(np.abs(w - np.linalg.eigvalsh(mat.toarray()))) <= 1e-12
 
+    @pytest.mark.parametrize("bump", [0.0, 1e-3])
+    def test_dense_and_csr_input_agree(self, lat9, gauss_v, bump, isometry_calls):
+        # bump 0 commutes with the slot reflection; a bump on one slot but not its mirror does not
+        mat = omega_block(0.5, gauss_v, lat9)
+        perm = lat9.slot_reflection()
+        mat[0, 0] += bump
+        kept = mat.copy()
+        dense = linalg.reflected_eigvalsh(mat, perm)
+        csr = linalg.reflected_eigvalsh(sp.csr_matrix(mat), perm)
+        assert isometry_calls == ([] if bump else [2 * lat9.size] * 2)
+        assert np.array_equal(mat, kept)
+        assert np.max(np.abs(dense - csr)) <= 1e-12
+        assert np.max(np.abs(dense - np.linalg.eigvalsh(mat))) <= 1e-12
+
     def test_isometries_block_the_reflection(self, desk_bundle):
         perm = desk_bundle.basis.reflection
         n = len(perm)

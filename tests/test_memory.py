@@ -1,0 +1,37 @@
+"""Memory guards for the dense one-particle paths on the shipped configs.
+
+The peak is tracemalloc's, which numpy reports its array buffers to; unlike
+the process RSS it reproduces to 0.1 MiB from run to run.
+"""
+
+import tracemalloc
+from pathlib import Path
+
+from chargedphi2.config import load_config
+from chargedphi2.oneparticle import omega_bottom
+from chargedphi2.quantization import phase_space_grid, quantize_report
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantize_report_peak():
+    # 44.1 MiB with the full 4G x 4G polar decomposition and a stored Gram
+    cfg = load_config(CONFIGS / "quantize.json")
+    grid = phase_space_grid(cfg.grid.points, cfg.grid.length, cfg.lattice.mass, cfg.make_potential())
+    assert _peak_mib(lambda: quantize_report(grid)) <= 20.0
+
+
+def test_omega_bottom_peak():
+    # 48.3 MiB with a complex lab-frame block and a CSR copy of it (2M = 1,026)
+    cfg = load_config(CONFIGS / "lambda_quant.json")
+    lattice, pot = cfg.base_lattice(), cfg.make_potential()
+    assert _peak_mib(lambda: omega_bottom(cfg.coupling.lam, pot, lattice)) <= 28.0

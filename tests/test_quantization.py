@@ -1,13 +1,18 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargedphi2.config import load_config
 from chargedphi2.errors import IllConditionedError, ShapeError, UnstableConfigurationError
 from chargedphi2.oneparticle import operator_norm
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.quantization import (
     build_generator,
+    charge_sectors,
     dyn_inner,
     free_complex_structure,
     free_dyn_gram,
@@ -18,7 +23,7 @@ from chargedphi2.quantization import (
     quantize_report,
     symplectic_gram,
 )
-from oracles import generator_blocks
+from oracles import full_polar_decompose, generator_blocks
 
 G = 64
 L = 16.0
@@ -102,6 +107,46 @@ class TestGenerator:
         with pytest.raises(UnstableConfigurationError) as exc:
             build_generator(grid)
         assert exc.value.delta >= 1.0
+
+
+def _shipped_grid():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quantize.json")
+    return phase_space_grid(cfg.grid.points, cfg.grid.length, cfg.lattice.mass, cfg.make_potential())
+
+
+class TestChargeSectors:
+    def test_sectors_partition_the_phase_vector(self):
+        a, b = charge_sectors(3)
+        assert list(a) == [0, 1, 2, 9, 10, 11] and list(b) == [3, 4, 5, 6, 7, 8]
+
+    @pytest.mark.parametrize("which", ["shipped", "random"])
+    def test_split_is_exact(self, which):
+        # the metric has no A x B block and a has no A x A or B x B block: exact zeros, no tolerance
+        if which == "shipped":
+            grid = _shipped_grid()
+        else:
+            base = phase_space_grid(G, L, 1.0, zero_potential())
+            v = np.random.default_rng(7).uniform(-0.3, 0.3, G)
+            grid = dataclasses.replace(base, v_samples=v)
+        gen = build_generator(grid)
+        a, b = charge_sectors(grid.points)
+        assert not np.any(gen.metric[np.ix_(a, b)]) and not np.any(gen.metric[np.ix_(b, a)])
+        assert not np.any(gen.matrix[np.ix_(a, a)]) and not np.any(gen.matrix[np.ix_(b, b)])
+        assert np.any(gen.matrix[np.ix_(a, b)]) and np.any(gen.matrix[np.ix_(b, a)])
+
+    @pytest.mark.parametrize("amp", [0.0, 0.2])
+    def test_blocks_match_the_full_oracle(self, amp):
+        rng = np.random.default_rng(11)
+        grid = phase_space_grid(32, 8.0, 1.0, gaussian_potential(amp, 1.0))
+        gen = build_generator(grid)
+        ks = polar_decompose(gen)
+        j, h_v, spectrum, gram = full_polar_decompose(gen)
+        for got, ref in [(ks.j, j), (ks.h_v, h_v), (ks.h_spectrum, spectrum)]:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for _ in range(3):
+            y1, y2 = rng.standard_normal(128), rng.standard_normal(128)
+            ref = y1 @ gram @ y2
+            assert abs(dyn_inner(ks, y1, y2) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestPolar:
