@@ -43,18 +43,6 @@ def _atomic_write(path: Path, text: str):
     os.replace(tmp, path)
 
 
-def _write_report(outdir: Path, name: str, record: dict):
-    _atomic_write(outdir / f"{name}.json", json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
-
-
-def _write_csv(outdir: Path, name: str, header: list, rows: list):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(outdir / f"{name}.csv", buf.getvalue())
-
-
 def _inf_as_text(value):
     """value with every infinite float, at any depth, replaced by "inf" or "-inf"."""
     if isinstance(value, dict):
@@ -84,9 +72,11 @@ def _persist(cfg, outdir: Path, subcommand: str, stem, report: dict, quantities:
     )
     if stem is not None:
         tag = config_hash[:8]
-        _write_report(outdir, f"{stem}_{tag}", record)
+        _atomic_write(outdir / f"{stem}_{tag}.json", json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
         for suffix, header, rows in tables:
-            _write_csv(outdir, f"{stem}{suffix}_{tag}", header, rows)
+            buf = io.StringIO()
+            csv.writer(buf).writerows([header, *rows])
+            _atomic_write(outdir / f"{stem}{suffix}_{tag}.csv", buf.getvalue())
     return record
 
 
@@ -109,7 +99,15 @@ def _single_level_bundle(cfg):
 
 
 def _ladder_bundles(cfg):
-    return [_bundle(cfg, _basis(cfg, lattice)) for lattice in cfg.lattice_ladder()]
+    """The ladder's bundles, coarsest first, each built when it is asked for;
+    every level's dimension is checked against the cap before the first is built."""
+    from .fock import check_dimension
+
+    lattices = cfg.lattice_ladder()
+    for lattice in lattices:
+        check_dimension(lattice, cfg.n_max, cfg.solver.basis_cap)
+    for lattice in lattices:
+        yield _bundle(cfg, _basis(cfg, lattice))
 
 
 def _gap_probe(cfg, bundle):
@@ -192,22 +190,15 @@ def run_hvz(cfg, outdir: Path) -> dict:
 
 
 def run_convergence(cfg, outdir: Path) -> dict:
-    from .spectral import higher_order_norm, resolvent_convergence
+    from .spectral import resolvent_convergence
 
-    bundles = _ladder_bundles(cfg)
-    trace = resolvent_convergence(bundles)
-    higher = [higher_order_norm(b, trace.beta, solve) for b, solve in zip(bundles, trace.solves)]
-    report = trace.as_dict()
-    report["number_resolvent_norms"] = higher
-    report["bundles"] = [b.metadata() for b in bundles]
+    report = resolvent_convergence(_ladder_bundles(cfg)).as_dict()
     quantities = {
         "resolvent_gaps": "norm of coarse resolvent minus compressed fine resolvent",
         "number_resolvent_norms": "norm of N (H + beta)^-1 per level (uniformity probe)",
     }
-    rows = [
-        [level["v"], level["kappa"], level["dim"], e0, hi]
-        for level, e0, hi in zip(report["levels"], report["e0_trace"], higher)
-    ]
+    per_level = zip(report["levels"], report["e0_trace"], report["number_resolvent_norms"])
+    rows = [[*level.values(), e0, hi] for level, e0, hi in per_level]
     tables = [
         ("_levels", ["v", "kappa", "dim", "e0", "number_resolvent_norm"], rows),
         ("_gaps", ["pair", "resolvent_gap"], list(enumerate(report["resolvent_gaps"]))),

@@ -165,6 +165,16 @@ class FockBasis:
         return out
 
 
+def check_dimension(lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENSION_CAP) -> int:
+    """The dimension of the basis over lattice's 2M slots; a resource error naming the cap above it."""
+    if n_max < 0:
+        raise ParameterError(f"n_max must be nonnegative, got {n_max}")
+    dim = fock_dimension(2 * lattice.size, n_max)
+    if dim > cap:
+        raise ResourceLimitError(dim, cap)
+    return dim
+
+
 def enumerate_basis(
     lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENSION_CAP
 ) -> FockBasis:
@@ -172,12 +182,8 @@ def enumerate_basis(
 
     Raises a resource error naming the cap when the dimension would exceed it.
     """
-    if n_max < 0:
-        raise ParameterError(f"n_max must be nonnegative, got {n_max}")
+    check_dimension(lattice, n_max, cap)
     n_slots = 2 * lattice.size
-    dim = fock_dimension(n_slots, n_max)
-    if dim > cap:
-        raise ResourceLimitError(dim, cap)
     # level[r]: occupations of the trailing slots with total r, in lex order;
     # prepending one slot at a time keeps each level lex ordered.
     level = [np.zeros((int(r == 0), 0), dtype=np.uint8) for r in range(n_max + 1)]

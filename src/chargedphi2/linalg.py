@@ -28,6 +28,9 @@ ceiling then bounds the larger block, not the whole matrix.  Dense input stays
 dense and sparse input sparse: the commutation is checked a chunk of rows at a
 time and each block is the product iso^T A iso, so no full-size copy of the
 input (a CSR conversion, P A P, or a difference) is ever made.
+
+Every resolvent goes through `shifted_solver`, a sparse LU of A + beta I: the
+only place in the package where a Fock operator is factorized.
 """
 
 from __future__ import annotations
@@ -151,6 +154,12 @@ def lowest_eigenpairs(mat: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]
         raise SolverError(f"Lanczos failed to converge: {exc}") from exc
     order = np.argsort(w)
     return w[order], vecs[:, order]
+
+
+def shifted_solver(mat: sp.spmatrix, beta: float):
+    """Return x -> (mat + beta)^-1 x through a sparse LU factorization; the factor lives as long as the solve."""
+    shifted = mat + beta * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
+    return spla.splu(shifted.tocsc()).solve
 
 
 def operator_norm(a) -> float:

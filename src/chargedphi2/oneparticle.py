@@ -107,15 +107,17 @@ def lambda_quant(pot: Potential, lattice: MomentumLattice) -> CouplingReport:
     """Compute the coupling threshold below which the charge term is tame.
 
     Both constants are 1-homogeneous in the potential, so the threshold scales
-    as lambda_quant(t V) = lambda_quant(V) / t.
+    as lambda_quant(t V) = lambda_quant(V) / t.  The potential matrix is real
+    for an even potential, and then so is all the arithmetic here.
     """
-    m = potential_matrix(pot, lattice)
+    m = real_if_exact(potential_matrix(pot, lattice))
     eps = lattice.dispersion()
     sym = m / eps[None, :] + m / eps[:, None]
     c0 = 0.5 * operator_norm(sym)
     s = np.sqrt(eps)
     comm = m * (eps[None, :] - eps[:, None])
-    c1 = float(np.linalg.norm(comm / (s[:, None] * s[None, :])))
+    comm /= s[:, None] * s[None, :]
+    c1 = float(np.linalg.norm(comm))
     denom = c0 + c1 / lattice.m
     lam = math.inf if denom == 0.0 else 1.0 / denom
     return CouplingReport(c0=c0, c1=c1, lambda_quant=lam, lattice=lattice)

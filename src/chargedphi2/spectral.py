@@ -15,11 +15,10 @@ the one dense spectrum here; it is split into momentum-parity blocks by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
@@ -33,6 +32,7 @@ from .linalg import (
     operator_norm,
     reflected_eigvalsh,
     reflection_isometries,
+    shifted_solver,
 )
 from .oneparticle import omega_block
 
@@ -146,27 +146,17 @@ def hvz_gap_probe(
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Per-level ground energies, resolvent-difference norms and LU solves."""
+    """Per level: lattice, e0, || N (H + beta)^-1 || and bundle metadata; per pair, the resolvent gap."""
 
     levels: tuple
     beta: float
     resolvent_gaps: tuple
     e0_trace: tuple
-    solves: tuple = field(repr=False, compare=False)
+    number_resolvent_norms: tuple
+    bundles: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "beta": self.beta,
-            "resolvent_gaps": list(self.resolvent_gaps),
-            "e0_trace": list(self.e0_trace),
-        }
-
-
-def _solver_for(mat: sp.csr_matrix, beta: float):
-    """Return x -> (mat + beta)^-1 x through a sparse LU factorization."""
-    shifted = mat + beta * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
-    return spla.splu(shifted.tocsc()).solve
+        return asdict(self)
 
 
 def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, solve_c, solve_f):
@@ -181,38 +171,38 @@ def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, so
 
 
 def resolvent_convergence(
-    bundles: Sequence[HamiltonianBundle], beta: Optional[float] = None
+    bundles: Iterable[HamiltonianBundle], beta: Optional[float] = None
 ) -> ConvergenceTrace:
-    """Norms of (H_coarse + beta)^-1 - compress((H_fine + beta)^-1) per pair.
+    """Norms of (H_coarse + beta)^-1 - compress((H_fine + beta)^-1) per pair, and
+    `higher_order_norm` per level.
 
-    Levels must be strictly nested; beta defaults to the shift policy, which
-    lives here alone: 1 + |e0| at the coarsest level.  It must clear the
-    spectrum bottom at every level.  The free Hamiltonian compresses
-    exactly, giving gap 0.
+    Levels must be strictly nested, coarsest first.  They are walked once, each
+    dropped with its solve after the next level's gap, so at most two are held.
+    beta defaults to the shift policy, which lives here alone: 1 + |e0| at the
+    coarsest level; it must clear the spectrum bottom at every level.  The free
+    Hamiltonian compresses exactly, giving gap 0.
     """
-    if len(bundles) < 2:
-        raise ParameterError("need at least two nested levels")
-    e0s = [ground_state(b.h)[0] for b in bundles]
-    if beta is None:
-        beta = 1.0 + abs(e0s[0])
-    for e0 in e0s:
+    rows, gaps, prev, prev_solve = [], [], None, None
+    for bundle in bundles:
+        e0 = ground_state(bundle.h)[0]
+        beta = 1.0 + abs(e0) if beta is None else beta
         if beta <= -e0:
             raise ParameterError(f"shift beta={beta} does not clear spectrum bottom {e0}")
-    solves = tuple(_solver_for(b.h.matrix, beta) for b in bundles)
-    gaps = [
-        operator_norm(_resolvent_difference(coarse, fine, *pair))
-        for coarse, fine, pair in zip(bundles, bundles[1:], zip(solves, solves[1:]))
-    ]
-    levels = tuple(
-        {"v": str(b.lattice.v), "kappa": b.lattice.kappa, "dim": b.basis.dim} for b in bundles
-    )
-    return ConvergenceTrace(
-        levels=levels, beta=float(beta), resolvent_gaps=tuple(gaps), e0_trace=tuple(e0s), solves=solves
-    )
+        solve = shifted_solver(bundle.h.matrix, beta)
+        if prev is not None:
+            gaps.append(operator_norm(_resolvent_difference(prev, bundle, prev_solve, solve)))
+        level = {"v": str(bundle.lattice.v), "kappa": bundle.lattice.kappa, "dim": bundle.basis.dim}
+        rows.append((level, e0, higher_order_norm(bundle, beta, solve), bundle.metadata()))
+        prev, prev_solve = bundle, solve
+    if len(rows) < 2:
+        raise ParameterError("need at least two nested levels")
+    levels, e0s, norms, metadata = zip(*rows)
+    return ConvergenceTrace(levels=levels, beta=float(beta), resolvent_gaps=tuple(gaps), e0_trace=e0s,
+                            number_resolvent_norms=norms, bundles=metadata)
 
 
 def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve) -> float:
-    """|| N (H + beta)^-1 ||, with solve the level's x -> (H + beta)^-1 x (`ConvergenceTrace.solves`)."""
+    """|| N (H + beta)^-1 ||, with solve the level's x -> (H + beta)^-1 x (`linalg.shifted_solver`)."""
     n, dtype = bundle.basis.dim, bundle.h.matrix.dtype
     n_op = number_operator(bundle.basis).matrix
     # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.

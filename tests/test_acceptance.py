@@ -21,6 +21,7 @@ from chargedphi2.hamiltonian import (
     interaction_spec,
 )
 from chargedphi2.lattice import build_lattice
+from chargedphi2.linalg import shifted_solver
 from chargedphi2.oneparticle import (
     b_matrix,
     hs_norm_squared,
@@ -39,7 +40,6 @@ from chargedphi2.quantization import (
     polar_decompose,
 )
 from chargedphi2.spectral import (
-    _solver_for,
     ground_state,
     heisenberg_probe,
     higher_order_norm,
@@ -240,7 +240,7 @@ def test_criterion_08_resolvent_convergence(free_ladder_bundles, ladder_bundles)
 def test_criterion_09_higher_order_uniformity(ladder_bundles):
     # the shift policy of `resolvent_convergence`: 1 + |e0| at the coarsest level
     beta = 1.0 + abs(ground_state(ladder_bundles[0].h)[0])
-    norms = [higher_order_norm(b, beta, _solver_for(b.h.matrix, beta)) for b in ladder_bundles]
+    norms = [higher_order_norm(b, beta, shifted_solver(b.h.matrix, beta)) for b in ladder_bundles]
     spread = max(norms) / min(norms)
     ok = spread <= 1.1
     _report(9, ok, f"||N (H+beta)^-1|| across levels: {[f'{x:.5f}' for x in norms]}, spread {spread:.4f} <= 1.1")

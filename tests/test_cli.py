@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from chargedphi2 import cli, hamiltonian
+from chargedphi2 import cli, fock, hamiltonian
 from chargedphi2.config import load_config, parse_config
 from chargedphi2.errors import ConfigError
 from chargedphi2.fock import HARD_DIMENSION_CAP
@@ -223,6 +225,24 @@ class TestCliExitCodes:
         assert "7130 exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert not list(tmp_path.glob("probe_*"))
 
+    @pytest.mark.parametrize("subcommand", ["hvz", "convergence"])
+    def test_ladder_over_the_cap_exits_6_before_any_level(self, tmp_path, monkeypatch, capsys, subcommand):
+        # the ladder's levels have dimensions 66, 276 and 1,128; a cap of 1,000
+        # refuses the top one before either level below it is enumerated
+        calls = []
+        enumerate_basis, assemble = fock.enumerate_basis, hamiltonian.assemble
+        monkeypatch.setattr(fock, "enumerate_basis", lambda *a, **kw: calls.append("enumerate") or enumerate_basis(*a, **kw))
+        monkeypatch.setattr(hamiltonian, "assemble", lambda *a, **kw: calls.append("assemble") or assemble(*a, **kw))
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "ladder.json").read_text())
+        raw["solver"]["basis_cap"] = 1000
+        cfg = tmp_path / "capped.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main([subcommand, str(cfg)]) == cli.EXIT_RESOURCE == 6
+        assert "resource error: Fock basis dimension 1128 exceeds the hard cap 1000" in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.glob(f"{subcommand}_*"))
+
     @pytest.mark.parametrize(
         "coeffs, message",
         [([[3, 0, 1.0]], "degree 3 is odd"), ([[4, 0, -1.0]], "unbounded below")],
@@ -254,13 +274,55 @@ class TestCliExitCodes:
         assert all(gap == 0.0 for gap in report["resolvent_gaps"])
 
 
+class TestLiveness:
+    """The ladder is walked with at most two levels, and two LU factors, alive."""
+
+    class Factor:
+        """A SuperLU takes no weak reference, so its solve is read off this wrapper."""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, x):
+            return self.lu.solve(x)
+
+    def _peaks(self, tmp_path, monkeypatch, subcommand):
+        from chargedphi2 import linalg
+
+        built, live, peak = Counter(), Counter(), Counter()
+
+        def track(kind, obj):
+            built[kind] += 1
+            live[kind] += 1
+            peak[kind] = max(peak[kind], live[kind])
+            weakref.finalize(obj, live.subtract, [kind])
+            return obj
+
+        splu, bundle = linalg.spla.splu, cli._bundle
+        monkeypatch.setattr(linalg.spla, "splu", lambda a, *args, **kw: track("factor", self.Factor(splu(a, *args, **kw))))
+        monkeypatch.setattr(cli, "_bundle", lambda cfg, basis: track("bundle", bundle(cfg, basis)))
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main([subcommand, str(CONFIGS / "ladder.json")]) == 0
+        return built, peak
+
+    def test_convergence_holds_two_levels_and_two_factors(self, tmp_path, monkeypatch):
+        built, peak = self._peaks(tmp_path, monkeypatch, "convergence")
+        assert built == Counter(bundle=3, factor=3)
+        assert peak["bundle"] <= 2 and peak["factor"] <= 2
+
+    def test_hvz_holds_two_levels(self, tmp_path, monkeypatch):
+        built, peak = self._peaks(tmp_path, monkeypatch, "hvz")
+        assert built == Counter(bundle=3)
+        assert peak["bundle"] <= 2
+
+
 class TestArtifacts:
     def test_convergence_factors_each_level_once(self, tmp_path, monkeypatch):
-        from chargedphi2 import spectral
+        from chargedphi2 import linalg
 
         shapes = []
-        splu = spectral.spla.splu
-        monkeypatch.setattr(spectral.spla, "splu", lambda a, *args, **kw: shapes.append(a.shape) or splu(a, *args, **kw))
+        splu = linalg.spla.splu
+        monkeypatch.setattr(linalg.spla, "splu", lambda a, *args, **kw: shapes.append(a.shape) or splu(a, *args, **kw))
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         assert cli.main(["convergence", str(CONFIGS / "ladder.json")]) == 0
         assert sorted(shapes) == [(66, 66), (276, 276), (1128, 1128)]

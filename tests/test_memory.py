@@ -8,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 from chargedphi2.config import load_config
-from chargedphi2.oneparticle import omega_bottom
+from chargedphi2.oneparticle import lambda_quant, omega_bottom
 from chargedphi2.quantization import phase_space_grid, quantize_report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -35,3 +35,10 @@ def test_omega_bottom_peak():
     cfg = load_config(CONFIGS / "lambda_quant.json")
     lattice, pot = cfg.base_lattice(), cfg.make_potential()
     assert _peak_mib(lambda: omega_bottom(cfg.coupling.lam, pot, lattice)) <= 28.0
+
+
+def test_lambda_quant_peak():
+    # 18.2 MiB with a complex potential matrix and a complex temporary per step (M = 513)
+    cfg = load_config(CONFIGS / "lambda_quant.json")
+    lattice, pot = cfg.base_lattice(), cfg.make_potential()
+    assert _peak_mib(lambda: lambda_quant(pot, lattice)) <= 10.0

@@ -11,11 +11,10 @@ from chargedphi2.errors import ParameterError, ResourceLimitError
 from chargedphi2.fock import FockOperator, creation, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice
-from chargedphi2.linalg import operator_norm, reflected_eigvalsh, start_vector
+from chargedphi2.linalg import operator_norm, reflected_eigvalsh, shifted_solver, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
     _resolvent_difference,
-    _solver_for,
     ground_state,
     heisenberg_probe,
     higher_order_norm,
@@ -226,7 +225,7 @@ class TestResolventConvergence:
     def test_free_difference_vanishes_before_arpack(self, free_ladder_bundles):
         # ARPACK refuses the zero operator, so the norm must return 0.0 first
         coarse, fine = free_ladder_bundles[1:]
-        diff = _resolvent_difference(coarse, fine, *(_solver_for(b.h.matrix, 1.0) for b in (coarse, fine)))
+        diff = _resolvent_difference(coarse, fine, *(shifted_solver(b.h.matrix, 1.0) for b in (coarse, fine)))
         with pytest.raises(spla.ArpackError, match="Starting vector is zero"):
             spla.eigsh(diff.H @ diff, k=1, which="LM", v0=start_vector(coarse.basis.dim))
         assert operator_norm(diff) == 0.0
@@ -252,14 +251,14 @@ class TestResolventConvergence:
 class TestHigherOrderNorm:
     def test_uniform_across_levels(self, ladder_bundles):
         trace = resolvent_convergence(ladder_bundles)
-        norms = [higher_order_norm(b, trace.beta, solve) for b, solve in zip(ladder_bundles, trace.solves)]
+        norms = trace.number_resolvent_norms
         assert max(norms) / min(norms) <= 1.1
 
     def test_free_value_explicit(self, free_ladder_bundles):
         # for H0 and beta: max over states of n / (sum eps + beta) at m = 1 is
         # n_max / (n_max m + beta)
         bundle = free_ladder_bundles[0]
-        val = higher_order_norm(bundle, 1.0, _solver_for(bundle.h.matrix, 1.0))
+        val = higher_order_norm(bundle, 1.0, shifted_solver(bundle.h.matrix, 1.0))
         n_max = bundle.basis.n_max
         assert val == pytest.approx(n_max / (n_max * 1.0 + 1.0), rel=1e-10)
 
