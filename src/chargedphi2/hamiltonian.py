@@ -38,48 +38,31 @@ from .potentials import Potential
 Monomial = tuple[int, int, float]
 
 
-def _leading_form(monomials: Sequence[Monomial], degree: int, theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.zeros_like(theta)
+def leading_form_minimum(monomials: Sequence[Monomial], degree: int) -> float:
+    """Minimum over the circle of the top-degree form F(t) = sum coeff cos^a1 sin^a2.
+
+    With x = tan t, F = p(x) / (1 + x^2)^(d/2) for p(x) = sum coeff x^a2, and
+    the critical points are the roots of p'(x) (1 + x^2) - d x p(x).  F is
+    evaluated at their real parts, at t = 0 and at t = pi/2, in the chart tan t
+    or cot t (the reversed p) whichever is at most 1, so nothing overflows.
+    Every point is real, so the minimum never undershoots; a flat form has no
+    critical polynomial and keeps the two fixed points.  An odd form counts
+    its values with both signs, as F(t + pi) = -F(t).  `interaction_spec`
+    requires this minimum to be positive: sufficient for the polynomial to be
+    bounded below, but not necessary, so a semidefinite top form such as
+    phi_1^4 alone is refused.
+    """
+    p = np.zeros(degree + 1)  # highest power of x first
     for a1, a2, coeff in monomials:
         if a1 + a2 == degree:
-            out = out + coeff * c**a1 * s**a2
-    return out
-
-
-def _leading_form_derivative(monomials: Sequence[Monomial], degree: int, theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.zeros_like(theta)
-    for a1, a2, coeff in monomials:
-        if a1 + a2 != degree:
-            continue
-        if a1 > 0:
-            out = out - coeff * a1 * c ** (a1 - 1) * s ** (a2 + 1)
-        if a2 > 0:
-            out = out + coeff * a2 * c ** (a1 + 1) * s ** (a2 - 1)
-    return out
-
-
-def leading_form_minimum(monomials: Sequence[Monomial], degree: int, samples: int = 4096) -> float:
-    """Minimum over the circle of the top-degree form of the polynomial.
-
-    Dense sampling locates candidate wells; sign changes of the derivative
-    between samples are refined together by bisection down to rounding, so the
-    certificate is the value at a true critical point rather than at a grid node.
-    """
-    theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    vals = _leading_form(monomials, degree, theta)
-    dvals = _leading_form_derivative(monomials, degree, theta)
-    # a node where the derivative vanishes is a critical point already in vals;
-    # only strict sign changes are bracketed
-    bracket = np.flatnonzero(dvals * np.roll(dvals, -1) < 0.0)
-    lo, hi = theta[bracket], np.append(theta[1:], 2 * np.pi)[bracket]
-    positive = dvals[bracket] > 0.0  # the sign of the derivative at lo
-    for _ in range(45):  # halvings that take a 2 pi / 4096 bracket below the rounding of theta
-        mid = 0.5 * (lo + hi)
-        past = (_leading_form_derivative(monomials, degree, mid) > 0.0) == positive
-        lo, hi = np.where(past, mid, lo), np.where(past, hi, mid)
-    return float(np.min(np.concatenate([vals, _leading_form(monomials, degree, 0.5 * (lo + hi))])))
+            p[degree - a2] += coeff
+    crit = np.polysub(np.polymul(np.polyder(p), [1.0, 0.0, 1.0]), degree * np.polymul([1.0, 0.0], p))
+    roots = np.roots(crit).real
+    near = np.abs(roots) <= 1.0
+    x, y = np.append(roots[near], 0.0), np.append(1.0 / roots[~near], 0.0)
+    vals = np.concatenate([np.polyval(p, x) / (1.0 + x * x) ** (degree / 2),
+                           np.polyval(p[::-1], y) / (1.0 + y * y) ** (degree / 2)])
+    return float(np.min(np.concatenate([vals, -vals]) if degree % 2 else vals))
 
 
 @dataclass(frozen=True)
@@ -88,7 +71,9 @@ class InteractionSpec:
 
     monomials are (power of species-1 field, power of species-2 field, real
     coefficient); the certificate is the minimum over directions of the
-    leading form, positive exactly when the polynomial is bounded below.
+    leading form.  A positive certificate is sufficient for the polynomial to
+    be bounded below, not necessary, and the code requires it: a semidefinite
+    top form such as phi_1^4 alone is refused for either species.
     """
 
     monomials: tuple

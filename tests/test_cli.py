@@ -245,7 +245,12 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "coeffs, message",
-        [([[3, 0, 1.0]], "degree 3 is odd"), ([[4, 0, -1.0]], "unbounded below")],
+        [
+            ([[3, 0, 1.0]], "degree 3 is odd"),
+            ([[4, 0, -1.0]], "unbounded below"),
+            # phi_1^4 vanishes along phi_2, where -phi_2^2 is unbounded below
+            ([[4, 0, 1.0], [0, 2, -1.0]], "unbounded below"),
+        ],
     )
     def test_contract_error_exit_7(self, tmp_path, monkeypatch, capsys, coeffs, message):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))

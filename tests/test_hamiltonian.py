@@ -65,13 +65,32 @@ class TestInteractionSpec:
         with pytest.raises(ContractError):
             interaction_spec([(2, 0, 1.0)], neg)
 
+    def test_semidefinite_top_form_is_refused_for_either_species(self, gauss_g):
+        # cos^4 and sin^4 both vanish on the circle, exactly
+        assert leading_form_minimum([(4, 0, 1.0)], 4) == 0.0
+        assert leading_form_minimum([(0, 4, 1.0)], 4) == 0.0
+        with pytest.raises(ContractError):
+            interaction_spec([(4, 0, 1.0), (0, 2, -1.0)], gauss_g)
+
     def test_leading_form_minimum_flat_form(self):
         # cos^2 + sin^2 = 1: derivative vanishes identically
         assert leading_form_minimum([(2, 0, 1.0), (0, 2, 1.0)], 2) == pytest.approx(1.0)
+        # (cos^2 + sin^2)^4 = 1
+        octic = [(8, 0, 1.0), (6, 2, 4.0), (4, 4, 6.0), (2, 6, 4.0), (0, 8, 1.0)]
+        assert leading_form_minimum(octic, 8) == pytest.approx(1.0, abs=1e-12)
 
     def test_leading_form_minimum_analytic(self):
         # cos^4 - 1.5 cos^2 sin^2 + sin^4 = 1 - 3.5 x (1 - x) with x = cos^2: 1/8 at x = 1/2
         assert leading_form_minimum([(4, 0, 1.0), (2, 2, -1.5), (0, 4, 1.0)], 4) == pytest.approx(0.125, abs=1e-12)
+        # cos^6 + sin^6 = 1 - 3 x (1 - x) with x = cos^2: 1/4 at x = 1/2
+        assert leading_form_minimum([(6, 0, 1.0), (0, 6, 1.0)], 6) == pytest.approx(0.25, abs=1e-12)
+        # an odd form takes both signs: cos^3 reaches -1 at pi
+        assert leading_form_minimum([(3, 0, 1.0)], 3) == pytest.approx(-1.0, abs=1e-12)
+        # cos^4 + eps sin^4 has minimum eps / (1 + eps) at tan^2 t = 1 / eps, where
+        # (1 + tan^2)^2 overflows; the mirror form takes the same value
+        eps = 1e-160
+        assert leading_form_minimum([(4, 0, 1.0), (0, 4, eps)], 4) == pytest.approx(eps, rel=1e-12, abs=0.0)
+        assert leading_form_minimum([(4, 0, eps), (0, 4, 1.0)], 4) == pytest.approx(eps, rel=1e-12, abs=0.0)
         # a quadratic form's minimum is the lower eigenvalue of its matrix; it
         # sits between grid nodes, where the nodes alone miss it by 3.4e-7
         form = np.array([[1.0, 0.35], [0.35, 3.0]])

@@ -1,4 +1,4 @@
-"""Memory guards for the dense one-particle paths on the shipped configs.
+"""Memory guards for the dense one-particle paths and the assembly on the shipped configs.
 
 The peak is tracemalloc's, which numpy reports its array buffers to; unlike
 the process RSS it reproduces to 0.1 MiB from run to run.
@@ -7,6 +7,7 @@ the process RSS it reproduces to 0.1 MiB from run to run.
 import tracemalloc
 from pathlib import Path
 
+from chargedphi2 import cli
 from chargedphi2.config import load_config
 from chargedphi2.oneparticle import lambda_quant, omega_bottom
 from chargedphi2.quantization import phase_space_grid, quantize_report
@@ -42,3 +43,11 @@ def test_lambda_quant_peak():
     cfg = load_config(CONFIGS / "lambda_quant.json")
     lattice, pot = cfg.base_lattice(), cfg.make_potential()
     assert _peak_mib(lambda: lambda_quant(pot, lattice)) <= 10.0
+
+
+def test_assemble_peak():
+    # 9.0 MiB for the raise table, the Wick stream, the mirror and the Hermiticity check
+    # (dim 2,300, CSR 3.5 MiB)
+    cfg = load_config(CONFIGS / "probe.json")
+    basis = cli._basis(cfg, cfg.base_lattice())
+    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 11.0
