@@ -22,21 +22,26 @@ entries of whole columns, keyed column * dim + row; `wick_operator` is the
 CSR matrix of all of them.
 
 Every self-adjoint operator built from kernels (H, or Q from its
-`charge_kernels`) goes through one rule: the Wick entries of an adjoint-closed list
-of kernels with real weights on and above the diagonal are reduced in one stream
-to a strictly upper triangle T and a real diagonal d (`hermitian_parts`), and
-`mirror` returns T^H + diag(d) + T (`hermitian_operator`: weight 1).  The
-stream takes the generator's blocks as they come, concatenated once per
-kernel.  A p > q kernel raises the particle number, so all its entries lie
-below the diagonal and enter T transposed and conjugated; p < q ones (their
-adjoints) are skipped.  A balanced kernel is expanded on and above the
-diagonal only: its creator legs take no slot below the lowest annihilated
-slot, and of what remains the entries with row <= column are kept.  The bound
-drops no such entry.  The basis is ordered by number and then
-lexicographically, slot 0 first.  A term whose lowest created slot lies below
-every annihilated slot first changes the occupations at that slot, where it
-adds a particle, so its new state comes later in the order: the term lands
-strictly below the diagonal.
+`charge_kernels`) goes through one rule: the Wick entries of an adjoint-closed
+list of kernels with real weights on and above the diagonal are reduced in one
+stream to a strictly upper triangle T and a real diagonal d
+(`hermitian_parts`), and `mirror` writes T^H + diag(d) + T once
+(`hermitian_operator`: weight 1).  The stream is column-synchronous: every
+kernel's blocks advance together over the same ranges of COLUMN_BLOCK columns
+of T, and each range is summed and appended to T's CSC arrays, so no kernel's
+entries are concatenated and nothing is sorted beyond one range.  A p > q
+kernel raises the particle number, so all its entries lie below the diagonal
+and enter T transposed and conjugated; p < q ones (their adjoints) are
+skipped, and so are those that create more particles than the cap holds.  A
+balanced kernel is expanded on and above the diagonal only: its creator legs
+take no slot below the lowest annihilated slot, and of what remains the
+entries with row <= column are kept.  The bound drops no such entry.  The
+basis is ordered by number and then lexicographically, slot 0 first.  A term
+whose lowest created slot lies below every annihilated slot first changes the
+occupations at that slot, where it adds a particle, so its new state comes
+later in the order: the term lands strictly below the diagonal.  An operator
+claimed Hermitian is checked a block of rows at a time, with no transposed
+copy (`_hermitian_defect`).
 
 Matrix elements are a folded coefficient times a single square root of the
 exact integer product of the leg occupations, so equal kernels give bitwise
@@ -69,6 +74,12 @@ from .linalg import operator_norm, real_if_exact
 HARD_DIMENSION_CAP = 200_000
 # Basis columns expanded at once by `_wick_blocks`; bounds its working memory.
 COLUMN_BLOCK = 256
+# Blocks, balanced by their stored entries, that `mirror` and `_hermitian_defect`
+# transpose one at a time; each holds about 1/TRANSPOSE_BLOCKS of the matrix.
+# A matrix of fewer than TRANSPOSE_BLOCKS * COLUMN_BLOCK rows gets one block per
+# COLUMN_BLOCK rows, so a small one is not cut into blocks that cost more than
+# they save.
+TRANSPOSE_BLOCKS = 16
 
 
 def fock_dimension(n_slots: int, n_max: int) -> int:
@@ -218,14 +229,44 @@ class FockOperator:
         return self.matrix.toarray()
 
 
+def _blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
+    """Ranges [lo, hi) of a compressed axis, ascending and covering it, each
+    holding about as many stored entries: TRANSPOSE_BLOCKS of them, or one per
+    COLUMN_BLOCK rows of a smaller axis."""
+    count = max(1, min(TRANSPOSE_BLOCKS, (len(indptr) - 1) // COLUMN_BLOCK))
+    cuts = np.searchsorted(indptr, np.linspace(0, indptr[-1], count + 1)[1:-1])
+    edges = np.unique(np.r_[0, cuts, len(indptr) - 1]).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _hermitian_defect(mat: sp.spmatrix) -> float:
-    """max |A - A^H| holding one transposed copy: a canonical CSR is compared with
-    its own CSC arrays, and only an asymmetric pattern is subtracted."""
+    """max |A - A^H| without a transposed copy of A.
+
+    A canonical CSR A is compared a block of rows at a time (`_blocks`): the
+    block, transposed, holds for each row j the entries A[i, j] of the block's
+    rows i, and they must meet the same columns, in order, at the next places of
+    A's row j.  Once every place of every row has been met, the patterns of A and
+    A^H agree and the defect is the largest |A[j, i] - conj(A[i, j])| seen.  Any
+    other matrix, or an asymmetric pattern, is subtracted from its adjoint."""
     if mat.format == "csr" and mat.has_canonical_format:
-        csc = mat.tocsc()
-        if np.array_equal(mat.indptr, csc.indptr) and np.array_equal(mat.indices, csc.indices):
-            other = csc.data.conj()
-            return 0.0 if np.array_equal(mat.data, other) else float(np.max(np.abs(mat.data - other)))
+        n = mat.shape[0]
+        start = mat.indptr[:-1].astype(np.int64)  # the next place in each row
+        worst = [0.0]
+        for r0, r1 in _blocks(mat.indptr):
+            lo, hi = int(mat.indptr[r0]), int(mat.indptr[r1])
+            part = sp.csr_matrix((mat.data[lo:hi], mat.indices[lo:hi], mat.indptr[r0 : r1 + 1] - lo),
+                                 shape=(r1 - r0, n)).tocsc()
+            count = np.diff(part.indptr)
+            if np.any(start + count > mat.indptr[1:]):
+                break
+            dest = np.arange(part.nnz) + np.repeat(start - part.indptr[:-1], count)
+            if not np.array_equal(mat.indices[dest], part.indices + r0):
+                break
+            worst.append(np.max(np.abs(mat.data[dest] - part.data.conj()), initial=0.0))
+            start += count
+        else:
+            if np.array_equal(start, mat.indptr[1:]):
+                return float(np.max(worst))
     return float(np.max(np.abs((mat - mat.getH()).data), initial=0.0))
 
 
@@ -314,19 +355,22 @@ def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
     """Yield the entries of kern's monomial operator as (keys, vals) blocks, an
     entry (row, col) keyed col * dim + row.
 
-    Blocks ascend in column and each holds whole columns, so every entry comes
-    once, in key order, with the nonzero sum of its terms.  The first block is
-    empty and carries the dtype of the values.  With upper (for a balanced
-    kernel) only the entries with row <= column are made: creator legs take only
-    slots at or above the lowest annihilated slot, since every other term lies
-    strictly below the diagonal (module docstring).
+    The first block is empty and carries the dtype of the values.  Block b + 1
+    then holds the whole columns b COLUMN_BLOCK to (b + 1) COLUMN_BLOCK - 1, so
+    kernels expanded side by side reach the same columns together; every entry
+    comes once, in key order, with the nonzero sum of its terms.  The generator
+    stops after the block of the last column the monomial does not kill.  With
+    upper (for a balanced kernel) only the entries with row <= column are made:
+    creator legs take only slots at or above the lowest annihilated slot, since
+    every other term lies strictly below the diagonal (module docstring).
     """
     m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q
     coeffs = real_if_exact(np.asarray(kern.coeffs, dtype=complex))
     widths = tuple(2 * m if s is None else m for s in kern.species)
     if coeffs.shape != widths:
         raise ShapeError(f"kernel axes {coeffs.shape} do not match the {m}-mode lattice: need {widths}")
-    yield np.zeros(0, dtype=np.int64), np.zeros(0, dtype=coeffs.dtype)
+    empty = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=coeffs.dtype)
+    yield empty
     totals = basis.totals()
     active = np.flatnonzero((totals >= q) & (totals - q + p <= basis.n_max))
     if not len(active):
@@ -346,8 +390,11 @@ def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
     if any(len(mode) == 0 for mode in modes):  # a leg without coefficients
         return
     up = basis.raise_table if p else None
-    for start in range(0, len(active), COLUMN_BLOCK):
-        cols = active[start : start + COLUMN_BLOCK]
+    for start in range(0, active[-1] + 1, COLUMN_BLOCK):
+        cols = active[np.searchsorted(active, start) : np.searchsorted(active, start + COLUMN_BLOCK)]
+        if not len(cols):
+            yield empty
+            continue
         occ = basis.occ[cols]
         amp = np.ones(len(cols), dtype=np.int64)
         cidx = np.zeros(len(cols), dtype=np.int64)
@@ -419,35 +466,56 @@ def _summed(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     return key[val != 0], val[val != 0]
 
 
-def _triangle_entries(basis: FockBasis, kern: WickKernel) -> tuple[np.ndarray, np.ndarray]:
-    """(key, val): what a p >= q kernel adds to T and the diagonal, unweighted, with
-    key = col * dim + row of the entry of T.  A balanced kernel gives its own entries
-    with row <= col, in stream order; a p > q one's lie below the diagonal, so T
-    gets each conjugated at the transposed place.  Concatenated once per kernel."""
-    dim = basis.dim
+def streamed(basis: FockBasis, kern: WickKernel) -> bool:
+    """Whether `hermitian_parts` expands kern: some coefficient is nonzero and
+    q <= p <= n_max.  A p < q kernel is the adjoint of one that is expanded, and
+    one with p > n_max creates more particles than the cap holds."""
+    return kern.q <= kern.p <= basis.n_max and bool(np.any(kern.coeffs))
+
+
+def _triangle_ranges(basis: FockBasis, kern: WickKernel):
+    """Yield what a p >= q kernel adds to T and the diagonal, unweighted, as
+    (key, val) blocks keyed col * dim + row of T: a first empty block carrying the
+    dtype, then one block per range of COLUMN_BLOCK columns of T, as far as any
+    has entries.
+
+    A balanced kernel's blocks are its own `_wick_blocks`, with row <= col.  A
+    p > q kernel's entries lie below the diagonal, so T gets each conjugated at
+    the transposed place: its Wick matrix is converted to CSR once, and row r of
+    it is column r of T."""
     if kern.p == kern.q:
-        parts = list(_wick_blocks(basis, kern, upper=True))
-    else:
-        parts = [(key % dim * dim + key // dim, val.conj()) for key, val in _wick_blocks(basis, kern)]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+        yield from _wick_blocks(basis, kern, upper=True)
+        return
+    dim, w = basis.dim, wick_operator(basis, kern).matrix
+    yield np.zeros(0, dtype=np.int64), np.zeros(0, dtype=w.dtype)
+    for start in range(0, dim, COLUMN_BLOCK):
+        stop = min(start + COLUMN_BLOCK, dim)
+        cols = np.repeat(np.arange(start, stop), np.diff(w.indptr[start : stop + 1]))
+        lo, hi = w.indptr[start], w.indptr[stop]
+        yield cols * dim + w.indices[lo:hi], w.data[lo:hi].conj()
 
 
-def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]]) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(T, d): the strictly upper triangle and real diagonal of the sum of w K over
-    (w, K) terms, real weights on an adjoint-closed kernel list, from one stream.
+def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]]) -> tuple[sp.csc_matrix, np.ndarray]:
+    """(T, d): the strictly upper triangle, in CSC form, and the real diagonal of
+    the sum of w K over (w, K) terms, real weights on an adjoint-closed kernel
+    list, from one column-synchronous stream.
 
-    Each p >= q kernel's `_wick_blocks` go straight into the stream, one
-    concatenation per kernel (`_triangle_entries`), keyed by T's columns, the
-    order in which balanced blocks come; T is converted to CSR once.  p > q
-    kernels raise the particle number, so their entries lie below the diagonal
-    of the number-ordered basis and enter T transposed and conjugated; p < q
-    kernels (their adjoints) and all-zero ones are not expanded.  Balanced
-    (p = q) ones give only their row <= column entries: their creator legs skip
-    every slot below the lowest annihilated slot, which is exact because such a
-    term lies strictly below the diagonal (module docstring).  Their weighted
-    folded tensors, summed per label tuple, must therefore be adjoint-closed to
-    1e-12 relative (else ContractError).  A weight scales the expanded entries,
-    never the coefficients; the terms on one entry are summed in list order.
+    Every kernel that is `streamed` gives its `_triangle_ranges`, and all of
+    them advance together over the same ranges of COLUMN_BLOCK columns of T.
+    Each range's weighted blocks are summed in list order (`_summed`); its
+    diagonal entries go to d and the rest are appended to T's CSC arrays, which
+    grow in place by realloc, so T is never held as pieces beside their joined
+    copy.  No kernel's entries are held whole, apart from a p > q
+    kernel's Wick matrix, and nothing is sorted beyond one range.  p > q kernels
+    raise the particle number, so their entries lie below the diagonal of the
+    number-ordered basis and enter T transposed and conjugated; p < q kernels
+    (their adjoints) and all-zero ones are not expanded.  Balanced (p = q) ones
+    give only their row <= column entries: their creator legs skip every slot
+    below the lowest annihilated slot, which is exact because such a term lies
+    strictly below the diagonal (module docstring).  Their weighted folded
+    tensors, summed per label tuple, must therefore be adjoint-closed to 1e-12
+    relative (else ContractError).  A weight scales the expanded entries, never
+    the coefficients; the terms on one entry are summed in list order.
     """
     folded = {}
     for w, kern in ((w, k) for w, k in terms if k.p == k.q):
@@ -459,27 +527,72 @@ def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]])
         if np.max(np.abs(folded.get(adj.species, 0) - adj.coeffs)) > 1e-12 * scale:
             raise ContractError(f"balanced kernels labelled {labels} are not closed under adjoints")
     dim = basis.dim
-    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
-    for weight, kern in ((w, k) for w, k in terms if k.p >= k.q and np.any(k.coeffs)):
-        key, val = _triangle_entries(basis, kern)
-        val *= weight  # the expanded entries, in place
-        blocks.append((key, val))
-        del key, val
-    key, val = _summed(blocks)
-    on_diagonal = key % (dim + 1) == 0  # key = col * dim + row, and row <= col
-    d = np.zeros(dim)
-    d[key[on_diagonal] // (dim + 1)] = val[on_diagonal].real
-    key = key[~on_diagonal]  # ascending, so these are T's entries in CSC order
-    val = val[~on_diagonal]
-    indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
-    return sp.csc_matrix((val, key % dim, indptr), shape=(dim, dim)).tocsr(), d
+    streams = [(w, _triangle_ranges(basis, k)) for w, k in terms if streamed(basis, k)]
+    dtype = np.result_type(np.float64, *(next(ranges)[1] for _, ranges in streams))
+    empty = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
+    rows, vals, size = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=dtype), 0
+    indptr, d = np.zeros(dim + 1, dtype=np.int64), np.zeros(dim)
+    for start in range(0, dim, COLUMN_BLOCK):
+        stop = min(start + COLUMN_BLOCK, dim)
+        blocks = [empty]
+        for weight, ranges in streams:
+            key, val = next(ranges, empty)
+            blocks.append((key, val * weight))
+        key, val = _summed(blocks)
+        col, row = np.divmod(key, dim)
+        on_diagonal = row == col
+        d[row[on_diagonal]] = val[on_diagonal].real
+        off = ~on_diagonal
+        end = size + np.count_nonzero(off)
+        if end > len(rows):  # realloc: a large buffer is remapped, not copied
+            rows.resize(max(end, len(rows) * 5 // 4), refcheck=False)
+            vals.resize(len(rows), refcheck=False)
+        rows[size:end] = row[off]
+        vals[size:end] = val[off]
+        indptr[start + 1 : stop + 1] = size + np.cumsum(np.bincount(col[off] - start, minlength=stop - start))
+        size = end
+    rows.resize(size, refcheck=False)
+    vals.resize(size, refcheck=False)
+    return sp.csc_matrix((vals, rows, indptr), shape=(dim, dim)), d
 
 
-def mirror(t: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
-    """T^H + diag(d) + T for T strictly upper and d real: Hermitian bitwise, and
-    the three patterns are disjoint, so each sum copies entries into exact-size
-    buffers (a temporary is freed as soon as the next sum has consumed it)."""
-    return t.getH().tocsr() + sp.diags(d, format="csr") + t
+def mirror(t: sp.csc_matrix, d: np.ndarray) -> sp.csr_matrix:
+    """T^H + diag(d) + T for T strictly upper (CSC) and d real, written once into
+    exact-size CSR buffers: Hermitian bitwise.
+
+    Row i of H is column i of T conjugated, then d_i unless it is zero, then row
+    i of T.  T's CSC arrays already are T^H's CSR arrays, so only the upper part
+    needs a transpose, done for one block of T's columns at a time (`_blocks`).
+    The values are those of the sum of the three sparse matrices: each entry is
+    copied once, and a complex H gets + 0.0, as the sum gave it, so no part of an
+    entry is -0.0.
+    """
+    dim, on_diagonal = t.shape[0], d != 0
+    below = np.diff(t.indptr)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(below + on_diagonal + np.bincount(t.indices, minlength=dim), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=np.result_type(t.dtype, d.dtype))
+    upper = indptr[:-1] + below  # the next place of each row after its lower part
+    diagonal = np.flatnonzero(on_diagonal)
+    indices[upper[diagonal]] = diagonal
+    data[upper[diagonal]] = d[diagonal]
+    upper += on_diagonal
+    for c0, c1 in _blocks(t.indptr):
+        lo, hi = int(t.indptr[c0]), int(t.indptr[c1])
+        part = sp.csc_matrix((t.data[lo:hi], t.indices[lo:hi], t.indptr[c0 : c1 + 1] - lo), shape=(dim, c1 - c0))
+        dest = np.arange(lo, hi) + np.repeat(indptr[c0:c1] - t.indptr[c0:c1], below[c0:c1])
+        indices[dest] = part.indices
+        data[dest] = part.data.conj()
+        part = part.tocsr()  # the rows of T within these columns
+        count = np.diff(part.indptr)
+        dest = np.arange(part.nnz) + np.repeat(upper - part.indptr[:-1], count)
+        indices[dest] = part.indices + c0
+        data[dest] = part.data
+        upper += count
+    if np.iscomplexobj(data):
+        data += 0.0
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockOperator:
@@ -492,7 +605,8 @@ def gauge_kernel(kern: WickKernel) -> WickKernel:
     """The kernel of D^* A D for A the monomial of kern and D = diag(i^{N_2}).
 
     Each species-2 creator leg gains -i and each species-2 annihilator leg i;
-    a leg over all 2M slots gains that factor on its species-2 half.
+    a leg over all 2M slots gains that factor on its species-2 half.  The
+    coefficients are float64 when every gauged one is real.
     """
     coeffs = np.asarray(kern.coeffs, dtype=complex)
     for axis, (s, width) in enumerate(zip(kern.species, coeffs.shape)):
@@ -501,7 +615,7 @@ def gauge_kernel(kern: WickKernel) -> WickKernel:
         phase = np.ones(width, dtype=complex)
         phase[width // 2 if s is None else 0 :] = -1j if axis < kern.p else 1j
         coeffs = coeffs * phase.reshape((width,) + (1,) * (coeffs.ndim - axis - 1))
-    return WickKernel(p=kern.p, q=kern.q, species=kern.species, coeffs=coeffs)
+    return WickKernel(p=kern.p, q=kern.q, species=kern.species, coeffs=real_if_exact(coeffs))
 
 
 def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:

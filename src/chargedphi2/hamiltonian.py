@@ -14,8 +14,9 @@ kernels (weight lambda) through one `fock.hermitian_parts` pass, adds the free
 energies to the diagonal and mirrors once: H is Hermitian bitwise and bitwise
 H0 + HI + lambda Q, since each entry of Q is one term of one charge kernel.
 The kernel builders and `free_energies` are lab frame; `assemble` gauges
-every kernel (`fock.gauge_kernel`, the frame of D^* A D with D =
-diag(i^{N_2})), so `bundle.h` is gauge frame, float64 for an even potential
+every kernel the stream expands (`fock.streamed`; `fock.gauge_kernel`, the
+frame of D^* A D with D = diag(i^{N_2})) and holds only those, so
+`bundle.h` is gauge frame, float64 for an even potential
 and a polynomial even in phi_2, as is its one-particle energy
 `oneparticle.omega_block`.  An eigenvector psi of `bundle.h` is the
 lab-frame state D psi.
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import FockBasis, FockOperator, WickKernel, gauge_kernel, hermitian_parts, mirror
+from .fock import FockBasis, FockOperator, WickKernel, gauge_kernel, hermitian_parts, mirror, streamed
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, mixer, pair_kernel
 from .potentials import Potential
@@ -246,8 +247,8 @@ def assemble(
     coupling = lambda_quant(pot, lattice)
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
-    terms = [(1.0, gauge_kernel(k)) for k in interaction_kernels(spec, lattice)]
-    terms += [(lam, gauge_kernel(k)) for k in charge_kernels(pot, lattice)]
+    terms = [(1.0, gauge_kernel(k)) for k in interaction_kernels(spec, lattice) if streamed(basis, k)]
+    terms += [(lam, gauge_kernel(k)) for k in charge_kernels(pot, lattice) if streamed(basis, k)]
     t, d = hermitian_parts(basis, terms)
     del terms  # the gauged kernels, freed before the mirror
     h = mirror(t, free_energies(basis) + d)

@@ -144,7 +144,7 @@ def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> np.ndar
     """
     eps = lattice.dispersion()
     corner = gauge_kernel(WickKernel(p=1, q=1, species=(1, 2), coeffs=lam * b_matrix(pot, lattice))).coeffs
-    out = mixer(real_if_exact(corner))
+    out = mixer(corner)
     np.fill_diagonal(out, np.concatenate([eps, eps]))
     return out
 

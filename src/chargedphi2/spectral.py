@@ -279,7 +279,7 @@ def heisenberg_probe(
     f_coeffs = np.asarray(f_coeffs, dtype=complex)
     if f_coeffs.shape != (basis.n_slots,):
         raise ParameterError(f"probe vector must cover all {basis.n_slots} slots")
-    g0 = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_coeffs / math.sqrt(2.0))).coeffs
+    g0 = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_coeffs / math.sqrt(2.0))).coeffs.astype(complex)
     ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
     g_in_eig = u.conj().T @ g0
 

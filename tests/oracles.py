@@ -164,6 +164,42 @@ def triangle_entries(basis, kern):
     return cols * basis.dim + t.indices, t.data
 
 
+def sorted_hermitian_parts(basis, terms):
+    """(T, d) of `fock.hermitian_parts` by the global sort the column-synchronous
+    stream replaces: every expanded kernel's `triangle_entries`, weighted, are
+    concatenated in list order, stably sorted by key once, and each key's terms
+    summed (np.add.reduceat) with zero sums dropped.  T is CSC."""
+    dim = basis.dim
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for weight, kern in terms:
+        if kern.q <= kern.p and np.any(kern.coeffs):
+            key, val = triangle_entries(basis, kern)
+            blocks.append((key, val * weight))
+    key, val = (np.concatenate(part) for part in zip(*blocks))
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, val = key[first], np.add.reduceat(val, first)
+    key, val = key[val != 0], val[val != 0]
+    on_diagonal = key % (dim + 1) == 0
+    d = np.zeros(dim)
+    d[key[on_diagonal] // (dim + 1)] = val[on_diagonal].real
+    key, val = key[~on_diagonal], val[~on_diagonal]
+    indptr = np.r_[0, np.cumsum(np.bincount(key // dim, minlength=dim))]
+    return sp.csc_matrix((val, key % dim, indptr), shape=(dim, dim)), d
+
+
+def summed_mirror(t, d):
+    """T^H + diag(d) + T by two scipy sparse sums, the route `fock.mirror` replaces."""
+    t = sp.csr_matrix(t)
+    return t.getH().tocsr() + sp.diags(d, format="csr") + t
+
+
+def full_hermitian_defect(mat):
+    """max |A - A^H| from the full difference."""
+    return float(np.max(np.abs((mat - mat.getH()).data), initial=0.0))
+
+
 def creation_frame(bundle, psi0):
     """The hvz frame from the 2M creation matrices: a*_s psi0 for every slot,
     normalized where nonzero, then orthonormalized by the same QR."""

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargedphi2 import fock
+from chargedphi2 import cli, fock
 from chargedphi2.errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from chargedphi2.fock import (
     FockOperator,
@@ -25,10 +26,14 @@ from chargedphi2.fock import (
     number_operator,
     wick_operator,
 )
-from chargedphi2.hamiltonian import charge_kernels, interaction_kernels, interaction_spec
+from chargedphi2.config import load_config
+from chargedphi2.hamiltonian import charge_kernels, free_energies, interaction_kernels, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
-from oracles import (dense_wick, safe_columns, smeared_field_coefficients, symmetrized, triangle_entries,
-                     two_particle_tensor)
+from chargedphi2.potentials import zero_potential
+from oracles import (dense_wick, full_hermitian_defect, safe_columns, smeared_field_coefficients, sorted_hermitian_parts,
+                     summed_mirror, symmetrized, triangle_entries, two_particle_tensor)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestEnumeration:
@@ -183,6 +188,73 @@ class TestHermitianCheck:
         assert FockOperator(basis=basis3, matrix=mat, hermitian=True).hermitian
         with pytest.raises(ContractError):
             FockOperator(basis=basis3, matrix=mat * 1j, hermitian=True)
+
+    @staticmethod
+    def _random_hermitian(n, seed):
+        r = np.random.default_rng(seed)
+        a = sp.random(n, n, density=0.01, random_state=r, format="csr")
+        a = a + 1j * sp.random(n, n, density=0.01, random_state=r, format="csr")
+        return (a + a.getH()).tocsr()
+
+    @staticmethod
+    def _bump(mat, row, col, delta):
+        """mat with delta added to its stored entry (row, col) only."""
+        mat = mat.copy()
+        place = mat.indptr[row] + np.flatnonzero(mat.indices[mat.indptr[row] : mat.indptr[row + 1]] == col)
+        assert len(place) == 1
+        mat.data[place] += delta
+        return mat
+
+    @staticmethod
+    def _entries(mat, same_block):
+        """Off-diagonal stored (row, col) whose row and column lie in one `fock._blocks` block, or in two."""
+        edges = [hi for _, hi in fock._blocks(mat.indptr)]
+        assert len(edges) > 2
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        same = np.searchsorted(edges, rows, side="right") == np.searchsorted(edges, mat.indices, side="right")
+        keep = np.flatnonzero((rows != mat.indices) & (same == same_block))
+        return list(zip(rows[keep], mat.indices[keep]))
+
+    @staticmethod
+    def _blockwise(mat, monkeypatch):
+        """`fock._hermitian_defect` of mat, failing if it subtracts mat's adjoint."""
+        with monkeypatch.context() as patch:
+            patch.setattr(type(mat), "getH", lambda self: pytest.fail("fell back to A - A^H"))
+            return fock._hermitian_defect(mat)
+
+    def test_blockwise_defect_equals_the_full_difference(self, basis3, desk_bundle, monkeypatch):
+        real = desk_bundle.h.matrix
+        cplx = self._random_hermitian(real.shape[0], 3)
+        for mat in (real, cplx):
+            assert full_hermitian_defect(mat) == self._blockwise(mat, monkeypatch) == 0.0
+        # a real entry whose row and column share a block, and a complex one across two blocks
+        inside, across = self._entries(real, True), self._entries(cplx, False)
+        for mat in (self._bump(real, *inside[len(inside) // 2], 1e-10),
+                    self._bump(cplx, *across[len(across) // 2], 1e-10j)):
+            assert mat.has_canonical_format
+            assert full_hermitian_defect(mat) == self._blockwise(mat, monkeypatch)
+            assert 0.9e-10 <= fock._hermitian_defect(mat) <= 1.1e-10
+            with pytest.raises(ContractError):
+                FockOperator(basis=basis3, matrix=mat, hermitian=True)
+
+    def test_blockwise_defect_of_an_asymmetric_pattern(self, basis3):
+        herm = self._random_hermitian(basis3.dim, 4)
+        i, j = np.argwhere((herm.toarray() == 0) & ~np.eye(basis3.dim, dtype=bool))[0]
+        for value in (1e-13, 2e-12):
+            mat = (herm + sp.csr_matrix(([value], ([i], [j])), shape=herm.shape)).tocsr()
+            assert mat.has_canonical_format
+            assert fock._hermitian_defect(mat) == full_hermitian_defect(mat) == value
+        with pytest.raises(ContractError):
+            FockOperator(basis=basis3, matrix=mat, hermitian=True)
+
+    def test_non_canonical_csr_is_subtracted(self):
+        herm = self._random_hermitian(1_330, 5)
+        for mat in (herm, self._bump(herm, *self._entries(herm, False)[0], 1e-10)):
+            # the same matrix with every row's entries stored in reverse order
+            order = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:])])
+            reversed_rows = sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr), shape=mat.shape)
+            assert not reversed_rows.has_canonical_format
+            assert fock._hermitian_defect(reversed_rows) == full_hermitian_defect(mat)
 
 
 class TestWickOperator:
@@ -373,7 +445,7 @@ class TestWickOperator:
         coeffs = r.standard_normal(shape) + 1j * r.standard_normal(shape) * data.draw(st.booleans())
         coeffs = coeffs * (r.random(shape) < data.draw(st.sampled_from([0.3, 1.0])))
         kern = WickKernel(p=p, q=q, species=species, coeffs=coeffs)
-        key, val = fock._triangle_entries(basis, kern)
+        key, val = (np.concatenate(part) for part in zip(*fock._triangle_ranges(basis, kern)))
         order = np.argsort(key)
         ref_key, ref_val = triangle_entries(basis, kern)
         assert np.array_equal(key[order], ref_key)
@@ -408,6 +480,63 @@ class TestWickOperator:
     def test_kernel_shape_validation(self, basis3):
         with pytest.raises(ShapeError):
             wick_operator(basis3, WickKernel(p=1, q=0, species=(1,), coeffs=np.zeros(5, dtype=complex)))
+
+
+class TestStreamAndMirror:
+    """The column-synchronous stream and the one-pass mirror against the global sort
+    and the two sparse sums they replace (`oracles`), bitwise."""
+
+    @staticmethod
+    def _assert_bitwise(a, b):
+        assert a.format == b.format and a.shape == b.shape
+        for attr in ("indptr", "indices", "data"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+
+    def _check(self, basis, terms, diagonal=None):
+        t, d = hermitian_parts(basis, terms)
+        ref_t, ref_d = sorted_hermitian_parts(basis, terms)
+        self._assert_bitwise(t, ref_t)
+        assert d.tobytes() == ref_d.tobytes()
+        d = d if diagonal is None else diagonal
+        self._assert_bitwise(mirror(t, d), summed_mirror(t, d))
+        return t, d
+
+    @staticmethod
+    def _gauged_terms(spec, pot, lam, lattice):
+        # every kernel, the ones the stream skips included
+        return ([(1.0, gauge_kernel(k)) for k in interaction_kernels(spec, lattice)]
+                + [(lam, gauge_kernel(k)) for k in charge_kernels(pot, lattice)])
+
+    def test_probe_cubic_kernels(self):
+        cfg = load_config(CONFIGS / "probe.json")
+        basis = cli._basis(cfg, cfg.base_lattice())
+        spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
+        terms = self._gauged_terms(spec, cfg.make_potential(), cfg.coupling.lam, basis.lattice)
+        assert {(k.p, k.q) for _, k in terms if fock.streamed(basis, k)} >= {(3, 0), (2, 1), (3, 1), (2, 2)}
+        t, _ = self._check(basis, terms)
+        assert t.dtype == np.float64
+
+    def test_complex_mixed_monomial(self, basis3, lat3, gauss_v, gauss_g):
+        spec = interaction_spec([(2, 0, 0.4), (0, 2, 0.4), (1, 1, 0.1)], gauss_g)
+        t, d = self._check(basis3, self._gauged_terms(spec, gauss_v, 0.15, lat3))
+        assert t.dtype == complex and np.any(t.data.real == 0) and d[0] == 0.0
+
+    def test_free_case(self, basis3, lat3, free_spec):
+        terms = self._gauged_terms(free_spec, zero_potential(), 0.0, lat3)
+        t, d = self._check(basis3, terms, diagonal=free_energies(basis3))
+        assert t.nnz == 0 and d[0] == 0.0
+
+    def test_empty_triangle_dim_one_and_zeros_on_the_diagonal(self, lat3, basis3):
+        self._check(enumerate_basis(lat3, 0), [])
+        d = free_energies(basis3)
+        d[1::3] = 0.0
+        d[2::3] = -0.0
+        self._check(basis3, [], diagonal=d)
+        r = np.random.default_rng(11)
+        shape = (basis3.n_modes,) * 2
+        kern = WickKernel(p=2, q=0, species=(1, 2), coeffs=r.standard_normal(shape) + 1j * r.standard_normal(shape))
+        self._check(basis3, [(0.5, kern)], diagonal=d)
 
 
 class TestFieldOperator:

@@ -4,6 +4,7 @@ The peak is tracemalloc's, which numpy reports its array buffers to; unlike
 the process RSS it reproduces to 0.1 MiB from run to run.
 """
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -51,3 +52,14 @@ def test_assemble_peak():
     cfg = load_config(CONFIGS / "probe.json")
     basis = cli._basis(cfg, cfg.base_lattice())
     assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 11.0
+
+
+def test_m17_assemble_peak():
+    # 54.8 MiB with a global sort of every kernel's entries, a two-sum mirror and a
+    # full CSC copy of H in the Hermiticity check (dim 7,770, CSR 23.0 MiB)
+    cfg = load_config(CONFIGS / "desk_bundle.json")
+    cfg = dataclasses.replace(cfg, lattice=dataclasses.replace(cfg.lattice, v="4"))
+    basis = cli._basis(cfg, cfg.base_lattice())
+    assert basis.dim == 7_770
+    basis.raise_table
+    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 46.0
