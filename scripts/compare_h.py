@@ -7,9 +7,12 @@ Each root is a checkout of this repository.  For every bundle in BUNDLES
 (a config path relative to the root), each tree assembles `bundle.h` from its
 own `src/` and its own copy of the config, as `spectrum` builds it
 (`cli._single_level_bundle`), in a child process with BLAS pinned
-to one thread; the children run one at a time and hand the CSR arrays back
-through a temporary .npz file.  One line per bundle says whether indptr,
-indices and data are bitwise equal (same dtype, same bytes) and gives the
+to one thread; the children run one at a time and hand the arrays back
+through a temporary .npz file.  The arrays are the CSR of H (`bundle.h.matrix`,
+stored or built on demand) and, from a tree whose `bundle.h` holds H as its
+strictly upper triangle T and real diagonal d, T's CSC arrays and d.  One line
+per bundle says whether H's indptr, indices and data are bitwise equal (same
+dtype, same bytes), and T's and d when both trees hold them, and gives the
 largest |H_new - H_ref|.  Exits 1 if any bundle differs or fails to build,
 else 0.
 
@@ -42,18 +45,24 @@ import numpy as np
 from chargedphi2 import cli
 from chargedphi2.config import load_config
 
-h = cli._single_level_bundle(load_config(sys.argv[1])).h.matrix
-np.savez(sys.argv[2], indptr=h.indptr, indices=h.indices, data=h.data, shape=np.array(h.shape))
+h = cli._single_level_bundle(load_config(sys.argv[1])).h
+m = h.matrix
+parts = {"T indptr": h.t.indptr, "T indices": h.t.indices, "T data": h.t.data, "d": h.d} if hasattr(h, "t") else {}
+np.savez(sys.argv[2], indptr=m.indptr, indices=m.indices, data=m.data, shape=np.array(m.shape), **parts)
 """
 
 
-def assemble_in(root: Path, config: str, out: Path) -> sp.csr_matrix:
-    """bundle.h of config as root's own source builds it, in a child process."""
+def assemble_in(root: Path, config: str, out: Path) -> dict:
+    """The arrays of bundle.h of config as root's own source builds it, in a child process."""
     env = dict(os.environ, **THREADS)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", CHILD, str(root / config), str(out)], env=env, check=True)
     with np.load(out) as arrays:
-        return sp.csr_matrix((arrays["data"], arrays["indices"], arrays["indptr"]), shape=tuple(arrays["shape"]))
+        return dict(arrays)
+
+
+def _csr(arrays: dict) -> sp.csr_matrix:
+    return sp.csr_matrix((arrays["data"], arrays["indices"], arrays["indptr"]), shape=tuple(arrays["shape"]))
 
 
 def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
@@ -76,10 +85,12 @@ def main(argv=None) -> int:
                 print(f"{name:10s} assembly failed with exit code {exc.returncode}")
                 differ = True
                 continue
-            same = {attr: _bitwise(getattr(ref, attr), getattr(new, attr)) for attr in ("indptr", "indices", "data")}
+            shared = [key for key in ref if key in new and key != "shape"]
+            same = {key: _bitwise(ref[key], new[key]) for key in shared}
+            ref, new = _csr(ref), _csr(new)
             delta = abs(new - ref)
             largest = float(delta.max()) if delta.nnz else 0.0
-            flags = "  ".join(f"{attr} {'equal' if ok else 'DIFFER'}" for attr, ok in same.items())
+            flags = "  ".join(f"{key} {'equal' if ok else 'DIFFER'}" for key, ok in same.items())
             print(f"{name:10s} dim {ref.shape[0]:>6,}  nnz {ref.nnz:>10,} -> {new.nnz:>10,}  {flags}  "
                   f"max|dH| {largest:.3g}")
             differ |= not all(same.values())

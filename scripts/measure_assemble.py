@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure one Hamiltonian assembly: wall time, process peak, traced peak, nnz, CSR bytes.
+"""Measure one Hamiltonian assembly: wall time, process peak, traced peak, nnz, bytes of T and d.
 
 Usage: python scripts/measure_assemble.py CONFIG [--n-max N]
 
@@ -12,7 +12,10 @@ it, imports and basis included.  A second child, run after the first, builds
 the same bundle under tracemalloc, with the basis's raise table built
 beforehand, and reports the peak of the bytes numpy and Python allocate
 during the build: unlike the RSS it reproduces to 0.1 MiB from run to run,
-and the timed child stays untraced.  --n-max replaces the config's particle cap:
+and the timed child stays untraced.  The bundle holds H as its strictly upper
+triangle T (CSC) and real diagonal d, and neither child builds H's full
+matrix: nnz is H's as `metadata()` counts it, the bytes are those of T's
+arrays and d, and both peaks are also given over those bytes.  --n-max replaces the config's particle cap:
 perfbench/configs/m17_spectrum.json has dim 7,770 and reaches dim 73,815 with
 --n-max 4.  Measure one configuration at a time; two processes on a two-core
 machine slow each other down.
@@ -42,9 +45,10 @@ basis = cli._basis(cfg, cfg.base_lattice())
 """
 TIMED = BASIS + """
 t0 = time.perf_counter()
-h = cli._bundle(cfg, basis).h.matrix
+bundle = cli._bundle(cfg, basis)
 wall = time.perf_counter() - t0
-print(basis.dim, h.nnz, h.data.nbytes + h.indices.nbytes + h.indptr.nbytes, wall)
+t, d = bundle.h.t, bundle.h.d
+print(basis.dim, bundle.metadata()["nnz"], t.data.nbytes + t.indices.nbytes + t.indptr.nbytes + d.nbytes, wall)
 """
 TRACED = BASIS + """
 basis.raise_table
@@ -79,12 +83,13 @@ def main(argv=None) -> int:
     if code != 0:
         print(f"assembly failed with exit code {code}", file=sys.stderr)
         return 1
-    dim, nnz, csr_bytes, wall = out.split()
+    dim, nnz, kept_bytes, wall = out.split()
     peak_mib = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    kept_mib, traced_mib = int(kept_bytes) / 2**20, int(traced) / 2**20
     print(f"{args.config} n_max {args.n_max if args.n_max is not None else 'as configured'}: "
-          f"dim {int(dim):,}  nnz {int(nnz):,}  CSR {int(csr_bytes) / 2**20:.1f} MiB  "
-          f"assemble {float(wall):.2f} s  wait4 peak {peak_mib:.1f} MiB  "
-          f"traced peak {int(traced) / 2**20:.1f} MiB")
+          f"dim {int(dim):,}  nnz {int(nnz):,}  T and d {kept_mib:.1f} MiB  "
+          f"assemble {float(wall):.2f} s  wait4 peak {peak_mib:.1f} MiB ({peak_mib / kept_mib:.2f}x)  "
+          f"traced peak {traced_mib:.1f} MiB ({traced_mib / kept_mib:.2f}x)")
     return 0
 
 

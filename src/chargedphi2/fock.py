@@ -25,35 +25,34 @@ Every self-adjoint operator built from kernels (H, or Q from its
 `charge_kernels`) goes through one rule: the Wick entries of an adjoint-closed
 list of kernels with real weights on and above the diagonal are reduced in one
 stream to a strictly upper triangle T and a real diagonal d
-(`hermitian_parts`), and `mirror` writes T^H + diag(d) + T once
-(`hermitian_operator`: weight 1).  The stream is column-synchronous: every
-kernel's blocks advance together over the same ranges of COLUMN_BLOCK columns
-of T, and each range is summed and appended to T's CSC arrays, so no kernel's
-entries are concatenated and nothing is sorted beyond one range.  A p > q
-kernel raises the particle number, so all its entries lie below the diagonal
-and enter T transposed and conjugated; p < q ones (their adjoints) are
-skipped, and so are those that create more particles than the cap holds.  A
-balanced kernel is expanded on and above the diagonal only: its creator legs
-take no slot below the lowest annihilated slot, and of what remains the
-entries with row <= column are kept.  The bound drops no such entry.  The
-basis is ordered by number and then lexicographically, slot 0 first.  A term
-whose lowest created slot lies below every annihilated slot first changes the
-occupations at that slot, where it adds a particle, so its new state comes
-later in the order: the term lands strictly below the diagonal.  An operator
-claimed Hermitian is checked a block of rows at a time, with no transposed
-copy (`_hermitian_defect`).
+(`hermitian_parts`); the operator is T and d alone, Hermitian by construction
+(`HermitianOperator`; `hermitian_operator`: weight 1).  The stream is
+column-synchronous: every kernel's blocks advance together over the same
+ranges of COLUMN_BLOCK columns of T, and each range is summed and appended to
+T's CSC arrays, so no kernel's entries are concatenated and nothing is sorted
+beyond one range.  A p > q kernel raises the particle number, so all its
+entries lie below the diagonal and enter T transposed and conjugated; p < q
+ones (their adjoints) are skipped, and so are those that create more particles
+than the cap holds.  A balanced kernel is expanded on and above the diagonal
+only: its creator legs take no slot below the lowest annihilated slot, and of
+what remains the entries with row <= column are kept.  The bound drops no such
+entry.  The basis is ordered by number and then lexicographically, slot 0
+first.  A term whose lowest created slot lies below every annihilated slot
+first changes the occupations at that slot, where it adds a particle, so its
+new state comes later in the order: the term lands strictly below the
+diagonal.
 
 Matrix elements are a folded coefficient times a single square root of the
 exact integer product of the leg occupations, so equal kernels give bitwise
-equal matrices; the mirror makes each self-adjoint one Hermitian bitwise.  A
-kernel and its adjoint fold their runs in one order (label, then length):
-Wick(k)^H == Wick(k.adjoint()) bitwise when each matrix entry gets one term,
-e.g. when no creator shares a label with an annihilator.  An operator is
-float64 when all its coefficients are real.  The gauge D = diag(i^{N_2}) (i on
-each species-2 slot) maps A to D^* A D, multiplying a monomial that creates p2
-and annihilates q2 species-2 particles by i^{q2 - p2}; it is applied to
-kernels (`gauge_kernel`), before any Wick expansion.  A gauge-frame state psi
-is D psi in the lab frame.
+equal matrices, and T^H + diag(d) + T is Hermitian bitwise.  A kernel and its
+adjoint fold their runs in one order (label, then length): Wick(k)^H ==
+Wick(k.adjoint()) bitwise when each matrix entry gets one term, e.g. when no
+creator shares a label with an annihilator.  An operator is float64 when all
+its coefficients are real.  The gauge D = diag(i^{N_2}) (i on each species-2
+slot) maps A to D^* A D, multiplying a monomial that creates p2 and
+annihilates q2 species-2 particles by i^{q2 - p2}; it is applied to kernels
+(`gauge_kernel`), before any Wick expansion.  A gauge-frame state psi is D psi
+in the lab frame.
 """
 
 from __future__ import annotations
@@ -69,17 +68,11 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from .lattice import MomentumLattice, build_nested
-from .linalg import operator_norm, real_if_exact
+from .linalg import HermitianTriangle, operator_norm, real_if_exact
 
 HARD_DIMENSION_CAP = 200_000
 # Basis columns expanded at once by `_wick_blocks`; bounds its working memory.
 COLUMN_BLOCK = 256
-# Blocks, balanced by their stored entries, that `mirror` and `_hermitian_defect`
-# transpose one at a time; each holds about 1/TRANSPOSE_BLOCKS of the matrix.
-# A matrix of fewer than TRANSPOSE_BLOCKS * COLUMN_BLOCK rows gets one block per
-# COLUMN_BLOCK rows, so a small one is not cut into blocks that cost more than
-# they save.
-TRANSPOSE_BLOCKS = 16
 
 
 def fock_dimension(n_slots: int, n_max: int) -> int:
@@ -211,63 +204,46 @@ def enumerate_basis(
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Sparse operator in a fixed Fock basis with an optional Hermitian claim."""
+    """Sparse operator in a fixed Fock basis with an optional Hermitian claim,
+    checked as max |A - A^H| <= 1e-12 (a NaN entry fails it)."""
 
     basis: FockBasis
     matrix: sp.csr_matrix = field(repr=False)
     hermitian: bool = False
 
     def __post_init__(self):
-        if self.hermitian and _hermitian_defect(self.matrix) > 1e-12:
+        if self.hermitian and not np.max(np.abs((self.matrix - self.matrix.getH()).data), initial=0.0) <= 1e-12:
             raise ContractError("operator claimed Hermitian is not")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
 
-def _blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
-    """Ranges [lo, hi) of a compressed axis, ascending and covering it, each
-    holding about as many stored entries: TRANSPOSE_BLOCKS of them, or one per
-    COLUMN_BLOCK rows of a smaller axis."""
-    count = max(1, min(TRANSPOSE_BLOCKS, (len(indptr) - 1) // COLUMN_BLOCK))
-    cuts = np.searchsorted(indptr, np.linspace(0, indptr[-1], count + 1)[1:-1])
-    edges = np.unique(np.r_[0, cuts, len(indptr) - 1]).tolist()
-    return list(zip(edges[:-1], edges[1:]))
+@dataclass(frozen=True)
+class HermitianOperator:
+    """Self-adjoint operator in a fixed Fock basis, held as its strictly upper
+    triangle t (CSC) and real, finite diagonal d (else ContractError).  The
+    solvers apply `operator`; `matrix` builds the full CSR anew on each call."""
 
+    basis: FockBasis
+    t: sp.csc_matrix = field(repr=False)
+    d: np.ndarray = field(repr=False)
+    hermitian = True
 
-def _hermitian_defect(mat: sp.spmatrix) -> float:
-    """max |A - A^H| without a transposed copy of A.
+    def __post_init__(self):
+        if np.iscomplexobj(self.d) or not np.all(np.isfinite(self.d)):
+            raise ContractError("the diagonal of a Hermitian operator must be real and finite")
 
-    A canonical CSR A is compared a block of rows at a time (`_blocks`): the
-    block, transposed, holds for each row j the entries A[i, j] of the block's
-    rows i, and they must meet the same columns, in order, at the next places of
-    A's row j.  Once every place of every row has been met, the patterns of A and
-    A^H agree and the defect is the largest |A[j, i] - conj(A[i, j])| seen.  Any
-    other matrix, or an asymmetric pattern, is subtracted from its adjoint."""
-    if mat.format == "csr" and mat.has_canonical_format:
-        n = mat.shape[0]
-        start = mat.indptr[:-1].astype(np.int64)  # the next place in each row
-        worst = [0.0]
-        for r0, r1 in _blocks(mat.indptr):
-            lo, hi = int(mat.indptr[r0]), int(mat.indptr[r1])
-            part = sp.csr_matrix((mat.data[lo:hi], mat.indices[lo:hi], mat.indptr[r0 : r1 + 1] - lo),
-                                 shape=(r1 - r0, n)).tocsc()
-            count = np.diff(part.indptr)
-            if np.any(start + count > mat.indptr[1:]):
-                break
-            dest = np.arange(part.nnz) + np.repeat(start - part.indptr[:-1], count)
-            if not np.array_equal(mat.indices[dest], part.indices + r0):
-                break
-            worst.append(np.max(np.abs(mat.data[dest] - part.data.conj()), initial=0.0))
-            start += count
-        else:
-            if np.array_equal(start, mat.indptr[1:]):
-                return float(np.max(worst))
-    return float(np.max(np.abs((mat - mat.getH()).data), initial=0.0))
+    @cached_property
+    def operator(self) -> HermitianTriangle:
+        return HermitianTriangle(self.t, self.d)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return self.operator.tocsr()
+
+    def dense(self) -> np.ndarray:
+        return self.operator.toarray()
 
 
 def _unit_kernel(basis: FockBasis, species: int, gamma: float, create: bool) -> WickKernel:
@@ -556,49 +532,9 @@ def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]])
     return sp.csc_matrix((vals, rows, indptr), shape=(dim, dim)), d
 
 
-def mirror(t: sp.csc_matrix, d: np.ndarray) -> sp.csr_matrix:
-    """T^H + diag(d) + T for T strictly upper (CSC) and d real, written once into
-    exact-size CSR buffers: Hermitian bitwise.
-
-    Row i of H is column i of T conjugated, then d_i unless it is zero, then row
-    i of T.  T's CSC arrays already are T^H's CSR arrays, so only the upper part
-    needs a transpose, done for one block of T's columns at a time (`_blocks`).
-    The values are those of the sum of the three sparse matrices: each entry is
-    copied once, and a complex H gets + 0.0, as the sum gave it, so no part of an
-    entry is -0.0.
-    """
-    dim, on_diagonal = t.shape[0], d != 0
-    below = np.diff(t.indptr)
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(below + on_diagonal + np.bincount(t.indices, minlength=dim), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1], dtype=np.result_type(t.dtype, d.dtype))
-    upper = indptr[:-1] + below  # the next place of each row after its lower part
-    diagonal = np.flatnonzero(on_diagonal)
-    indices[upper[diagonal]] = diagonal
-    data[upper[diagonal]] = d[diagonal]
-    upper += on_diagonal
-    for c0, c1 in _blocks(t.indptr):
-        lo, hi = int(t.indptr[c0]), int(t.indptr[c1])
-        part = sp.csc_matrix((t.data[lo:hi], t.indices[lo:hi], t.indptr[c0 : c1 + 1] - lo), shape=(dim, c1 - c0))
-        dest = np.arange(lo, hi) + np.repeat(indptr[c0:c1] - t.indptr[c0:c1], below[c0:c1])
-        indices[dest] = part.indices
-        data[dest] = part.data.conj()
-        part = part.tocsr()  # the rows of T within these columns
-        count = np.diff(part.indptr)
-        dest = np.arange(part.nnz) + np.repeat(upper - part.indptr[:-1], count)
-        indices[dest] = part.indices + c0
-        data[dest] = part.data
-        upper += count
-    if np.iscomplexobj(data):
-        data += 0.0
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-
-
-def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> FockOperator:
-    """The sum of an adjoint-closed kernel list: `mirror` of its `hermitian_parts`, weights 1.0."""
-    matrix = mirror(*hermitian_parts(basis, [(1.0, kern) for kern in kernels]))
-    return FockOperator(basis=basis, matrix=matrix, hermitian=True)
+def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> HermitianOperator:
+    """The sum of an adjoint-closed kernel list: its `hermitian_parts`, weights 1.0."""
+    return HermitianOperator(basis, *hermitian_parts(basis, [(1.0, kern) for kern in kernels]))
 
 
 def gauge_kernel(kern: WickKernel) -> WickKernel:

@@ -10,9 +10,12 @@ HI vanishes identically.  Q second-quantizes the species mixer b and the
 pair kernel R (`charge_kernels`); H0 is diagonal (`free_energies`).
 
 `assemble` streams the gauged interaction kernels (weight 1) and charge
-kernels (weight lambda) through one `fock.hermitian_parts` pass, adds the free
-energies to the diagonal and mirrors once: H is Hermitian bitwise and bitwise
-H0 + HI + lambda Q, since each entry of Q is one term of one charge kernel.
+kernels (weight lambda) through one `fock.hermitian_parts` pass and adds the
+free energies to the diagonal: `bundle.h` is H's strictly upper triangle T and
+real diagonal d (`fock.HermitianOperator`), applied as T x + T^H x + d x by
+`linalg.HermitianTriangle`, and never held as a full matrix.  Its on-demand
+matrix T^H + diag(d) + T is Hermitian bitwise and bitwise H0 + HI + lambda Q,
+since each entry of Q is one term of one charge kernel.
 The kernel builders and `free_energies` are lab frame; `assemble` gauges
 every kernel the stream expands (`fock.streamed`; `fock.gauge_kernel`, the
 frame of D^* A D with D = diag(i^{N_2})) and holds only those, so
@@ -31,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import FockBasis, FockOperator, WickKernel, gauge_kernel, hermitian_parts, mirror, streamed
+from .fock import FockBasis, HermitianOperator, WickKernel, gauge_kernel, hermitian_parts, streamed
 from .lattice import MomentumLattice
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, mixer, pair_kernel
 from .potentials import Potential
@@ -209,7 +212,7 @@ class HamiltonianBundle:
     spec: InteractionSpec
     pot: Potential
     lam: float
-    h: FockOperator
+    h: HermitianOperator
     coupling: CouplingReport = field(repr=False)
 
     @property
@@ -217,12 +220,12 @@ class HamiltonianBundle:
         return self.basis.lattice
 
     def metadata(self) -> dict:
-        diag = self.h.matrix.diagonal().real
+        diag = self.h.d
         return {
             "dim": self.basis.dim,
             "n_max": self.basis.n_max,
             "modes": self.lattice.size,
-            "nnz": int(self.h.matrix.nnz),
+            "nnz": 2 * self.h.t.nnz + int(np.count_nonzero(diag)),  # as H's full matrix stores it
             "min_diag": float(diag.min()),
             "max_diag": float(diag.max()),
             "lambda": self.lam,
@@ -250,14 +253,11 @@ def assemble(
     terms = [(1.0, gauge_kernel(k)) for k in interaction_kernels(spec, lattice) if streamed(basis, k)]
     terms += [(lam, gauge_kernel(k)) for k in charge_kernels(pot, lattice) if streamed(basis, k)]
     t, d = hermitian_parts(basis, terms)
-    del terms  # the gauged kernels, freed before the mirror
-    h = mirror(t, free_energies(basis) + d)
-    del t, d  # freed before the Hermiticity check on H
     return HamiltonianBundle(
         basis=basis,
         spec=spec,
         pot=pot,
         lam=float(lam),
-        h=FockOperator(basis=basis, matrix=h, hermitian=True),
+        h=HermitianOperator(basis, t, free_energies(basis) + d),
         coupling=coupling,
     )

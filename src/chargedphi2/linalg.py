@@ -29,6 +29,14 @@ dense and sparse input sparse: the commutation is checked a chunk of rows at a
 time and each block is the product iso^T A iso, so no full-size copy of the
 input (a CSR conversion, P A P, or a difference) is ever made.
 
+A Hermitian H held as its strictly upper triangle T (CSC) and real diagonal d
+is applied by one operator, `HermitianTriangle`: H x = T x + T^H x + d x, with
+T^H x = conj(T^T conj(x)) from T's CSC arrays read as CSR, so no transposed
+copy is made.  CHARGEDPHI2_THREADS >= 2 runs T x on a second thread (scipy's
+sparse product releases the GIL); the terms are summed in one order, so H x
+is bitwise the same for any worker count.  What needs a matrix (the dense
+path, the probe, the shifted solve) builds T^H + diag(d) + T on demand.
+
 Every resolvent goes through `shifted_solver`, a sparse LU of A + beta I: the
 only place in the package where a Fock operator is factorized.
 """
@@ -36,6 +44,8 @@ only place in the package where a Fock operator is factorized.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
@@ -124,15 +134,59 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
     return a.real.copy() if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
-def is_diagonal(mat: sp.spmatrix) -> bool:
-    """True iff no entry stored off the diagonal is nonzero, read from the CSR arrays."""
+class HermitianTriangle(spla.LinearOperator):
+    """H = T + T^H + diag(d) for T strictly upper (CSC) and d real, applied
+    from T and d alone; `tocsr` builds H anew on each call."""
+
+    def __init__(self, t: sp.csc_matrix, d: np.ndarray):
+        super().__init__(dtype=np.result_type(t.dtype, d.dtype), shape=t.shape)
+        self.t, self.d = t, d
+        self._t_transposed = t.T  # T's CSC arrays read as CSR: no copy
+        threads = os.environ.get("CHARGEDPHI2_THREADS", "")
+        self.workers = 2 if threads.isdigit() and int(threads) >= 2 else 1
+
+    def _lower(self, x: np.ndarray) -> np.ndarray:
+        """T^H x = conj(T^T conj(x))."""
+        if np.iscomplexobj(self.t):
+            return (self._t_transposed @ x.conj()).conj()
+        return self._t_transposed @ x
+
+    def _matmat(self, x: np.ndarray) -> np.ndarray:
+        if self.workers > 1:
+            with ThreadPoolExecutor(1) as pool:
+                upper = pool.submit(self.t.__matmul__, x)
+                lower = self._lower(x)
+                y = upper.result()
+        else:
+            y, lower = self.t @ x, self._lower(x)
+        y += lower
+        y += self.d.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        return y
+
+    _matvec = _matmat
+
+    def diagonal(self) -> np.ndarray:
+        return self.d
+
+    def tocsr(self) -> sp.csr_matrix:
+        return self.t.getH() + sp.diags(self.d, format="csr") + self.t
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsr().toarray()
+
+
+def is_diagonal(mat) -> bool:
+    """True iff no entry stored off the diagonal is nonzero: read from the CSR
+    arrays of a sparse matrix, or from T of a `HermitianTriangle`."""
+    if isinstance(mat, HermitianTriangle):
+        return not np.any(mat.t.data)
     mat = sp.csr_matrix(mat)
     rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
     return not np.any((rows != mat.indices) & (mat.data != 0))
 
 
-def lowest_eigenpairs(mat: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of a sparse Hermitian matrix, sorted ascending.
+def lowest_eigenpairs(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a sparse Hermitian matrix or a `HermitianTriangle`, sorted ascending.
 
     A diagonal matrix is read off directly, which keeps exact zeros exact;
     otherwise LAPACK computes only the k wanted pairs, or Lanczos runs.

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import FockBasis, FockOperator, WickKernel, annihilator_of, fock_embedding, gauge_kernel, number_operator
+from .fock import FockBasis, HermitianOperator, WickKernel, annihilator_of, fock_embedding, gauge_kernel, number_operator
 from .hamiltonian import HamiltonianBundle
 from .linalg import (
     RESIDUAL_RTOL,
@@ -36,9 +36,10 @@ from .linalg import (
 from .oneparticle import omega_block
 
 
-def low_lying(op: FockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of a Hermitian Fock operator, sorted ascending."""
-    mat = op.matrix
+def low_lying(op: HermitianOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a Hermitian Fock operator, sorted ascending, solved
+    and checked through `op.operator`: no full matrix is built."""
+    mat = op.operator
     w, vecs = lowest_eigenpairs(mat, k)
     res = np.linalg.norm(mat @ vecs - vecs * w, axis=0)
     bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
@@ -50,7 +51,7 @@ def low_lying(op: FockOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w, vecs
 
 
-def ground_state(op: FockOperator) -> tuple[float, np.ndarray]:
+def ground_state(op: HermitianOperator) -> tuple[float, np.ndarray]:
     """Lowest eigenpair, meeting the residual contract."""
     w, vecs = low_lying(op, 1)
     return float(w[0]), vecs[:, 0]
@@ -165,7 +166,7 @@ def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, so
     def diff(x):
         return solve_c(x) - emb.T.conj() @ solve_f(emb @ x)
 
-    n, dtype = coarse.basis.dim, np.result_type(coarse.h.matrix.dtype, fine.h.matrix.dtype)
+    n, dtype = coarse.basis.dim, np.result_type(coarse.h.operator.dtype, fine.h.operator.dtype)
     return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=dtype)
 
 
@@ -202,7 +203,7 @@ def resolvent_convergence(
 
 def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve) -> float:
     """|| N (H + beta)^-1 ||, with solve the level's x -> (H + beta)^-1 x (`linalg.shifted_solver`)."""
-    n, dtype = bundle.basis.dim, bundle.h.matrix.dtype
+    n, dtype = bundle.basis.dim, bundle.h.operator.dtype
     n_op = number_operator(bundle.basis).matrix
     # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.
     op = spla.LinearOperator(
@@ -283,9 +284,9 @@ def heisenberg_probe(
     ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
     g_in_eig = u.conj().T @ g0
 
-    hmat = bundle.h.matrix
-    diagonal = is_diagonal(hmat)
-    he = hmat.diagonal().real if diagonal else reflected_eigvalsh(hmat, basis.reflection)
+    diagonal = is_diagonal(bundle.h.operator)
+    hmat = None if diagonal else bundle.h.matrix
+    he = bundle.h.d if diagonal else reflected_eigvalsh(hmat, basis.reflection)
     stationary = psi is None
     if stationary:
         psi = ground_state(bundle.h)[1]

@@ -190,14 +190,9 @@ def sorted_hermitian_parts(basis, terms):
 
 
 def summed_mirror(t, d):
-    """T^H + diag(d) + T by two scipy sparse sums, the route `fock.mirror` replaces."""
+    """T^H + diag(d) + T by two scipy sparse sums from T's CSR conversion."""
     t = sp.csr_matrix(t)
     return t.getH().tocsr() + sp.diags(d, format="csr") + t
-
-
-def full_hermitian_defect(mat):
-    """max |A - A^H| from the full difference."""
-    return float(np.max(np.abs((mat - mat.getH()).data), initial=0.0))
 
 
 def creation_frame(bundle, psi0):

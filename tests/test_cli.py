@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chargedphi2 import cli, fock, hamiltonian
+from chargedphi2 import cli, fock, hamiltonian, linalg
 from chargedphi2.config import load_config, parse_config
 from chargedphi2.errors import ConfigError
 from chargedphi2.fock import HARD_DIMENSION_CAP
@@ -373,6 +373,12 @@ class TestArtifacts:
         assert len(eigenvalues) == 4
         rows = "".join(f"{i},{e!r}\r\n" for i, e in enumerate(eigenvalues))
         assert csv_files[0].read_bytes() == f"index,eigenvalue\r\n{rows}".encode()
+
+    def test_spectrum_never_builds_the_full_matrix(self, tmp_path, monkeypatch):
+        # the bundle, the Lanczos solve, the residual check and the metadata all apply T and d
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        monkeypatch.setattr(linalg.HermitianTriangle, "tocsr", lambda self: pytest.fail("built the full matrix of H"))
+        assert cli.main(["spectrum", str(CONFIGS / "desk_bundle.json")]) == 0
 
     @pytest.mark.parametrize(
         "subcommand, stem, headers",

@@ -7,10 +7,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargedphi2 import cli, fock
+from chargedphi2 import cli, fock, linalg
 from chargedphi2.errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from chargedphi2.fock import (
     FockOperator,
+    HermitianOperator,
     WickKernel,
     annihilation,
     annihilator_of,
@@ -21,7 +22,6 @@ from chargedphi2.fock import (
     gauge_kernel,
     hermitian_operator,
     hermitian_parts,
-    mirror,
     ntau_check,
     number_operator,
     wick_operator,
@@ -30,8 +30,8 @@ from chargedphi2.config import load_config
 from chargedphi2.hamiltonian import charge_kernels, free_energies, interaction_kernels, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.potentials import zero_potential
-from oracles import (dense_wick, full_hermitian_defect, safe_columns, smeared_field_coefficients, sorted_hermitian_parts,
-                     summed_mirror, symmetrized, triangle_entries, two_particle_tensor)
+from oracles import (dense_wick, safe_columns, smeared_field_coefficients, sorted_hermitian_parts, summed_mirror,
+                     symmetrized, triangle_entries, two_particle_tensor)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -189,72 +189,21 @@ class TestHermitianCheck:
         with pytest.raises(ContractError):
             FockOperator(basis=basis3, matrix=mat * 1j, hermitian=True)
 
-    @staticmethod
-    def _random_hermitian(n, seed):
-        r = np.random.default_rng(seed)
-        a = sp.random(n, n, density=0.01, random_state=r, format="csr")
-        a = a + 1j * sp.random(n, n, density=0.01, random_state=r, format="csr")
-        return (a + a.getH()).tocsr()
-
-    @staticmethod
-    def _bump(mat, row, col, delta):
-        """mat with delta added to its stored entry (row, col) only."""
-        mat = mat.copy()
-        place = mat.indptr[row] + np.flatnonzero(mat.indices[mat.indptr[row] : mat.indptr[row + 1]] == col)
-        assert len(place) == 1
-        mat.data[place] += delta
-        return mat
-
-    @staticmethod
-    def _entries(mat, same_block):
-        """Off-diagonal stored (row, col) whose row and column lie in one `fock._blocks` block, or in two."""
-        edges = [hi for _, hi in fock._blocks(mat.indptr)]
-        assert len(edges) > 2
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        same = np.searchsorted(edges, rows, side="right") == np.searchsorted(edges, mat.indices, side="right")
-        keep = np.flatnonzero((rows != mat.indices) & (same == same_block))
-        return list(zip(rows[keep], mat.indices[keep]))
-
-    @staticmethod
-    def _blockwise(mat, monkeypatch):
-        """`fock._hermitian_defect` of mat, failing if it subtracts mat's adjoint."""
-        with monkeypatch.context() as patch:
-            patch.setattr(type(mat), "getH", lambda self: pytest.fail("fell back to A - A^H"))
-            return fock._hermitian_defect(mat)
-
-    def test_blockwise_defect_equals_the_full_difference(self, basis3, desk_bundle, monkeypatch):
-        real = desk_bundle.h.matrix
-        cplx = self._random_hermitian(real.shape[0], 3)
-        for mat in (real, cplx):
-            assert full_hermitian_defect(mat) == self._blockwise(mat, monkeypatch) == 0.0
-        # a real entry whose row and column share a block, and a complex one across two blocks
-        inside, across = self._entries(real, True), self._entries(cplx, False)
-        for mat in (self._bump(real, *inside[len(inside) // 2], 1e-10),
-                    self._bump(cplx, *across[len(across) // 2], 1e-10j)):
-            assert mat.has_canonical_format
-            assert full_hermitian_defect(mat) == self._blockwise(mat, monkeypatch)
-            assert 0.9e-10 <= fock._hermitian_defect(mat) <= 1.1e-10
-            with pytest.raises(ContractError):
-                FockOperator(basis=basis3, matrix=mat, hermitian=True)
-
-    def test_blockwise_defect_of_an_asymmetric_pattern(self, basis3):
-        herm = self._random_hermitian(basis3.dim, 4)
-        i, j = np.argwhere((herm.toarray() == 0) & ~np.eye(basis3.dim, dtype=bool))[0]
-        for value in (1e-13, 2e-12):
-            mat = (herm + sp.csr_matrix(([value], ([i], [j])), shape=herm.shape)).tocsr()
-            assert mat.has_canonical_format
-            assert fock._hermitian_defect(mat) == full_hermitian_defect(mat) == value
+    def test_nan_is_refused(self, basis3):
+        mat = sp.csr_matrix(([1.0, np.nan, 2.0], ([0, 1, 2], [0, 1, 2])), shape=(3, 3))
         with pytest.raises(ContractError):
             FockOperator(basis=basis3, matrix=mat, hermitian=True)
 
-    def test_non_canonical_csr_is_subtracted(self):
-        herm = self._random_hermitian(1_330, 5)
-        for mat in (herm, self._bump(herm, *self._entries(herm, False)[0], 1e-10)):
-            # the same matrix with every row's entries stored in reverse order
-            order = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:])])
-            reversed_rows = sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr), shape=mat.shape)
-            assert not reversed_rows.has_canonical_format
-            assert fock._hermitian_defect(reversed_rows) == full_hermitian_defect(mat)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_diagonal_must_be_real_and_finite(self, basis3, bad):
+        t = sp.csc_matrix((basis3.dim, basis3.dim))
+        d = free_energies(basis3)
+        assert HermitianOperator(basis3, t, d).hermitian
+        d[3] = bad
+        with pytest.raises(ContractError):
+            HermitianOperator(basis3, t, d)
+        with pytest.raises(ContractError):
+            HermitianOperator(basis3, t, free_energies(basis3) + 0j)
 
 
 class TestWickOperator:
@@ -418,7 +367,7 @@ class TestWickOperator:
         split = min(split, len(pairs) - 1)
         a = [k for pair in pairs[:split] for k in pair]
         b = [k for pair in pairs[split:] for k in pair]
-        h = mirror(*hermitian_parts(basis, [(1.0, k) for k in a] + [(weight, k) for k in b])).toarray()
+        h = HermitianOperator(basis, *hermitian_parts(basis, [(1.0, k) for k in a] + [(weight, k) for k in b])).dense()
         ref = (hermitian_operator(basis, a).matrix + weight * hermitian_operator(basis, b).matrix).toarray()
         assert np.max(np.abs(h - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
         assert np.array_equal(h, h.conj().T)
@@ -458,7 +407,7 @@ class TestWickOperator:
         a = [gauge_kernel(k) for k in interaction_kernels(spec, lat3)]
         b = [gauge_kernel(k) for k in charge_kernels(gauss_v, lat3)]
         lam = 0.15
-        h = mirror(*hermitian_parts(basis3, [(1.0, k) for k in a] + [(lam, k) for k in b]))
+        h = HermitianOperator(basis3, *hermitian_parts(basis3, [(1.0, k) for k in a] + [(lam, k) for k in b])).matrix
         ha, q = hermitian_operator(basis3, a).matrix, hermitian_operator(basis3, b).matrix
         assert ha.multiply(q).nnz  # entries that both reach
         ref = (ha + lam * q).tocsr()
@@ -483,8 +432,9 @@ class TestWickOperator:
 
 
 class TestStreamAndMirror:
-    """The column-synchronous stream and the one-pass mirror against the global sort
-    and the two sparse sums they replace (`oracles`), bitwise."""
+    """The column-synchronous stream against the global sort it replaces, bitwise,
+    and the operator of its (T, d) against H summed from them (`oracles`): its
+    matrix bitwise, its products to 1e-14 relative and bitwise for any worker count."""
 
     @staticmethod
     def _assert_bitwise(a, b):
@@ -499,7 +449,17 @@ class TestStreamAndMirror:
         self._assert_bitwise(t, ref_t)
         assert d.tobytes() == ref_d.tobytes()
         d = d if diagonal is None else diagonal
-        self._assert_bitwise(mirror(t, d), summed_mirror(t, d))
+        h, ref = HermitianOperator(basis, t, d), summed_mirror(t, d)
+        self._assert_bitwise(h.matrix, ref)
+        two = linalg.HermitianTriangle(t, d)
+        two.workers = 2
+        r = np.random.default_rng(7)
+        x = r.standard_normal((basis.dim, 3))
+        for x in (x, x + 1j * r.standard_normal(x.shape)):
+            for v in (x[:, 0], x):  # matvec, matmat
+                y = h.operator @ v
+                assert np.linalg.norm(y - ref @ v) <= 1e-14 * np.linalg.norm(ref @ v)
+                assert y.dtype == np.result_type(ref.dtype, v.dtype) and y.tobytes() == (two @ v).tobytes()
         return t, d
 
     @staticmethod

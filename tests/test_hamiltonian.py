@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chargedphi2 import fock, hamiltonian
+from chargedphi2 import cli, fock, hamiltonian, linalg
 from chargedphi2.config import load_config
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
-from chargedphi2.fock import (FockOperator, WickKernel, enumerate_basis, gauge_kernel, hermitian_operator,
-                              wick_operator)
+from chargedphi2.fock import (FockOperator, HermitianOperator, WickKernel, enumerate_basis, gauge_kernel,
+                              hermitian_operator, wick_operator)
 from chargedphi2.hamiltonian import (
     assemble,
     charge_kernels,
@@ -24,7 +24,7 @@ from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.oneparticle import b_matrix, omega_block, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
-from oracles import compress, safe_columns, smeared_interaction, symmetrized
+from oracles import compress, safe_columns, smeared_interaction, summed_mirror, symmetrized
 
 # Ground energy of the shipped desk bundle (M=9, n_max=3, quartic polynomial,
 # unit gaussian potential, 0.25-gaussian profile, lambda = 0.1), pinned from a
@@ -302,8 +302,8 @@ class TestAssemble:
         assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
         assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
-    def test_one_stream_one_mirror_one_check(self, basis3, quartic_spec, gauss_v, monkeypatch):
-        # HI and lam Q share one Wick stream: H is mirrored once and checked once, and Q is never built
+    def test_one_stream_and_no_full_matrix(self, basis3, quartic_spec, gauss_v, monkeypatch):
+        # HI and lam Q share one Wick stream, and neither Q nor the full matrix of H is built
         calls = []
 
         def counted(name, fn):
@@ -312,12 +312,11 @@ class TestAssemble:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(fock, "mirror", counted("mirror", fock.mirror))
-        monkeypatch.setattr(hamiltonian, "mirror", counted("mirror", hamiltonian.mirror))
-        monkeypatch.setattr(fock, "_hermitian_defect", counted("check", fock._hermitian_defect))
+        monkeypatch.setattr(hamiltonian, "hermitian_parts", counted("stream", hamiltonian.hermitian_parts))
         monkeypatch.setattr(fock, "hermitian_operator", counted("hermitian_operator", fock.hermitian_operator))
-        assemble(quartic_spec, gauss_v, 0.1, basis3)
-        assert sorted(calls) == ["check", "mirror"]
+        monkeypatch.setattr(linalg.HermitianTriangle, "tocsr", lambda self: pytest.fail("built the full matrix of H"))
+        assemble(quartic_spec, gauss_v, 0.1, basis3).metadata()
+        assert calls == ["stream"]
 
     def test_assembled_matrices_hold_exact_buffers(self, desk_bundle):
         # a scipy sparse sum allocates nnz(A) + nnz(B) entries; assembly trims them
@@ -332,8 +331,18 @@ class TestAssemble:
             assert allocation_nbytes(mat.indices) == mat.nnz * mat.indices.itemsize
 
     def test_bundle_holds_only_h(self, desk_bundle):
-        ops = [name for name, value in vars(desk_bundle).items() if isinstance(value, FockOperator)]
+        ops = [name for name, value in vars(desk_bundle).items() if isinstance(value, (FockOperator, HermitianOperator))]
         assert ops == ["h"]
+
+    def test_metadata_counts_h_as_its_full_matrix(self, desk_bundle):
+        # nnz and the diagonal range as a stored full H gave them (dims 1,330 and 7,770)
+        m17 = cli._single_level_bundle(load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                                                   / "m17_spectrum.json"))
+        for bundle, nnz, max_diag in ((desk_bundle, 110_537, 6.72010898923704), (m17, 2_009_657, 6.711180196683787)):
+            ref = summed_mirror(bundle.h.t, bundle.h.d)
+            meta = bundle.metadata()
+            assert meta["nnz"] == ref.nnz == nnz
+            assert (meta["min_diag"], meta["max_diag"]) == (ref.diagonal().min(), ref.diagonal().max()) == (0.0, max_diag)
 
     def test_h_is_the_sum_of_its_public_pieces(self, desk_bundle):
         h0, hi, q = _desk_pieces(desk_bundle)

@@ -1,4 +1,4 @@
-"""Memory guards for the dense one-particle paths and the assembly on the shipped configs.
+"""Memory guards for the dense one-particle paths, the assembly and the gap probe on the shipped configs.
 
 The peak is tracemalloc's, which numpy reports its array buffers to; unlike
 the process RSS it reproduces to 0.1 MiB from run to run.
@@ -12,6 +12,7 @@ from chargedphi2 import cli
 from chargedphi2.config import load_config
 from chargedphi2.oneparticle import lambda_quant, omega_bottom
 from chargedphi2.quantization import phase_space_grid, quantize_report
+from chargedphi2.spectral import hvz_gap_probe
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -47,19 +48,36 @@ def test_lambda_quant_peak():
 
 
 def test_assemble_peak():
-    # 9.0 MiB for the raise table, the Wick stream, the mirror and the Hermiticity check
-    # (dim 2,300, CSR 3.5 MiB)
+    # 9.0 MiB with a mirror to a full CSR and a Hermiticity check; 7.4 MiB, the raise
+    # table and the Wick stream, with H kept as its triangle (dim 2,300, T and d 1.8 MiB)
     cfg = load_config(CONFIGS / "probe.json")
     basis = cli._basis(cfg, cfg.base_lattice())
     assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 11.0
 
 
-def test_m17_assemble_peak():
-    # 54.8 MiB with a global sort of every kernel's entries, a two-sum mirror and a
-    # full CSC copy of H in the Hermiticity check (dim 7,770, CSR 23.0 MiB)
+def _m17_bundle():
     cfg = load_config(CONFIGS / "desk_bundle.json")
     cfg = dataclasses.replace(cfg, lattice=dataclasses.replace(cfg.lattice, v="4"))
     basis = cli._basis(cfg, cfg.base_lattice())
     assert basis.dim == 7_770
     basis.raise_table
-    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 46.0
+    return cfg, basis
+
+
+def test_m17_assemble_peak():
+    # 54.8 MiB with a global sort of every kernel's entries, a two-sum mirror and a
+    # full CSC copy of H in the Hermiticity check; 37.2 MiB with a one-pass mirror
+    # and a blockwise check; 28.7 MiB, the Wick stream's, with H kept as its
+    # triangle (dim 7,770, T and d 11.5 MiB, CSR of H 23.0 MiB)
+    cfg, basis = _m17_bundle()
+    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 30.0
+
+
+def test_m17_gap_probe_builds_no_matrix_of_h():
+    # the probe applies T and d; it allocates less than H's CSR would take (8.7 MiB
+    # against 23.0 MiB: int32 indices, float64 values, dim + 1 int32 row pointers)
+    cfg, basis = _m17_bundle()
+    bundle = cli._bundle(cfg, basis)
+    csr_mib = (bundle.metadata()["nnz"] * 12 + (basis.dim + 1) * 4) / 2**20
+    assert 22.9 <= csr_mib <= 23.1
+    assert _peak_mib(lambda: hvz_gap_probe(bundle, report_depth=cfg.solver.num_eigenvalues)) < csr_mib

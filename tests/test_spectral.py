@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from chargedphi2 import spectral
 from chargedphi2.errors import ParameterError, ResourceLimitError
-from chargedphi2.fock import FockOperator, creation, enumerate_basis, fock_embedding
+from chargedphi2.fock import HermitianOperator, creation, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice
 from chargedphi2.linalg import operator_norm, reflected_eigvalsh, shifted_solver, start_vector
@@ -27,11 +27,7 @@ from oracles import creation_frame, dense_probe, dense_resolvent_gap
 
 
 def shifted(op, c):
-    return FockOperator(
-        basis=op.basis,
-        matrix=(op.matrix + c * sp.identity(op.dim, dtype=complex, format="csr")).tocsr(),
-        hermitian=True,
-    )
+    return HermitianOperator(op.basis, op.t, op.d + c)
 
 
 class TestGroundState:
