@@ -15,11 +15,12 @@ out of the top sector maps to zero, keeping every operator an endomorphism of
 one space; canonical-commutation checks therefore restrict to the sector
 N <= n_max - 1.  Creators commute, and so do annihilators: a run of adjacent
 legs with one species label walks only non-decreasing slot tuples, each
-carrying the sum of the coefficients of its distinct orderings (the kernel is
-folded once).  This fold is the only place that sums leg orderings; no kernel
-is put through a symmetrization before it.  Each block yields the summed
-entries of whole columns, keyed column * dim + row; `wick_operator` is the
-CSR matrix of all of them.
+carrying the sum of the coefficients of its distinct orderings
+(`WickKernel.fold`, once per kernel; a folded kernel is read as it is).  This
+fold is the only place that sums leg orderings; no kernel is put through a
+symmetrization before it.  Each block yields the summed entries of whole
+columns, keyed column * dim + row, expanded in pieces of about TERM_BUDGET
+terms; `wick_operator` is the CSR matrix of all of them.
 
 Every self-adjoint operator built from kernels (H, or Q from its
 `charge_kernels`) goes through one rule: the Wick entries of an adjoint-closed
@@ -30,10 +31,11 @@ stream to a strictly upper triangle T and a real diagonal d
 column-synchronous: every kernel's blocks advance together over the same
 ranges of COLUMN_BLOCK columns of T, and each range is summed and appended to
 T's CSC arrays, so no kernel's entries are concatenated and nothing is sorted
-beyond one range.  A p > q kernel raises the particle number, so all its
-entries lie below the diagonal and enter T transposed and conjugated; p < q
-ones (their adjoints) are skipped, and so are those that create more particles
-than the cap holds.  A balanced kernel is expanded on and above the diagonal
+beyond one range.  Each kernel's folded tensor is held once, read by the
+adjoint-closure check and by its expansion.  A p > q kernel raises the
+particle number, so all its entries lie below the diagonal and enter T
+transposed and conjugated; p < q ones (their adjoints) are skipped, and so
+are those that create more particles than the cap holds.  A balanced kernel is expanded on and above the diagonal
 only: its creator legs take no slot below the lowest annihilated slot, and of
 what remains the entries with row <= column are kept.  The bound drops no such
 entry.  The basis is ordered by number and then lexicographically, slot 0
@@ -71,8 +73,10 @@ from .lattice import MomentumLattice, build_nested
 from .linalg import HermitianTriangle, operator_norm, real_if_exact
 
 HARD_DIMENSION_CAP = 200_000
-# Basis columns expanded at once by `_wick_blocks`; bounds its working memory.
+# Basis columns per block of `_wick_blocks` and per range of the `hermitian_parts` stream.
 COLUMN_BLOCK = 256
+# About the most terms `_wick_blocks` makes at once per creator leg; bounds its working memory.
+TERM_BUDGET = 1 << 13
 
 
 def fock_dimension(n_slots: int, n_max: int) -> int:
@@ -282,6 +286,7 @@ class WickKernel:
     q: int
     species: tuple
     coeffs: np.ndarray = field(repr=False)
+    folded: bool = False
 
     def __post_init__(self):
         if len(self.species) != self.p + self.q:
@@ -297,6 +302,15 @@ class WickKernel:
         coeffs = np.conj(np.transpose(self.coeffs, axes)) if self.p + self.q else np.conj(self.coeffs)
         species = self.species[self.p :] + self.species[: self.p]
         return WickKernel(p=self.q, q=self.p, species=species, coeffs=coeffs)
+
+    def fold(self) -> "WickKernel":
+        """The same operator's kernel with every run folded (`_fold_run`), float64 when no
+        coefficient has an imaginary part; a folded kernel is its own fold, held once."""
+        if self.folded:
+            return self
+        coeffs = real_if_exact(np.asarray(self.coeffs, dtype=complex if np.iscomplexobj(self.coeffs) else float))
+        coeffs = reduce(lambda c, run: _fold_run(c, *run), _runs(self), coeffs)
+        return WickKernel(p=self.p, q=self.q, species=self.species, coeffs=coeffs, folded=True)
 
 
 def _runs(kern: WickKernel) -> list[tuple[int, int]]:
@@ -338,14 +352,18 @@ def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
     stops after the block of the last column the monomial does not kill.  With
     upper (for a balanced kernel) only the entries with row <= column are made:
     creator legs take only slots at or above the lowest annihilated slot, since
-    every other term lies strictly below the diagonal (module docstring).
+    every other term lies strictly below the diagonal (module docstring).  The
+    coefficients are kern's fold (kern itself when folded).  A creator leg adds
+    its terms for whole columns at a time, those whose first new term falls in
+    one window of TERM_BUDGET terms: a heavy block is made in pieces of about
+    that many terms, a light one whole, and each entry's terms in one piece.
     """
     m, dim, p, q = basis.n_modes, basis.dim, kern.p, kern.q
-    coeffs = real_if_exact(np.asarray(kern.coeffs, dtype=complex))
     widths = tuple(2 * m if s is None else m for s in kern.species)
-    if coeffs.shape != widths:
-        raise ShapeError(f"kernel axes {coeffs.shape} do not match the {m}-mode lattice: need {widths}")
-    empty = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=coeffs.dtype)
+    if np.shape(kern.coeffs) != widths:
+        raise ShapeError(f"kernel axes {np.shape(kern.coeffs)} do not match the {m}-mode lattice: need {widths}")
+    kern = kern.fold()
+    empty = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=kern.coeffs.dtype)
     yield empty
     totals = basis.totals()
     active = np.flatnonzero((totals >= q) & (totals - q + p <= basis.n_max))
@@ -354,18 +372,41 @@ def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
     # a leg that continues a run takes only slots >= the previous leg's slot
     follows = np.zeros(p + q, dtype=bool)
     for start, length in _runs(kern):
-        coeffs = _fold_run(coeffs, start, length)
         follows[start + 1 : start + length] = True
-    flat = coeffs.ravel()
+    flat = kern.coeffs.ravel()
     strides = np.cumprod((1,) + widths[:0:-1])[::-1]
     # per leg, the modes where some coefficient is nonzero, and their slots
-    nonzero = coeffs != 0
     legs = range(p + q)
-    modes = [np.flatnonzero(nonzero.any(axis=tuple(a for a in legs if a != leg))) for leg in legs]
+    modes = [np.flatnonzero(np.any(kern.coeffs != 0, axis=tuple(a for a in legs if a != leg))) for leg in legs]
     reach = [(0 if s is None else (s - 1) * m) + mode for s, mode in zip(kern.species, modes)]
     if any(len(mode) == 0 for mode in modes):  # a leg without coefficients
         return
+    if upper and q and min(r[-1] for r in reach[:p]) < min(r[0] for r in reach[p:]):  # a creator below every floor
+        return
     up = basis.raise_table if p else None
+
+    def created(leg, state, amp, cidx, cols, floor, last) -> list:
+        """The summed (keys, vals) pieces, in key order, of these terms with creator legs leg.. added."""
+        if leg == p:
+            c = flat[cidx]
+            keep = np.flatnonzero((c != 0) & (state <= cols)) if upper else np.flatnonzero(c != 0)
+            return [_summed([(cols[keep] * dim + state[keep], c[keep] * np.sqrt(amp[keep].astype(float)))])]
+        # slots reach[leg][lo:], with lo past the previous leg's slot in a run
+        lo = np.searchsorted(reach[leg], last if follows[leg] else floor)
+        count = len(reach[leg]) - lo
+        before = np.cumsum(count) - count
+        first = np.flatnonzero(np.diff(cols, prepend=-1))  # each column's first term
+        cuts = np.append(first[np.flatnonzero(np.diff(before[first] // TERM_BUDGET, prepend=-1))], len(cols))
+        pieces = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            r = np.repeat(np.arange(a, b), count[a:b])
+            j = np.arange(len(r)) - np.repeat(before[a:b] - before[a] - lo[a:b], count[a:b])
+            slot = reach[leg][j]
+            new = up[state[r], slot]
+            pieces += created(leg + 1, new, amp[r] * basis.occ[new, slot], cidx[r] + modes[leg][j] * strides[leg],
+                              cols[r], floor[r], slot)
+        return pieces
+
     for start in range(0, active[-1] + 1, COLUMN_BLOCK):
         cols = active[np.searchsorted(active, start) : np.searchsorted(active, start + COLUMN_BLOCK)]
         if not len(cols):
@@ -376,6 +417,7 @@ def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
         cidx = np.zeros(len(cols), dtype=np.int64)
         # the lowest slot a creator may take: with upper, the lowest annihilated slot
         floor = np.full(len(cols), basis.n_slots if upper and q else 0)
+        last = None  # the slot of the previous leg
         for leg in range(p, p + q):  # annihilators first, on occupation rows
             n = occ[:, reach[leg]]
             if follows[leg]:
@@ -388,22 +430,8 @@ def _wick_blocks(basis: FockBasis, kern: WickKernel, upper: bool = False):
             cols = cols[r]
             last = reach[leg][j]
             floor = np.minimum(floor[r], last) if upper else floor[r]
-        state = basis.rank(occ) if q else cols
-        for leg in range(p):  # then creators, through the raise table
-            # slots reach[leg][lo:], with lo past the previous leg's slot in a run
-            lo = np.searchsorted(reach[leg], last if follows[leg] else floor)
-            count = len(reach[leg]) - lo
-            r = np.repeat(np.arange(len(state)), count)
-            j = np.arange(len(r)) - np.repeat(np.cumsum(count) - count - lo, count)
-            state = up[state[r], reach[leg][j]]
-            amp = amp[r] * basis.occ[state, reach[leg][j]]
-            cidx = cidx[r] + modes[leg][j] * strides[leg]
-            cols = cols[r]
-            floor = floor[r]
-            last = reach[leg][j]
-        c = flat[cidx]
-        keep = np.flatnonzero((c != 0) & (state <= cols)) if upper else np.flatnonzero(c != 0)
-        yield _summed([(cols[keep] * dim + state[keep], c[keep] * np.sqrt(amp[keep].astype(float)))])
+        pieces = created(0, basis.rank(occ) if q else cols, amp, cidx, cols, floor, last)
+        yield tuple(np.concatenate(part) for part in zip(empty, *pieces))
 
 
 def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
@@ -471,12 +499,26 @@ def _triangle_ranges(basis: FockBasis, kern: WickKernel):
         yield cols * dim + w.indices[lo:hi], w.data[lo:hi].conj()
 
 
+def _check_adjoint_closed(balanced: list):
+    """ContractError unless the weighted tensors of balanced (weight, folded
+    kernel) terms, summed per label tuple, are adjoint-closed to 1e-12 relative."""
+    sums = {}
+    for w, kern in balanced:
+        sums[kern.species] = sums.get(kern.species, 0) + w * kern.coeffs
+    scale = max((np.max(np.abs(c)) for c in sums.values()), default=0.0)
+    for labels, c in sums.items():
+        adj = WickKernel(p=len(labels) // 2, q=len(labels) // 2, species=labels, coeffs=c).adjoint()
+        if np.max(np.abs(sums.get(adj.species, 0) - adj.coeffs)) > 1e-12 * scale:
+            raise ContractError(f"balanced kernels labelled {labels} are not closed under adjoints")
+
+
 def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]]) -> tuple[sp.csc_matrix, np.ndarray]:
     """(T, d): the strictly upper triangle, in CSC form, and the real diagonal of
     the sum of w K over (w, K) terms, real weights on an adjoint-closed kernel
     list, from one column-synchronous stream.
 
-    Every kernel that is `streamed` gives its `_triangle_ranges`, and all of
+    Every kernel that is `streamed` is folded once (`WickKernel.fold`, no copy
+    when it is folded already) and gives its `_triangle_ranges`, and all of
     them advance together over the same ranges of COLUMN_BLOCK columns of T.
     Each range's weighted blocks are summed in list order (`_summed`); its
     diagonal entries go to d and the rest are appended to T's CSC arrays, which
@@ -490,20 +532,14 @@ def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]])
     below the lowest annihilated slot, which is exact because such a term lies
     strictly below the diagonal (module docstring).  Their weighted folded
     tensors, summed per label tuple, must therefore be adjoint-closed to 1e-12
-    relative (else ContractError).  A weight scales the expanded entries, never
-    the coefficients; the terms on one entry are summed in list order.
+    relative (else ContractError); the sums are dropped before the stream.  A
+    weight scales the expanded entries, never the coefficients; the terms on
+    one entry are summed in list order.
     """
-    folded = {}
-    for w, kern in ((w, k) for w, k in terms if k.p == k.q):
-        c = reduce(lambda c, run: _fold_run(c, *run), _runs(kern), np.asarray(kern.coeffs, dtype=complex))
-        folded[kern.species] = folded.get(kern.species, 0) + w * c
-    scale = max((np.max(np.abs(c)) for c in folded.values()), default=0.0)
-    for labels, c in folded.items():
-        adj = WickKernel(p=len(labels) // 2, q=len(labels) // 2, species=labels, coeffs=c).adjoint()
-        if np.max(np.abs(folded.get(adj.species, 0) - adj.coeffs)) > 1e-12 * scale:
-            raise ContractError(f"balanced kernels labelled {labels} are not closed under adjoints")
+    terms = [(w, k.fold()) for w, k in terms if streamed(basis, k)]
+    _check_adjoint_closed([(w, k) for w, k in terms if k.p == k.q])
     dim = basis.dim
-    streams = [(w, _triangle_ranges(basis, k)) for w, k in terms if streamed(basis, k)]
+    streams = [(w, _triangle_ranges(basis, k)) for w, k in terms]
     dtype = np.result_type(np.float64, *(next(ranges)[1] for _, ranges in streams))
     empty = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
     rows, vals, size = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=dtype), 0

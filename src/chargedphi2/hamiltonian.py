@@ -6,21 +6,23 @@ species against a spatial profile g; its normal-ordered kernels carry one
 factor (4 pi v)^(-1/2) and one eps^(-1/2) per leg, and a g_hat evaluated at
 the total momentum transfer.  Wick ordering is relative to the lattice
 vacuum: no self-contraction terms are generated, so the vacuum expectation of
-HI vanishes identically.  Q second-quantizes the species mixer b and the
-pair kernel R (`charge_kernels`); H0 is diagonal (`free_energies`).
+HI vanishes identically.  Q second-quantizes the species mixer b, one kernel
+per direction, and the pair kernel R (`charge_kernels`); H0 is diagonal
+(`free_energies`).
 
-`assemble` streams the gauged interaction kernels (weight 1) and charge
-kernels (weight lambda) through one `fock.hermitian_parts` pass and adds the
-free energies to the diagonal: `bundle.h` is H's strictly upper triangle T and
-real diagonal d (`fock.HermitianOperator`), applied as T x + T^H x + d x by
-`linalg.HermitianTriangle`, and never held as a full matrix.  Its on-demand
-matrix T^H + diag(d) + T is Hermitian bitwise and bitwise H0 + HI + lambda Q,
-since each entry of Q is one term of one charge kernel.
-The kernel builders and `free_energies` are lab frame; `assemble` gauges
-every kernel the stream expands (`fock.streamed`; `fock.gauge_kernel`, the
-frame of D^* A D with D = diag(i^{N_2})) and holds only those, so
-`bundle.h` is gauge frame, float64 for an even potential
-and a polynomial even in phi_2, as is its one-particle energy
+`assemble` streams the terms of `hamiltonian_terms` (interaction kernels at
+weight 1, charge kernels at weight lambda) through one `fock.hermitian_parts`
+pass and adds the free energies to the diagonal: `bundle.h` is H's strictly
+upper triangle T and real diagonal d (`fock.HermitianOperator`), applied as
+T x + T^H x + d x by `linalg.HermitianTriangle`, and never held as a full
+matrix.  Its on-demand matrix T^H + diag(d) + T is Hermitian bitwise and
+bitwise H0 + HI + lambda Q, since each entry of Q is one term of one charge
+kernel.  `split_kernel`, `charge_kernels` and `free_energies` are lab frame.
+`hamiltonian_terms` builds only the kernels the stream expands
+(`fock.streamed`), one at a time, each gauged (`fock.gauge_kernel`, the frame
+of D^* A D with D = diag(i^{N_2})) and folded (`WickKernel.fold`) before the
+next, so each tensor is held once.  `bundle.h` is gauge frame, float64 for an
+even potential and a polynomial even in phi_2, as is its one-particle energy
 `oneparticle.omega_block`.  An eigenvector psi of `bundle.h` is the
 lab-frame state D psi.
 """
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import ContractError, ParameterError, StabilityError
 from .fock import FockBasis, HermitianOperator, WickKernel, gauge_kernel, hermitian_parts, streamed
 from .lattice import MomentumLattice
-from .oneparticle import CouplingReport, b_matrix, lambda_quant, mixer, pair_kernel
+from .oneparticle import CouplingReport, b_matrix, lambda_quant, pair_kernel
 from .potentials import Potential
 
 Monomial = tuple[int, int, float]
@@ -120,56 +122,45 @@ def interaction_spec(monomials: Sequence[Monomial], g: Potential) -> Interaction
     return InteractionSpec(monomials=mono, g=g, degree=degree, certificate=cert)
 
 
-def monomial_kernels(a1: int, a2: int, coeff: float, g: Potential, lattice: MomentumLattice) -> list[WickKernel]:
-    """Normal-ordered kernels of one monomial, one per creator/annihilator split.
+def split_kernel(a1: int, a2: int, p1: int, p2: int, coeff: float, g: Potential, lattice: MomentumLattice):
+    """The normal-ordered kernel of coeff phi_1^a1 phi_2^a2 that creates p1
+    species-1 and p2 species-2 particles and annihilates the rest, or None when
+    g_hat vanishes on it identically (a zero profile).
 
     The split (p1, p2 | q1, q2) carries the binomial count C(a1,p1) C(a2,p2),
     the per-leg weights (4 pi v)^(-1/2) eps^(-1/2), and g_hat at the total
-    created-minus-annihilated momentum.  A split on which g_hat vanishes
-    identically (a zero profile) yields no kernel.  The tensors are returned
-    as built, with no symmetrization: the Wick expansion sums the orderings of
-    legs of one species when it folds the kernel.
+    created-minus-annihilated momentum.  The tensor is returned as built, with
+    no symmetrization: the Wick expansion sums the orderings of legs of one
+    species when it folds the kernel.
     """
-    d = a1 + a2
-    modes = lattice.modes
-    m = lattice.size
+    d, p = a1 + a2, p1 + p2
+    modes, m = lattice.modes, lattice.size
     wvec = 1.0 / np.sqrt(lattice.dispersion())
-    out = []
-    base_pref = (4 * np.pi * float(lattice.v)) ** (-d / 2)
-    for p1 in range(a1 + 1):
-        for p2 in range(a2 + 1):
-            q1, q2 = a1 - p1, a2 - p2
-            p, q = p1 + p2, q1 + q2
-            species = (1,) * p1 + (2,) * p2 + (1,) * q1 + (2,) * q2
-            pref = coeff * math.comb(a1, p1) * math.comb(a2, p2) * base_pref
-            total = np.zeros((1,) * d)
-            amps = np.ones((1,) * d)
-            for leg in range(d):
-                shape = [1] * d
-                shape[leg] = m
-                sgn = 1.0 if leg < p else -1.0
-                total = total + sgn * modes.reshape(shape)
-                amps = amps * wvec.reshape(shape)
-            g_hat = np.asarray(g.V_hat(total), dtype=complex)
-            if not g_hat.any():
-                continue
-            coeffs = pref * g_hat * amps
-            out.append(WickKernel(p=p, q=q, species=species, coeffs=coeffs))
-    return out
+    species = (1,) * p1 + (2,) * p2 + (1,) * (a1 - p1) + (2,) * (a2 - p2)
+    pref = coeff * math.comb(a1, p1) * math.comb(a2, p2) * (4 * np.pi * float(lattice.v)) ** (-d / 2)
+    total, amps = np.zeros((1,) * d), np.ones((1,) * d)
+    for leg in range(d):
+        shape = [m if axis == leg else 1 for axis in range(d)]
+        total = total + (1.0 if leg < p else -1.0) * modes.reshape(shape)
+        amps = amps * wvec.reshape(shape)
+    g_hat = np.asarray(g.V_hat(total), dtype=complex)
+    if not g_hat.any():
+        return None
+    return WickKernel(p=p, q=d - p, species=species, coeffs=pref * g_hat * amps)
 
 
-def interaction_kernels(spec: InteractionSpec, lattice: MomentumLattice) -> list[WickKernel]:
-    """All normal-ordered kernels of the interaction polynomial."""
+def hamiltonian_terms(spec: InteractionSpec, pot: Potential, lam: float, basis: FockBasis) -> list:
+    """The (weight, kernel) terms of HI + lam Q that `fock.hermitian_parts` expands on
+    basis: each monomial's `split_kernel`s with q <= p <= n_max (weight 1), then the
+    `charge_kernels` (weight lam), each gauged (`fock.gauge_kernel`) and folded before
+    the next is built, so only the folded tensors, float64 when exact, are held."""
     if not spec.is_bounded_below():
-        raise ContractError(
-            f"interaction polynomial not bounded below (certificate {spec.certificate:.6g})"
-        )
-    kernels: list[WickKernel] = []
-    for a1, a2, coeff in spec.monomials:
-        if coeff == 0.0:
-            continue
-        kernels.extend(monomial_kernels(a1, a2, coeff, spec.g, lattice))
-    return kernels
+        raise ContractError(f"interaction polynomial not bounded below (certificate {spec.certificate:.6g})")
+    splits = (split_kernel(a1, a2, p1, p2, c, spec.g, basis.lattice)
+              for a1, a2, c in spec.monomials if c != 0.0
+              for p1 in range(a1 + 1) for p2 in range(a2 + 1) if a1 + a2 - p1 - p2 <= p1 + p2 <= basis.n_max)
+    terms = [(1.0, gauge_kernel(k).fold()) for k in splits if k is not None and streamed(basis, k)]
+    return terms + [(lam, gauge_kernel(k).fold()) for k in charge_kernels(pot, basis.lattice) if streamed(basis, k)]
 
 
 def free_energies(basis: FockBasis) -> np.ndarray:
@@ -179,17 +170,18 @@ def free_energies(basis: FockBasis) -> np.ndarray:
 
 
 def charge_kernels(pot: Potential, lattice: MomentumLattice) -> list[WickKernel]:
-    """The two lab-frame kernels of the local charge coupling Q, closed under adjoints.
+    """The three lab-frame kernels of the local charge coupling Q, closed under adjoints.
 
-    The number-preserving one second-quantizes the species mixer
-    [[0, b], [b^H, 0]] (`oneparticle.mixer`); the pair one creates one
-    particle of each species weighted by the antisymmetric kernel R (its
-    adjoint is implied).  Both are
-    imaginary for an even potential; no two legs share a label, so each entry
-    of Q is one term of one kernel.
+    The species mixer [[0, b], [b^H, 0]] is second-quantized by b from species 2
+    to species 1 and by its adjoint b^H, so no term falls in its zero diagonal
+    blocks; the pair kernel creates one particle of each species weighted by the
+    antisymmetric R (its adjoint is implied).  All are imaginary for an even
+    potential; no two legs share a label, so each entry of Q is one term of one kernel.
     """
+    b = b_matrix(pot, lattice)
     return [
-        WickKernel(p=1, q=1, species=(None, None), coeffs=mixer(b_matrix(pot, lattice))),
+        WickKernel(p=1, q=1, species=(1, 2), coeffs=b),
+        WickKernel(p=1, q=1, species=(2, 1), coeffs=b.conj().T),
         WickKernel(p=2, q=0, species=(1, 2), coeffs=pair_kernel(pot, lattice)),
     ]
 
@@ -250,9 +242,7 @@ def assemble(
     coupling = lambda_quant(pot, lattice)
     if not override_stability and not abs(lam) < coupling.lambda_quant:
         raise StabilityError(lam, coupling.lambda_quant)
-    terms = [(1.0, gauge_kernel(k)) for k in interaction_kernels(spec, lattice) if streamed(basis, k)]
-    terms += [(lam, gauge_kernel(k)) for k in charge_kernels(pot, lattice) if streamed(basis, k)]
-    t, d = hermitian_parts(basis, terms)
+    t, d = hermitian_parts(basis, hamiltonian_terms(spec, pot, lam, basis))
     return HamiltonianBundle(
         basis=basis,
         spec=spec,

@@ -9,8 +9,8 @@ entering the stability threshold are read off the weighted matrices directly.
 
 Every matrix here is lab frame except the dressed one-particle energy
 `omega_block`, built once in the gauge frame of H (`fock.gauge_kernel`).
-`mixer` lays out [[0, c], [c^H, 0]] for it (c its gauged corner) and for
-the charge kernel (c = b).
+The M x M matrices are refused over `linalg`'s dense ceiling before any is
+made (`potential_matrix`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .fock import WickKernel, gauge_kernel
 from .lattice import MomentumLattice
-from .linalg import operator_norm, real_if_exact, reflected_eigvalsh
+from .linalg import check_dense, operator_norm, real_if_exact, reflected_eigvalsh
 from .potentials import Potential
 
 
@@ -32,8 +32,10 @@ def potential_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     """Momentum-representation matrix of multiplication by the potential.
 
     Entry (gamma, gamma') is V_hat(gamma - gamma') / (2 pi v); Hermitian for
-    real potentials since then V_hat(-k) = conj(V_hat(k)).
+    real potentials since then V_hat(-k) = conj(V_hat(k)).  A lattice over the
+    dense ceiling is refused before any M x M array exists.
     """
+    check_dense(lattice.size)
     g = lattice.modes
     k_diff = g[:, None] - g[None, :]
     return np.asarray(pot.V_hat(k_diff), dtype=complex) / (2 * np.pi * float(lattice.v))
@@ -123,28 +125,21 @@ def lambda_quant(pot: Potential, lattice: MomentumLattice) -> CouplingReport:
     return CouplingReport(c0=c0, c1=c1, lambda_quant=lam, lattice=lattice)
 
 
-def mixer(corner: np.ndarray) -> np.ndarray:
-    """[[0, corner], [corner^H, 0]] over the 2M species-major slots, in corner's dtype."""
-    m = corner.shape[0]
-    out = np.zeros((2 * m, 2 * m), dtype=corner.dtype)
-    out[:m, m:] = corner
-    out[m:, :m] = corner.conj().T
-    return out
-
-
 def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     """The dressed one-particle energy D^* omega D in the gauge frame of H.
 
     omega = [[eps, lam b], [lam b^H, eps]] over the 2M species-major slots and
     D = diag(i^{N_2}), which multiplies the species-2 slots by i.  Only the
     off-diagonal block changes: lam b goes through `fock.gauge_kernel` as a
-    (1, 1) kernel from species 2 to species 1, and `mixer` lays out the
-    gauged corner once.  The block is float64 for an even potential (b is then
+    (1, 1) kernel from species 2 to species 1, and the gauged corner is laid
+    out once as [[0, c], [c^H, 0]].  The block is float64 for an even potential (b is then
     imaginary) and complex Hermitian otherwise.
     """
-    eps = lattice.dispersion()
+    eps, m = lattice.dispersion(), lattice.size
     corner = gauge_kernel(WickKernel(p=1, q=1, species=(1, 2), coeffs=lam * b_matrix(pot, lattice))).coeffs
-    out = mixer(corner)
+    out = np.zeros((2 * m, 2 * m), dtype=corner.dtype)
+    out[:m, m:] = corner
+    out[m:, :m] = corner.conj().T
     np.fill_diagonal(out, np.concatenate([eps, eps]))
     return out
 

@@ -9,7 +9,8 @@ overlaps, resolvent and number norms are gauge invariant.  The probe gauges
 its lab-frame field coefficients once and evolves them under
 `oneparticle.omega_block`, in the same frame.  The probe's full spectrum is
 the one dense spectrum here; it is split into momentum-parity blocks by
-`linalg`.
+`linalg`.  The hvz onset overlaps come from the 2M x 2M Gram matrix of the
+raised ground state, so no dim x 2M frame is built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import FockBasis, HermitianOperator, WickKernel, annihilator_of, fock_embedding, gauge_kernel, number_operator
+from .fock import (FockBasis, HermitianOperator, WickKernel, annihilator_of, fock_dimension, fock_embedding,
+                   gauge_kernel, number_operator)
 from .hamiltonian import HamiltonianBundle
 from .linalg import (
     RESIDUAL_RTOL,
@@ -79,25 +81,26 @@ class SpectralReport:
         }
 
 
-def _one_particle_excess_frame(bundle: HamiltonianBundle, psi0: np.ndarray) -> np.ndarray:
-    """Orthonormal frame for span{a*_slot psi0}: ground state plus one particle.
+def _onset_overlaps(basis: FockBasis, vecs: np.ndarray) -> np.ndarray:
+    """|P v|^2 = c^H G^+ c for each column v of vecs after the first, psi0 (the
+    first gives 0), with P the projector onto the span of the columns a*_s psi0
+    of the raise map A, c = A^H v and G = A^H A, the n_slots x n_slots Gram matrix.
 
-    a*_s psi0 is read off the basis's raise table: it puts sqrt(n_s) psi0[i] at
-    state up[i, s], where n_s counts the raised state; the top sector has no image.
-    """
-    basis = bundle.basis
-    up = basis.raise_table
-    cols = []
-    for s in range(basis.n_slots):
-        vec = np.zeros_like(psi0)
-        vec[up[:, s]] = np.sqrt(basis.occ[up[:, s], s].astype(float)) * psi0[: len(up)]
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-12:
-            cols.append(vec / nrm)
-    if not cols:
-        return np.zeros((basis.dim, 0), dtype=psi0.dtype)
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    return q
+    A is not built.  a*_s psi0 puts sqrt(n_s) psi0[i] at state up[i, s] of the
+    raise table (n_s counts the raised state; the top sector has no image), so
+    row s of A^H vecs is one gather of vecs.  Below the cap a_s a*_t = a*_t a_s
+    + delta_st: G = |psi0_low|^2 I + W^T conj(W), W's column s a_s psi0_low on the
+    states two below the cap (psi0_low: psi0 below the cap)."""
+    up, slots, psi0 = basis.raise_table, np.arange(basis.n_slots), vecs[:, 0]
+    psi_low = psi0[: len(up)]
+    c = np.array([psi_low.conj() @ (np.sqrt(basis.occ[up[:, s], s], dtype=float)[:, None] * vecs[up[:, s]])
+                  for s in slots])
+    lower = up[: fock_dimension(basis.n_slots, basis.n_max - 2)]
+    w = np.sqrt(basis.occ[lower, slots], dtype=float) * psi0[lower]
+    gram = w.T @ w.conj() + np.vdot(psi_low, psi_low).real * np.eye(len(slots))
+    overlaps = np.sum(c.conj() * (np.linalg.pinv(gram, hermitian=True) @ c), axis=0).real
+    overlaps[0] = 0.0
+    return overlaps
 
 
 def hvz_gap_probe(
@@ -107,7 +110,8 @@ def hvz_gap_probe(
 ) -> SpectralReport:
     """Locate the onset of the one-free-particle branch above the ground state.
 
-    Eigenvectors are ranked by their overlap with span{a*_s psi0}; the lowest
+    Eigenvectors are ranked by their overlap with span{a*_s psi0}
+    (`_onset_overlaps`, from the Gram matrix of the a*_s psi0); the lowest
     excited level whose overlap reaches the threshold is the onset estimate.
     In the free case the estimate equals the mass gap exactly.  Under lattice
     refinement with localized potential and profile, onset - (e0 + m) shrinks.
@@ -124,21 +128,15 @@ def hvz_gap_probe(
     k_full = min(bundle.basis.dim, max(depth, 2 * bundle.basis.n_slots + 2))
     for k in sorted({min(k_full, depth), k_full}):
         w, vecs = low_lying(bundle.h, k)
-        frame = _one_particle_excess_frame(bundle, vecs[:, 0])
-        overlaps = np.zeros(len(w))
-        onset = None
-        for j in range(1, len(w)):
-            if frame.shape[1]:
-                overlaps[j] = float(np.linalg.norm(frame.conj().T @ vecs[:, j]) ** 2)
-            if onset is None and overlaps[j] >= overlap_threshold:
-                onset = float(w[j])
-        if onset is not None:
+        overlaps = _onset_overlaps(bundle.basis, vecs)
+        passed = np.flatnonzero(overlaps >= overlap_threshold)
+        if passed.size:
             break
     return SpectralReport(
         e0=float(w[0]),
         eigenvalues=w[:depth],
         gap=float(w[1] - w[0]) if len(w) > 1 else 0.0,
-        hvz_onset_estimate=onset,
+        hvz_onset_estimate=float(w[passed[0]]) if passed.size else None,
         onset_overlaps=overlaps[:depth],
         residual_bound=RESIDUAL_RTOL,
     )

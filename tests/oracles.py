@@ -14,9 +14,23 @@ import scipy.sparse as sp
 
 from chargedphi2.errors import ParameterError
 from chargedphi2.fock import WickKernel, creation, fock_embedding, hermitian_operator, wick_operator
+from chargedphi2.hamiltonian import split_kernel
 from chargedphi2.oneparticle import b_matrix
 from chargedphi2.potentials import Potential
 from chargedphi2.quantization import symplectic_gram
+
+
+def monomial_kernels(a1, a2, coeff, g, lattice):
+    """Every split's `hamiltonian.split_kernel` of one monomial, p1 then p2
+    ascending, the ones g_hat kills left out; the stream builds only some."""
+    return [k for p1 in range(a1 + 1) for p2 in range(a2 + 1)
+            if (k := split_kernel(a1, a2, p1, p2, coeff, g, lattice)) is not None]
+
+
+def interaction_kernels(spec, lattice):
+    """Every split's kernel of every monomial of the polynomial, in order."""
+    return [k for a1, a2, coeff in spec.monomials if coeff != 0.0
+            for k in monomial_kernels(a1, a2, coeff, spec.g, lattice)]
 
 
 def two_particle_tensor(h, state_pairs):
@@ -193,6 +207,26 @@ def summed_mirror(t, d):
     """T^H + diag(d) + T by two scipy sparse sums from T's CSR conversion."""
     t = sp.csr_matrix(t)
     return t.getH().tocsr() + sp.diags(d, format="csr") + t
+
+
+def raise_table_frame(bundle, psi0):
+    """Orthonormal frame for span{a*_s psi0}, the ground state plus one particle:
+    each a*_s psi0 read off the basis's raise table (sqrt(n_s) psi0[i] at state
+    up[i, s], n_s counting the raised state; the top sector has no image) as a
+    full column, normalized where nonzero, then orthonormalized by QR."""
+    basis = bundle.basis
+    up = basis.raise_table
+    cols = []
+    for s in range(basis.n_slots):
+        vec = np.zeros_like(psi0)
+        vec[up[:, s]] = np.sqrt(basis.occ[up[:, s], s].astype(float)) * psi0[: len(up)]
+        nrm = np.linalg.norm(vec)
+        if nrm > 1e-12:
+            cols.append(vec / nrm)
+    if not cols:
+        return np.zeros((basis.dim, 0), dtype=psi0.dtype)
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    return q
 
 
 def creation_frame(bundle, psi0):

@@ -17,7 +17,6 @@ from chargedphi2.hamiltonian import (
     charge_kernels,
     form_bound_constants,
     free_energies,
-    interaction_kernels,
     interaction_spec,
 )
 from chargedphi2.lattice import build_lattice
@@ -46,7 +45,7 @@ from chargedphi2.spectral import (
     hvz_gap_probe,
     resolvent_convergence,
 )
-from oracles import symmetrized
+from oracles import interaction_kernels, symmetrized
 
 ACCEPTANCE_POTENTIALS = [
     gaussian_potential(1.0, 1.0),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -224,6 +225,26 @@ class TestCliExitCodes:
         assert cli.main(["probe-scattering", str(cfg)]) == cli.EXIT_RESOURCE == 6
         assert "7130 exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert not list(tmp_path.glob("probe_*"))
+
+    @pytest.mark.parametrize("subcommand", ["lambda-quant", "spectrum"])
+    def test_one_particle_matrix_over_the_dense_ceiling_exits_6(self, tmp_path, monkeypatch, capsys, subcommand):
+        # 4,001 modes (v = 125, kappa = 16): one 4,001 x 4,001 float64 array is
+        # 122 MiB, and `potential_matrix` refuses the lattice before making any;
+        # spectrum at n_max 0 reaches it through `assemble`'s `lambda_quant`
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "desk_bundle.json").read_text())
+        raw["lattice"].update(v="125", kappa=16.0)
+        raw["n_max"] = 0
+        cfg = tmp_path / "m4001.json"
+        cfg.write_text(json.dumps(raw))
+        tracemalloc.start()
+        try:
+            assert cli.main([subcommand, str(cfg)]) == cli.EXIT_RESOURCE == 6
+            assert tracemalloc.get_traced_memory()[1] < 8 * 2**20
+        finally:
+            tracemalloc.stop()
+        assert "4001 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["m4001.json"]
 
     @pytest.mark.parametrize("subcommand", ["hvz", "convergence"])
     def test_ladder_over_the_cap_exits_6_before_any_level(self, tmp_path, monkeypatch, capsys, subcommand):

@@ -27,11 +27,11 @@ from chargedphi2.fock import (
     wick_operator,
 )
 from chargedphi2.config import load_config
-from chargedphi2.hamiltonian import charge_kernels, free_energies, interaction_kernels, interaction_spec
+from chargedphi2.hamiltonian import charge_kernels, free_energies, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.potentials import zero_potential
-from oracles import (dense_wick, safe_columns, smeared_field_coefficients, sorted_hermitian_parts, summed_mirror,
-                     symmetrized, triangle_entries, two_particle_tensor)
+from oracles import (dense_wick, interaction_kernels, safe_columns, smeared_field_coefficients, sorted_hermitian_parts,
+                     summed_mirror, symmetrized, triangle_entries, two_particle_tensor)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -16,11 +16,11 @@ from chargedphi2 import cli
 from chargedphi2.config import parse_config
 from chargedphi2.fock import (WickKernel, enumerate_basis, fock_embedding, gauge_kernel, hermitian_operator,
                               number_operator, wick_operator)
-from chargedphi2.hamiltonian import assemble, charge_kernels, free_energies, interaction_kernels, interaction_spec
+from chargedphi2.hamiltonian import assemble, charge_kernels, free_energies, interaction_spec
 from chargedphi2.oneparticle import omega_bottom
 from chargedphi2.potentials import gaussian_potential
 from chargedphi2.spectral import heisenberg_probe, resolvent_convergence
-from oracles import dense_probe, dense_resolvent_gap, lab_frame_phases, lab_omega
+from oracles import dense_probe, dense_resolvent_gap, interaction_kernels, lab_frame_phases, lab_omega
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -15,16 +15,15 @@ from chargedphi2.hamiltonian import (
     charge_kernels,
     form_bound_constants,
     free_energies,
-    interaction_kernels,
     interaction_spec,
     leading_form_minimum,
-    monomial_kernels,
 )
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.oneparticle import b_matrix, omega_block, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
-from oracles import compress, safe_columns, smeared_interaction, summed_mirror, symmetrized
+from oracles import (compress, interaction_kernels, monomial_kernels, safe_columns, smeared_interaction, summed_mirror,
+                     symmetrized)
 
 # Ground energy of the shipped desk bundle (M=9, n_max=3, quartic polynomial,
 # unit gaussian potential, 0.25-gaussian profile, lambda = 0.1), pinned from a
@@ -289,7 +288,7 @@ class TestAssemble:
         assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
     def test_zero_kernels_are_not_expanded(self, basis3, free_spec, gauss_v, monkeypatch):
-        # the zero profile leaves no interaction kernel; only the two charge kernels are expanded
+        # the zero profile leaves no interaction kernel; only the three charge kernels are expanded
         seen = []
         blocks = fock._wick_blocks
 
@@ -299,7 +298,7 @@ class TestAssemble:
 
         monkeypatch.setattr(fock, "_wick_blocks", record)
         bundle = assemble(free_spec, gauss_v, 0.0, basis3)
-        assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (None, None)), (2, 0, (1, 2))]
+        assert [(k.p, k.q, k.species) for k in seen] == [(1, 1, (1, 2)), (1, 1, (2, 1)), (2, 0, (1, 2))]
         assert (bundle.h.matrix - sp.diags(free_energies(basis3))).nnz == 0
 
     def test_one_stream_and_no_full_matrix(self, basis3, quartic_spec, gauss_v, monkeypatch):
@@ -333,6 +332,24 @@ class TestAssemble:
     def test_bundle_holds_only_h(self, desk_bundle):
         ops = [name for name, value in vars(desk_bundle).items() if isinstance(value, (FockOperator, HermitianOperator))]
         assert ops == ["h"]
+
+    def test_lower_cap_is_the_leading_block(self, desk_bundle, lat9, gauss_v, quartic_spec):
+        # the basis is ordered by particle number, so H at cap 2 is bitwise the
+        # leading 190 x 190 block of H at cap 3: a column prefix of T (upper, so its
+        # rows stay inside) and a prefix of d
+        low = assemble(quartic_spec, gauss_v, 0.1, enumerate_basis(lat9, 2))
+        n = low.basis.dim
+        assert n == 190 and np.array_equal(desk_bundle.basis.occ[:n], low.basis.occ)
+        block = desk_bundle.h.t[:, :n]
+        assert block.indices.max() < n
+        for attr in ("indptr", "indices", "data"):
+            x, y = getattr(block, attr), getattr(low.h.t, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+        assert desk_bundle.h.d[:n].tobytes() == low.h.d.tobytes()
+        # an even polynomial keeps number parity, and cap 3 adds only odd-N
+        # states, so e0 is the same (to 1.1e-15 here) within the residual contract
+        e3, e2 = ground_state(desk_bundle.h)[0], ground_state(low.h)[0]
+        assert abs(e3 - e2) <= linalg.RESIDUAL_RTOL * max(1.0, abs(e2))
 
     def test_metadata_counts_h_as_its_full_matrix(self, desk_bundle):
         # nnz and the diagonal range as a stored full H gave them (dims 1,330 and 7,770)

@@ -1,4 +1,4 @@
-"""Memory guards for the dense one-particle paths, the assembly and the gap probe on the shipped configs.
+"""Memory guards for the dense one-particle paths, the kernels, the assembly and the gap probe on the shipped configs.
 
 The peak is tracemalloc's, which numpy reports its array buffers to; unlike
 the process RSS it reproduces to 0.1 MiB from run to run.
@@ -10,6 +10,7 @@ from pathlib import Path
 
 from chargedphi2 import cli
 from chargedphi2.config import load_config
+from chargedphi2.hamiltonian import hamiltonian_terms, interaction_spec
 from chargedphi2.oneparticle import lambda_quant, omega_bottom
 from chargedphi2.quantization import phase_space_grid, quantize_report
 from chargedphi2.spectral import hvz_gap_probe
@@ -49,10 +50,11 @@ def test_lambda_quant_peak():
 
 def test_assemble_peak():
     # 9.0 MiB with a mirror to a full CSR and a Hermiticity check; 7.4 MiB, the raise
-    # table and the Wick stream, with H kept as its triangle (dim 2,300, T and d 1.8 MiB)
+    # table and the Wick stream, with H kept as its triangle (dim 2,300, T and d 1.8 MiB);
+    # 4.9 MiB with each kernel held once and the expansion in pieces
     cfg = load_config(CONFIGS / "probe.json")
     basis = cli._basis(cfg, cfg.base_lattice())
-    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 11.0
+    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 6.0
 
 
 def _m17_bundle():
@@ -68,16 +70,29 @@ def test_m17_assemble_peak():
     # 54.8 MiB with a global sort of every kernel's entries, a two-sum mirror and a
     # full CSC copy of H in the Hermiticity check; 37.2 MiB with a one-pass mirror
     # and a blockwise check; 28.7 MiB, the Wick stream's, with H kept as its
-    # triangle (dim 7,770, T and d 11.5 MiB, CSR of H 23.0 MiB)
+    # triangle (dim 7,770, T and d 11.5 MiB, CSR of H 23.0 MiB); 19.6 MiB with
+    # each kernel held once, folded, and the expansion made in pieces of
+    # TERM_BUDGET terms, T's buffers and the two (3, 1) kernels' Wick matrices
     cfg, basis = _m17_bundle()
-    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 30.0
+    assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 21.0
+
+
+def test_m17_kernel_phase_peak():
+    # 17.3 MiB building all 10 complex quartic splits and gauging them; 7.2 MiB
+    # building only the 4 that are streamed, one at a time, each held folded
+    # and float64 (2.6 MiB)
+    cfg, basis = _m17_bundle()
+    spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
+    assert _peak_mib(lambda: hamiltonian_terms(spec, cfg.make_potential(), cfg.coupling.lam, basis)) <= 8.0
 
 
 def test_m17_gap_probe_builds_no_matrix_of_h():
-    # the probe applies T and d; it allocates less than H's CSR would take (8.7 MiB
-    # against 23.0 MiB: int32 indices, float64 values, dim + 1 int32 row pointers)
+    # the probe applies T and d, far below H's CSR (23.0 MiB: int32 indices,
+    # float64 values, dim + 1 int32 row pointers); 8.7 MiB with a QR frame of
+    # dim x 2M columns, 3.3 MiB with the 2M x 2M Gram matrix of the raised
+    # ground state
     cfg, basis = _m17_bundle()
     bundle = cli._bundle(cfg, basis)
     csr_mib = (bundle.metadata()["nnz"] * 12 + (basis.dim + 1) * 4) / 2**20
     assert 22.9 <= csr_mib <= 23.1
-    assert _peak_mib(lambda: hvz_gap_probe(bundle, report_depth=cfg.solver.num_eigenvalues)) < csr_mib
+    assert _peak_mib(lambda: hvz_gap_probe(bundle, report_depth=cfg.solver.num_eigenvalues)) <= 4.0

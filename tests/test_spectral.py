@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chargedphi2 import spectral
+from chargedphi2 import cli, spectral
+from chargedphi2.config import load_config
 from chargedphi2.errors import ParameterError, ResourceLimitError
 from chargedphi2.fock import HermitianOperator, creation, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
@@ -23,7 +25,7 @@ from chargedphi2.spectral import (
     recurrence_time,
     resolvent_convergence,
 )
-from oracles import creation_frame, dense_probe, dense_resolvent_gap
+from oracles import creation_frame, dense_probe, dense_resolvent_gap, raise_table_frame
 
 
 def shifted(op, c):
@@ -99,6 +101,22 @@ def full_depth_reference(bundle, report_depth=8, overlap_threshold=0.5):
     return w, overlaps, (int(passed[0]) + 1 if passed.size else None)
 
 
+@pytest.fixture(scope="module")
+def m17_bundle():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "m17_spectrum.json")
+    return cli._single_level_bundle(cfg)
+
+
+@pytest.fixture(scope="module")
+def free_bundle(free_ladder_bundles):
+    return free_ladder_bundles[0]
+
+
+@pytest.fixture(scope="module")
+def dim1_bundle(lat3, gauss_v, quartic_spec):
+    return assemble(quartic_spec, gauss_v, 0.2, enumerate_basis(lat3, 0))
+
+
 @pytest.fixture
 def low_lying_calls(monkeypatch):
     """The k of every `low_lying` call the probe makes."""
@@ -139,9 +157,22 @@ class TestHvzProbe:
         bundle = request.getfixturevalue(name)
         bundle = bundle if level is None else bundle[level]
         psi0 = ground_state(bundle.h)[1]
-        frame = spectral._one_particle_excess_frame(bundle, psi0)
+        frame = raise_table_frame(bundle, psi0)
         assert frame.shape == (bundle.basis.dim, bundle.basis.n_slots)
         assert frame.tobytes() == creation_frame(bundle, psi0).tobytes()
+
+    @pytest.mark.parametrize("name", ["desk_bundle", "probe_m9_bundle", "m17_bundle", "free_bundle", "dim1_bundle"])
+    def test_gram_overlaps_match_the_qr_frame(self, request, name, low_lying_calls):
+        # c^H G^+ c from the Gram matrix of the raise map equals |Q^H v|^2 for the
+        # QR frame Q of the raised ground state, on the levels the probe reports
+        bundle = request.getfixturevalue(name)
+        rep = hvz_gap_probe(bundle)
+        w, vecs = low_lying(bundle.h, low_lying_calls[-1])
+        frame = raise_table_frame(bundle, vecs[:, 0])
+        expected = np.linalg.norm(frame.conj().T @ vecs, axis=0) ** 2
+        expected[0] = 0.0
+        np.testing.assert_allclose(rep.onset_overlaps, expected[: len(rep.eigenvalues)], rtol=0, atol=1e-12)
+        assert rep.hvz_onset_estimate is None or rep.hvz_onset_estimate == w[np.flatnonzero(expected >= 0.5)[0]]
 
     def test_onset_past_report_depth_widens_search(self, desk_bundle, low_lying_calls):
         # level 1 has overlap 0.99888, level 2 0.99963: the onset is past depth 1
