@@ -1,5 +1,5 @@
-"""`python -m chargedphi2` entry: pin thread counts before numerics load, and
-keep the cyclic garbage collector off the import heap.
+"""`python -m chargedphi2` entry: keep the cyclic garbage collector off the
+import heap.
 
 Importing numpy and scipy leaves tens of thousands of long-lived container
 objects behind.  The collector would walk them during the imports and once
@@ -14,13 +14,7 @@ collected as usual.  Only this process entry does this; importing
 """
 
 import gc
-import os
 import sys
-
-_threads = os.environ.get("CHARGEDPHI2_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
 
 gc.disable()
 from . import linalg  # noqa: E402,F401

@@ -9,9 +9,8 @@ error, 3 stability error, 4 solver failure, 5 missing golden suite, 6
 dimension over a resource cap or out of memory, 7 any other violated
 contract (an odd or unbounded polynomial, say), 1 anything else.
 
-Environment overrides (the only ones honored): CHARGEDPHI2_OUTDIR replaces
-the configured output directory, CHARGEDPHI2_THREADS pins BLAS thread counts
-when set before interpreter start (see __main__).
+Environment override (the only one honored): CHARGEDPHI2_OUTDIR replaces the
+configured output directory.  BLAS threads follow OMP/OPENBLAS/MKL_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -313,19 +312,25 @@ def golden_check(suite_path: str | Path) -> int:
     from .errors import MissingGoldenError
 
     path = Path(suite_path)
-    if not path.exists():
-        raise MissingGoldenError(f"golden suite not found: {path}")
-    suite = json.loads(path.read_text())
-    entries = suite.get("entries", [])
-    if not entries:
-        raise MissingGoldenError(f"golden suite is empty: {path}")
+    try:
+        suite = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # absent or unreadable, or not JSON text
+        raise MissingGoldenError(f"golden suite {path} cannot be read as JSON: {exc}") from exc
+    entries = suite.get("entries") if isinstance(suite, dict) else None
+    if not entries or not isinstance(entries, list):
+        raise MissingGoldenError(f"golden suite {path} is empty or has no 'entries' list")
     registry = _golden_registry()
     failures = 0
     print(f"{'name':44s} {'pinned':>16s} {'recomputed':>16s} {'tol':>10s} status")
-    for entry in entries:
-        name = entry["name"]
-        pinned = float(entry["value"])
-        tol = float(entry["tol"])
+    for i, entry in enumerate(entries):
+        fields = entry if isinstance(entry, dict) else {}
+        where = f"entry {fields.get('name', f'#{i}')!r} of {path}"
+        try:
+            name, pinned, tol = str(fields["name"]), float(fields["value"]), float(fields["tol"])
+        except KeyError as exc:
+            raise MissingGoldenError(f"{where} has no {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise MissingGoldenError(f"{where}: 'value' and 'tol' must be numbers ({exc})") from exc
         if name not in registry:
             print(f"{name:44s} {'-':>16s} {'-':>16s} {'-':>10s} UNKNOWN")
             failures += 1

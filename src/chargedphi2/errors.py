@@ -77,4 +77,4 @@ class ResourceLimitError(ChargedPhi2Error, RuntimeError):
 
 
 class MissingGoldenError(ChargedPhi2Error, RuntimeError):
-    """A golden suite file is absent or empty."""
+    """A golden suite file is absent, empty or malformed."""

@@ -56,9 +56,6 @@ class MomentumLattice:
         """eps(gamma) = sqrt(gamma^2 + m^2) over the mode set; always >= m."""
         return np.sqrt(self.modes**2 + self.m**2)
 
-    def spacing(self) -> float:
-        return 1.0 / float(self.v)
-
     def slot_reflection(self) -> np.ndarray:
         """Momentum parity on the 2 * size species-major slots: the index of the
         slot with the same species and the negated momentum."""

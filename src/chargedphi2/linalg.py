@@ -32,10 +32,10 @@ input (a CSR conversion, P A P, or a difference) is ever made.
 A Hermitian H held as its strictly upper triangle T (CSC) and real diagonal d
 is applied by one operator, `HermitianTriangle`: H x = T x + T^H x + d x, with
 T^H x = conj(T^T conj(x)) from T's CSC arrays read as CSR, so no transposed
-copy is made.  CHARGEDPHI2_THREADS >= 2 runs T x on a second thread (scipy's
-sparse product releases the GIL); the terms are summed in one order, so H x
-is bitwise the same for any worker count.  What needs a matrix (the dense
-path, the probe, the shifted solve) builds T^H + diag(d) + T on demand.
+copy is made.  T x runs on a second thread (scipy's sparse product releases
+the GIL) iff nnz(T) >= TWO_WORKER_NNZ and two CPUs are free to the process;
+H x sums in one order, so it is bitwise the same either way.  What needs a
+matrix (the dense path, the probe, the shifted solve) builds T^H + diag(d) + T.
 
 Every resolvent goes through `shifted_solver`, a sparse LU of A + beta I: the
 only place in the package where a Fock operator is factorized.
@@ -43,9 +43,9 @@ only place in the package where a Fock operator is factorized.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,11 +59,19 @@ DENSE_CEILING = 4_000
 RESIDUAL_RTOL = 1e-8
 # A matrix commutes with a permutation P when max|P A P - A| <= REFLECTION_RTOL max|A|.
 REFLECTION_RTOL = 1e-14
+TWO_WORKER_NNZ = 2_000_000  # nnz(T) from which a second thread for T x pays: 1.0M measured no gain, 2.7M one
 
 
 def use_dense(n: int, k: int = 1) -> bool:
     """The one rule: dense LAPACK iff n <= DENSE_RATIO * ARPACK's ncv for k pairs."""
     return n <= DENSE_RATIO * max(2 * k + 1, 20)
+
+
+@functools.cache  # two first calls at once make at most one extra pool, dropped after its call
+def _second_worker():
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="chargedphi2-matvec")
 
 
 def check_dense(n: int):
@@ -142,8 +150,8 @@ class HermitianTriangle(spla.LinearOperator):
         super().__init__(dtype=np.result_type(t.dtype, d.dtype), shape=t.shape)
         self.t, self.d = t, d
         self._t_transposed = t.T  # T's CSC arrays read as CSR: no copy
-        threads = os.environ.get("CHARGEDPHI2_THREADS", "")
-        self.workers = 2 if threads.isdigit() and int(threads) >= 2 else 1
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        self.workers = 2 if t.nnz >= TWO_WORKER_NNZ and cpus >= 2 else 1  # the worker rule
 
     def _lower(self, x: np.ndarray) -> np.ndarray:
         """T^H x = conj(T^T conj(x))."""
@@ -152,13 +160,9 @@ class HermitianTriangle(spla.LinearOperator):
         return self._t_transposed @ x
 
     def _matmat(self, x: np.ndarray) -> np.ndarray:
-        if self.workers > 1:
-            with ThreadPoolExecutor(1) as pool:
-                upper = pool.submit(self.t.__matmul__, x)
-                lower = self._lower(x)
-                y = upper.result()
-        else:
-            y, lower = self.t @ x, self._lower(x)
+        upper = _second_worker().submit(self.t.__matmul__, x) if self.workers > 1 else None
+        lower = self._lower(x)
+        y = upper.result() if upper is not None else self.t @ x
         y += lower
         y += self.d.reshape((-1,) + (1,) * (x.ndim - 1)) * x
         return y

@@ -489,6 +489,23 @@ class TestGoldenCheck:
     def test_missing_suite_exit_5(self, tmp_path):
         assert cli.main(["golden-check", str(tmp_path / "absent.json")]) == 5
 
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ('{"entries": [{"name": "desk_bundle_e0", "value": 1.0}]}', ["'desk_bundle_e0'", "'tol'"]),
+            ('{"entries": [{"name": "desk_bundle_e0", "value": "abc", "tol": 1e-9}]}', ["'desk_bundle_e0'", "'value'"]),
+            ('[{"name": "desk_bundle_e0", "value": 1.0, "tol": 1e-9}]', ["'entries'"]),
+            ('{"entries": [', ["cannot be read as JSON"]),
+        ],
+        ids=["no-tol", "non-numeric-value", "top-level-list", "invalid-json"],
+    )
+    def test_malformed_suite_exit_5(self, tmp_path, capsys, text, names):
+        bad = tmp_path / "suite.json"
+        bad.write_text(text)
+        assert cli.main(["golden-check", str(bad)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("golden error: ") and all(name in err for name in names), err
+
     def test_unknown_entry_counts_as_failure(self, tmp_path, capsys):
         bad = tmp_path / "suite.json"
         bad.write_text(json.dumps({"entries": [{"name": "no_such_value", "value": 1.0, "tol": 1e-6}]}))

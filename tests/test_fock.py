@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -451,8 +452,11 @@ class TestStreamAndMirror:
         d = d if diagonal is None else diagonal
         h, ref = HermitianOperator(basis, t, d), summed_mirror(t, d)
         self._assert_bitwise(h.matrix, ref)
-        two = linalg.HermitianTriangle(t, d)
-        two.workers = 2
+        with pytest.MonkeyPatch.context() as mp:  # the rule's second worker, at any nnz, on two CPUs
+            mp.setattr(linalg, "TWO_WORKER_NNZ", 0)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            two = linalg.HermitianTriangle(t, d)
+        assert (h.operator.workers, two.workers) == (1, 2)
         r = np.random.default_rng(7)
         x = r.standard_normal((basis.dim, 3))
         for x in (x, x + 1j * r.standard_normal(x.shape)):

@@ -1,9 +1,15 @@
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import chargedphi2.linalg as linalg
+from chargedphi2 import cli
+from chargedphi2.config import load_config
 from chargedphi2.errors import ShapeError, SolverError
 from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
 from chargedphi2.oneparticle import omega_block, omega_bottom
@@ -14,6 +20,57 @@ class TestRule:
         # ncv = max(2k + 1, 20): 20 up to k = 9, then 2k + 1
         assert use_dense(200, 1) and not use_dense(201, 1)
         assert use_dense(1890, 94) and not use_dense(1891, 94)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _pool_calls():
+    info = linalg._second_worker.cache_info()
+    return info.hits + info.misses
+
+
+class TestWorkerRule:
+    def _spectrum_desk(self):
+        assert cli.main(["spectrum", str(REPO / "configs" / "desk_bundle.json")]) == 0
+
+    def _low_lying_m17(self):
+        from chargedphi2.spectral import low_lying
+
+        bundle = cli._single_level_bundle(load_config(REPO / "perfbench" / "configs" / "m17_spectrum.json"))
+        assert bundle.h.t.nnz == 1_000_944 and bundle.h.operator.workers == 1
+        low_lying(bundle.h, 8)
+
+    @pytest.mark.parametrize("run", ["_spectrum_desk", "_low_lying_m17"])
+    def test_benchmark_operators_start_no_thread(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        threads, calls = threading.active_count(), _pool_calls()
+        getattr(self, run)()
+        assert (threading.active_count(), _pool_calls()) == (threads, calls)
+
+    @pytest.mark.parametrize("one_cpu", ["affinity", "cpu_count"])
+    def test_one_cpu_makes_no_executor(self, one_cpu, monkeypatch, rng):
+        monkeypatch.setattr(linalg, "TWO_WORKER_NNZ", 0)
+        if one_cpu == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:  # a platform without sched_getaffinity
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        t = sp.triu(sp.random(300, 300, density=0.05, random_state=rng), k=1, format="csc")
+        op = linalg.HermitianTriangle(t, np.ones(300))
+        calls = _pool_calls()
+        x = rng.standard_normal((300, 2))
+        assert op.workers == 1
+        assert np.array_equal(op @ x, t @ x + t.T @ x + x)
+        assert _pool_calls() == calls
+
+    def test_two_cpus_from_cpu_count_and_the_constant(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(linalg, "TWO_WORKER_NNZ", 3)
+        t = sp.csc_matrix(np.triu(np.ones((3, 3)), k=1))
+        assert linalg.HermitianTriangle(t, np.zeros(3)).workers == 2
+        assert linalg.HermitianTriangle(sp.triu(t, k=2, format="csc"), np.zeros(3)).workers == 1
 
 
 def parity_odd_ground(n, rng):
