@@ -9,7 +9,10 @@ import json
 import sys
 from pathlib import Path
 
-from chargedphi2.cli import _golden_registry
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's own source, with no install or PYTHONPATH
+
+from chargedphi2.cli import _golden_registry  # noqa: E402
 
 TOLS = {
     "weyl_gaussian_hs_sq": 1e-10,
@@ -33,7 +36,7 @@ def main() -> int:
         "`chargedphi2 golden-check goldens/desk_suite.json`.",
         "entries": entries,
     }
-    out = Path(__file__).resolve().parents[1] / "goldens" / "desk_suite.json"
+    out = ROOT / "goldens" / "desk_suite.json"
     out.write_text(json.dumps(suite, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

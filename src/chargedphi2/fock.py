@@ -27,7 +27,7 @@ Every self-adjoint operator built from kernels (H, or Q from its
 list of kernels with real weights on and above the diagonal are reduced in one
 stream to a strictly upper triangle T and a real diagonal d
 (`hermitian_parts`); the operator is T and d alone, Hermitian by construction
-(`HermitianOperator`; `hermitian_operator`: weight 1).  The stream is
+(`linalg.HermitianTriangle`; `hermitian_operator`: weight 1).  The stream is
 column-synchronous: every kernel's blocks advance together over the same
 ranges of COLUMN_BLOCK columns of T, and each range is summed and appended to
 T's CSC arrays, so no kernel's entries are concatenated and nothing is sorted
@@ -208,46 +208,13 @@ def enumerate_basis(
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Sparse operator in a fixed Fock basis with an optional Hermitian claim,
-    checked as max |A - A^H| <= 1e-12 (a NaN entry fails it)."""
+    """Sparse operator in a fixed Fock basis."""
 
     basis: FockBasis
     matrix: sp.csr_matrix = field(repr=False)
-    hermitian: bool = False
-
-    def __post_init__(self):
-        if self.hermitian and not np.max(np.abs((self.matrix - self.matrix.getH()).data), initial=0.0) <= 1e-12:
-            raise ContractError("operator claimed Hermitian is not")
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Self-adjoint operator in a fixed Fock basis, held as its strictly upper
-    triangle t (CSC) and real, finite diagonal d (else ContractError).  The
-    solvers apply `operator`; `matrix` builds the full CSR anew on each call."""
-
-    basis: FockBasis
-    t: sp.csc_matrix = field(repr=False)
-    d: np.ndarray = field(repr=False)
-    hermitian = True
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.d) or not np.all(np.isfinite(self.d)):
-            raise ContractError("the diagonal of a Hermitian operator must be real and finite")
-
-    @cached_property
-    def operator(self) -> HermitianTriangle:
-        return HermitianTriangle(self.t, self.d)
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self.operator.tocsr()
-
-    def dense(self) -> np.ndarray:
-        return self.operator.toarray()
 
 
 def _unit_kernel(basis: FockBasis, species: int, gamma: float, create: bool) -> WickKernel:
@@ -264,12 +231,6 @@ def creation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
 def annihilation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
     """Bosonic annihilator at the given momentum."""
     return wick_operator(basis, _unit_kernel(basis, species, gamma, create=False))
-
-
-def number_operator(basis: FockBasis) -> FockOperator:
-    """Total number operator, diagonal with the sector totals."""
-    totals = basis.totals().astype(float)
-    return FockOperator(basis=basis, matrix=sp.diags(totals).tocsr(), hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -568,9 +529,9 @@ def hermitian_parts(basis: FockBasis, terms: Sequence[tuple[float, WickKernel]])
     return sp.csc_matrix((vals, rows, indptr), shape=(dim, dim)), d
 
 
-def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> HermitianOperator:
+def hermitian_operator(basis: FockBasis, kernels: Sequence[WickKernel]) -> HermitianTriangle:
     """The sum of an adjoint-closed kernel list: its `hermitian_parts`, weights 1.0."""
-    return HermitianOperator(basis, *hermitian_parts(basis, [(1.0, kern) for kern in kernels]))
+    return HermitianTriangle(*hermitian_parts(basis, [(1.0, kern) for kern in kernels]))
 
 
 def gauge_kernel(kern: WickKernel) -> WickKernel:

@@ -12,10 +12,10 @@ per direction, and the pair kernel R (`charge_kernels`); H0 is diagonal
 
 `assemble` streams the terms of `hamiltonian_terms` (interaction kernels at
 weight 1, charge kernels at weight lambda) through one `fock.hermitian_parts`
-pass and adds the free energies to the diagonal: `bundle.h` is H's strictly
-upper triangle T and real diagonal d (`fock.HermitianOperator`), applied as
-T x + T^H x + d x by `linalg.HermitianTriangle`, and never held as a full
-matrix.  Its on-demand matrix T^H + diag(d) + T is Hermitian bitwise and
+pass and adds the free energies to the diagonal: `bundle.h` is a
+`linalg.HermitianTriangle`, H's strictly upper triangle T and real diagonal d,
+applied as T x + T^H x + d x and never held as a full matrix.  Its on-demand
+`matrix` T^H + diag(d) + T is Hermitian bitwise and
 bitwise H0 + HI + lambda Q, since each entry of Q is one term of one charge
 kernel.  `split_kernel`, `charge_kernels` and `free_energies` are lab frame.
 `hamiltonian_terms` builds only the kernels the stream expands
@@ -36,8 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError, StabilityError
-from .fock import FockBasis, HermitianOperator, WickKernel, gauge_kernel, hermitian_parts, streamed
+from .fock import FockBasis, WickKernel, gauge_kernel, hermitian_parts, streamed
 from .lattice import MomentumLattice
+from .linalg import HermitianTriangle
 from .oneparticle import CouplingReport, b_matrix, lambda_quant, pair_kernel
 from .potentials import Potential
 
@@ -204,7 +205,7 @@ class HamiltonianBundle:
     spec: InteractionSpec
     pot: Potential
     lam: float
-    h: HermitianOperator
+    h: HermitianTriangle
     coupling: CouplingReport = field(repr=False)
 
     @property
@@ -248,6 +249,6 @@ def assemble(
         spec=spec,
         pot=pot,
         lam=float(lam),
-        h=HermitianOperator(basis, t, free_energies(basis) + d),
+        h=HermitianTriangle(t, free_energies(basis) + d),
         coupling=coupling,
     )

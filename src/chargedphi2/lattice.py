@@ -124,15 +124,12 @@ def build_nested(coarse: MomentumLattice, fine: MomentumLattice) -> NestedPair:
             f"fine.v={fine.v} is not an integer multiple of coarse.v={coarse.v}"
         )
     ratio = int(ratio_frac)
-    if ratio < 1 or (ratio & (ratio - 1)) != 0:
+    if ratio & (ratio - 1):
         raise ParameterError(f"refinement ratio must be a power of two, got {ratio}")
     if fine.kappa < coarse.kappa:
         raise ParameterError(
             f"fine.kappa={fine.kappa} must be >= coarse.kappa={coarse.kappa}"
         )
-    # Mode containment: coarse numerator j maps to fine numerator j * ratio.
-    if coarse.n_half * ratio > fine.n_half:
-        raise ParameterError("coarse modes are not contained in the fine lattice")
     # Cell coverage: the top coarse cell [gamma_max, gamma_max + 1/v_c) needs the
     # fine modes gamma_max + s/v_f for s < ratio; equivalently in numerators:
     if coarse.n_half * ratio + (ratio - 1) > fine.n_half:

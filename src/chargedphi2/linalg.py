@@ -29,13 +29,15 @@ dense and sparse input sparse: the commutation is checked a chunk of rows at a
 time and each block is the product iso^T A iso, so no full-size copy of the
 input (a CSR conversion, P A P, or a difference) is ever made.
 
-A Hermitian H held as its strictly upper triangle T (CSC) and real diagonal d
-is applied by one operator, `HermitianTriangle`: H x = T x + T^H x + d x, with
-T^H x = conj(T^T conj(x)) from T's CSC arrays read as CSR, so no transposed
-copy is made.  T x runs on a second thread (scipy's sparse product releases
-the GIL) iff nnz(T) >= TWO_WORKER_NNZ and two CPUs are free to the process;
-H x sums in one order, so it is bitwise the same either way.  What needs a
-matrix (the dense path, the probe, the shifted solve) builds T^H + diag(d) + T.
+Every self-adjoint Fock operator is one type, `HermitianTriangle`: H held as
+its strictly upper triangle T (CSC) and real, finite diagonal d, and applied as
+H x = T x + T^H x + d x, with T^H x = conj(T^T conj(x)) from T's CSC arrays
+read as CSR, so no transposed copy is made.  T x runs on a second thread
+(scipy's sparse product releases the GIL) iff nnz(T) >= TWO_WORKER_NNZ and two
+CPUs are free to the process; H x sums in one order, so it is bitwise the same
+either way.  The eigensolvers take it directly.  What needs a matrix (the
+dense path, the probe, the shifted solve) reads `matrix`, T^H + diag(d) + T
+built anew on each read.
 
 Every resolvent goes through `shifted_solver`, a sparse LU of A + beta I: the
 only place in the package where a Fock operator is factorized.
@@ -52,7 +54,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ResourceLimitError, ShapeError, SolverError
+from .errors import ContractError, ResourceLimitError, ShapeError, SolverError
 
 DENSE_RATIO = 10
 DENSE_CEILING = 4_000
@@ -143,10 +145,12 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
 
 
 class HermitianTriangle(spla.LinearOperator):
-    """H = T + T^H + diag(d) for T strictly upper (CSC) and d real, applied
-    from T and d alone; `tocsr` builds H anew on each call."""
+    """H = T + T^H + diag(d) for T strictly upper (CSC) and d real and finite
+    (else ContractError), applied from T and d alone."""
 
     def __init__(self, t: sp.csc_matrix, d: np.ndarray):
+        if np.iscomplexobj(d) or not np.all(np.isfinite(d)):
+            raise ContractError("the diagonal of a Hermitian operator must be real and finite")
         super().__init__(dtype=np.result_type(t.dtype, d.dtype), shape=t.shape)
         self.t, self.d = t, d
         self._t_transposed = t.T  # T's CSC arrays read as CSR: no copy
@@ -169,45 +173,35 @@ class HermitianTriangle(spla.LinearOperator):
 
     _matvec = _matmat
 
-    def diagonal(self) -> np.ndarray:
-        return self.d
-
-    def tocsr(self) -> sp.csr_matrix:
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The CSR of H, built anew on each read."""
         return self.t.getH() + sp.diags(self.d, format="csr") + self.t
 
-    def toarray(self) -> np.ndarray:
-        return self.tocsr().toarray()
+
+def is_diagonal(op: HermitianTriangle) -> bool:
+    """True iff no entry of T is nonzero (an explicit zero counts as none)."""
+    return not np.any(op.t.data)
 
 
-def is_diagonal(mat) -> bool:
-    """True iff no entry stored off the diagonal is nonzero: read from the CSR
-    arrays of a sparse matrix, or from T of a `HermitianTriangle`."""
-    if isinstance(mat, HermitianTriangle):
-        return not np.any(mat.t.data)
-    mat = sp.csr_matrix(mat)
-    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
-    return not np.any((rows != mat.indices) & (mat.data != 0))
+def lowest_eigenpairs(op: HermitianTriangle, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of H, sorted ascending.
 
-
-def lowest_eigenpairs(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of a sparse Hermitian matrix or a `HermitianTriangle`, sorted ascending.
-
-    A diagonal matrix is read off directly, which keeps exact zeros exact;
+    A diagonal H is read off d directly, which keeps exact zeros exact;
     otherwise LAPACK computes only the k wanted pairs, or Lanczos runs.
     """
-    n = mat.shape[0]
+    n = op.shape[0]
     k = min(k, n)
-    if is_diagonal(mat):
-        diag = mat.diagonal().real
-        order = np.argsort(diag, kind="stable")[:k]
-        vecs = np.zeros((n, k), dtype=mat.dtype)
+    if is_diagonal(op):
+        order = np.argsort(op.d, kind="stable")[:k]
+        vecs = np.zeros((n, k), dtype=op.dtype)
         vecs[order, np.arange(k)] = 1.0
-        return diag[order], vecs
+        return op.d[order], vecs
     if use_dense(n, k):
         check_dense(n)
-        return sla.eigh(mat.toarray(), subset_by_index=[0, k - 1])
+        return sla.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])
     try:
-        w, vecs = spla.eigsh(mat, k=k, which="SA", v0=start_vector(n), maxiter=20000, tol=RESIDUAL_RTOL / 100)
+        w, vecs = spla.eigsh(op, k=k, which="SA", v0=start_vector(n), maxiter=20000, tol=RESIDUAL_RTOL / 100)
     except spla.ArpackError as exc:
         raise SolverError(f"Lanczos failed to converge: {exc}") from exc
     order = np.argsort(w)

@@ -3,6 +3,9 @@
 Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
 size rule.  Every reported eigenpair must meet `linalg`'s residual contract
 ||H psi - E psi|| <= RESIDUAL_RTOL max(1, |E|), RESIDUAL_RTOL = 1e-8.
+`low_lying` and `ground_state` take `bundle.h`, a `linalg.HermitianTriangle`,
+and solve and check it by applying it; only the probe's evolution and
+spectrum and the shifted solve read its `matrix`.
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant.  The probe gauges
@@ -20,14 +23,15 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .fock import (FockBasis, HermitianOperator, WickKernel, annihilator_of, fock_dimension, fock_embedding,
-                   gauge_kernel, number_operator)
+from .fock import FockBasis, WickKernel, annihilator_of, fock_dimension, fock_embedding, gauge_kernel
 from .hamiltonian import HamiltonianBundle
 from .linalg import (
     RESIDUAL_RTOL,
+    HermitianTriangle,
     check_dense,
     is_diagonal,
     lowest_eigenpairs,
@@ -38,12 +42,11 @@ from .linalg import (
 from .oneparticle import omega_block
 
 
-def low_lying(op: HermitianOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+def low_lying(op: HermitianTriangle, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a Hermitian Fock operator, sorted ascending, solved
-    and checked through `op.operator`: no full matrix is built."""
-    mat = op.operator
-    w, vecs = lowest_eigenpairs(mat, k)
-    res = np.linalg.norm(mat @ vecs - vecs * w, axis=0)
+    and checked by applying op: no full matrix is built."""
+    w, vecs = lowest_eigenpairs(op, k)
+    res = np.linalg.norm(op @ vecs - vecs * w, axis=0)
     bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
     if bad.size:
         i = bad[0]
@@ -53,7 +56,7 @@ def low_lying(op: HermitianOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w, vecs
 
 
-def ground_state(op: HermitianOperator) -> tuple[float, np.ndarray]:
+def ground_state(op: HermitianTriangle) -> tuple[float, np.ndarray]:
     """Lowest eigenpair, meeting the residual contract."""
     w, vecs = low_lying(op, 1)
     return float(w[0]), vecs[:, 0]
@@ -164,7 +167,7 @@ def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, so
     def diff(x):
         return solve_c(x) - emb.T.conj() @ solve_f(emb @ x)
 
-    n, dtype = coarse.basis.dim, np.result_type(coarse.h.operator.dtype, fine.h.operator.dtype)
+    n, dtype = coarse.basis.dim, np.result_type(coarse.h.dtype, fine.h.dtype)
     return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=dtype)
 
 
@@ -201,8 +204,8 @@ def resolvent_convergence(
 
 def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve) -> float:
     """|| N (H + beta)^-1 ||, with solve the level's x -> (H + beta)^-1 x (`linalg.shifted_solver`)."""
-    n, dtype = bundle.basis.dim, bundle.h.operator.dtype
-    n_op = number_operator(bundle.basis).matrix
+    n, dtype = bundle.basis.dim, bundle.h.dtype
+    n_op = sp.diags(bundle.basis.totals().astype(float), format="csr")
     # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.
     op = spla.LinearOperator(
         (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=dtype
@@ -282,7 +285,7 @@ def heisenberg_probe(
     ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
     g_in_eig = u.conj().T @ g0
 
-    diagonal = is_diagonal(bundle.h.operator)
+    diagonal = is_diagonal(bundle.h)
     hmat = None if diagonal else bundle.h.matrix
     he = bundle.h.d if diagonal else reflected_eigvalsh(hmat, basis.reflection)
     stationary = psi is None

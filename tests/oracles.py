@@ -259,8 +259,8 @@ def symmetrized(kern):
 
 def dense_resolvent_gap(coarse, fine, emb, beta):
     """||(Hc + beta)^-1 - E^H (Hf + beta)^-1 E||_2 from explicit inverses and SVD."""
-    rc = np.linalg.inv(coarse.h.dense() + beta * np.eye(coarse.basis.dim))
-    rf = np.linalg.inv(fine.h.dense() + beta * np.eye(fine.basis.dim))
+    rc = np.linalg.inv(coarse.h.matrix.toarray() + beta * np.eye(coarse.basis.dim))
+    rf = np.linalg.inv(fine.h.matrix.toarray() + beta * np.eye(fine.basis.dim))
     e = emb.toarray()
     return float(np.linalg.norm(rc - e.conj().T @ rf @ e, 2))
 
@@ -287,7 +287,7 @@ def dense_probe(bundle, f, times, psi):
     F_t = expm(-it omega) F by the dense matrix exponential.
     """
     d = lab_frame_phases(bundle.basis)
-    he, hv = np.linalg.eigh(d[:, None] * bundle.h.dense() * d.conj())
+    he, hv = np.linalg.eigh(d[:, None] * bundle.h.matrix.toarray() * d.conj())
     coords = hv.conj().T @ (d * psi)
     omega = lab_omega(bundle.lam, bundle.pot, bundle.lattice)
     out = []

@@ -132,7 +132,7 @@ def test_criterion_04_charge_operator_bound():
     for lat in ACCEPTANCE_LATTICES:
         basis = enumerate_basis(lat, 2)
         pot = gaussian_potential(1.0, 1.0)
-        q = hermitian_operator(basis, charge_kernels(pot, lat)).dense()
+        q = hermitian_operator(basis, charge_kernels(pot, lat)).matrix.toarray()
         inv_n1 = 1.0 / (basis.totals() + 1.0)
         norm = operator_norm(q * inv_n1[None, :])
         bound = operator_norm(b_matrix(pot, lat)) + 4 * np.linalg.norm(pair_kernel(pot, lat))

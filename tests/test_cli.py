@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -246,6 +247,20 @@ class TestCliExitCodes:
         assert "4001 exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["m4001.json"]
 
+    def test_quantize_grid_over_the_dense_ceiling_exits_6(self, tmp_path, monkeypatch, capsys):
+        # 1,002 points make 4,008 x 4,008 phase-space matrices; `phase_space_grid`
+        # refuses the grid before any of them exists
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "quantize.json").read_text())
+        raw["grid"]["points"] = 1002
+        cfg = tmp_path / "g1002.json"
+        cfg.write_text(json.dumps(raw))
+        start = time.perf_counter()
+        assert cli.main(["quantize", str(cfg)]) == cli.EXIT_RESOURCE == 6
+        assert time.perf_counter() - start < 2.0
+        assert "4008 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["g1002.json"]
+
     @pytest.mark.parametrize("subcommand", ["hvz", "convergence"])
     def test_ladder_over_the_cap_exits_6_before_any_level(self, tmp_path, monkeypatch, capsys, subcommand):
         # the ladder's levels have dimensions 66, 276 and 1,128; a cap of 1,000
@@ -398,7 +413,8 @@ class TestArtifacts:
     def test_spectrum_never_builds_the_full_matrix(self, tmp_path, monkeypatch):
         # the bundle, the Lanczos solve, the residual check and the metadata all apply T and d
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
-        monkeypatch.setattr(linalg.HermitianTriangle, "tocsr", lambda self: pytest.fail("built the full matrix of H"))
+        built = property(lambda self: pytest.fail("built the full matrix of H"))
+        monkeypatch.setattr(linalg.HermitianTriangle, "matrix", built)
         assert cli.main(["spectrum", str(CONFIGS / "desk_bundle.json")]) == 0
 
     @pytest.mark.parametrize(

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from chargedphi2 import cli, fock, hamiltonian, linalg
 from chargedphi2.config import load_config
 from chargedphi2.errors import ContractError, ParameterError, StabilityError
-from chargedphi2.fock import (FockOperator, HermitianOperator, WickKernel, enumerate_basis, gauge_kernel,
-                              hermitian_operator, wick_operator)
+from chargedphi2.fock import (FockOperator, WickKernel, enumerate_basis, gauge_kernel, hermitian_operator,
+                              wick_operator)
 from chargedphi2.hamiltonian import (
     assemble,
     charge_kernels,
@@ -253,7 +253,6 @@ class TestChargeOperator:
         # bitwise: the number-preserving part is dGamma of the mixer, the
         # number-changing part is W(2,0) + W(2,0)^H for the pair kernel R
         q = hermitian_operator(basis3, charge_kernels(gauss_v, lat3))
-        assert q.hermitian
         mixer, pair = _split_by_number(basis3, q.matrix)
         w = wick_operator(basis3, _pair_creator(gauss_v, lat3)).matrix
         dg = wick_operator(basis3, WickKernel(p=1, q=1, species=(None, None), coeffs=_mixer(gauss_v, lat3)))
@@ -265,7 +264,7 @@ class TestChargeOperator:
         for v, kap, n_max in [(1, 1.5, 3), (1, 2, 2), (2, 2, 2)]:
             lat = build_lattice(v, kap, 1.0)
             basis = enumerate_basis(lat, n_max)
-            q = hermitian_operator(basis, charge_kernels(gauss_v, lat)).dense()
+            q = hermitian_operator(basis, charge_kernels(gauss_v, lat)).matrix.toarray()
             n1 = 1.0 / (basis.totals() + 1)
             norm = operator_norm(q * n1[None, :])
             bound = operator_norm(b_matrix(gauss_v, lat)) + 4 * np.linalg.norm(pair_kernel(gauss_v, lat))
@@ -313,7 +312,8 @@ class TestAssemble:
 
         monkeypatch.setattr(hamiltonian, "hermitian_parts", counted("stream", hamiltonian.hermitian_parts))
         monkeypatch.setattr(fock, "hermitian_operator", counted("hermitian_operator", fock.hermitian_operator))
-        monkeypatch.setattr(linalg.HermitianTriangle, "tocsr", lambda self: pytest.fail("built the full matrix of H"))
+        built = property(lambda self: pytest.fail("built the full matrix of H"))
+        monkeypatch.setattr(linalg.HermitianTriangle, "matrix", built)
         assemble(quartic_spec, gauss_v, 0.1, basis3).metadata()
         assert calls == ["stream"]
 
@@ -330,7 +330,8 @@ class TestAssemble:
             assert allocation_nbytes(mat.indices) == mat.nnz * mat.indices.itemsize
 
     def test_bundle_holds_only_h(self, desk_bundle):
-        ops = [name for name, value in vars(desk_bundle).items() if isinstance(value, (FockOperator, HermitianOperator))]
+        ops = [name for name, value in vars(desk_bundle).items()
+               if isinstance(value, (FockOperator, linalg.HermitianTriangle))]
         assert ops == ["h"]
 
     def test_lower_cap_is_the_leading_block(self, desk_bundle, lat9, gauss_v, quartic_spec):

@@ -38,7 +38,7 @@ class TestWorkerRule:
         from chargedphi2.spectral import low_lying
 
         bundle = cli._single_level_bundle(load_config(REPO / "perfbench" / "configs" / "m17_spectrum.json"))
-        assert bundle.h.t.nnz == 1_000_944 and bundle.h.operator.workers == 1
+        assert bundle.h.t.nnz == 1_000_944 and bundle.h.workers == 1
         low_lying(bundle.h, 8)
 
     @pytest.mark.parametrize("run", ["_spectrum_desk", "_low_lying_m17"])
@@ -73,6 +73,11 @@ class TestWorkerRule:
         assert linalg.HermitianTriangle(sp.triu(t, k=2, format="csc"), np.zeros(3)).workers == 1
 
 
+def triangle(h):
+    """The `HermitianTriangle` of a sparse Hermitian matrix: its strict upper triangle and real diagonal."""
+    return linalg.HermitianTriangle(sp.triu(h, k=1, format="csc"), h.diagonal().real)
+
+
 def parity_odd_ground(n, rng):
     """Sparse Hermitian H commuting with index reversal P, ground state P-odd.
 
@@ -90,7 +95,7 @@ class TestLowestEigenpairs:
         n = 600
         h = parity_odd_ground(n, rng)
         assert not use_dense(n, 3)
-        w, vecs = lowest_eigenpairs(h, 3)
+        w, vecs = lowest_eigenpairs(triangle(h), 3)
         assert np.allclose(w, np.linalg.eigvalsh(h.toarray())[:3], atol=1e-10)
         assert np.allclose(vecs[::-1, 0], -vecs[:, 0], atol=1e-8)
 
@@ -106,7 +111,7 @@ class TestLowestEigenpairs:
 
         monkeypatch.setattr(linalg.spla, "eigsh", record)
         h = parity_odd_ground(600, rng)
-        w, vecs = lowest_eigenpairs(h, 3)
+        w, vecs = lowest_eigenpairs(triangle(h), 3)
         res = np.linalg.norm(h @ vecs - vecs * w, axis=0)
         assert np.all(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
         operator_norm(h)
@@ -114,7 +119,7 @@ class TestLowestEigenpairs:
 
     def test_dense_path_returns_wanted_pairs_only(self, rng):
         h = parity_odd_ground(100, rng)
-        w, vecs = lowest_eigenpairs(h, 4)
+        w, vecs = lowest_eigenpairs(triangle(h), 4)
         assert vecs.shape == (100, 4)
         assert np.allclose(w, np.linalg.eigvalsh(h.toarray())[:4], atol=1e-12)
 
@@ -146,17 +151,18 @@ class TestOperatorNorm:
 
 class TestIsDiagonal:
     def test_explicit_off_diagonal_zeros_are_diagonal(self):
-        mat = sp.csr_matrix(([2.0, 0.0, 3.0, 0.0], ([0, 0, 1, 2], [0, 2, 1, 0])), shape=(3, 3))
-        assert mat.nnz == 4 and linalg.is_diagonal(mat)
+        t = sp.csc_matrix(([0.0, 0.0], ([0, 1], [2, 2])), shape=(3, 3))
+        assert t.nnz == 2 and linalg.is_diagonal(linalg.HermitianTriangle(t, np.array([2.0, 3.0, 0.0])))
 
     def test_one_off_diagonal_entry(self):
-        mat = sp.csr_matrix(([2.0, 1e-300, 3.0], ([0, 1, 1], [0, 2, 1])), shape=(3, 3))
-        assert not linalg.is_diagonal(mat)
+        t = sp.csc_matrix(([1e-300], ([1], [2])), shape=(3, 3))
+        assert not linalg.is_diagonal(linalg.HermitianTriangle(t, np.array([2.0, 3.0, 0.0])))
 
     def test_agrees_with_the_subtraction(self, desk_bundle, free_ladder_bundles):
-        for mat in [desk_bundle.h.matrix] + [b.h.matrix for b in free_ladder_bundles]:
-            assert linalg.is_diagonal(mat) == ((mat - sp.diags(mat.diagonal())).nnz == 0)
-        assert all(linalg.is_diagonal(b.h.matrix) for b in free_ladder_bundles)
+        for h in [desk_bundle.h] + [b.h for b in free_ladder_bundles]:
+            mat = h.matrix
+            assert linalg.is_diagonal(h) == ((mat - sp.diags(mat.diagonal())).nnz == 0)
+        assert all(linalg.is_diagonal(b.h) for b in free_ladder_bundles)
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ import scipy.sparse.linalg as spla
 from chargedphi2 import cli, spectral
 from chargedphi2.config import load_config
 from chargedphi2.errors import ParameterError, ResourceLimitError
-from chargedphi2.fock import HermitianOperator, creation, enumerate_basis, fock_embedding
+from chargedphi2.fock import creation, enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice
-from chargedphi2.linalg import operator_norm, reflected_eigvalsh, shifted_solver, start_vector
+from chargedphi2.linalg import HermitianTriangle, operator_norm, reflected_eigvalsh, shifted_solver, start_vector
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import (
     _resolvent_difference,
@@ -29,7 +29,7 @@ from oracles import creation_frame, dense_probe, dense_resolvent_gap, raise_tabl
 
 
 def shifted(op, c):
-    return HermitianOperator(op.basis, op.t, op.d + c)
+    return HermitianTriangle(op.t, op.d + c)
 
 
 class TestGroundState:
@@ -400,7 +400,7 @@ class TestProbeShortcuts:
         assert np.all(np.abs(np.array(res.values) - ref) <= 1e-9 * np.abs(ref) + 1e-14)
         # 2 pi over the smallest spacing g_min: a level moved by dw moves g_min by
         # up to 2 dw, so the split and the full eigvalsh may disagree by 2 dw / g_min
-        full_spectrum = np.linalg.eigvalsh(bundle.h.dense())
+        full_spectrum = np.linalg.eigvalsh(bundle.h.matrix.toarray())
         ref_time = recurrence_time(full_spectrum)
         split = reflected_eigvalsh(bundle.h.matrix, bundle.basis.reflection)
         rounding = 2 * np.max(np.abs(split - full_spectrum)) * ref_time / (2 * np.pi)
