@@ -2,7 +2,8 @@
 """Run the acceptance suite and show one pass/fail line per criterion.
 
 The checkout's `src/` goes first on the child's PYTHONPATH, so the script runs
-from a checkout with no install and no PYTHONPATH set.
+from a checkout with no install and no PYTHONPATH set.  Extra arguments go to
+pytest: `scripts/run_acceptance.py -k criterion_01` runs one criterion.
 """
 
 import os
@@ -16,6 +17,7 @@ if __name__ == "__main__":
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     sys.exit(
         subprocess.call(
-            [sys.executable, "-m", "pytest", str(root / "tests" / "test_acceptance.py"), "-v", "-s"], env=env
+            [sys.executable, "-m", "pytest", str(root / "tests" / "test_acceptance.py"), "-v", "-s", *sys.argv[1:]],
+            env=env,
         )
     )

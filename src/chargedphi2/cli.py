@@ -5,9 +5,9 @@ report, the `quantities` that label it and its CSV tables, and hands them to
 `_persist`, the one writer: a JSON record (machine readable, deterministic
 apart from `created_utc`) and one CSV file per table, named by the first 8
 hex digits of the config hash.  Exit codes: 0 success, 2 config validation
-error, 3 stability error, 4 solver failure, 5 missing golden suite, 6
-dimension over a resource cap or out of memory, 7 any other violated
-contract (an odd or unbounded polynomial, say), 1 anything else.
+error, 3 stability error, 4 solver failure, 5 missing golden suite, 6 a size
+over a resource cap (found before any array exists) or out of memory, 7 any
+other violated contract (an odd or unbounded polynomial, say), 1 anything else.
 
 Environment override (the only one honored): CHARGEDPHI2_OUTDIR replaces the
 configured output directory.  BLAS threads follow OMP/OPENBLAS/MKL_NUM_THREADS.
@@ -79,10 +79,21 @@ def _persist(cfg, outdir: Path, subcommand: str, stem, report: dict, quantities:
     return record
 
 
+def _checked(cfg, lattice):
+    """lattice, refused before any array exists if the bundle's M x M one-particle
+    matrices are over the dense ceiling or its Fock dimension is over the cap."""
+    from .fock import check_dimension
+    from .oneparticle import check_lattice
+
+    check_lattice(lattice)
+    check_dimension(lattice, cfg.n_max, cfg.solver.basis_cap)
+    return lattice
+
+
 def _basis(cfg, lattice):
     from .fock import enumerate_basis
 
-    return enumerate_basis(lattice, cfg.n_max, cap=cfg.solver.basis_cap)
+    return enumerate_basis(_checked(cfg, lattice), cfg.n_max, cap=cfg.solver.basis_cap)
 
 
 def _bundle(cfg, basis):
@@ -98,15 +109,10 @@ def _single_level_bundle(cfg):
 
 
 def _ladder_bundles(cfg):
-    """The ladder's bundles, coarsest first, each built when it is asked for;
-    every level's dimension is checked against the cap before the first is built."""
-    from .fock import check_dimension
-
-    lattices = cfg.lattice_ladder()
-    for lattice in lattices:
-        check_dimension(lattice, cfg.n_max, cfg.solver.basis_cap)
-    for lattice in lattices:
-        yield _bundle(cfg, _basis(cfg, lattice))
+    """The ladder's bundles, coarsest first, each built when it is asked for; every
+    level is `_checked` before the first, and no lattice past a refused one is made."""
+    lattices = [_checked(cfg, lattice) for lattice in cfg.lattice_ladder()]
+    return (_bundle(cfg, _basis(cfg, lattice)) for lattice in lattices)
 
 
 def _gap_probe(cfg, bundle):

@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError
 from .fock import HARD_DIMENSION_CAP
@@ -130,7 +131,7 @@ class ExperimentConfig:
         lc = self.lattice
         return build_lattice(Fraction(lc.v), lc.kappa, lc.mass)
 
-    def lattice_ladder(self) -> list[MomentumLattice]:
+    def lattice_ladder(self) -> Iterator[MomentumLattice]:
         lc = self.lattice
         return refinement_ladder(Fraction(lc.v), lc.kappa, lc.mass, lc.refinement_levels)
 

@@ -67,13 +67,13 @@ class SolverError(ChargedPhi2Error, RuntimeError):
 
 
 class ResourceLimitError(ChargedPhi2Error, RuntimeError):
-    """A Fock dimension exceeds a cap, named in the message by limit: the
-    configured basis cap ("hard cap") or the dense ceiling ("dense ceiling")."""
+    """A size exceeds a cap; the message names what was measured (a Fock basis dimension, a
+    lattice's mode count, a dense block) and the limit ("hard cap" or "dense ceiling")."""
 
-    def __init__(self, dim: int, cap: int, limit: str = "hard cap"):
-        self.dim = dim
+    def __init__(self, size: int, cap: int, limit: str = "hard cap", what: str = "Fock basis dimension"):
+        self.size = size
         self.cap = cap
-        super().__init__(f"Fock basis dimension {dim} exceeds the {limit} {cap}")
+        super().__init__(f"{what} {size} exceeds the {limit} {cap}")
 
 
 class MissingGoldenError(ChargedPhi2Error, RuntimeError):

@@ -80,8 +80,8 @@ TERM_BUDGET = 1 << 13
 
 
 def fock_dimension(n_slots: int, n_max: int) -> int:
-    """Number of occupation states with total <= n_max over n_slots slots."""
-    return sum(math.comb(n_slots + n - 1, n) for n in range(n_max + 1))
+    """States with total <= n_max over n_slots slots: C(n_slots + n_max, n_max) (hockey stick), 0 if n_max < 0."""
+    return math.comb(n_slots + n_max, n_max) if n_max >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,8 @@ def check_dimension(lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENS
     return dim
 
 
-def enumerate_basis(
-    lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENSION_CAP
-) -> FockBasis:
-    """Enumerate all occupations with total <= n_max, number-major then lex.
-
-    Raises a resource error naming the cap when the dimension would exceed it.
-    """
+def enumerate_basis(lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENSION_CAP) -> FockBasis:
+    """Every occupation with total <= n_max, number-major then lex, once `check_dimension` passes."""
     check_dimension(lattice, n_max, cap)
     n_slots = 2 * lattice.size
     # level[r]: occupations of the trailing slots with total r, in lex order;
@@ -581,10 +576,10 @@ def fock_embedding(coarse: FockBasis, fine: FockBasis) -> sp.csr_matrix:
     transpose is a left inverse.  Requires nested lattices (`build_nested`)
     and equal particle caps.
     """
-    pair = build_nested(coarse.lattice, fine.lattice)
+    injection = build_nested(coarse.lattice, fine.lattice)
     if coarse.n_max != fine.n_max:
         raise ParameterError("nested bases must share the particle cap")
-    slot_map = np.concatenate([pair.mode_injection, pair.mode_injection + fine.n_modes])
+    slot_map = np.concatenate([injection, injection + fine.n_modes])
     occ = np.zeros((coarse.dim, fine.n_slots), dtype=np.uint8)
     occ[:, slot_map] = coarse.occ
     return sp.coo_matrix(

@@ -1,19 +1,23 @@
-"""Momentum lattices, the integer-part map, and nested lattice pairs.
+"""Momentum lattices, the integer-part map, and the nested-lattice mode map.
 
-A lattice holds the finite symmetric mode set {gamma in v^-1 Z : |gamma| <= kappa}
-together with the massive dispersion eps(gamma) = sqrt(gamma^2 + m^2).  Each mode
-gamma carries the normalized indicator of the half-open cell [gamma, gamma + 1/v);
-cells of a lattice refine exactly into cells of any lattice whose inverse spacing
-is an integer multiple.  `integer_part` floors the exact v*k: [k]_v <= k < [k]_v + 1/v
-for every float k, so a float mode stored just below j/v maps to the mode below.
+A lattice is four numbers (v, kappa, m, n_half = floor(kappa v)), so equal
+lattices compare and hash equal and its size is known before any array exists;
+its modes {gamma in v^-1 Z : |gamma| <= kappa} and the massive dispersion
+eps(gamma) = sqrt(gamma^2 + m^2) are computed on first use.  Each mode gamma
+carries the normalized indicator of the half-open cell [gamma, gamma + 1/v);
+cells of a lattice refine exactly into cells of any lattice whose inverse
+spacing is an integer multiple (`build_nested`, the one nested-lattice map).
+`integer_part` floors the exact v*k: [k]_v <= k < [k]_v + 1/v for every float
+k, so a float mode stored just below j/v maps to the mode below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -23,34 +27,37 @@ RationalLike = Union[int, float, str, Fraction]
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
+    """v as an exact positive rational, else ParameterError."""
     try:
         f = Fraction(v)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"inverse spacing must be rational, got {v!r}") from exc
+    if f <= 0:
+        raise ParameterError(f"inverse spacing v must be positive, got {v}")
     return f
 
 
 @dataclass(frozen=True)
 class MomentumLattice:
-    """Finite symmetric momentum grid with spacing 1/v and cutoff kappa.
-
-    Attributes:
-        v: inverse spacing (exact rational).
-        kappa: momentum cutoff; the boundary mode |gamma| = kappa is included.
-        m: mass, m > 0.
-        modes: strictly increasing momenta, symmetric about 0, 0 included.
-        n_half: floor(kappa * v); modes are j/v for j in [-n_half, n_half].
-    """
+    """Finite symmetric momentum grid: v the inverse spacing (exact rational), kappa
+    the cutoff (the boundary mode |gamma| = kappa is included), m > 0 the mass, and
+    modes j/v for |j| <= n_half = floor(kappa v)."""
 
     v: Fraction
     kappa: float
     m: float
-    modes: np.ndarray = field(repr=False)
     n_half: int
 
     @property
     def size(self) -> int:
         return 2 * self.n_half + 1
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """Strictly increasing momenta j/v, symmetric about 0, 0 included; read-only."""
+        modes = np.arange(-self.n_half, self.n_half + 1) / float(self.v)
+        modes.flags.writeable = False
+        return modes
 
     def dispersion(self) -> np.ndarray:
         """eps(gamma) = sqrt(gamma^2 + m^2) over the mode set; always >= m."""
@@ -70,52 +77,30 @@ def build_lattice(v: RationalLike, kappa: float, m: float) -> MomentumLattice:
     origin on each side.
     """
     vf = _as_fraction(v)
-    if vf <= 0:
-        raise ParameterError(f"inverse spacing v must be positive, got {v}")
     if not (kappa > 0) or not (m > 0):
         raise ParameterError(f"kappa and m must be positive, got kappa={kappa}, m={m}")
-    if Fraction(kappa) * vf < 1:
-        raise ParameterError(f"kappa={kappa} below one lattice spacing 1/v={1 / vf}")
     n_half = math.floor(Fraction(kappa) * vf)
-    js = np.arange(-n_half, n_half + 1)
-    modes = js / float(vf)
-    return MomentumLattice(v=vf, kappa=float(kappa), m=float(m), modes=modes, n_half=n_half)
+    if n_half < 1:
+        raise ParameterError(f"kappa={kappa} below one lattice spacing 1/v={1 / vf}")
+    return MomentumLattice(v=vf, kappa=float(kappa), m=float(m), n_half=n_half)
 
 
 def integer_part(k: float, v: RationalLike) -> float:
     """Round k down to the lattice: [k]_v = floor(v*k)/v, so [k]_v <= k < [k]_v + 1/v."""
     vf = _as_fraction(v)
-    if vf <= 0:
-        raise ParameterError(f"inverse spacing v must be positive, got {v}")
     # v*k in exact rationals: the float product can round to -0.0 for tiny k < 0
     return math.floor(vf * Fraction(k)) / float(vf)
 
 
-@dataclass(frozen=True)
-class NestedPair:
-    """A coarse lattice contained in a fine one, with the mode identification.
+def build_nested(coarse: MomentumLattice, fine: MomentumLattice) -> np.ndarray:
+    """The mode injection of a nested pair: coarse mode i sits at fine index
+    injection[i], with the identical momentum.
 
-    The fine inverse spacing is a power-of-two multiple of the coarse one and
-    the fine cutoff is large enough that every coarse cell is exactly a union
-    of fine cells; mode containment is then an integer statement, and
-    `fock.fock_embedding` carries each coarse mode to the fine mode with the
-    same momentum.
-
-    Attributes:
-        coarse, fine: the two lattices (same mass).
-        ratio: fine.v / coarse.v, a power of two.
-        mode_injection: index array: coarse mode i sits at fine index
-            mode_injection[i] with the identical momentum value.
+    The fine inverse spacing must be a power-of-two multiple of the coarse one
+    (same mass), and the fine cutoff large enough that every coarse cell is
+    exactly a union of fine cells; mode containment is then an integer
+    statement.  Else ParameterError.
     """
-
-    coarse: MomentumLattice
-    fine: MomentumLattice
-    ratio: int
-    mode_injection: np.ndarray = field(repr=False)
-
-
-def build_nested(coarse: MomentumLattice, fine: MomentumLattice) -> NestedPair:
-    """Validate nesting of two lattices and compute the mode injection."""
     if coarse.m != fine.m:
         raise ParameterError("nested lattices must share the mass")
     ratio_frac = fine.v / coarse.v
@@ -137,29 +122,20 @@ def build_nested(coarse: MomentumLattice, fine: MomentumLattice) -> NestedPair:
             "fine lattice does not cover the top coarse cell; "
             f"need fine.n_half >= {coarse.n_half * ratio + ratio - 1}, got {fine.n_half}"
         )
-    coarse_js = np.arange(-coarse.n_half, coarse.n_half + 1)
-    injection = coarse_js * ratio + fine.n_half
-    return NestedPair(coarse=coarse, fine=fine, ratio=ratio, mode_injection=injection)
+    return np.arange(-coarse.n_half, coarse.n_half + 1) * ratio + fine.n_half
 
 
-def refinement_ladder(
-    v: RationalLike, kappa: float, m: float, levels: int
-) -> list[MomentumLattice]:
-    """Deterministic nested ladder: v doubles per level, kappa grows minimally.
+def refinement_ladder(v: RationalLike, kappa: float, m: float, levels: int) -> Iterator[MomentumLattice]:
+    """Deterministic nested ladder, coarsest first: v doubles per level, kappa grows
+    minimally.  Levels are built lazily, so a caller can stop at the first it refuses.
 
     kappa_{i+1} = kappa_i + 1/v_i - 1/v_{i+1} is the smallest cutoff for which
     the cell-coverage condition of `build_nested` holds with equality, keeping
-    basis dimensions as small as the nesting allows.
+    basis dimensions as small as the nesting allows; in exact rationals it
+    telescopes to kappa_0 + 1/v_0 - 1/v_i.
     """
     if levels < 1:
         raise ParameterError(f"need at least one level, got {levels}")
     v0 = _as_fraction(v)
-    kap = Fraction(kappa)
-    out = [build_lattice(v0, float(kap), m)]
-    vcur = v0
-    for _ in range(levels - 1):
-        vnext = vcur * 2
-        kap = kap + 1 / vcur - 1 / vnext
-        out.append(build_lattice(vnext, float(kap), m))
-        vcur = vnext
-    return out
+    top = Fraction(kappa) + 1 / v0
+    return (build_lattice(v0 * 2**i, float(top - 1 / (v0 * 2**i)), m) for i in range(levels))

@@ -1,9 +1,10 @@
 """The solver policy: every choice between dense LAPACK and iterative ARPACK.
 
-A Hermitian problem of dimension n wanting k eigenpairs goes dense iff
-n <= DENSE_RATIO * ncv, with ncv = max(2k + 1, 20) ARPACK's Krylov size for k
-pairs.  A full dense matrix of a Fock operator is capped at DENSE_CEILING rows
-(ResourceLimitError above).  Lanczos starts from a fixed-seed Gaussian vector,
+A Hermitian problem of dimension n wanting k eigenpairs goes dense iff n <=
+DENSE_RATIO * ncv(k) (ARPACK's Krylov size max(2k + 1, 20)) and n <=
+DENSE_CEILING, or k >= n, which Lanczos cannot solve and is refused over the
+ceiling.  `check_dense` refuses any full dense matrix over it, naming what it
+measured.  Lanczos starts from a fixed-seed Gaussian vector,
 so runs are reproducible and no basis symmetry (momentum parity, say) keeps a
 sector out of the Krylov space, as the uniform vector would.  Solvers keep
 the matrix dtype: a real symmetric matrix gets the real drivers.
@@ -64,9 +65,15 @@ REFLECTION_RTOL = 1e-14
 TWO_WORKER_NNZ = 2_000_000  # nnz(T) from which a second thread for T x pays: 1.0M measured no gain, 2.7M one
 
 
+def ncv(k: int) -> int:
+    """ARPACK's Krylov size for k pairs, scipy's default (which caps it at n)."""
+    return max(2 * k + 1, 20)
+
+
 def use_dense(n: int, k: int = 1) -> bool:
-    """The one rule: dense LAPACK iff n <= DENSE_RATIO * ARPACK's ncv for k pairs."""
-    return n <= DENSE_RATIO * max(2 * k + 1, 20)
+    """The one rule: dense LAPACK iff n <= DENSE_RATIO * ncv(k) and n is under the
+    dense ceiling, or k >= n, which Lanczos cannot solve."""
+    return n <= DENSE_RATIO * ncv(k) and (n <= DENSE_CEILING or k >= n)
 
 
 @functools.cache  # two first calls at once make at most one extra pool, dropped after its call
@@ -76,10 +83,10 @@ def _second_worker():
     return ThreadPoolExecutor(1, thread_name_prefix="chargedphi2-matvec")
 
 
-def check_dense(n: int):
-    """Refuse a full dense n x n matrix above the memory ceiling."""
+def check_dense(n: int, what: str):
+    """Refuse a full dense n x n matrix above the memory ceiling; what names n in the message."""
     if n > DENSE_CEILING:
-        raise ResourceLimitError(n, DENSE_CEILING, "dense ceiling")
+        raise ResourceLimitError(n, DENSE_CEILING, "dense ceiling", what)
 
 
 def reflection_isometries(perm: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -124,7 +131,7 @@ def reflected_eigvalsh(mat, perm: np.ndarray) -> np.ndarray:
     (through the identity isometry) and the ceiling bounds it.
     """
     isometries = reflection_isometries(perm) if _commutes(mat, perm) else [sp.identity(len(perm), format="csr")]
-    check_dense(max(iso.shape[1] for iso in isometries))
+    check_dense(max(iso.shape[1] for iso in isometries), "reflection block dimension")
     return np.sort(np.concatenate([_block_eigvalsh(mat, iso) for iso in isometries]))
 
 
@@ -173,6 +180,9 @@ class HermitianTriangle(spla.LinearOperator):
 
     _matvec = _matmat
 
+    def _adjoint(self) -> "HermitianTriangle":
+        return self  # H^H = H: rmatvec is matvec, and `operator_norm` takes H directly
+
     @property
     def matrix(self) -> sp.csr_matrix:
         """The CSR of H, built anew on each read."""
@@ -198,10 +208,11 @@ def lowest_eigenpairs(op: HermitianTriangle, k: int) -> tuple[np.ndarray, np.nda
         vecs[order, np.arange(k)] = 1.0
         return op.d[order], vecs
     if use_dense(n, k):
-        check_dense(n)
+        check_dense(n, "full eigendecomposition dimension")
         return sla.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])
     try:
-        w, vecs = spla.eigsh(op, k=k, which="SA", v0=start_vector(n), maxiter=20000, tol=RESIDUAL_RTOL / 100)
+        w, vecs = spla.eigsh(op, k=k, which="SA", v0=start_vector(n), ncv=ncv(k), maxiter=20000,
+                             tol=RESIDUAL_RTOL / 100)
     except spla.ArpackError as exc:
         raise SolverError(f"Lanczos failed to converge: {exc}") from exc
     order = np.argsort(w)
@@ -235,7 +246,7 @@ def operator_norm(a) -> float:
     if not np.any(op.matvec(v0)):
         return 0.0
     try:
-        top = spla.eigsh(op.H @ op, k=1, which="LM", v0=v0, return_eigenvectors=False)
+        top = spla.eigsh(op.H @ op, k=1, which="LM", v0=v0, ncv=ncv(1), return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise SolverError(f"Lanczos norm failed to converge: {exc}") from exc
     return math.sqrt(max(float(top[0].real), 0.0))

@@ -10,7 +10,7 @@ entering the stability threshold are read off the weighted matrices directly.
 Every matrix here is lab frame except the dressed one-particle energy
 `omega_block`, built once in the gauge frame of H (`fock.gauge_kernel`).
 The M x M matrices are refused over `linalg`'s dense ceiling before any is
-made (`potential_matrix`).
+made (`check_lattice`, from the lattice's size alone).
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ from .linalg import check_dense, operator_norm, real_if_exact, reflected_eigvals
 from .potentials import Potential
 
 
+def check_lattice(lattice: MomentumLattice):
+    """Refuse a lattice whose M x M one-particle matrices are over the dense ceiling."""
+    check_dense(lattice.size, "momentum lattice mode count")
+
+
 def potential_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     """Momentum-representation matrix of multiplication by the potential.
 
@@ -35,7 +40,7 @@ def potential_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     real potentials since then V_hat(-k) = conj(V_hat(k)).  A lattice over the
     dense ceiling is refused before any M x M array exists.
     """
-    check_dense(lattice.size)
+    check_lattice(lattice)
     g = lattice.modes
     k_diff = g[:, None] - g[None, :]
     return np.asarray(pot.V_hat(k_diff), dtype=complex) / (2 * np.pi * float(lattice.v))
@@ -100,7 +105,7 @@ class CouplingReport:
         return {
             "c0": self.c0,
             "c1": self.c1,
-            "lambda_quant": "inf" if math.isinf(self.lambda_quant) else self.lambda_quant,
+            "lambda_quant": self.lambda_quant,
             "lattice": {"v": str(self.lattice.v), "kappa": self.lattice.kappa},
         }
 

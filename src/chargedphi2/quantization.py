@@ -50,7 +50,7 @@ class PhaseSpaceGrid:
 def phase_space_grid(points: int, length: float, m: float, pot: Potential) -> PhaseSpaceGrid:
     if points < 2 or points % 2 != 0:
         raise ParameterError(f"grid size must be even and >= 2, got {points}")
-    check_dense(4 * points)  # the energy Gram, generator and polar matrices are 4 points x 4 points
+    check_dense(4 * points, "phase-space matrix dimension")  # the energy Gram, generator and polar are 4G x 4G
     if length <= 0 or m <= 0:
         raise ParameterError(f"length and mass must be positive, got {length}, {m}")
     dx = length / points

@@ -247,7 +247,7 @@ def check_probe_ceiling(basis: FockBasis):
     ceiling: the probe diagonalizes each block of H in full.  The even block
     has a column per mirror pair and per state that is its own mirror."""
     fixed = int(np.count_nonzero(basis.reflection == np.arange(basis.dim)))
-    check_dense((basis.dim + fixed) // 2)
+    check_dense((basis.dim + fixed) // 2, "momentum-parity block dimension")
 
 
 def heisenberg_probe(

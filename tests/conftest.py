@@ -66,7 +66,7 @@ def free_spec():
 
 @pytest.fixture(scope="session")
 def ladder_lattices():
-    return refinement_ladder(1, 2.0, 1.0, 3)
+    return list(refinement_ladder(1, 2.0, 1.0, 3))
 
 
 @pytest.fixture(scope="session")

@@ -107,7 +107,7 @@ class TestConfigSchema:
 
     def test_ladder_factory_matches_levels(self):
         cfg = parse_config(minimal_config(lattice={"v": "1", "kappa": 2.0, "refinement_levels": 3}))
-        ladder = cfg.lattice_ladder()
+        ladder = list(cfg.lattice_ladder())
         assert len(ladder) == 3
         assert [str(l.v) for l in ladder] == ["1", "2", "4"]
 
@@ -206,8 +206,21 @@ class TestCliExitCodes:
         cfg = tmp_path / "capped.json"
         cfg.write_text(json.dumps(raw))
         assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_RESOURCE == 6
-        assert "1330 exceeds the hard cap 1000" in capsys.readouterr().err
+        assert "resource error: Fock basis dimension 1330 exceeds the hard cap 1000" in capsys.readouterr().err
         assert not list(tmp_path.glob("spectrum_*"))
+
+    def test_particle_cap_of_a_billion_exits_6_at_once(self, tmp_path, monkeypatch, capsys):
+        # the dimension is one binomial, C(18 + 10^9, 10^9), not a sum of 10^9 + 1
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "desk_bundle.json").read_text())
+        raw["n_max"] = 10**9
+        cfg = tmp_path / "n1e9.json"
+        cfg.write_text(json.dumps(raw))
+        start = time.perf_counter()
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_RESOURCE == 6
+        assert time.perf_counter() - start < 2.0
+        assert "exceeds the hard cap 200000" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["n1e9.json"]
 
     def test_dense_ceiling_exit_6(self, tmp_path, monkeypatch, capsys):
         # the desk bundle at v = 5 (dim 14,190) is within the basis cap, but its
@@ -224,17 +237,29 @@ class TestCliExitCodes:
         cfg = tmp_path / "v5.json"
         cfg.write_text(json.dumps(raw))
         assert cli.main(["probe-scattering", str(cfg)]) == cli.EXIT_RESOURCE == 6
-        assert "7130 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert "momentum-parity block dimension 7130 exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert not list(tmp_path.glob("probe_*"))
 
-    @pytest.mark.parametrize("subcommand", ["lambda-quant", "spectrum"])
-    def test_one_particle_matrix_over_the_dense_ceiling_exits_6(self, tmp_path, monkeypatch, capsys, subcommand):
+    @pytest.mark.parametrize(
+        "subcommand, v, kappa, modes",
+        [
+            pytest.param("lambda-quant", "125", 16.0, 4001, id="lambda-quant"),
+            pytest.param("spectrum", "125", 16.0, 4001, id="spectrum"),
+            pytest.param("lambda-quant", "1", 2e7, 40_000_001, id="lambda-quant-kappa-2e7"),
+            pytest.param("spectrum", "1", 2e7, 40_000_001, id="spectrum-kappa-2e7"),
+        ],
+    )
+    def test_one_particle_matrix_over_the_dense_ceiling_exits_6(
+        self, tmp_path, monkeypatch, capsys, subcommand, v, kappa, modes
+    ):
         # 4,001 modes (v = 125, kappa = 16): one 4,001 x 4,001 float64 array is
-        # 122 MiB, and `potential_matrix` refuses the lattice before making any;
-        # spectrum at n_max 0 reaches it through `assemble`'s `lambda_quant`
+        # 122 MiB, and the lattice is refused from its size before any exists.
+        # lambda-quant reaches the check in `potential_matrix`; spectrum at
+        # n_max 0 before its basis is enumerated.  At 40,000,001 modes even the
+        # mode array (305 MiB) is never made.
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         raw = json.loads((CONFIGS / "desk_bundle.json").read_text())
-        raw["lattice"].update(v="125", kappa=16.0)
+        raw["lattice"].update(v=v, kappa=kappa)
         raw["n_max"] = 0
         cfg = tmp_path / "m4001.json"
         cfg.write_text(json.dumps(raw))
@@ -244,7 +269,7 @@ class TestCliExitCodes:
             assert tracemalloc.get_traced_memory()[1] < 8 * 2**20
         finally:
             tracemalloc.stop()
-        assert "4001 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert f"momentum lattice mode count {modes} exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["m4001.json"]
 
     def test_quantize_grid_over_the_dense_ceiling_exits_6(self, tmp_path, monkeypatch, capsys):
@@ -258,7 +283,7 @@ class TestCliExitCodes:
         start = time.perf_counter()
         assert cli.main(["quantize", str(cfg)]) == cli.EXIT_RESOURCE == 6
         assert time.perf_counter() - start < 2.0
-        assert "4008 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert "phase-space matrix dimension 4008 exceeds the dense ceiling 4000" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["g1002.json"]
 
     @pytest.mark.parametrize("subcommand", ["hvz", "convergence"])
@@ -278,6 +303,20 @@ class TestCliExitCodes:
         assert "resource error: Fock basis dimension 1128 exceeds the hard cap 1000" in capsys.readouterr().err
         assert calls == []
         assert not list(tmp_path.glob(f"{subcommand}_*"))
+
+    def test_deep_ladder_stops_at_the_first_level_over_the_cap(self, tmp_path, monkeypatch, capsys):
+        # a million levels: the check stops at the first level over the cap
+        # (dimension 294,528 at v = 64, the seventh), and no lattice past it is made
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        raw = json.loads((CONFIGS / "ladder.json").read_text())
+        raw["lattice"]["refinement_levels"] = 10**6
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(raw))
+        start = time.perf_counter()
+        assert cli.main(["hvz", str(cfg)]) == cli.EXIT_RESOURCE == 6
+        assert time.perf_counter() - start < 2.0
+        assert "Fock basis dimension 294528 exceeds the hard cap 200000" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
 
     @pytest.mark.parametrize(
         "coeffs, message",

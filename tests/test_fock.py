@@ -47,6 +47,18 @@ class TestEnumeration:
         # M modes with both species: stars and bars over 2M slots
         assert fock_dimension(2, 3) == 10  # 1+2+3+4
 
+    def test_dimension_is_the_sum_of_its_sectors(self):
+        for s in range(1, 12):
+            for n in range(-2, 7):
+                assert fock_dimension(s, n) == sum(math.comb(s + k - 1, k) for k in range(n + 1))
+        # a cap of 10^9 is one binomial, not 10^9 terms
+        assert fock_dimension(18, 10**9) == math.comb(10**9 + 18, 18)
+
+    def test_equal_bases_compare_and_hash_equal(self, lat3):
+        a, b = enumerate_basis(lat3, 2), enumerate_basis(build_lattice(1, 1.5, 1.0), 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != enumerate_basis(lat3, 1)
+
     def test_ordering_number_major_then_lex(self, lat3):
         basis = enumerate_basis(lat3, 2)
         states = [tuple(row) for row in basis.occ.tolist()]
@@ -548,34 +560,32 @@ class TestNtau:
 
 @pytest.fixture(scope="module")
 def setup():
-    ladder = refinement_ladder(1, 1.5, 1.0, 2)
-    pair = build_nested(ladder[0], ladder[1])
-    coarse = enumerate_basis(ladder[0], 2)
-    fine = enumerate_basis(ladder[1], 2)
-    return pair, coarse, fine
+    coarse_lattice, fine_lattice = refinement_ladder(1, 1.5, 1.0, 2)
+    injection = build_nested(coarse_lattice, fine_lattice)
+    return injection, enumerate_basis(coarse_lattice, 2), enumerate_basis(fine_lattice, 2)
 
 
 class TestEmbedding:
     def test_isometry(self, setup):
-        pair, coarse, fine = setup
+        _, coarse, fine = setup
         emb = fock_embedding(coarse, fine)
         gram = (emb.T @ emb - sp.identity(coarse.dim)).toarray()
         assert np.max(np.abs(gram)) == 0.0
 
     def test_occupation_transport(self, setup):
-        pair, coarse, fine = setup
+        injection, coarse, fine = setup
         emb = fock_embedding(coarse, fine)
         state = [0] * coarse.n_slots
         state[1] = 2  # species 1, second coarse mode
         col = emb.getcol(coarse.rank([state])[0])
         target_row = col.nonzero()[0][0]
         fine_state = fine.occ[target_row]
-        slot = pair.mode_injection[1]
+        slot = injection[1]
         assert fine_state[slot] == 2 and sum(fine_state) == 2
 
     def test_cap_mismatch_rejected(self, setup):
-        pair, coarse, _ = setup
-        fine1 = enumerate_basis(pair.fine, 1)
+        _, coarse, fine = setup
+        fine1 = enumerate_basis(fine.lattice, 1)
         with pytest.raises(ParameterError):
             fock_embedding(coarse, fine1)
 

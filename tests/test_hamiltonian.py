@@ -18,7 +18,7 @@ from chargedphi2.hamiltonian import (
     interaction_spec,
     leading_form_minimum,
 )
-from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
+from chargedphi2.lattice import build_lattice, refinement_ladder
 from chargedphi2.oneparticle import b_matrix, omega_block, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
@@ -452,33 +452,30 @@ class TestAssemble:
 
 @pytest.fixture(scope="module")
 def nest():
-    ladder = refinement_ladder(1, 1.5, 1.0, 2)
-    pair = build_nested(ladder[0], ladder[1])
-    coarse = enumerate_basis(ladder[0], 2)
-    fine = enumerate_basis(ladder[1], 2)
-    return pair, coarse, fine
+    coarse_lattice, fine_lattice = refinement_ladder(1, 1.5, 1.0, 2)
+    return enumerate_basis(coarse_lattice, 2), enumerate_basis(fine_lattice, 2)
 
 
 class TestCompress:
     def test_identity_compresses_to_identity(self, nest):
-        pair, coarse, fine = nest
+        coarse, fine = nest
         out = compress(sp.identity(fine.dim, dtype=complex, format="csr"), fine, coarse)
         assert (out - sp.identity(coarse.dim)).nnz == 0
 
     def test_free_hamiltonian_compresses_exactly(self, nest):
-        pair, coarse, fine = nest
+        coarse, fine = nest
         out = compress(sp.diags(free_energies(fine)), fine, coarse)
         assert (out - sp.diags(free_energies(coarse))).nnz == 0
 
     def test_charge_compresses_to_reweighted_coarse(self, nest, gauss_v):
-        pair, coarse, fine = nest
-        out = compress(hermitian_operator(fine, charge_kernels(gauss_v, pair.fine)).matrix, fine, coarse)
-        coarse_total = hermitian_operator(coarse, charge_kernels(gauss_v, pair.coarse)).matrix
-        diff = np.abs((pair.ratio * out - coarse_total).toarray()).max()
+        coarse, fine = nest
+        out = compress(hermitian_operator(fine, charge_kernels(gauss_v, fine.lattice)).matrix, fine, coarse)
+        coarse_total = hermitian_operator(coarse, charge_kernels(gauss_v, coarse.lattice)).matrix
+        diff = np.abs((2 * out - coarse_total).toarray()).max()  # the refinement ratio is 2
         assert diff < 1e-14
 
     def test_non_nested_rejected(self, nest):
-        pair, coarse, fine = nest
+        coarse, fine = nest
         other = enumerate_basis(build_lattice(1, 2.5, 1.0), 2)
         with pytest.raises(ParameterError):
             compress(sp.identity(fine.dim, dtype=complex, format="csr"), fine, other)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,24 @@ class TestBuildLattice:
         brute = [j / 4 for j in range(-64, 65) if abs(j / 4) <= 8]
         assert lat.size == len(brute) == 65
         assert lat.size == 2 * math.floor(8 * 4) + 1
+
+    def test_a_lattice_is_its_numbers(self):
+        # no array is stored: equal lattices compare and hash equal, and a lattice
+        # of 40M modes is built without allocating its modes
+        assert build_lattice(2, 2.0, 1.0) == build_lattice(Fraction(2), 2, 1)
+        assert hash(build_lattice(2, 2.0, 1.0)) == hash(build_lattice(2, 2.0, 1.0))
+        assert build_lattice(2, 2.0, 1.0) != build_lattice(2, 2.5, 1.0)
+        tracemalloc.start()
+        try:
+            wide = build_lattice(1, 2e7, 1.0)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert wide.size == 40_000_001
+
+    def test_modes_are_read_only(self):
+        with pytest.raises(ValueError):
+            build_lattice(1, 2, 1).modes[0] = 1.0
 
     def test_invariants(self):
         lat = build_lattice(Fraction(3, 2), 4.0, 0.7)
@@ -91,34 +110,42 @@ class TestNesting:
             build_nested(build_lattice(1, 2, 1), build_lattice(2, 2.5, 2))
 
     def test_injection_preserves_momentum(self):
-        ladder = refinement_ladder(1, 2, 1, 3)
-        pair = build_nested(ladder[0], ladder[1])
-        assert np.array_equal(
-            pair.fine.modes[pair.mode_injection], pair.coarse.modes
-        )
+        coarse, fine, _ = refinement_ladder(1, 2, 1, 3)
+        assert np.array_equal(fine.modes[build_nested(coarse, fine)], coarse.modes)
 
     def test_identical_lattices_allowed(self):
         lat = build_lattice(2, 3, 1)
-        pair = build_nested(lat, lat)
-        assert pair.ratio == 1
-        assert np.array_equal(pair.mode_injection, np.arange(lat.size))
+        assert np.array_equal(build_nested(lat, lat), np.arange(lat.size))
 
     def test_dispersion_restriction_exact(self):
-        pair = build_nested(*refinement_ladder(1, 2, 1, 2))
-        fine_eps = pair.fine.dispersion()[pair.mode_injection]
-        assert np.array_equal(fine_eps, pair.coarse.dispersion())
+        coarse, fine = refinement_ladder(1, 2, 1, 2)
+        assert np.array_equal(fine.dispersion()[build_nested(coarse, fine)], coarse.dispersion())
 
 
 class TestLadder:
     def test_levels_nest_with_minimal_kappa(self):
-        ladder = refinement_ladder(1, 2, 1, 4)
+        ladder = list(refinement_ladder(1, 2, 1, 4))
         for coarse, fine in zip(ladder, ladder[1:]):
-            pair = build_nested(coarse, fine)
-            assert pair.ratio == 2
+            # ratio 2: coarse mode j/v sits at fine index 2j + fine.n_half
+            injection = build_nested(coarse, fine)
+            assert np.array_equal(injection, 2 * np.arange(-coarse.n_half, coarse.n_half + 1) + fine.n_half)
+            # minimal kappa: the top coarse cell is covered with nothing to spare
+            assert fine.n_half == 2 * coarse.n_half + 1
+
+    def test_kappa_telescopes_to_the_recurrence(self):
+        # kappa_{i+1} = kappa_i + 1/v_i - 1/v_{i+1}, in exact rationals, level by level
+        v, kappa = Fraction(3, 2), Fraction(2.7)
+        for lat in refinement_ladder(Fraction(3, 2), 2.7, 1, 6):
+            assert (lat.v, lat.kappa) == (v, float(kappa))
+            kappa, v = kappa + 1 / v - 1 / (2 * v), 2 * v
 
     def test_single_level(self):
-        ladder = refinement_ladder(2, 3, 1, 1)
-        assert len(ladder) == 1
+        assert len(list(refinement_ladder(2, 3, 1, 1))) == 1
+
+    def test_levels_are_built_lazily(self):
+        # a million levels: only the ones taken are made
+        ladder = refinement_ladder(1, 2, 1, 10**6)
+        assert [lat.size for _, lat in zip(range(3), ladder)] == [5, 11, 23]
 
     def test_bad_level_count(self):
         with pytest.raises(ParameterError):

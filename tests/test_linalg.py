@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import chargedphi2.linalg as linalg
 from chargedphi2 import cli
 from chargedphi2.config import load_config
-from chargedphi2.errors import ShapeError, SolverError
+from chargedphi2.errors import ResourceLimitError, ShapeError, SolverError
 from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
 from chargedphi2.oneparticle import omega_block, omega_bottom
 
@@ -20,6 +20,14 @@ class TestRule:
         # ncv = max(2k + 1, 20): 20 up to k = 9, then 2k + 1
         assert use_dense(200, 1) and not use_dense(201, 1)
         assert use_dense(1890, 94) and not use_dense(1891, 94)
+
+    def test_the_rule_includes_the_ceiling(self):
+        # ncv(2000) = 4001 puts n = 4001 under the ratio but over the ceiling, so
+        # Lanczos runs; only k >= n, which Lanczos cannot solve, stays dense
+        ceiling = linalg.DENSE_CEILING
+        assert linalg.ncv(2000) == ceiling + 1
+        assert use_dense(ceiling, 2000) and not use_dense(ceiling + 1, 2000)
+        assert use_dense(ceiling + 1, ceiling + 1)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -102,11 +110,12 @@ class TestLowestEigenpairs:
     def test_lanczos_stops_at_the_contract(self, rng, monkeypatch):
         # eigsh stops at RESIDUAL_RTOL / 100 and its pairs meet the contract;
         # operator_norm keeps ARPACK's default, machine precision
-        tols = []
+        tols, ncvs = [], []
         eigsh = linalg.spla.eigsh
 
         def record(*args, **kwargs):
             tols.append(kwargs.get("tol", 0))
+            ncvs.append(kwargs["ncv"])
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(linalg.spla, "eigsh", record)
@@ -116,6 +125,21 @@ class TestLowestEigenpairs:
         assert np.all(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
         operator_norm(h)
         assert tols == [RESIDUAL_RTOL / 100, 0]
+        assert ncvs == [linalg.ncv(3), linalg.ncv(1)] == [20, 20]
+
+    def test_lanczos_under_the_ratio_above_the_ceiling(self, rng, monkeypatch):
+        # k < n <= DENSE_RATIO ncv(k) with n over the ceiling: Lanczos gives the
+        # dense reference's pairs, and only k >= n is refused
+        n, k = 150, 3
+        monkeypatch.setattr(linalg, "DENSE_CEILING", 100)
+        assert n <= linalg.DENSE_RATIO * linalg.ncv(k) and not use_dense(n, k)
+        h = parity_odd_ground(n, rng)
+        w, vecs = lowest_eigenpairs(triangle(h), k)
+        assert np.allclose(w, np.linalg.eigvalsh(h.toarray())[:k], atol=1e-10)
+        res = np.linalg.norm(h @ vecs - vecs * w, axis=0)
+        assert np.all(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
+        with pytest.raises(ResourceLimitError, match="dimension 150 exceeds the dense ceiling 100"):
+            lowest_eigenpairs(triangle(h), n)
 
     def test_dense_path_returns_wanted_pairs_only(self, rng):
         h = parity_odd_ground(100, rng)
@@ -147,6 +171,20 @@ class TestOperatorNorm:
         monkeypatch.setattr(linalg.spla, "eigsh", stuck)
         with pytest.raises(SolverError):
             operator_norm(sp.random(300, 300, density=0.05, random_state=rng, format="csr"))
+
+
+class TestHermitianTriangle:
+    def test_adjoint_is_the_operator(self, desk_bundle, rng):
+        h = desk_bundle.h
+        x = rng.standard_normal(h.shape[0])
+        assert h.H is h
+        assert np.array_equal(h.rmatvec(x), h.matvec(x))
+        assert np.array_equal(h.rmatmat(np.c_[x, 2 * x]), h.matmat(np.c_[x, 2 * x]))
+
+    def test_operator_norm_is_the_largest_eigenvalue_modulus(self, desk_bundle):
+        assert not use_dense(desk_bundle.h.shape[0])
+        top = np.max(np.abs(np.linalg.eigvalsh(desk_bundle.h.matrix.toarray())))
+        assert operator_norm(desk_bundle.h) == pytest.approx(top, rel=1e-12)
 
 
 class TestIsDiagonal:

@@ -57,6 +57,12 @@ def _desk_capped(raw):
     [
         (lambda raw: {**raw, "n_max": "x"}, 2, "config", "n_max"),
         (_desk_capped, 6, "resource", "dimension 1330 exceeds the hard cap 1000"),
+        (
+            lambda raw: {**raw, "lattice": {"v": "1", "kappa": 2e7}, "n_max": 0},
+            6,
+            "resource",
+            "momentum lattice mode count 40000001 exceeds the dense ceiling 4000",
+        ),
         (lambda raw: {**raw, "polynomial": {"coeffs": [[3, 0, 1.0]]}}, 7, "contract", "degree 3 is odd"),
     ],
 )
