@@ -148,6 +148,14 @@ class FockBasis:
         up.flags.writeable = False
         return up
 
+    def raised_overlaps(self, psi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """c[s, j] = <a*_s psi, v_j> for every slot s and column v_j of vecs: a*_s psi puts
+        sqrt(n_s) psi[i] at state up[i, s] of the raise table (n_s counts the raised
+        state; the top sector has no image).  For vecs = psi[:, None], c[s, 0] = <psi, a_s psi>."""
+        up, psi_low = self.raise_table, psi[: len(self.raise_table)]
+        return np.array([psi_low.conj() @ (np.sqrt(self.occ[up[:, s], s], dtype=float)[:, None] * vecs[up[:, s]])
+                         for s in range(self.n_slots)])
+
     @cached_property
     def reflection(self) -> np.ndarray:
         """Momentum parity on the basis: the index of each state with every
@@ -184,19 +192,24 @@ def check_dimension(lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENS
 
 
 def enumerate_basis(lattice: MomentumLattice, n_max: int, cap: int = HARD_DIMENSION_CAP) -> FockBasis:
-    """Every occupation with total <= n_max, number-major then lex, once `check_dimension` passes."""
-    check_dimension(lattice, n_max, cap)
-    n_slots = 2 * lattice.size
-    # level[r]: occupations of the trailing slots with total r, in lex order;
-    # prepending one slot at a time keeps each level lex ordered.
-    level = [np.zeros((int(r == 0), 0), dtype=np.uint8) for r in range(n_max + 1)]
-    for _ in range(n_slots):
-        level = [
-            np.concatenate([np.hstack([np.full((len(rest), 1), x, dtype=np.uint8), rest])
-                            for x, rest in enumerate(level[r::-1])])
-            for r in range(n_max + 1)
-        ]
-    occ = np.concatenate(level)
+    """Every occupation with total <= n_max, number-major then lex, once `check_dimension` passes.
+
+    Sector n lists the non-decreasing n-tuples of occupied slots in reverse lex
+    order (more particles at the first differing slot come later); the n-tuples
+    starting at slot x are x before the suffix of (n-1)-tuples starting at x or later."""
+    dim = check_dimension(lattice, n_max, cap)
+    slots = np.arange(2 * lattice.size)
+    occ = np.zeros((dim, len(slots)), dtype=np.uint8)  # row 0, the vacuum, stays zero
+    tuples, start = slots[:, None], 1
+    for n in range(1, n_max + 1):
+        if n > 1:
+            count = len(tuples) - np.searchsorted(tuples[:, 0], slots)
+            suffix = np.arange(count.sum()) - np.repeat(np.cumsum(count) - len(tuples), count)
+            tuples = np.column_stack([np.repeat(slots, count), tuples[suffix]])
+        rows = np.arange(start + len(tuples) - 1, start - 1, -1)
+        for slot in tuples.T:
+            occ[rows, slot] += 1
+        start += len(tuples)
     occ.flags.writeable = False
     return FockBasis(lattice=lattice, n_max=n_max, occ=occ)
 

@@ -27,6 +27,20 @@ def monomial_kernels(a1, a2, coeff, g, lattice):
             if (k := split_kernel(a1, a2, p1, p2, coeff, g, lattice)) is not None]
 
 
+def enumerated_occupations(n_slots, n_max):
+    """Every occupation of n_slots slots with total <= n_max, number-major then
+    lex: one level per total r of the trailing slots, each grown by prepending a
+    slot at a time, which keeps every level lex ordered."""
+    level = [np.zeros((int(r == 0), 0), dtype=np.uint8) for r in range(n_max + 1)]
+    for _ in range(n_slots):
+        level = [
+            np.concatenate([np.hstack([np.full((len(rest), 1), x, dtype=np.uint8), rest])
+                            for x, rest in enumerate(level[r::-1])])
+            for r in range(n_max + 1)
+        ]
+    return np.concatenate(level)
+
+
 def interaction_kernels(spec, lattice):
     """Every split's kernel of every monomial of the polynomial, in order."""
     return [k for a1, a2, coeff in spec.monomials if coeff != 0.0

@@ -28,8 +28,8 @@ from chargedphi2.config import load_config
 from chargedphi2.hamiltonian import charge_kernels, free_energies, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.potentials import zero_potential
-from oracles import (dense_wick, interaction_kernels, safe_columns, smeared_field_coefficients, sorted_hermitian_parts,
-                     summed_mirror, symmetrized, triangle_entries, two_particle_tensor)
+from oracles import (dense_wick, enumerated_occupations, interaction_kernels, safe_columns, smeared_field_coefficients,
+                     sorted_hermitian_parts, summed_mirror, symmetrized, triangle_entries, two_particle_tensor)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -85,8 +85,31 @@ class TestEnumeration:
         with pytest.raises(ParameterError):
             enumerate_basis(lat3, -1)
 
+    # (v, kappa) -> slots: (1, 1) 6, (2, 1) 10, (4, 2) 34, (8, 4) 130, (16, 16) 1,026
+    @pytest.mark.parametrize(
+        "v, kappa, n_max",
+        [(1, 1.0, n) for n in range(5)] + [(2, 1.0, n) for n in range(4)] + [(4, 2.0, 3), (8, 4.0, 2), (16, 16.0, 1)],
+    )
+    def test_matches_slot_by_slot_construction(self, v, kappa, n_max):
+        lat = build_lattice(v, kappa, 1.0)
+        occ, ref = enumerate_basis(lat, n_max).occ, enumerated_occupations(2 * lat.size, n_max)
+        assert occ.dtype == ref.dtype and occ.shape == ref.shape and occ.tobytes() == ref.tobytes()
+        assert not occ.flags.writeable
+
 
 class TestLadderOperators:
+    @pytest.mark.parametrize("name", ["desk_bundle", "probe_m9_bundle"])
+    def test_raised_overlaps_match_creation_matrices(self, request, name):
+        basis = request.getfixturevalue(name).basis
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        vecs = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+        ref = np.array([[np.vdot(creation(basis, species, gamma).matrix @ psi, v) for v in vecs.T]
+                        for species in (1, 2) for gamma in basis.lattice.modes])
+        got = basis.raised_overlaps(psi, vecs)
+        assert got.shape == (basis.n_slots, 3)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_create_from_vacuum(self, basis3):
         adag = creation(basis3, 1, 0.0)
         one = basis3.rank([(0, 1, 0, 0, 0, 0)])[0]

@@ -37,3 +37,13 @@ def test_regen_goldens_imports_without_pythonpath(tmp_path):
                           env=_bare_env(tmp_path), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert _goldens() == before
+
+
+def test_compare_h_against_this_checkout(tmp_path):
+    # this checkout as both trees: every bundle's H, T and d must be bitwise equal
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "compare_h.py"), str(REPO), str(REPO)],
+                          cwd=tmp_path, env=_bare_env(tmp_path), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["desk", "probe.json", "probe_m9", "m17"]
+    assert all("DIFFER" not in line and "T data equal" in line and line.endswith("max|dH| 0") for line in lines)

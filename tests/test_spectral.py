@@ -406,6 +406,19 @@ class TestProbeShortcuts:
         rounding = 2 * np.max(np.abs(split - full_spectrum)) * ref_time / (2 * np.pi)
         assert res.recurrence_time == pytest.approx(ref_time, rel=1e-6 + rounding)
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_expands_no_wick_kernel(self, desk_bundle, monkeypatch, explicit):
+        # the values are gathers through the raise table, on either path
+        from chargedphi2 import fock
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe expanded a Wick kernel")
+
+        psi = ground_state(desk_bundle.h)[1] if explicit else None
+        monkeypatch.setattr(fock, "_wick_blocks", refuse)
+        res = heisenberg_probe(desk_bundle, probe_vector(desk_bundle), [4.0, 8.0], psi)
+        assert len(res.values) == 2
+
     def test_explicit_state_is_evolved(self, desk_bundle, expm_calls):
         psi = ground_state(desk_bundle.h)[1]
         heisenberg_probe(desk_bundle, probe_vector(desk_bundle), [4.0, 8.0], psi)
