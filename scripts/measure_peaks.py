@@ -6,13 +6,14 @@ Usage: python scripts/measure_peaks.py [--repeat N] [SUBCOMMAND INPUT ...]
 Each (subcommand, input) pair runs `python -m chargedphi2 SUBCOMMAND INPUT` in
 a child process whose BLAS pools are pinned to one thread, with its output
 written to a temporary directory.  The peak is the child's whole-process
-maximum RSS as `wait4` reports it, imports included.  Without arguments the
-nine operations of the benchmark's solver suite run on its inputs: the
-shipped configs, and the probe at kappa 1.0 (perfbench/configs/probe_m9.json,
-dim 1,330).  With --repeat N the whole list runs N times in turn, and each
-operation's median and quartiles of the wall time and the peak follow.  The
-exit status is 1 if any child failed.  Run nothing else meanwhile; two
-processes on a two-core machine slow each other.
+maximum RSS as `wait4` reports it, imports included; each child's stage log
+(`chargedphi2.cli`) passes through to stderr.  Without arguments the nine
+operations of the benchmark's solver suite run on its inputs, as
+perfbench/workloads.py lists them (`WORKLOADS["solver_suite"]`, `SOURCES`).
+With --repeat N the whole list runs N times in turn, and each operation's
+median and quartiles of the wall time and the peak follow.  The exit status
+is 1 if any child failed.  Run nothing else meanwhile; two processes on a
+two-core machine slow each other.
 
 Example:
     python scripts/measure_peaks.py --repeat 5 quantize configs/quantize.json
@@ -29,17 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-SUITE = [
-    ("lambda-quant", "configs/lambda_quant.json"),
-    ("quantize", "configs/quantize.json"),
-    ("spectrum", "configs/desk_bundle.json"),
-    ("golden-check", "goldens/desk_suite.json"),
-    ("probe-scattering", "perfbench/configs/probe_m9.json"),
-    ("hvz", "configs/ladder.json"),
-    ("convergence", "configs/ladder.json"),
-    ("hvz", "configs/free.json"),
-    ("convergence", "configs/free.json"),
-]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import SOURCES, WORKLOADS  # noqa: E402
+
+SUITE = [(sub, str(SOURCES[name])) for sub, name in WORKLOADS["solver_suite"]]
 
 
 def measure(sub: str, path: str, env: dict) -> tuple[int, float, float]:
@@ -68,7 +62,7 @@ def main(argv=None) -> int:
     if len(args.operations) % 2 or args.repeat < 1:
         parser.error("give SUBCOMMAND INPUT pairs and a positive --repeat")
     ops = args.operations
-    pairs = list(zip(ops[::2], ops[1::2])) or [(sub, str(ROOT / path)) for sub, path in SUITE]
+    pairs = list(zip(ops[::2], ops[1::2])) or SUITE
     env = dict(os.environ, **THREADS)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     runs = {pair: [] for pair in pairs}

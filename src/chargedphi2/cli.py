@@ -9,6 +9,12 @@ error, 3 stability error, 4 solver failure, 5 missing golden suite, 6 a size
 over a resource cap (found before any array exists) or out of memory, 7 any
 other violated contract (an odd or unbounded polynomial, say), 1 anything else.
 
+Stderr gets one line per stage as it ends (`errors.stage`: basis, kernels,
+stream, solve, overlaps, lu, gap_norm, number_norm, probe, persist), after a
+line of numpy and scipy versions, OPENBLAS_NUM_THREADS and CPU count, and
+before any error line.  Under PYTHONTRACEMALLOC=1 each stage line adds the
+traced bytes held at its end and their peak within it.
+
 Environment override (the only one honored): CHARGEDPHI2_OUTDIR replaces the
 configured output directory.  BLAS threads follow OMP/OPENBLAS/MKL_NUM_THREADS.
 """
@@ -20,11 +26,14 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+from . import errors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,12 +79,13 @@ def _persist(cfg, outdir: Path, subcommand: str, stem, report: dict, quantities:
         }
     )
     if stem is not None:
-        tag = config_hash[:8]
-        _atomic_write(outdir / f"{stem}_{tag}.json", json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
-        for suffix, header, rows in tables:
-            buf = io.StringIO()
-            csv.writer(buf).writerows([header, *rows])
-            _atomic_write(outdir / f"{stem}{suffix}_{tag}.csv", buf.getvalue())
+        with errors.stage("persist"):
+            tag = config_hash[:8]
+            _atomic_write(outdir / f"{stem}_{tag}.json", json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n")
+            for suffix, header, rows in tables:
+                buf = io.StringIO()
+                csv.writer(buf).writerows([header, *rows])
+                _atomic_write(outdir / f"{stem}{suffix}_{tag}.csv", buf.getvalue())
     return record
 
 
@@ -93,7 +103,10 @@ def _checked(cfg, lattice):
 def _basis(cfg, lattice):
     from .fock import enumerate_basis
 
-    return enumerate_basis(_checked(cfg, lattice), cfg.n_max, cap=cfg.solver.basis_cap)
+    with errors.stage("basis") as counts:
+        basis = enumerate_basis(_checked(cfg, lattice), cfg.n_max, cap=cfg.solver.basis_cap)
+        counts.update(modes=lattice.size, dim=basis.dim)
+    return basis
 
 
 def _bundle(cfg, basis):
@@ -188,7 +201,7 @@ def run_hvz(cfg, outdir: Path) -> dict:
     report = {"levels": levels, "mass": cfg.lattice.mass}
     quantities = {
         "onset": "lowest excited level dominated by one extra particle over the ground state",
-        "onset_mismatch": "|onset - (e0 + m)|, shrinking under refinement",
+        "onset_mismatch": "|onset - (e0 + m)| at this level's lattice and particle cap",
     }
     table = ("", header, [list(level.values()) for level in levels])
     return _persist(cfg, outdir, "hvz", "hvz", report, quantities, [table])
@@ -367,8 +380,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StageLog(logging.StreamHandler):
+    """Stage lines on stderr, the first of them preceded by the handler's `header`."""
+
+    def emit(self, record):
+        self.stream.write(vars(self).pop("header", ""))
+        super().emit(record)
+
+
 def main(argv=None) -> int:
-    from . import errors
+    import numpy
+    import scipy
 
     exits = (
         (errors.ConfigError, "config", EXIT_CONFIG),
@@ -383,6 +405,11 @@ def main(argv=None) -> int:
         ),
     )
     args = _build_parser().parse_args(argv)
+    log, handler = logging.getLogger(__package__), _StageLog()
+    handler.header = (f"numpy {numpy.__version__}, scipy {scipy.__version__}, OPENBLAS_NUM_THREADS "
+                      f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, {os.cpu_count()} CPUs\n")
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         if args.subcommand == "golden-check":
             return golden_check(args.suite)
@@ -405,6 +432,9 @@ def main(argv=None) -> int:
                 print(f"{label} error: {exc}", file=sys.stderr)
                 return code
         raise
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -215,10 +215,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # absent, a directory, unreadable, or not UTF-8
+        raise ConfigError(f"config {p} cannot be read as UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)

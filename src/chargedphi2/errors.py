@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the stage log.
 
 Exit-code mapping used by the CLI lives in `cli.py`; these classes carry the
 diagnostic payload (offending value, threshold, residual) so reports and error
@@ -6,6 +6,37 @@ messages can name the violated contract.
 """
 
 from __future__ import annotations
+
+import logging
+import time
+from contextlib import contextmanager
+
+_log = logging.getLogger(__package__)  # silent until `cli.main` enables it
+
+
+@contextmanager
+def stage(name: str, **counts):
+    """Log one stage of a run as it ends: its seconds, the running peak RSS, its
+    counts (given, or put in the yielded dict) and, while the log is on and Python
+    traces allocations, the traced bytes held and their peak since the stage
+    began.  A stage that raises logs `stage NAME failed: CLASS`.  Stages do not nest."""
+    import resource
+    import tracemalloc
+
+    traced, start = tracemalloc.is_tracing() and _log.isEnabledFor(logging.INFO), time.perf_counter()
+    if traced:  # a caller's own tracemalloc measurement keeps its peak
+        tracemalloc.reset_peak()
+    try:
+        yield counts
+    except BaseException as exc:
+        _log.info("stage %s failed: %s", name, type(exc).__name__)
+        raise
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    line = [f"stage {name} {time.perf_counter() - start:.3f} s, maxrss {maxrss:.1f} MiB"]
+    line += [f"{key} {value:,}" if isinstance(value, int) else f"{key} {value}" for key, value in counts.items()]
+    if traced:
+        line.append("traced {:.1f} MiB, peak {:.1f} MiB".format(*(b / 2**20 for b in tracemalloc.get_traced_memory())))
+    _log.info(", ".join(line))
 
 
 class ChargedPhi2Error(Exception):

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, StabilityError
+from .errors import ContractError, ParameterError, StabilityError, stage
 from .fock import FockBasis, WickKernel, gauge_kernel, hermitian_parts, streamed
 from .lattice import MomentumLattice
 from .linalg import HermitianTriangle
@@ -239,16 +239,15 @@ def assemble(
     threshold unless the override flag is set (exploration mode); the error
     carries the threshold.
     """
-    lattice = basis.lattice
-    coupling = lambda_quant(pot, lattice)
-    if not override_stability and not abs(lam) < coupling.lambda_quant:
-        raise StabilityError(lam, coupling.lambda_quant)
-    t, d = hermitian_parts(basis, hamiltonian_terms(spec, pot, lam, basis))
-    return HamiltonianBundle(
-        basis=basis,
-        spec=spec,
-        pot=pot,
-        lam=float(lam),
-        h=HermitianTriangle(t, free_energies(basis) + d),
-        coupling=coupling,
-    )
+    with stage("kernels") as counts:
+        coupling = lambda_quant(pot, basis.lattice)
+        if not override_stability and not abs(lam) < coupling.lambda_quant:
+            raise StabilityError(lam, coupling.lambda_quant)
+        terms = hamiltonian_terms(spec, pot, lam, basis)
+        counts["terms"] = len(terms)
+    with stage("stream", dim=basis.dim) as counts:
+        t, d = hermitian_parts(basis, terms)
+        h = HermitianTriangle(t, free_energies(basis) + d)
+        kept = t.data.nbytes + t.indices.nbytes + t.indptr.nbytes + h.d.nbytes
+        counts.update({"nnz(T)": t.nnz, "T and d": f"{kept / 2**20:.1f} MiB", "workers": h.workers})
+    return HamiltonianBundle(basis=basis, spec=spec, pot=pot, lam=float(lam), h=h, coupling=coupling)

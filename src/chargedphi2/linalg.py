@@ -10,7 +10,7 @@ sector out of the Krylov space, as the uniform vector would.  Solvers keep
 the matrix dtype: a real symmetric matrix gets the real drivers.
 
 This module owns the residual contract: every reported eigenpair has
-||A v - E v|| <= RESIDUAL_RTOL max(1, |E|), which `spectral.low_lying` checks
+||A v - E v|| <= RESIDUAL_RTOL max(1, |E|), which `lowest_eigenpairs` checks
 on every pair.  Lanczos stops there, not at machine precision: ARPACK gets
 tol = RESIDUAL_RTOL / 100 and ends once each wanted Ritz pair's residual
 estimate is below tol |E| (its stopping rule: Lehoucq, Sorensen & Yang, SIAM
@@ -36,9 +36,9 @@ H x = T x + T^H x + d x, with T^H x = conj(T^T conj(x)) from T's CSC arrays
 read as CSR, so no transposed copy is made.  T x runs on a second thread
 (scipy's sparse product releases the GIL) iff nnz(T) >= TWO_WORKER_NNZ and two
 CPUs are free to the process; H x sums in one order, so it is bitwise the same
-either way.  The eigensolvers take it directly.  What needs a matrix (the
-dense path, the probe, the shifted solve) reads `matrix`, T^H + diag(d) + T
-built anew on each read.
+either way, and `applications` counts the products.  The eigensolvers take it
+directly.  What needs a matrix (the dense path, the probe, the shifted solve)
+reads `matrix`, T^H + diag(d) + T built anew on each read.
 
 Every resolvent goes through `shifted_solver`, a sparse LU of A + beta I: the
 only place in the package where a Fock operator is factorized.
@@ -55,7 +55,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ContractError, ResourceLimitError, ShapeError, SolverError
+from .errors import ContractError, ResourceLimitError, ShapeError, SolverError, stage
 
 DENSE_RATIO = 10
 DENSE_CEILING = 4_000
@@ -163,6 +163,7 @@ class HermitianTriangle(spla.LinearOperator):
         self._t_transposed = t.T  # T's CSC arrays read as CSR: no copy
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         self.workers = 2 if t.nnz >= TWO_WORKER_NNZ and cpus >= 2 else 1  # the worker rule
+        self.applications = 0
 
     def _lower(self, x: np.ndarray) -> np.ndarray:
         """T^H x = conj(T^T conj(x))."""
@@ -171,6 +172,7 @@ class HermitianTriangle(spla.LinearOperator):
         return self._t_transposed @ x
 
     def _matmat(self, x: np.ndarray) -> np.ndarray:
+        self.applications += 1
         upper = _second_worker().submit(self.t.__matmul__, x) if self.workers > 1 else None
         lower = self._lower(x)
         y = upper.result() if upper is not None else self.t @ x
@@ -195,34 +197,48 @@ def is_diagonal(op: HermitianTriangle) -> bool:
 
 
 def lowest_eigenpairs(op: HermitianTriangle, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of H, sorted ascending.
+    """Lowest k eigenpairs of H, sorted ascending, as the `solve` stage; each pair
+    is checked against the residual contract by applying op (else SolverError).
 
     A diagonal H is read off d directly, which keeps exact zeros exact;
     otherwise LAPACK computes only the k wanted pairs, or Lanczos runs.
     """
     n = op.shape[0]
     k = min(k, n)
-    if is_diagonal(op):
-        order = np.argsort(op.d, kind="stable")[:k]
-        vecs = np.zeros((n, k), dtype=op.dtype)
-        vecs[order, np.arange(k)] = 1.0
-        return op.d[order], vecs
-    if use_dense(n, k):
-        check_dense(n, "full eigendecomposition dimension")
-        return sla.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])
-    try:
-        w, vecs = spla.eigsh(op, k=k, which="SA", v0=start_vector(n), ncv=ncv(k), maxiter=20000,
-                             tol=RESIDUAL_RTOL / 100)
-    except spla.ArpackError as exc:
-        raise SolverError(f"Lanczos failed to converge: {exc}") from exc
-    order = np.argsort(w)
-    return w[order], vecs[:, order]
+    path = "diagonal" if is_diagonal(op) else "lapack" if use_dense(n, k) else "arpack"
+    with stage("solve", path=path, n=n, k=k) as counts:
+        applied = op.applications
+        if path == "diagonal":
+            order = np.argsort(op.d, kind="stable")[:k]
+            w, vecs = op.d[order], np.zeros((n, k), dtype=op.dtype)
+            vecs[order, np.arange(k)] = 1.0
+        elif path == "lapack":
+            check_dense(n, "full eigendecomposition dimension")
+            w, vecs = sla.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1])
+        else:
+            counts["ncv"] = ncv(k)
+            try:
+                w, vecs = spla.eigsh(op, k=k, which="SA", v0=start_vector(n), ncv=ncv(k), maxiter=20000,
+                                     tol=RESIDUAL_RTOL / 100)
+            except spla.ArpackError as exc:
+                raise SolverError(f"Lanczos failed to converge: {exc}") from exc
+            order = np.argsort(w)
+            w, vecs = w[order], vecs[:, order]
+        counts["H x"] = op.applications - applied
+        res = np.linalg.norm(op @ vecs - vecs * w, axis=0)
+        counts["max residual"] = f"{res.max():.2g}"
+        bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
+        if bad.size:
+            i = bad[0]
+            raise SolverError(f"eigenpair {i} misses the residual contract: {res[i]:.3e} at E={w[i]:.6g}")
+    return w, vecs
 
 
 def shifted_solver(mat: sp.spmatrix, beta: float):
     """Return x -> (mat + beta)^-1 x through a sparse LU factorization; the factor lives as long as the solve."""
-    shifted = mat + beta * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
-    return spla.splu(shifted.tocsc()).solve
+    with stage("lu", n=mat.shape[0]):
+        shifted = mat + beta * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
+        return spla.splu(shifted.tocsc()).solve
 
 
 def operator_norm(a) -> float:

@@ -3,9 +3,9 @@
 Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
 size rule.  Every reported eigenpair must meet `linalg`'s residual contract
 ||H psi - E psi|| <= RESIDUAL_RTOL max(1, |E|), RESIDUAL_RTOL = 1e-8.
-`low_lying` and `ground_state` take `bundle.h`, a `linalg.HermitianTriangle`,
-and solve and check it by applying it; only the probe's evolution and
-spectrum and the shifted solve read its `matrix`.
+`low_lying` (`linalg.lowest_eigenpairs`) and `ground_state` take `bundle.h`, a
+`linalg.HermitianTriangle`, and solve and check it by applying it; only the
+probe's evolution and spectrum and the shifted solve read its `matrix`.
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant.  The probe gauges
@@ -27,33 +27,19 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, stage
 from .fock import FockBasis, WickKernel, fock_dimension, fock_embedding, gauge_kernel
 from .hamiltonian import HamiltonianBundle
 from .linalg import (
     RESIDUAL_RTOL,
     HermitianTriangle,
     check_dense,
-    lowest_eigenpairs,
+    lowest_eigenpairs as low_lying,
     operator_norm,
     reflected_eigvalsh,
     shifted_solver,
 )
 from .oneparticle import omega_block
-
-
-def low_lying(op: HermitianTriangle, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of a Hermitian Fock operator, sorted ascending, solved
-    and checked by applying op: no full matrix is built."""
-    w, vecs = lowest_eigenpairs(op, k)
-    res = np.linalg.norm(op @ vecs - vecs * w, axis=0)
-    bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
-    if bad.size:
-        i = bad[0]
-        raise SolverError(
-            f"eigenpair {i} misses the residual contract: {res[i]:.3e} at E={w[i]:.6g}"
-        )
-    return w, vecs
 
 
 def ground_state(op: HermitianTriangle) -> tuple[float, np.ndarray]:
@@ -131,7 +117,8 @@ def hvz_gap_probe(
     k_full = min(bundle.basis.dim, max(depth, 2 * bundle.basis.n_slots + 2))
     for k in sorted({min(k_full, depth), k_full}):
         w, vecs = low_lying(bundle.h, k)
-        overlaps = _onset_overlaps(bundle.basis, vecs)
+        with stage("overlaps"):
+            overlaps = _onset_overlaps(bundle.basis, vecs)
         passed = np.flatnonzero(overlaps >= overlap_threshold)
         if passed.size:
             break
@@ -191,7 +178,8 @@ def resolvent_convergence(
             raise ParameterError(f"shift beta={beta} does not clear spectrum bottom {e0}")
         solve = shifted_solver(bundle.h.matrix, beta)
         if prev is not None:
-            gaps.append(operator_norm(_resolvent_difference(prev, bundle, prev_solve, solve)))
+            with stage("gap_norm"):
+                gaps.append(operator_norm(_resolvent_difference(prev, bundle, prev_solve, solve)))
         level = {"v": str(bundle.lattice.v), "kappa": bundle.lattice.kappa, "dim": bundle.basis.dim}
         rows.append((level, e0, higher_order_norm(bundle, beta, solve), bundle.metadata()))
         prev, prev_solve = bundle, solve
@@ -210,7 +198,8 @@ def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve) -> float:
     op = spla.LinearOperator(
         (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=dtype
     )
-    return operator_norm(op)
+    with stage("number_norm"):
+        return operator_norm(op)
 
 
 def recurrence_time(eigenvalues: np.ndarray, tol: float = 1e-10) -> float:
@@ -279,27 +268,25 @@ def heisenberg_probe(
     f_coeffs = np.asarray(f_coeffs, dtype=complex)
     if f_coeffs.shape != (basis.n_slots,):
         raise ParameterError(f"probe vector must cover all {basis.n_slots} slots")
-    g0 = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_coeffs / math.sqrt(2.0))).coeffs.astype(complex)
-    ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
-    g_in_eig = u.conj().T @ g0
-
-    hmat = bundle.h.matrix
-    he = reflected_eigvalsh(hmat, basis.reflection)
     stationary = psi is None
-    if stationary:
-        psi = ground_state(bundle.h)[1]
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(ground_state(bundle.h)[1] if stationary else psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ParameterError("probe state must be normalized")
 
-    values, psi_t, t_prev = [], psi, 0.0
-    m_t = basis.raised_overlaps(psi, psi[:, None])[:, 0]  # m_s = <psi, a_s psi>
-    for t in times:
-        g_t = u @ (np.exp(-1j * t * ww) * g_in_eig)
-        if not stationary and t != t_prev:
-            psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
-            t_prev, m_t = t, basis.raised_overlaps(psi_t, psi_t[:, None])[:, 0]
-        values.append(2.0 * float(np.vdot(g_t, m_t).real))
+    with stage("probe", dim=basis.dim, times=len(times)):
+        g0 = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_coeffs / math.sqrt(2.0))).coeffs
+        ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
+        g_in_eig = u.conj().T @ g0.astype(complex)
+        hmat = bundle.h.matrix
+        he = reflected_eigvalsh(hmat, basis.reflection)
+        values, psi_t, t_prev = [], psi, 0.0
+        m_t = basis.raised_overlaps(psi, psi[:, None])[:, 0]  # m_s = <psi, a_s psi>
+        for t in times:
+            g_t = u @ (np.exp(-1j * t * ww) * g_in_eig)
+            if not stationary and t != t_prev:
+                psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
+                t_prev, m_t = t, basis.raised_overlaps(psi_t, psi_t[:, None])[:, 0]
+            values.append(2.0 * float(np.vdot(g_t, m_t).real))
     return ProbeResult(
         times=tuple(float(t) for t in times),
         values=tuple(values),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chargedphi2 import cli, fock, hamiltonian, linalg
+from chargedphi2 import cli, errors, fock, hamiltonian, linalg
 from chargedphi2.config import load_config, parse_config
 from chargedphi2.errors import ConfigError
 from chargedphi2.fock import HARD_DIMENSION_CAP
@@ -178,6 +178,27 @@ class TestCliExitCodes:
         cfg.write_text(json.dumps(raw))
         assert cli.main(["spectrum", str(cfg)]) == 3
 
+    def test_stability_gate_names_the_kernels_stage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(json.dumps(minimal_config(coupling={"lambda": 50.0}, n_max=1)))
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_STABILITY == 3
+        header, basis, failed, err = capsys.readouterr().err.splitlines()
+        assert header.startswith("numpy ") and basis.startswith("stage basis ")
+        assert failed == "stage kernels failed: StabilityError"
+        assert err.startswith("stability error: |lambda|=50 is not below the stability threshold")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "utf-16"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "utf-16":
+            cfg.write_bytes(json.dumps(minimal_config()).encode("utf-16"))  # starts with the bytes ff fe
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_CONFIG == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"config error: config {cfg} cannot be read as UTF-8 text: ")
+
     def test_unstable_quantization_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         cfg = tmp_path / "unstable.json"
@@ -206,7 +227,9 @@ class TestCliExitCodes:
         cfg = tmp_path / "capped.json"
         cfg.write_text(json.dumps(raw))
         assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_RESOURCE == 6
-        assert "resource error: Fock basis dimension 1330 exceeds the hard cap 1000" in capsys.readouterr().err
+        header, failed, err = capsys.readouterr().err.splitlines()
+        assert header.startswith("numpy ") and failed == "stage basis failed: ResourceLimitError"
+        assert err == "resource error: Fock basis dimension 1330 exceeds the hard cap 1000"
         assert not list(tmp_path.glob("spectrum_*"))
 
     def test_particle_cap_of_a_billion_exits_6_at_once(self, tmp_path, monkeypatch, capsys):
@@ -332,8 +355,9 @@ class TestCliExitCodes:
         cfg = tmp_path / "poly.json"
         cfg.write_text(json.dumps(minimal_config(polynomial={"coeffs": coeffs}, n_max=1)))
         assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_CONTRACT == 7
-        err = capsys.readouterr().err
+        *stages, err = capsys.readouterr().err.splitlines()
         assert err.startswith("contract error: ") and message in err
+        assert all(line.startswith(("numpy ", "stage ")) for line in stages)
         assert not list(tmp_path.glob("spectrum_*"))
 
     def test_out_of_memory_exit_6(self, tmp_path, monkeypatch, capsys):
@@ -566,3 +590,17 @@ class TestGoldenCheck:
         bad.write_text(json.dumps({"entries": [{"name": "no_such_value", "value": 1.0, "tol": 1e-6}]}))
         assert cli.main(["golden-check", str(bad)]) == 1
         assert "UNKNOWN" in capsys.readouterr().out
+
+
+def test_library_stages_write_nothing_and_keep_a_callers_tracemalloc_peak(capsys):
+    # outside `cli.main` the stage log is off: no line, and no reset of the caller's peak
+    tracemalloc.start()
+    try:
+        block = bytearray(8 << 20)
+        del block
+        with errors.stage("basis") as counts:
+            counts["dim"] = 1
+        assert tracemalloc.get_traced_memory()[1] >= 8 << 20
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ""

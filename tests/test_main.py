@@ -18,11 +18,12 @@ REPO = Path(__file__).resolve().parents[1]
 DESK = REPO / "configs" / "desk_bundle.json"
 
 
-def run_entry(args, outdir):
+def run_entry(args, outdir, **env):
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
         "CHARGEDPHI2_OUTDIR": str(outdir),
+        **env,
     }
     return subprocess.run(
         [sys.executable, "-m", "chargedphi2", *args], env=env, capture_output=True, text=True, timeout=120
@@ -39,6 +40,21 @@ def test_entry_report_and_stdout_match_in_process(tmp_path, monkeypatch, capsys)
     (entry,), (lib,) = (list((tmp_path / d).glob("spectrum_*.json")) for d in ("entry", "lib"))
     assert entry.name == lib.name
     assert json.loads(entry.read_text())["report"] == json.loads(lib.read_text())["report"]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_entry_logs_one_line_per_stage(tmp_path, traced):
+    env = {"OPENBLAS_NUM_THREADS": "1", **({"PYTHONTRACEMALLOC": "1"} if traced else {})}
+    proc = run_entry(["spectrum", str(DESK)], tmp_path, **env)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stderr.splitlines()
+    assert header.startswith("numpy ") and "scipy " in header and "OPENBLAS_NUM_THREADS 1, " in header
+    names = [line.split(" ")[1] for line in lines]
+    assert names == ["basis", "kernels", "stream", "solve", "overlaps", "persist"]
+    assert all(line.split(", ")[1].startswith("maxrss ") and ("traced " in line) == traced for line in lines)
+    basis, _, stream, solve, *_ = lines
+    assert "dim 1,330" in basis and "nnz(T) " in stream and "T and d " in stream and "workers 1" in stream
+    assert "path arpack, n 1,330, k 9, ncv 20, H x " in solve and ", max residual " in solve
 
 
 def _write(tmp_path, raw):
@@ -70,8 +86,10 @@ def test_entry_exit_codes(tmp_path, edit, code, label, message):
     cfg = _write(tmp_path, edit(json.loads(DESK.read_text())))
     proc = run_entry(["spectrum", str(cfg)], tmp_path / "out")
     assert proc.returncode == code
-    (line,) = proc.stderr.splitlines()
+    *stages, line = proc.stderr.splitlines()
     assert line.startswith(f"{label} error: ") and message in line
+    # the config error comes before any stage; the others name the stage they left
+    assert all(stage.startswith(("numpy ", "stage ")) for stage in stages) and bool(stages) == (code != 2)
     assert proc.stdout == ""
     assert not list((tmp_path / "out").glob("spectrum_*"))
 

@@ -6,9 +6,16 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("measure_peaks", REPO / "scripts" / "measure_peaks.py")
-measure_peaks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(measure_peaks)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+measure_peaks = _load("measure_peaks", REPO / "scripts" / "measure_peaks.py")
 
 
 def test_spread_is_the_median_and_the_quartiles():
@@ -27,3 +34,13 @@ def test_bad_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         measure_peaks.main(argv)
     assert exc.value.code == 2
+
+
+def test_default_operations_are_the_benchmark_solver_suite(monkeypatch, capsys):
+    workloads = _load("bench_workloads", REPO / "perfbench" / "workloads.py")
+    suite = [(sub, str(workloads.SOURCES[name])) for sub, name in workloads.WORKLOADS["solver_suite"]]
+    ran = []
+    monkeypatch.setattr(measure_peaks, "measure", lambda sub, path, env: ran.append((sub, path)) or (0, 0.0, 0.0))
+    assert measure_peaks.main([]) == 0
+    assert ran == suite and len(ran) == 9
+    assert ("probe-scattering", str(REPO / "perfbench" / "configs" / "probe_m9.json")) in ran
