@@ -10,7 +10,7 @@ over a resource cap (found before any array exists) or out of memory, 7 any
 other violated contract (an odd or unbounded polynomial, say), 1 anything else.
 
 Stderr gets one line per stage as it ends (`errors.stage`: basis, kernels,
-stream, solve, overlaps, lu, gap_norm, number_norm, probe, persist), after a
+stream, solve, overlaps, gap_norm, number_norm, probe, persist), after a
 line of numpy and scipy versions, OPENBLAS_NUM_THREADS and CPU count, and
 before any error line.  Under PYTHONTRACEMALLOC=1 each stage line adds the
 traced bytes held at its end and their peak within it.
@@ -113,7 +113,7 @@ def _bundle(cfg, basis):
     """The config's Hamiltonian on basis; every bundle of every subcommand is built here."""
     from .hamiltonian import assemble, interaction_spec
 
-    spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
+    spec = functools.partial(interaction_spec, cfg.polynomial.coeffs, cfg.make_cutoff())
     return assemble(spec, cfg.make_potential(), cfg.coupling.lam, basis, cfg.override_stability)
 
 

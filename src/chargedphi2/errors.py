@@ -94,7 +94,7 @@ class IllConditionedError(ChargedPhi2Error, RuntimeError):
 
 
 class SolverError(ChargedPhi2Error, RuntimeError):
-    """Eigensolver failed to converge to the residual contract."""
+    """A solver (eigenpairs, norm or resolvent) failed to converge or missed its contract."""
 
 
 class ResourceLimitError(ChargedPhi2Error, RuntimeError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -227,7 +227,7 @@ class HamiltonianBundle:
 
 
 def assemble(
-    spec: InteractionSpec,
+    spec: InteractionSpec | Callable[[], InteractionSpec],
     pot: Potential,
     lam: float,
     basis: FockBasis,
@@ -237,9 +237,10 @@ def assemble(
 
     The lattice is the basis's.  Refuses couplings at or above the stability
     threshold unless the override flag is set (exploration mode); the error
-    carries the threshold.
+    carries the threshold.  A callable spec is called in the `kernels` stage.
     """
     with stage("kernels") as counts:
+        spec = spec() if callable(spec) else spec
         coupling = lambda_quant(pot, basis.lattice)
         if not override_stability and not abs(lam) < coupling.lambda_quant:
             raise StabilityError(lam, coupling.lambda_quant)

@@ -37,11 +37,11 @@ read as CSR, so no transposed copy is made.  T x runs on a second thread
 (scipy's sparse product releases the GIL) iff nnz(T) >= TWO_WORKER_NNZ and two
 CPUs are free to the process; H x sums in one order, so it is bitwise the same
 either way, and `applications` counts the products.  The eigensolvers take it
-directly.  What needs a matrix (the dense path, the probe, the shifted solve)
-reads `matrix`, T^H + diag(d) + T built anew on each read.
+directly.  What needs a matrix (the dense path, the probe) reads `matrix`,
+T^H + diag(d) + T built anew on each read.
 
-Every resolvent goes through `shifted_solver`, a sparse LU of A + beta I: the
-only place in the package where a Fock operator is factorized.
+Every resolvent goes through `shifted_solver`, conjugate gradients on H + beta
+applied through the triangle: no Fock operator gets an LU or any other factor.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .errors import ContractError, ResourceLimitError, ShapeError, SolverError, 
 DENSE_RATIO = 10
 DENSE_CEILING = 4_000
 RESIDUAL_RTOL = 1e-8
+SOLVE_RTOL = 1e-12
 # A matrix commutes with a permutation P when max|P A P - A| <= REFLECTION_RTOL max|A|.
 REFLECTION_RTOL = 1e-14
 TWO_WORKER_NNZ = 2_000_000  # nnz(T) from which a second thread for T x pays: 1.0M measured no gain, 2.7M one
@@ -234,11 +235,30 @@ def lowest_eigenpairs(op: HermitianTriangle, k: int) -> tuple[np.ndarray, np.nda
     return w, vecs
 
 
-def shifted_solver(mat: sp.spmatrix, beta: float):
-    """Return x -> (mat + beta)^-1 x through a sparse LU factorization; the factor lives as long as the solve."""
-    with stage("lu", n=mat.shape[0]):
-        shifted = mat + beta * sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
-        return spla.splu(shifted.tocsc()).solve
+def shifted_solver(op: HermitianTriangle, beta: float) -> spla.LinearOperator:
+    """(H + beta)^-1 as a Hermitian operator, applied a column at a time: exactly for a
+    diagonal H, else by CG on op @ y + beta y preconditioned by (d + beta)^-1, stopped
+    at a tenth of the contract ||(H + beta) y - x|| <= SOLVE_RTOL ||x|| that the true
+    residual must meet (else SolverError).  Its `counts` tally solves and CG iterations."""
+    shifted, diagonal = op.d + beta, is_diagonal(op)
+    system = spla.LinearOperator(op.shape, matvec=lambda y: op @ y + beta * y, dtype=op.dtype)
+    jacobi = spla.LinearOperator(op.shape, matvec=lambda r: r / shifted, dtype=op.dtype)
+
+    def solve(x):
+        x, applied = x.ravel(), op.applications
+        inverse.counts["solves"] += 1
+        if diagonal:
+            return x / shifted
+        y, info = spla.cg(system, x, rtol=SOLVE_RTOL / 10, atol=0.0, M=jacobi)
+        inverse.counts["CG iterations"] += op.applications - applied
+        res, size = np.linalg.norm(system @ y - x), np.linalg.norm(x)
+        if info != 0 or not res <= SOLVE_RTOL * size:
+            raise SolverError(f"CG misses the solve contract: residual {res:.3e} at |x| {size:.3e}, cg info {info}")
+        return y
+
+    inverse = spla.LinearOperator(op.shape, matvec=solve, rmatvec=solve, dtype=op.dtype)
+    inverse.counts = {"solves": 0, "CG iterations": 0}
+    return inverse
 
 
 def operator_norm(a) -> float:

@@ -3,9 +3,9 @@
 Every choice between dense LAPACK and Lanczos is made by `linalg`, on one
 size rule.  Every reported eigenpair must meet `linalg`'s residual contract
 ||H psi - E psi|| <= RESIDUAL_RTOL max(1, |E|), RESIDUAL_RTOL = 1e-8.
-`low_lying` (`linalg.lowest_eigenpairs`) and `ground_state` take `bundle.h`, a
-`linalg.HermitianTriangle`, and solve and check it by applying it; only the
-probe's evolution and spectrum and the shifted solve read its `matrix`.
+`low_lying` (`linalg.lowest_eigenpairs`), `ground_state` and the resolvents take
+`bundle.h`, a `linalg.HermitianTriangle`, and apply it; only the dense
+eigensolve and the probe's evolution and spectrum read its `matrix`.
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant.  The probe gauges
@@ -147,15 +147,11 @@ class ConvergenceTrace:
         return asdict(self)
 
 
-def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, solve_c, solve_f):
-    """(H_coarse + beta)^-1 - E^H (H_fine + beta)^-1 E from the two solves, Hermitian for real beta."""
-    emb = fock_embedding(coarse.basis, fine.basis)
-
-    def diff(x):
-        return solve_c(x) - emb.T.conj() @ solve_f(emb @ x)
-
-    n, dtype = coarse.basis.dim, np.result_type(coarse.h.dtype, fine.h.dtype)
-    return spla.LinearOperator((n, n), matvec=diff, rmatvec=diff, matmat=diff, dtype=dtype)
+def _resolvent_difference(coarse: HamiltonianBundle, fine: HamiltonianBundle, inverse_c, inverse_f):
+    """(H_coarse + beta)^-1 - E^H (H_fine + beta)^-1 E from the two resolvents
+    (`linalg.shifted_solver`), Hermitian for real beta."""
+    emb = spla.aslinearoperator(fock_embedding(coarse.basis, fine.basis))
+    return inverse_c - emb.H @ inverse_f @ emb
 
 
 def resolvent_convergence(
@@ -165,24 +161,25 @@ def resolvent_convergence(
     `higher_order_norm` per level.
 
     Levels must be strictly nested, coarsest first.  They are walked once, each
-    dropped with its solve after the next level's gap, so at most two are held.
+    dropped after the next level's gap, so at most two are held.
     beta defaults to the shift policy, which lives here alone: 1 + |e0| at the
     coarsest level; it must clear the spectrum bottom at every level.  The free
     Hamiltonian compresses exactly, giving gap 0.
     """
-    rows, gaps, prev, prev_solve = [], [], None, None
+    rows, gaps, prev = [], [], None
     for bundle in bundles:
         e0 = ground_state(bundle.h)[0]
         beta = 1.0 + abs(e0) if beta is None else beta
         if beta <= -e0:
             raise ParameterError(f"shift beta={beta} does not clear spectrum bottom {e0}")
-        solve = shifted_solver(bundle.h.matrix, beta)
-        if prev is not None:
-            with stage("gap_norm"):
-                gaps.append(operator_norm(_resolvent_difference(prev, bundle, prev_solve, solve)))
+        if prev is not None:  # resolvents cost nothing to make: each stage counts the solves of its own
+            inverses = shifted_solver(prev.h, beta), shifted_solver(bundle.h, beta)
+            with stage("gap_norm") as counts:
+                gaps.append(operator_norm(_resolvent_difference(prev, bundle, *inverses)))
+                counts.update({key: sum(inv.counts[key] for inv in inverses) for key in inverses[0].counts})
         level = {"v": str(bundle.lattice.v), "kappa": bundle.lattice.kappa, "dim": bundle.basis.dim}
-        rows.append((level, e0, higher_order_norm(bundle, beta, solve), bundle.metadata()))
-        prev, prev_solve = bundle, solve
+        rows.append((level, e0, higher_order_norm(bundle, beta, shifted_solver(bundle.h, beta)), bundle.metadata()))
+        prev = bundle
     if len(rows) < 2:
         raise ParameterError("need at least two nested levels")
     levels, e0s, norms, metadata = zip(*rows)
@@ -190,16 +187,13 @@ def resolvent_convergence(
                             number_resolvent_norms=norms, bundles=metadata)
 
 
-def higher_order_norm(bundle: HamiltonianBundle, beta: float, solve) -> float:
-    """|| N (H + beta)^-1 ||, with solve the level's x -> (H + beta)^-1 x (`linalg.shifted_solver`)."""
-    n, dtype = bundle.basis.dim, bundle.h.dtype
-    n_op = sp.diags(bundle.basis.totals().astype(float), format="csr")
-    # (H + beta)^-1 is Hermitian, so the adjoint of N (H + beta)^-1 is (H + beta)^-1 N.
-    op = spla.LinearOperator(
-        (n, n), matvec=lambda x: n_op @ solve(x), rmatvec=lambda x: solve(n_op @ x), dtype=dtype
-    )
-    with stage("number_norm"):
-        return operator_norm(op)
+def higher_order_norm(bundle: HamiltonianBundle, beta: float, inverse) -> float:
+    """|| N (H + beta)^-1 ||, with inverse the level's (H + beta)^-1 (`linalg.shifted_solver`)."""
+    op = spla.aslinearoperator(sp.diags(bundle.basis.totals().astype(float))) @ inverse
+    with stage("number_norm") as counts:
+        norm = operator_norm(op)
+        counts.update(inverse.counts)
+    return norm
 
 
 def recurrence_time(eigenvalues: np.ndarray, tol: float = 1e-10) -> float:

@@ -188,6 +188,16 @@ class TestCliExitCodes:
         assert failed == "stage kernels failed: StabilityError"
         assert err.startswith("stability error: |lambda|=50 is not below the stability threshold")
 
+    def test_odd_polynomial_names_the_kernels_stage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        cfg = tmp_path / "odd.json"
+        cfg.write_text(json.dumps(minimal_config(polynomial={"coeffs": [[3, 0, 1.0]]}, n_max=1)))
+        assert cli.main(["spectrum", str(cfg)]) == cli.EXIT_CONTRACT == 7
+        header, basis, failed, err = capsys.readouterr().err.splitlines()
+        assert header.startswith("numpy ") and basis.startswith("stage basis ")
+        assert failed == "stage kernels failed: ContractError"
+        assert err == "contract error: polynomial degree 3 is odd, not bounded below"
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "utf-16"])
     def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
         cfg = tmp_path / "cfg.json"
@@ -379,20 +389,9 @@ class TestCliExitCodes:
 
 
 class TestLiveness:
-    """The ladder is walked with at most two levels, and two LU factors, alive."""
-
-    class Factor:
-        """A SuperLU takes no weak reference, so its solve is read off this wrapper."""
-
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, x):
-            return self.lu.solve(x)
+    """The ladder is walked with at most two levels alive."""
 
     def _peaks(self, tmp_path, monkeypatch, subcommand):
-        from chargedphi2 import linalg
-
         built, live, peak = Counter(), Counter(), Counter()
 
         def track(kind, obj):
@@ -402,17 +401,16 @@ class TestLiveness:
             weakref.finalize(obj, live.subtract, [kind])
             return obj
 
-        splu, bundle = linalg.spla.splu, cli._bundle
-        monkeypatch.setattr(linalg.spla, "splu", lambda a, *args, **kw: track("factor", self.Factor(splu(a, *args, **kw))))
+        bundle = cli._bundle
         monkeypatch.setattr(cli, "_bundle", lambda cfg, basis: track("bundle", bundle(cfg, basis)))
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         assert cli.main([subcommand, str(CONFIGS / "ladder.json")]) == 0
         return built, peak
 
-    def test_convergence_holds_two_levels_and_two_factors(self, tmp_path, monkeypatch):
+    def test_convergence_holds_two_levels(self, tmp_path, monkeypatch):
         built, peak = self._peaks(tmp_path, monkeypatch, "convergence")
-        assert built == Counter(bundle=3, factor=3)
-        assert peak["bundle"] <= 2 and peak["factor"] <= 2
+        assert built == Counter(bundle=3)
+        assert peak["bundle"] <= 2
 
     def test_hvz_holds_two_levels(self, tmp_path, monkeypatch):
         built, peak = self._peaks(tmp_path, monkeypatch, "hvz")
@@ -421,15 +419,31 @@ class TestLiveness:
 
 
 class TestArtifacts:
-    def test_convergence_factors_each_level_once(self, tmp_path, monkeypatch):
-        from chargedphi2 import linalg
+    def test_convergence_solves_without_a_factor_or_a_matrix(self, tmp_path, monkeypatch):
+        # the resolvents apply bundle.h; the one `matrix` read is the dense ground state
+        # of the coarsest level (dim 66, under the rule), the other levels take Lanczos
+        import scipy.sparse.linalg
 
-        shapes = []
-        splu = linalg.spla.splu
-        monkeypatch.setattr(linalg.spla, "splu", lambda a, *args, **kw: shapes.append(a.shape) or splu(a, *args, **kw))
+        def splu(*args, **kwargs):
+            raise AssertionError("splu called")
+
+        reads, matrix = [], linalg.HermitianTriangle.matrix
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        read = property(lambda h: reads.append(h.shape) or matrix.fget(h))
+        monkeypatch.setattr(linalg.HermitianTriangle, "matrix", read)
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         assert cli.main(["convergence", str(CONFIGS / "ladder.json")]) == 0
-        assert sorted(shapes) == [(66, 66), (276, 276), (1128, 1128)]
+        assert linalg.use_dense(66) and not linalg.use_dense(276)
+        assert reads == [(66, 66)]
+
+    def test_convergence_missed_solve_contract_exit_4(self, tmp_path, monkeypatch, capsys):
+        cg = linalg.spla.cg
+        monkeypatch.setattr(linalg.spla, "cg", lambda a, b, **kwargs: (cg(a, b, **kwargs)[0], 1))
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main(["convergence", str(CONFIGS / "ladder.json")]) == cli.EXIT_SOLVER == 4
+        *_, failed, err = capsys.readouterr().err.splitlines()
+        assert failed == "stage number_norm failed: SolverError"
+        assert err.startswith("solver error: CG misses the solve contract")
 
     def test_cli_imports_skip_scipy_optimize(self):
         code = "import sys, chargedphi2.cli, chargedphi2.hamiltonian, chargedphi2.spectral; print(sorted(sys.modules))"

@@ -173,6 +173,45 @@ class TestOperatorNorm:
             operator_norm(sp.random(300, 300, density=0.05, random_state=rng, format="csr"))
 
 
+class TestShiftedSolver:
+    def _complex_triangle(self, rng, n=120):
+        a = sp.random(n, n, density=0.05, random_state=rng) + 1j * sp.random(n, n, density=0.05, random_state=rng)
+        return triangle((a + a.getH() + 4.0 * sp.identity(n)).tocsr())
+
+    @pytest.mark.parametrize("shape", [(120,), (120, 3)])
+    def test_matches_the_dense_solve(self, rng, shape):
+        op, beta = self._complex_triangle(rng), 0.7
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        inverse = linalg.shifted_solver(op, beta)
+        y = inverse @ x
+        ref = np.linalg.solve(op.matrix.toarray() + beta * np.eye(120), x)
+        assert y.shape == shape
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert inverse.counts["solves"] == (shape[1] if len(shape) > 1 else 1)
+        assert inverse.counts["CG iterations"] > 0
+
+    def test_diagonal_divides_exactly(self, rng):
+        d = rng.uniform(0.0, 5.0, 50)
+        inverse = linalg.shifted_solver(linalg.HermitianTriangle(sp.csc_matrix((50, 50)), d), 1.5)
+        x = rng.standard_normal((50, 2))
+        assert np.array_equal(inverse @ x, x / (d + 1.5)[:, None])
+        assert inverse.counts == {"solves": 2, "CG iterations": 0}
+
+    @pytest.mark.parametrize("miss", ["info", "residual"])
+    def test_a_missed_contract_raises(self, rng, monkeypatch, miss):
+        # a CG that reports no convergence, or whose answer misses the true-residual contract
+        cg = linalg.spla.cg
+
+        def missing(a, b, **kwargs):
+            y, info = cg(a, b, **kwargs)
+            return (y, 5) if miss == "info" else (y * (1.0 + 1e-9), 0)
+
+        monkeypatch.setattr(linalg.spla, "cg", missing)
+        op = self._complex_triangle(rng)
+        with pytest.raises(SolverError, match="misses the solve contract"):
+            linalg.shifted_solver(op, 0.7) @ rng.standard_normal(120)
+
+
 class TestHermitianTriangle:
     def test_adjoint_is_the_operator(self, desk_bundle, rng):
         h = desk_bundle.h

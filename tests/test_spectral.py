@@ -252,7 +252,7 @@ class TestResolventConvergence:
     def test_free_difference_vanishes_before_arpack(self, free_ladder_bundles):
         # ARPACK refuses the zero operator, so the norm must return 0.0 first
         coarse, fine = free_ladder_bundles[1:]
-        diff = _resolvent_difference(coarse, fine, *(shifted_solver(b.h.matrix, 1.0) for b in (coarse, fine)))
+        diff = _resolvent_difference(coarse, fine, *(shifted_solver(b.h, 1.0) for b in (coarse, fine)))
         with pytest.raises(spla.ArpackError, match="Starting vector is zero"):
             spla.eigsh(diff.H @ diff, k=1, which="LM", v0=start_vector(coarse.basis.dim))
         assert operator_norm(diff) == 0.0
@@ -285,7 +285,7 @@ class TestHigherOrderNorm:
         # for H0 and beta: max over states of n / (sum eps + beta) at m = 1 is
         # n_max / (n_max m + beta)
         bundle = free_ladder_bundles[0]
-        val = higher_order_norm(bundle, 1.0, shifted_solver(bundle.h.matrix, 1.0))
+        val = higher_order_norm(bundle, 1.0, shifted_solver(bundle.h, 1.0))
         n_max = bundle.basis.n_max
         assert val == pytest.approx(n_max / (n_max * 1.0 + 1.0), rel=1e-10)
 
