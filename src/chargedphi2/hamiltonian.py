@@ -22,9 +22,9 @@ kernel.  `split_kernel`, `charge_kernels` and `free_energies` are lab frame.
 (`fock.streamed`), one at a time, each gauged (`fock.gauge_kernel`, the frame
 of D^* A D with D = diag(i^{N_2})) and folded (`WickKernel.fold`) before the
 next, so each tensor is held once.  `bundle.h` is gauge frame, float64 for an
-even potential and a polynomial even in phi_2, as is its one-particle energy
-`oneparticle.omega_block`.  An eigenvector psi of `bundle.h` is the
-lab-frame state D psi.
+even potential and a polynomial even in phi_2, as are the charge blocks of its
+one-particle energy (`oneparticle.omega_blocks`).  An eigenvector psi of
+`bundle.h` is the lab-frame state D psi.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def interaction_spec(monomials: Sequence[Monomial], g: Potential) -> Interaction
 
 def split_kernel(a1: int, a2: int, p1: int, p2: int, coeff: float, g: Potential, lattice: MomentumLattice):
     """The normal-ordered kernel of coeff phi_1^a1 phi_2^a2 that creates p1
-    species-1 and p2 species-2 particles and annihilates the rest, or None when
-    g_hat vanishes on it identically (a zero profile).
+    species-1 and p2 species-2 particles and annihilates the rest, or None, before
+    any tensor, when g_hat is zero at every total J/v, |J| <= (a1 + a2) n_half.
 
     The split (p1, p2 | q1, q2) carries the binomial count C(a1,p1) C(a2,p2),
     the per-leg weights (4 pi v)^(-1/2) eps^(-1/2), and g_hat at the total
@@ -135,6 +135,8 @@ def split_kernel(a1: int, a2: int, p1: int, p2: int, coeff: float, g: Potential,
     species when it folds the kernel.
     """
     d, p = a1 + a2, p1 + p2
+    if not np.any(g.V_hat(np.arange(-d * lattice.n_half, d * lattice.n_half + 1) / float(lattice.v))):
+        return None
     modes, m = lattice.modes, lattice.size
     wvec = 1.0 / np.sqrt(lattice.dispersion())
     species = (1,) * p1 + (2,) * p2 + (1,) * (a1 - p1) + (2,) * (a2 - p2)
@@ -145,8 +147,6 @@ def split_kernel(a1: int, a2: int, p1: int, p2: int, coeff: float, g: Potential,
         total = total + (1.0 if leg < p else -1.0) * modes.reshape(shape)
         amps = amps * wvec.reshape(shape)
     g_hat = np.asarray(g.V_hat(total), dtype=complex)
-    if not g_hat.any():
-        return None
     return WickKernel(p=p, q=d - p, species=species, coeffs=pref * g_hat * amps)
 
 

@@ -20,15 +20,15 @@ over the gap, far below the contract.  `operator_norm` keeps ARPACK's default,
 machine precision: a norm has no residual contract, and its tests pin it at
 1e-12 relative.
 
-A full dense spectrum goes through one splitter, `reflected_eigvalsh`.  When
-the matrix commutes with an involutive permutation P of its indices (momentum
-parity, say), it is block diagonal in the basis (e_s + e_Ps)/sqrt(2),
-(e_s - e_Ps)/sqrt(2), with each fixed point e_s in the even block; the two
-blocks are diagonalized apart and their eigenvalues merged.  The dense
-ceiling then bounds the larger block, not the whole matrix.  Dense input stays
-dense and sparse input sparse: the commutation is checked a chunk of rows at a
-time and each block is the product iso^T A iso, so no full-size copy of the
-input (a CSR conversion, P A P, or a difference) is ever made.
+The full dense spectrum of a CSR matrix (the probe's H) goes through one
+splitter, `reflected_eigvalsh`.  When the matrix commutes with an involutive
+permutation P of its indices (momentum parity, say), it is block diagonal in
+the basis (e_s + e_Ps)/sqrt(2), (e_s - e_Ps)/sqrt(2), with each fixed point
+e_s in the even block; the two blocks are diagonalized apart and their
+eigenvalues merged.  The dense ceiling then bounds the larger block, not the
+whole matrix.  The commutation is checked a chunk of rows at a time and each
+block is the sparse product iso^T A iso, dense only as a block, so no
+full-size copy of the input (P A P, or a difference) is ever made.
 
 Every self-adjoint Fock operator is one type, `HermitianTriangle`: H held as
 its strictly upper triangle T (CSC) and real, finite diagonal d, and applied as
@@ -123,8 +123,8 @@ def _commutes(mat, perm: np.ndarray) -> bool:
     return all(abs(mat[perm[rows]][:, perm] - mat[rows]).max() <= REFLECTION_RTOL * top for rows in chunks)
 
 
-def reflected_eigvalsh(mat, perm: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of a Hermitian matrix (ndarray or CSR), sorted ascending.
+def reflected_eigvalsh(mat: sp.csr_matrix, perm: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a Hermitian CSR matrix, sorted ascending.
 
     When mat commutes with the involutive permutation perm, the even and odd
     blocks of `reflection_isometries` are diagonalized apart and merged, and the
@@ -133,13 +133,8 @@ def reflected_eigvalsh(mat, perm: np.ndarray) -> np.ndarray:
     """
     isometries = reflection_isometries(perm) if _commutes(mat, perm) else [sp.identity(len(perm), format="csr")]
     check_dense(max(iso.shape[1] for iso in isometries), "reflection block dimension")
-    return np.sort(np.concatenate([_block_eigvalsh(mat, iso) for iso in isometries]))
-
-
-def _block_eigvalsh(mat, iso) -> np.ndarray:
-    """Eigenvalues of iso^T mat iso: a fresh copy, so LAPACK may overwrite it, freed on return."""
-    block = iso.T @ mat @ iso
-    return sla.eigvalsh(block.toarray() if sp.issparse(block) else block, overwrite_a=True, driver="evd")
+    blocks = ((iso.T @ mat @ iso).toarray() for iso in isometries)  # each a fresh copy, so LAPACK may overwrite it
+    return np.sort(np.concatenate([sla.eigvalsh(block, overwrite_a=True, driver="evd") for block in blocks]))
 
 
 def start_vector(n: int) -> np.ndarray:

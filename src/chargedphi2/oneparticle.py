@@ -7,10 +7,10 @@ K(gamma, gamma') / v.  That single 1/v quadrature weight makes the matrix
 the Hilbert-Schmidt norm of the continuum kernel, so the two norm constants
 entering the stability threshold are read off the weighted matrices directly.
 
-Every matrix here is lab frame except the dressed one-particle energy
-`omega_block`, built once in the gauge frame of H (`fock.gauge_kernel`).
-The M x M matrices are refused over `linalg`'s dense ceiling before any is
-made (`check_lattice`, from the lattice's size alone).
+Every matrix here is lab frame except the dressed one-particle energy, built
+once in the gauge frame of H (`fock.gauge_kernel`) as two M x M charge blocks
+(`omega_blocks`).  No matrix here is larger than M x M, and each is refused over
+`linalg`'s dense ceiling before any is made (`check_lattice`, from M alone).
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ParameterError, ShapeError
 from .fock import WickKernel, gauge_kernel
 from .lattice import MomentumLattice
-from .linalg import check_dense, operator_norm, real_if_exact, reflected_eigvalsh
+from .linalg import check_dense, operator_norm, real_if_exact
 from .potentials import Potential
 
 
@@ -130,28 +131,25 @@ def lambda_quant(pot: Potential, lattice: MomentumLattice) -> CouplingReport:
     return CouplingReport(c0=c0, c1=c1, lambda_quant=lam, lattice=lattice)
 
 
-def omega_block(lam: float, pot: Potential, lattice: MomentumLattice) -> np.ndarray:
-    """The dressed one-particle energy D^* omega D in the gauge frame of H.
+def omega_blocks(lam: float, pot: Potential, lattice: MomentumLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The dressed one-particle energy D^* omega D in the gauge frame of H as its
+    two M x M charge blocks (eps + C, eps - C).
 
     omega = [[eps, lam b], [lam b^H, eps]] over the 2M species-major slots and
-    D = diag(i^{N_2}), which multiplies the species-2 slots by i.  Only the
-    off-diagonal block changes: lam b goes through `fock.gauge_kernel` as a
-    (1, 1) kernel from species 2 to species 1, and the gauged corner is laid
-    out once as [[0, c], [c^H, 0]].  The block is float64 for an even potential (b is then
-    imaginary) and complex Hermitian otherwise.
+    D = diag(i^{N_2}) multiplies the species-2 slots by i.  The gauged corner
+    C = i lam b (`fock.gauge_kernel`) is Hermitian for every real V, as b is
+    anti-Hermitian, so D^* omega D = [[eps, C], [C, eps]] is (eps + C) (+)
+    (eps - C) on the modes c+- = (a1 +- a2)/sqrt(2).  Both blocks are float64
+    for an even potential (b is then imaginary) and complex Hermitian otherwise.
     """
-    eps, m = lattice.dispersion(), lattice.size
     corner = gauge_kernel(WickKernel(p=1, q=1, species=(1, 2), coeffs=lam * b_matrix(pot, lattice))).coeffs
-    out = np.zeros((2 * m, 2 * m), dtype=corner.dtype)
-    out[:m, m:] = corner
-    out[m:, :m] = corner.conj().T
-    np.fill_diagonal(out, np.concatenate([eps, eps]))
-    return out
+    eps = np.diag(lattice.dispersion())
+    return eps + corner, eps - corner
 
 
 def omega_bottom(lam: float, pot: Potential, lattice: MomentumLattice) -> float:
-    """The bottom of `omega_block` over its momentum-parity blocks; positive for |lam| < lambda_quant."""
-    return float(reflected_eigvalsh(omega_block(lam, pot, lattice), lattice.slot_reflection())[0])
+    """The bottom of omega, the lower of its `omega_blocks`' bottoms; positive for |lam| < lambda_quant."""
+    return min(float(sla.eigvalsh(b, subset_by_index=[0, 0])[0]) for b in omega_blocks(lam, pot, lattice))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ eigensolve and the probe's evolution and spectrum read its `matrix`.
 
 `bundle.h` and its eigenvectors live in the gauge frame of `fock.gauge_kernel`;
 overlaps, resolvent and number norms are gauge invariant.  The probe gauges
-its lab-frame field coefficients once and evolves them under
-`oneparticle.omega_block`, in the same frame.  The probe's full spectrum is
-the one dense spectrum here; it is split into momentum-parity blocks by
-`linalg`.  The hvz onset overlaps come from the 2M x 2M Gram matrix of the
+its lab-frame field coefficients once and evolves their charge components
+under `oneparticle.omega_blocks`, in the same frame.  The probe's spectrum of H
+is the one full dense spectrum here; it is split into momentum-parity blocks
+by `linalg`.  The hvz onset overlaps come from the 2M x 2M Gram matrix of the
 raised ground state; they and the probe read states through one gather,
 `FockBasis.raised_overlaps`, so no dim x 2M frame and no Wick kernel is built.
 """
@@ -39,7 +39,7 @@ from .linalg import (
     reflected_eigvalsh,
     shifted_solver,
 )
-from .oneparticle import omega_block
+from .oneparticle import omega_blocks
 
 
 def ground_state(op: HermitianTriangle) -> tuple[float, np.ndarray]:
@@ -178,7 +178,7 @@ def resolvent_convergence(
                 gaps.append(operator_norm(_resolvent_difference(prev, bundle, *inverses)))
                 counts.update({key: sum(inv.counts[key] for inv in inverses) for key in inverses[0].counts})
         level = {"v": str(bundle.lattice.v), "kappa": bundle.lattice.kappa, "dim": bundle.basis.dim}
-        rows.append((level, e0, higher_order_norm(bundle, beta, shifted_solver(bundle.h, beta)), bundle.metadata()))
+        rows.append((level, e0, higher_order_norm(bundle, shifted_solver(bundle.h, beta)), bundle.metadata()))
         prev = bundle
     if len(rows) < 2:
         raise ParameterError("need at least two nested levels")
@@ -187,7 +187,7 @@ def resolvent_convergence(
                             number_resolvent_norms=norms, bundles=metadata)
 
 
-def higher_order_norm(bundle: HamiltonianBundle, beta: float, inverse) -> float:
+def higher_order_norm(bundle: HamiltonianBundle, inverse) -> float:
     """|| N (H + beta)^-1 ||, with inverse the level's (H + beta)^-1 (`linalg.shifted_solver`)."""
     op = spla.aslinearoperator(sp.diags(bundle.basis.totals().astype(float))) @ inverse
     with stage("number_norm") as counts:
@@ -249,11 +249,12 @@ def heisenberg_probe(
     intertwine exactly and the expectation is time independent.  f_coeffs is a
     lab-frame vector and psi a state in the frame of bundle.h (the gauge
     frame).  G = F / sqrt(2) is gauged once and evolves in that frame, G_t =
-    exp(-it omega_g) G_0 with omega_g = `omega_block` (real for an even
-    potential), so the values are the lab-frame ones.  No field or
-    annihilator is built: the expectation is 2 Re <G_t, m(psi_t)>, exactly
-    real, with m_s(psi) = <psi, a_s psi> one gather (`FockBasis.raised_overlaps`),
-    once for psi0 and once per time for an explicit psi.  The recurrence time
+    exp(-it omega_g) G_0, so the values are the lab-frame ones: each charge
+    component G+- = (G_1 +- G_2) / sqrt(2) evolves under its M x M block of
+    omega_g (`omega_blocks`).  No field or annihilator is built: the
+    expectation is 2 Re <G_t, m(psi_t)>, exactly real, with m_s(psi) = <psi,
+    a_s psi> one gather (`FockBasis.raised_overlaps`), once for psi0 and once
+    per time for an explicit psi.  The recurrence time
     needs every eigenvalue of H, from `linalg.reflected_eigvalsh` over the
     momentum parity, which refuses a parity block (all of H when H does not
     commute with it) over the dense ceiling; later times are flagged untrusted.
@@ -269,18 +270,19 @@ def heisenberg_probe(
 
     with stage("probe", dim=basis.dim, times=len(times)):
         g0 = gauge_kernel(WickKernel(p=1, q=0, species=(None,), coeffs=f_coeffs / math.sqrt(2.0))).coeffs
-        ww, u = np.linalg.eigh(omega_block(bundle.lam, bundle.pot, bundle.lattice))
-        g_in_eig = u.conj().T @ g0.astype(complex)
+        charges = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # (x_1, x_2) <-> (x+, x-), self-inverse
+        blocks = [np.linalg.eigh(block) for block in omega_blocks(bundle.lam, bundle.pot, bundle.lattice)]
+        g_in_eig = [u.conj().T @ g for (_, u), g in zip(blocks, charges @ g0.reshape(2, -1))]
         hmat = bundle.h.matrix
         he = reflected_eigvalsh(hmat, basis.reflection)
         values, psi_t, t_prev = [], psi, 0.0
         m_t = basis.raised_overlaps(psi, psi[:, None])[:, 0]  # m_s = <psi, a_s psi>
         for t in times:
-            g_t = u @ (np.exp(-1j * t * ww) * g_in_eig)
+            g_t = charges @ np.array([u @ (np.exp(-1j * t * ww) * g) for (ww, u), g in zip(blocks, g_in_eig)])
             if not stationary and t != t_prev:
                 psi_t = spla.expm_multiply(-1j * (t - t_prev) * hmat, psi_t)
                 t_prev, m_t = t, basis.raised_overlaps(psi_t, psi_t[:, None])[:, 0]
-            values.append(2.0 * float(np.vdot(g_t, m_t).real))
+            values.append(2.0 * float(np.vdot(g_t.ravel(), m_t).real))
     return ProbeResult(
         times=tuple(float(t) for t in times),
         values=tuple(values),

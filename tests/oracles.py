@@ -292,6 +292,17 @@ def lab_omega(lam, pot, lat):
     return np.block([[eps, b], [b.conj().T, eps]])
 
 
+def shifted_gaussian(shift):
+    """exp(-(x - shift)^2 / 2): real and not even, so its transform is complex."""
+
+    def v_hat(k):
+        k = np.asarray(k, dtype=float)
+        return np.sqrt(2 * np.pi) * np.exp(-1j * k * shift - k**2 / 2)
+
+    return Potential(label=f"shifted({shift:g})", V=lambda x: np.exp(-((np.asarray(x, float) - shift) ** 2) / 2),
+                     V_hat=v_hat)
+
+
 def dense_probe(bundle, f, times, psi):
     """Heisenberg probe values in the lab frame from the full eigendecomposition.
 

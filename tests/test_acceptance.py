@@ -239,7 +239,7 @@ def test_criterion_08_resolvent_convergence(free_ladder_bundles, ladder_bundles)
 def test_criterion_09_higher_order_uniformity(ladder_bundles):
     # the shift policy of `resolvent_convergence`: 1 + |e0| at the coarsest level
     beta = 1.0 + abs(ground_state(ladder_bundles[0].h)[0])
-    norms = [higher_order_norm(b, beta, shifted_solver(b.h, beta)) for b in ladder_bundles]
+    norms = [higher_order_norm(b, shifted_solver(b.h, beta)) for b in ladder_bundles]
     spread = max(norms) / min(norms)
     ok = spread <= 1.1
     _report(9, ok, f"||N (H+beta)^-1|| across levels: {[f'{x:.5f}' for x in norms]}, spread {spread:.4f} <= 1.1")

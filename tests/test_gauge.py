@@ -17,10 +17,11 @@ from chargedphi2.config import parse_config
 from chargedphi2.fock import (WickKernel, enumerate_basis, fock_embedding, gauge_kernel, hermitian_operator,
                               wick_operator)
 from chargedphi2.hamiltonian import assemble, charge_kernels, free_energies, interaction_spec
-from chargedphi2.oneparticle import omega_bottom
+from chargedphi2.oneparticle import lambda_quant, omega_bottom
 from chargedphi2.potentials import gaussian_potential
 from chargedphi2.spectral import heisenberg_probe, resolvent_convergence
-from oracles import dense_probe, dense_resolvent_gap, interaction_kernels, lab_frame_phases, lab_omega
+from oracles import (dense_probe, dense_resolvent_gap, interaction_kernels, lab_frame_phases, lab_omega,
+                     shifted_gaussian)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -116,6 +117,25 @@ def test_probe_with_species2_components_matches_lab_oracle(desk_bundle, weights)
     res = heisenberg_probe(desk_bundle, full, times, psi)
     assert np.min(np.abs(res.values)) > 1e-3
     assert np.max(np.abs(np.array(res.values) - dense_probe(desk_bundle, full, times, psi))) < 1e-12
+
+
+def test_non_even_probe_evolves_two_m_x_m_blocks(lat9, quartic_spec, monkeypatch):
+    # a shifted V breaks momentum parity; omega still splits into its two
+    # charge blocks, and only those are diagonalized
+    pot = shifted_gaussian(0.7)
+    bundle = assemble(quartic_spec, pot, 0.5 * lambda_quant(pot, lat9).lambda_quant, enumerate_basis(lat9, 2))
+    rng = np.random.default_rng(20240811)
+    psi = rng.standard_normal(bundle.basis.dim) + 1j * rng.standard_normal(bundle.basis.dim)
+    psi /= np.linalg.norm(psi)
+    f = np.exp(-((lat9.modes - 0.5) ** 2))
+    full, times = np.concatenate([0.3 * f, (1.0 - 0.5j) * f]), [0.0, 4.0, 32.0]
+    ref = dense_probe(bundle, full, times, psi)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw))
+    res = heisenberg_probe(bundle, full, times, psi)
+    assert shapes == [(lat9.size, lat9.size)] * 2
+    assert np.min(np.abs(res.values)) > 1e-3
+    assert np.max(np.abs(np.array(res.values) - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])

@@ -19,11 +19,11 @@ from chargedphi2.hamiltonian import (
     leading_form_minimum,
 )
 from chargedphi2.lattice import build_lattice, refinement_ladder
-from chargedphi2.oneparticle import b_matrix, omega_block, operator_norm, pair_kernel
+from chargedphi2.oneparticle import b_matrix, operator_norm, pair_kernel
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.spectral import ground_state
-from oracles import (compress, interaction_kernels, monomial_kernels, safe_columns, smeared_interaction, summed_mirror,
-                     symmetrized)
+from oracles import (compress, interaction_kernels, lab_omega, monomial_kernels, safe_columns, smeared_interaction,
+                     summed_mirror, symmetrized)
 
 # Ground energy of the shipped desk bundle (M=9, n_max=3, quartic polynomial,
 # unit gaussian potential, 0.25-gaussian profile, lambda = 0.1), pinned from a
@@ -409,8 +409,9 @@ class TestAssemble:
         _, hi, _ = _desk_pieces(desk_bundle)
         pair = hermitian_operator(basis, [gauge_kernel(_pair_creator(desk_bundle.pot, desk_bundle.lattice))]).matrix
         # dGamma(d^* A d) = D^* dGamma(A) D: the gauged one-particle block gives the gauged one-body part
-        gauged = omega_block(desk_bundle.lam, desk_bundle.pot, desk_bundle.lattice)
-        one_body = wick_operator(basis, WickKernel(p=1, q=1, species=(None, None), coeffs=gauged)).matrix
+        lab = WickKernel(p=1, q=1, species=(None, None), coeffs=lab_omega(desk_bundle.lam, desk_bundle.pot,
+                                                                          desk_bundle.lattice))
+        one_body = wick_operator(basis, gauge_kernel(lab)).matrix
         alt = one_body + hi + desk_bundle.lam * pair
         diff = np.abs((desk_bundle.h.matrix - alt).toarray()).max()
         assert diff <= 1e-12

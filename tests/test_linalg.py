@@ -12,7 +12,6 @@ from chargedphi2 import cli
 from chargedphi2.config import load_config
 from chargedphi2.errors import ResourceLimitError, ShapeError, SolverError
 from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
-from chargedphi2.oneparticle import omega_block, omega_bottom
 
 
 class TestRule:
@@ -269,14 +268,6 @@ class TestReflectedEigvalsh:
         assert isometry_calls == [bundle.basis.dim]
         assert np.max(np.abs(w - np.linalg.eigvalsh(mat.toarray()))) <= 1e-12
 
-    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
-    def test_one_particle_block(self, lat9, gauss_v, lam, isometry_calls):
-        mat = omega_block(lam, gauss_v, lat9)
-        w = linalg.reflected_eigvalsh(mat, lat9.slot_reflection())
-        assert isometry_calls == [2 * lat9.size]
-        assert np.max(np.abs(w - np.linalg.eigvalsh(mat))) <= 1e-12
-        assert omega_bottom(lam, gauss_v, lat9) == w[0]
-
     def test_broken_reflection_falls_back(self, desk_bundle, isometry_calls):
         perm = desk_bundle.basis.reflection
         s = int(np.flatnonzero(perm != np.arange(len(perm)))[0])
@@ -286,20 +277,6 @@ class TestReflectedEigvalsh:
         w = linalg.reflected_eigvalsh(mat, perm)
         assert isometry_calls == []
         assert np.max(np.abs(w - np.linalg.eigvalsh(mat.toarray()))) <= 1e-12
-
-    @pytest.mark.parametrize("bump", [0.0, 1e-3])
-    def test_dense_and_csr_input_agree(self, lat9, gauss_v, bump, isometry_calls):
-        # bump 0 commutes with the slot reflection; a bump on one slot but not its mirror does not
-        mat = omega_block(0.5, gauss_v, lat9)
-        perm = lat9.slot_reflection()
-        mat[0, 0] += bump
-        kept = mat.copy()
-        dense = linalg.reflected_eigvalsh(mat, perm)
-        csr = linalg.reflected_eigvalsh(sp.csr_matrix(mat), perm)
-        assert isometry_calls == ([] if bump else [2 * lat9.size] * 2)
-        assert np.array_equal(mat, kept)
-        assert np.max(np.abs(dense - csr)) <= 1e-12
-        assert np.max(np.abs(dense - np.linalg.eigvalsh(mat))) <= 1e-12
 
     def test_isometries_block_the_reflection(self, desk_bundle):
         perm = desk_bundle.basis.reflection

@@ -35,10 +35,12 @@ def test_quantize_report_peak():
 
 
 def test_omega_bottom_peak():
-    # 48.3 MiB with a complex lab-frame block and a CSR copy of it (2M = 1,026)
+    # 48.3 MiB with a complex lab-frame block and a CSR copy of it (2M = 1,026);
+    # 18.2 MiB with the gauged 2M x 2M block and its parity split; 12.2 MiB with
+    # the two M x M charge blocks (M = 513)
     cfg = load_config(CONFIGS / "lambda_quant.json")
     lattice, pot = cfg.base_lattice(), cfg.make_potential()
-    assert _peak_mib(lambda: omega_bottom(cfg.coupling.lam, pot, lattice)) <= 28.0
+    assert _peak_mib(lambda: omega_bottom(cfg.coupling.lam, pot, lattice)) <= 13.0
 
 
 def test_lambda_quant_peak():
@@ -75,6 +77,18 @@ def test_m17_assemble_peak():
     # TERM_BUDGET terms, T's buffers and the two (3, 1) kernels' Wick matrices
     cfg, basis = _m17_bundle()
     assert _peak_mib(lambda: cli._bundle(cfg, basis)) <= 21.0
+
+
+def test_zero_cutoff_builds_no_kernel_tensor():
+    # 544.8 MiB building every split's 65^4 complex tensors before finding g_hat
+    # zero (65 modes, n_max 2, dim 8,646); 0.5 MiB deciding it from g_hat on the
+    # possible total momenta, with the zero charge kernels
+    cfg = load_config(CONFIGS / "free.json")
+    cfg = dataclasses.replace(cfg, lattice=dataclasses.replace(cfg.lattice, v="16"))
+    basis = cli._basis(cfg, cfg.base_lattice())
+    assert (basis.lattice.size, basis.dim) == (65, 8_646)
+    spec = interaction_spec(cfg.polynomial.coeffs, cfg.make_cutoff())
+    assert _peak_mib(lambda: hamiltonian_terms(spec, cfg.make_potential(), cfg.coupling.lam, basis)) <= 1.0
 
 
 def test_m17_kernel_phase_peak():

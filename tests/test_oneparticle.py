@@ -13,7 +13,7 @@ from chargedphi2.oneparticle import (
     b_matrix,
     hs_norm_squared,
     lambda_quant,
-    omega_block,
+    omega_blocks,
     omega_bottom,
     operator_norm,
     pair_kernel,
@@ -28,7 +28,7 @@ from chargedphi2.potentials import (
     lorentzian_potential,
     zero_potential,
 )
-from oracles import lab_omega, sampled_potential, scaled, weyl_quantize_loop
+from oracles import lab_omega, sampled_potential, scaled, shifted_gaussian, weyl_quantize_loop
 
 BUILTIN_POTENTIALS = [
     gaussian_potential(1.0, 1.0),
@@ -166,21 +166,10 @@ class TestLambdaQuant:
         assert abs(last.c1 - prev.c1) <= 1e-2 * last.c1
 
 
-def shifted_gaussian(shift):
-    """exp(-(x - shift)^2 / 2): real and not even, so its transform is complex."""
-
-    def v_hat(k):
-        k = np.asarray(k, dtype=float)
-        return np.sqrt(2 * np.pi) * np.exp(-1j * k * shift - k**2 / 2)
-
-    return Potential(label=f"shifted({shift:g})", V=lambda x: np.exp(-((np.asarray(x, float) - shift) ** 2) / 2),
-                     V_hat=v_hat)
-
-
 class TestOmegaBlock:
     def test_free_block_spectrum(self, lat9):
-        w = np.linalg.eigvalsh(omega_block(0.0, zero_potential(), lat9))
-        assert np.allclose(np.sort(w), np.sort(np.repeat(lat9.dispersion(), 2)))
+        for block in omega_blocks(0.0, zero_potential(), lat9):
+            assert np.array_equal(block, np.diag(lat9.dispersion()))
         assert omega_bottom(0.0, zero_potential(), lat9) == pytest.approx(lat9.m)
 
     def test_positive_below_threshold(self, gauss_v, lat9):
@@ -203,23 +192,34 @@ class TestOmegaBlock:
         assert hi >= lq * (1 - 1e-9)
 
     def test_hermitian_assembly(self, gauss_v, lat9):
-        # an even potential gives a real block in the gauge frame
-        full = omega_block(0.3, gauss_v, lat9)
-        assert full.dtype == np.float64
-        assert np.max(np.abs(full - full.conj().T)) <= 1e-12
+        # an even potential gives real blocks in the gauge frame
+        for block in omega_blocks(0.3, gauss_v, lat9):
+            assert block.shape == (lat9.size, lat9.size) and block.dtype == np.float64
+            assert np.max(np.abs(block - block.T)) <= 1e-15
 
-    def test_non_even_potential_takes_the_unsplit_fallback(self, lat9, monkeypatch):
+    def test_non_even_potential_gives_complex_hermitian_blocks(self, lat9):
         pot = shifted_gaussian(0.7)
         lam = 0.5 * lambda_quant(pot, lat9).lambda_quant
-        block = omega_block(lam, pot, lat9)
-        assert block.dtype == np.complex128 and np.any(block.imag)
-        assert np.array_equal(block, block.conj().T)
-        splits = []
-        isometries = linalg.reflection_isometries
-        monkeypatch.setattr(linalg, "reflection_isometries", lambda perm: splits.append(perm) or isometries(perm))
-        bottom = omega_bottom(lam, pot, lat9)
-        assert splits == []
-        assert bottom == pytest.approx(np.linalg.eigvalsh(lab_omega(lam, pot, lat9))[0], abs=1e-12)
+        plus, minus = omega_blocks(lam, pot, lat9)
+        assert plus.dtype == np.complex128 and np.any(plus.imag)
+        assert max(np.max(np.abs(b - b.conj().T)) for b in (plus, minus)) <= 1e-15
+        assert np.array_equal(plus + minus, 2 * np.diag(lat9.dispersion()))
+
+    @pytest.mark.parametrize("pot", [gaussian_potential(1.0, 1.0), lorentzian_potential(0.7, 1.3),
+                                     shifted_gaussian(0.7)], ids=lambda p: p.label)
+    def test_blocks_carry_the_full_spectrum(self, lat9, pot):
+        # the 2M eigenvalues of the lab-frame omega are those of its two charge blocks
+        lam = 0.5 * lambda_quant(pot, lat9).lambda_quant
+        split = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in omega_blocks(lam, pot, lat9)]))
+        assert np.max(np.abs(split - np.linalg.eigvalsh(lab_omega(lam, pot, lat9)))) <= 1e-12
+
+    def test_non_even_bottom_stays_under_a_ceiling_of_m(self, lat9, monkeypatch):
+        # the dense ceiling at M admits the M x M blocks, not a 2M x 2M omega
+        pot = shifted_gaussian(0.7)
+        lam = 0.5 * lambda_quant(pot, lat9).lambda_quant
+        lab = np.linalg.eigvalsh(lab_omega(lam, pot, lat9))[0]
+        monkeypatch.setattr(linalg, "DENSE_CEILING", lat9.size)
+        assert omega_bottom(lam, pot, lat9) == pytest.approx(lab, abs=1e-12)
 
 
 class TestWeyl:

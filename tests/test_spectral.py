@@ -285,7 +285,7 @@ class TestHigherOrderNorm:
         # for H0 and beta: max over states of n / (sum eps + beta) at m = 1 is
         # n_max / (n_max m + beta)
         bundle = free_ladder_bundles[0]
-        val = higher_order_norm(bundle, 1.0, shifted_solver(bundle.h, 1.0))
+        val = higher_order_norm(bundle, shifted_solver(bundle.h, 1.0))
         n_max = bundle.basis.n_max
         assert val == pytest.approx(n_max / (n_max * 1.0 + 1.0), rel=1e-10)
 
