@@ -9,11 +9,12 @@ error, 3 stability error, 4 solver failure, 5 missing golden suite, 6 a size
 over a resource cap (found before any array exists) or out of memory, 7 any
 other violated contract (an odd or unbounded polynomial, say), 1 anything else.
 
-Stderr gets one line per stage as it ends (`errors.stage`: basis, kernels,
-stream, solve, overlaps, gap_norm, number_norm, probe, persist), after a
-line of numpy and scipy versions, OPENBLAS_NUM_THREADS and CPU count, and
-before any error line.  Under PYTHONTRACEMALLOC=1 each stage line adds the
-traced bytes held at its end and their peak within it.
+Stderr gets one line per stage as it ends (`errors.stage`: basis, kernels, stream,
+solve, overlaps, gap_norm, number_norm, probe, coupling, omega, free_check,
+generator, polar, residuals, persist), after a line of numpy and scipy versions,
+OPENBLAS_NUM_THREADS and CPU count, and before any error line.  Under
+PYTHONTRACEMALLOC=1 each stage line adds the traced bytes held at its end and
+their peak within it.
 
 Environment override (the only one honored): CHARGEDPHI2_OUTDIR replaces the
 configured output directory.  BLAS threads follow OMP/OPENBLAS/MKL_NUM_THREADS.
@@ -150,8 +151,10 @@ def run_lambda_quant(cfg, outdir: Path) -> dict:
 
     lattice = cfg.base_lattice()
     pot = cfg.make_potential()
-    report = lambda_quant(pot, lattice).as_dict()
-    report["min_eig_omega"] = omega_bottom(cfg.coupling.lam, pot, lattice)
+    with errors.stage("coupling", modes=lattice.size):
+        report = lambda_quant(pot, lattice).as_dict()
+    with errors.stage("omega"):
+        report["min_eig_omega"] = omega_bottom(cfg.coupling.lam, pot, lattice)
     report["lambda"] = cfg.coupling.lam
     quantities = {
         "c0": "half operator norm of eps^-1 V + V eps^-1",

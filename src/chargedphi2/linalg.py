@@ -133,8 +133,9 @@ def reflected_eigvalsh(mat: sp.csr_matrix, perm: np.ndarray) -> np.ndarray:
     """
     isometries = reflection_isometries(perm) if _commutes(mat, perm) else [sp.identity(len(perm), format="csr")]
     check_dense(max(iso.shape[1] for iso in isometries), "reflection block dimension")
-    blocks = ((iso.T @ mat @ iso).toarray() for iso in isometries)  # each a fresh copy, so LAPACK may overwrite it
-    return np.sort(np.concatenate([sla.eigvalsh(block, overwrite_a=True, driver="evd") for block in blocks]))
+    # each block is a fresh copy, so LAPACK may overwrite it, and is dropped after its eigvalsh
+    parts = [sla.eigvalsh((iso.T @ mat @ iso).toarray(), overwrite_a=True, driver="evd") for iso in isometries]
+    return np.sort(np.concatenate(parts))
 
 
 def start_vector(n: int) -> np.ndarray:
@@ -256,13 +257,15 @@ def shifted_solver(op: HermitianTriangle, beta: float) -> spla.LinearOperator:
     return inverse
 
 
-def operator_norm(a) -> float:
+def operator_norm(a, hermitian: bool = False) -> float:
     """Largest singular value of an array, sparse matrix or LinearOperator.
 
     An operator whose a^H a is small by the rule goes through a dense SVD.
     Otherwise Lanczos finds the top eigenvalue of a^H a from the seeded start
     vector; an operator that maps that vector to exactly zero is taken to be
-    zero and gives 0.0, since ARPACK refuses a zero starting residual.
+    zero and gives 0.0, since ARPACK refuses a zero starting residual.  For a
+    Hermitian a (hermitian=True) Lanczos runs on a itself, with about half the
+    applications, for every n > ncv(1): an application may cost solves.
     """
     if not (sp.issparse(a) or isinstance(a, spla.LinearOperator)):
         a = np.asarray(a)
@@ -270,14 +273,14 @@ def operator_norm(a) -> float:
             raise ShapeError("operator_norm expects a matrix")
     op = spla.aslinearoperator(a)
     n = op.shape[1]
-    if use_dense(n):
+    if (n <= ncv(1)) if hermitian else use_dense(n):
         dense = a if isinstance(a, np.ndarray) else op.matmat(np.eye(n, dtype=op.dtype))
         return float(np.linalg.svd(dense, compute_uv=False)[0])
     v0 = start_vector(n)
     if not np.any(op.matvec(v0)):
         return 0.0
     try:
-        top = spla.eigsh(op.H @ op, k=1, which="LM", v0=v0, ncv=ncv(1), return_eigenvectors=False)
+        top = spla.eigsh(op if hermitian else op.H @ op, k=1, which="LM", v0=v0, ncv=ncv(1), return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise SolverError(f"Lanczos norm failed to converge: {exc}") from exc
-    return math.sqrt(max(float(top[0].real), 0.0))
+    return abs(float(top[0].real)) if hermitian else math.sqrt(max(float(top[0].real), 0.0))

@@ -7,10 +7,11 @@ K(gamma, gamma') / v.  That single 1/v quadrature weight makes the matrix
 the Hilbert-Schmidt norm of the continuum kernel, so the two norm constants
 entering the stability threshold are read off the weighted matrices directly.
 
-Every matrix here is lab frame except the dressed one-particle energy, built
-once in the gauge frame of H (`fock.gauge_kernel`) as two M x M charge blocks
-(`omega_blocks`).  No matrix here is larger than M x M, and each is refused over
-`linalg`'s dense ceiling before any is made (`check_lattice`, from M alone).
+Every matrix here is lab frame except the dressed one-particle energy, built in
+H's gauge frame as its two M x M charge blocks (`omega_blocks`).  For a real
+V_hat (an even V) the potential matrix, the threshold's arithmetic and both
+blocks are float64, with no complex temporary.  No matrix here is larger than
+M x M, and each is refused over the dense ceiling first (`check_lattice`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ParameterError, ShapeError
-from .fock import WickKernel, gauge_kernel
 from .lattice import MomentumLattice
 from .linalg import check_dense, operator_norm, real_if_exact
 from .potentials import Potential
@@ -37,14 +37,24 @@ def check_lattice(lattice: MomentumLattice):
 def potential_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     """Momentum-representation matrix of multiplication by the potential.
 
-    Entry (gamma, gamma') is V_hat(gamma - gamma') / (2 pi v); Hermitian for
-    real potentials since then V_hat(-k) = conj(V_hat(k)).  A lattice over the
-    dense ceiling is refused before any M x M array exists.
+    Entry (gamma, gamma') is V_hat(gamma - gamma') / (2 pi v): Hermitian for
+    real potentials, as V_hat(-k) = conj(V_hat(k)), float64 for a real V_hat.
+    A lattice over the dense ceiling is refused before any M x M array exists.
     """
     check_lattice(lattice)
     g = lattice.modes
-    k_diff = g[:, None] - g[None, :]
-    return np.asarray(pot.V_hat(k_diff), dtype=complex) / (2 * np.pi * float(lattice.v))
+    # times the reciprocal, bitwise what numpy's complex division by a real scalar gives
+    return real_if_exact(np.asarray(pot.V_hat(g[:, None] - g[None, :]))) * (1.0 / (2 * np.pi * float(lattice.v)))
+
+
+def _weighted_potential(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
+    """sym V, sym_ij = (s_i / s_j + s_j / s_i) / 2 for s = eps^1/2, so b = i sym V; float64 for a real V_hat."""
+    m = potential_matrix(pot, lattice)
+    s = np.sqrt(lattice.dispersion())
+    sym = s[:, None] / s[None, :]
+    sym += 1.0 / sym
+    sym *= 0.5
+    return sym * m
 
 
 def b_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
@@ -53,11 +63,7 @@ def b_matrix(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
     b = (i/2)(eps^{1/2} V eps^{-1/2} + eps^{-1/2} V eps^{1/2}) in the momentum
     representation; anti-Hermitian (b^H = -b) for real V.
     """
-    m = potential_matrix(pot, lattice)
-    s = np.sqrt(lattice.dispersion())
-    ratio = s[:, None] / s[None, :]
-    sym = 0.5 * (ratio + 1.0 / ratio)
-    return 1j * sym * m
+    return 1j * _weighted_potential(pot, lattice)
 
 
 def pair_kernel(pot: Potential, lattice: MomentumLattice) -> np.ndarray:
@@ -118,12 +124,13 @@ def lambda_quant(pot: Potential, lattice: MomentumLattice) -> CouplingReport:
     as lambda_quant(t V) = lambda_quant(V) / t.  The potential matrix is real
     for an even potential, and then so is all the arithmetic here.
     """
-    m = real_if_exact(potential_matrix(pot, lattice))
+    m = potential_matrix(pot, lattice)
     eps = lattice.dispersion()
-    sym = m / eps[None, :] + m / eps[:, None]
+    sym = m / eps[None, :]
+    sym += m / eps[:, None]
     c0 = 0.5 * operator_norm(sym)
     s = np.sqrt(eps)
-    comm = m * (eps[None, :] - eps[:, None])
+    comm = np.multiply(m, eps[None, :] - eps[:, None], out=sym)  # sym's buffer, no longer read
     comm /= s[:, None] * s[None, :]
     c1 = float(np.linalg.norm(comm))
     denom = c0 + c1 / lattice.m
@@ -137,14 +144,16 @@ def omega_blocks(lam: float, pot: Potential, lattice: MomentumLattice) -> tuple[
 
     omega = [[eps, lam b], [lam b^H, eps]] over the 2M species-major slots and
     D = diag(i^{N_2}) multiplies the species-2 slots by i.  The gauged corner
-    C = i lam b (`fock.gauge_kernel`) is Hermitian for every real V, as b is
-    anti-Hermitian, so D^* omega D = [[eps, C], [C, eps]] is (eps + C) (+)
-    (eps - C) on the modes c+- = (a1 +- a2)/sqrt(2).  Both blocks are float64
-    for an even potential (b is then imaginary) and complex Hermitian otherwise.
+    C = i lam b = -lam sym V (`fock.gauge_kernel`) is Hermitian for every real
+    V, as b is anti-Hermitian, so D^* omega D = [[eps, C], [C, eps]] is (eps +
+    C) (+) (eps - C) on the modes c+- = (a1 +- a2)/sqrt(2).  Both blocks are
+    float64, with no complex temporary, for an even potential and complex
+    Hermitian otherwise.
     """
-    corner = gauge_kernel(WickKernel(p=1, q=1, species=(1, 2), coeffs=lam * b_matrix(pot, lattice))).coeffs
-    eps = np.diag(lattice.dispersion())
-    return eps + corner, eps - corner
+    plus = -lam * _weighted_potential(pot, lattice)
+    minus, diag = -plus, np.diag_indices_from(plus)
+    plus[diag], minus[diag] = plus[diag] + lattice.dispersion(), minus[diag] + lattice.dispersion()
+    return plus, minus
 
 
 def omega_bottom(lam: float, pot: Potential, lattice: MomentumLattice) -> float:

@@ -24,7 +24,7 @@ class Potential:
     Attributes:
         label: short name for reports.
         V: vectorized real function of position.
-        V_hat: vectorized complex Fourier transform, f_hat(k) = int e^{-ikx} f.
+        V_hat: vectorized Fourier transform f_hat(k) = int e^{-ikx} f (real for an even V).
         Vp_hat: Fourier transform of the derivative, Vp_hat(k) = i k V_hat(k).
 
     For real V the transform satisfies V_hat(-k) = conj(V_hat(k)).
@@ -43,7 +43,7 @@ def zero_potential() -> Potential:
     return Potential(
         label="zero",
         V=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        V_hat=lambda k: np.zeros_like(np.asarray(k, dtype=float), dtype=complex),
+        V_hat=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
     )
 
 
@@ -59,7 +59,7 @@ def gaussian_potential(amplitude: float = 1.0, width: float = 1.0) -> Potential:
 
     def v_hat(k):
         k = np.asarray(k, dtype=float)
-        return (a * w * np.sqrt(2 * np.pi) * np.exp(-(w**2) * k**2 / 2)).astype(complex)
+        return a * w * np.sqrt(2 * np.pi) * np.exp(-(w**2) * k**2 / 2)
 
     return Potential(label=f"gaussian(a={a:g},w={w:g})", V=v, V_hat=v_hat)
 
@@ -76,7 +76,7 @@ def lorentzian_potential(amplitude: float = 1.0, width: float = 1.0) -> Potentia
 
     def v_hat(k):
         k = np.asarray(k, dtype=float)
-        return (a * w * np.pi * np.exp(-w * np.abs(k))).astype(complex)
+        return a * w * np.pi * np.exp(-w * np.abs(k))
 
     return Potential(label=f"lorentzian(a={a:g},w={w:g})", V=v, V_hat=v_hat)
 

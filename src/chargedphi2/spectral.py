@@ -175,7 +175,7 @@ def resolvent_convergence(
         if prev is not None:  # resolvents cost nothing to make: each stage counts the solves of its own
             inverses = shifted_solver(prev.h, beta), shifted_solver(bundle.h, beta)
             with stage("gap_norm") as counts:
-                gaps.append(operator_norm(_resolvent_difference(prev, bundle, *inverses)))
+                gaps.append(operator_norm(_resolvent_difference(prev, bundle, *inverses), hermitian=True))
                 counts.update({key: sum(inv.counts[key] for inv in inverses) for key in inverses[0].counts})
         level = {"v": str(bundle.lattice.v), "kappa": bundle.lattice.kappa, "dim": bundle.basis.dim}
         rows.append((level, e0, higher_order_norm(bundle, shifted_solver(bundle.h, beta)), bundle.metadata()))

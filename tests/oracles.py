@@ -17,7 +17,6 @@ from chargedphi2.fock import WickKernel, creation, fock_embedding, hermitian_ope
 from chargedphi2.hamiltonian import split_kernel
 from chargedphi2.oneparticle import b_matrix
 from chargedphi2.potentials import Potential
-from chargedphi2.quantization import symplectic_gram
 
 
 def monomial_kernels(a1, a2, coeff, g, lattice):
@@ -344,6 +343,28 @@ def generator_blocks(grid):
             [o, eye, -vd, o],
         ]
     )
+
+
+def symplectic_gram(grid):
+    """Real symplectic Gram: Re omega(y, y') = sum_i (pi_i|phi_i') - (phi_i|pi_i')."""
+    eye, o = np.eye(2 * grid.points), np.zeros((2 * grid.points, 2 * grid.points))
+    return grid.dx * np.block([[o, eye], [-eye, o]])
+
+
+def free_j0(grid):
+    """The canonical free complex structure (pi, phi) -> (-eps phi, eps^-1 pi) per
+    species, written out as a 4G x 4G matrix block by block."""
+    g = grid.points
+    eps = np.sqrt(grid.fft_momenta() ** 2 + grid.m**2)
+    eye, o = np.eye(g), np.zeros((g, g))
+    e, e_inv = (np.real(np.fft.ifft(f[:, None] * np.fft.fft(eye, axis=0), axis=0)) for f in (eps, 1.0 / eps))
+    return np.block([[o, o, -e, o], [o, o, o, -e], [e_inv, o, o, o], [o, e_inv, o, o]])
+
+
+def free_dyn_gram(grid):
+    """Hermitian Gram Omega j0 + i Omega of the free dynamical inner product."""
+    omega = symplectic_gram(grid)
+    return omega @ free_j0(grid) + 1j * omega
 
 
 def full_polar_decompose(gen):

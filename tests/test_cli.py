@@ -436,6 +436,28 @@ class TestArtifacts:
         assert linalg.use_dense(66) and not linalg.use_dense(276)
         assert reads == [(66, 66)]
 
+    def test_gap_norm_runs_lanczos_on_the_hermitian_difference(self, tmp_path, monkeypatch, capsys):
+        # each application of D solves once per level; D^H D took 66 + 66 (dense at dim 66)
+        # and 43 + 43 solves on ladder.json, D itself 32 + 32 per pair
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main(["convergence", str(CONFIGS / "ladder.json")]) == 0
+        gaps = [line for line in capsys.readouterr().err.splitlines() if line.startswith("stage gap_norm ")]
+        solves = [int(line.split(", solves ")[1].split(",")[0]) for line in gaps]
+        assert len(solves) == 2 and all(count < 2 * 43 for count in solves)
+
+    @pytest.mark.parametrize(
+        "subcommand, config, names",
+        [
+            ("lambda-quant", "lambda_quant.json", ["coupling", "omega", "persist"]),
+            ("quantize", "quantize.json", ["free_check", "generator", "polar", "residuals", "persist"]),
+        ],
+    )
+    def test_one_particle_subcommands_log_their_stages(self, tmp_path, monkeypatch, capsys, subcommand, config, names):
+        monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
+        assert cli.main([subcommand, str(CONFIGS / config)]) == 0
+        header, *lines = capsys.readouterr().err.splitlines()
+        assert header.startswith("numpy ") and [line.split(" ")[1] for line in lines] == names
+
     def test_convergence_missed_solve_contract_exit_4(self, tmp_path, monkeypatch, capsys):
         cg = linalg.spla.cg
         monkeypatch.setattr(linalg.spla, "cg", lambda a, b, **kwargs: (cg(a, b, **kwargs)[0], 1))

@@ -162,6 +162,28 @@ class TestOperatorNorm:
     def test_zero_linear_operator_exact(self):
         zero = spla.LinearOperator((500, 500), matvec=np.zeros_like, rmatvec=np.zeros_like, dtype=complex)
         assert operator_norm(zero) == 0.0
+        assert operator_norm(zero, hermitian=True) == 0.0
+
+    @pytest.mark.parametrize("n", [12, 66, 250])
+    def test_hermitian_norm_is_the_largest_eigenvalue_modulus(self, rng, n):
+        # Lanczos on the operator itself from n > ncv(1) = 20, with fewer applications than on a^H a
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = a + a.conj().T - 30.0 * np.eye(n)  # its largest |eigenvalue| is a negative one
+        calls = {"herm": 0, "gram": 0}
+
+        def counted(key):
+            def apply(x):
+                calls[key] += 1
+                return a @ x
+            return spla.LinearOperator(a.shape, matvec=apply, rmatvec=apply, dtype=complex)
+
+        ref = np.max(np.abs(np.linalg.eigvalsh(a)))
+        assert operator_norm(counted("herm"), hermitian=True) == pytest.approx(ref, rel=1e-12)
+        assert operator_norm(counted("gram")) == pytest.approx(ref, rel=1e-12)
+        if n > linalg.ncv(1):  # the a^H a route reads n columns under the dense rule and Lanczos above it
+            assert calls["herm"] < min(n, calls["gram"])
+        else:  # both read the n columns of the identity
+            assert calls["herm"] == calls["gram"] == n
 
     def test_nonconvergence_raises_solver_error(self, rng, monkeypatch):
         def stuck(*args, **kwargs):

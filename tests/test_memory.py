@@ -11,6 +11,7 @@ from pathlib import Path
 from chargedphi2 import cli
 from chargedphi2.config import load_config
 from chargedphi2.hamiltonian import hamiltonian_terms, interaction_spec
+from chargedphi2.linalg import reflected_eigvalsh
 from chargedphi2.oneparticle import lambda_quant, omega_bottom
 from chargedphi2.quantization import phase_space_grid, quantize_report
 from chargedphi2.spectral import hvz_gap_probe
@@ -28,26 +29,41 @@ def _peak_mib(fn) -> float:
 
 
 def test_quantize_report_peak():
-    # 44.1 MiB with the full 4G x 4G polar decomposition and a stored Gram
+    # 44.1 MiB with the full 4G x 4G polar decomposition and a stored Gram; 14.2 MiB
+    # with the polar solved per charge sector from stored 4G x 4G matrices (G = 128);
+    # 6.5 MiB building and keeping only the 2G x 2G sector blocks
     cfg = load_config(CONFIGS / "quantize.json")
     grid = phase_space_grid(cfg.grid.points, cfg.grid.length, cfg.lattice.mass, cfg.make_potential())
-    assert _peak_mib(lambda: quantize_report(grid)) <= 20.0
+    assert _peak_mib(lambda: quantize_report(grid)) <= 7.0
 
 
 def test_omega_bottom_peak():
     # 48.3 MiB with a complex lab-frame block and a CSR copy of it (2M = 1,026);
     # 18.2 MiB with the gauged 2M x 2M block and its parity split; 12.2 MiB with
-    # the two M x M charge blocks (M = 513)
+    # the two M x M charge blocks (M = 513); 6.2 MiB with the gauged corner made
+    # float64 for the even potential, with no complex temporary
     cfg = load_config(CONFIGS / "lambda_quant.json")
     lattice, pot = cfg.base_lattice(), cfg.make_potential()
-    assert _peak_mib(lambda: omega_bottom(cfg.coupling.lam, pot, lattice)) <= 13.0
+    assert _peak_mib(lambda: omega_bottom(cfg.coupling.lam, pot, lattice)) <= 6.5
 
 
 def test_lambda_quant_peak():
-    # 18.2 MiB with a complex potential matrix and a complex temporary per step (M = 513)
+    # 18.2 MiB with a complex potential matrix and a complex temporary per step (M = 513);
+    # 8.2 MiB with a complex transform cast to float64; 6.2 MiB with a real transform
+    # and the commutator written over the spent symmetric sum
     cfg = load_config(CONFIGS / "lambda_quant.json")
     lattice, pot = cfg.base_lattice(), cfg.make_potential()
-    assert _peak_mib(lambda: lambda_quant(pot, lattice)) <= 10.0
+    assert _peak_mib(lambda: lambda_quant(pot, lattice)) <= 6.5
+
+
+def test_reflected_eigvalsh_peak():
+    # 21.7 MiB holding the previous dense parity block while the next one is built
+    # (dim 2,300); 12.0 MiB dropping each after its eigvalsh
+    cfg = load_config(CONFIGS / "probe.json")
+    bundle = cli._bundle(cfg, cli._basis(cfg, cfg.base_lattice()))
+    hmat, reflection = bundle.h.matrix, bundle.basis.reflection
+    assert hmat.shape == (2_300, 2_300)
+    assert _peak_mib(lambda: reflected_eigvalsh(hmat, reflection)) <= 12.5
 
 
 def test_assemble_peak():

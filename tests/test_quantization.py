@@ -15,15 +15,14 @@ from chargedphi2.quantization import (
     charge_sectors,
     dyn_inner,
     free_complex_structure,
-    free_dyn_gram,
     free_identification,
+    from_sectors,
     phase_space_grid,
     polar_decompose,
     positivity_margin,
     quantize_report,
-    symplectic_gram,
 )
-from oracles import full_polar_decompose, generator_blocks
+from oracles import free_dyn_gram, free_j0, full_polar_decompose, generator_blocks, symplectic_gram
 
 G = 64
 L = 16.0
@@ -148,6 +147,17 @@ class TestChargeSectors:
             ref = y1 @ gram @ y2
             assert abs(dyn_inner(ks, y1, y2) - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_block_residuals_are_the_full_norms(self):
+        # j^2 + 1 is block diagonal and j h - a block antidiagonal, so the maxima over blocks are the 4G norms
+        grid = phase_space_grid(32, 8.0, 1.0, gaussian_potential(0.2, 1.0))
+        gen = build_generator(grid)
+        ks = polar_decompose(gen)
+        j_sq = np.linalg.norm(ks.j @ ks.j + np.eye(128), 2)
+        recon = np.linalg.norm(ks.j @ ks.h_v - gen.matrix, 2) / np.linalg.norm(gen.matrix, 2)
+        assert 0.0 < j_sq < 1e-10 and 0.0 < recon < 1e-10
+        assert ks.j_square_residual() == pytest.approx(j_sq, rel=1e-9)
+        assert ks.reconstruction_residual(gen) == pytest.approx(recon, rel=1e-9)
+
 
 class TestPolar:
     def test_free_spectrum_matches_fft_dispersion(self, free_grid):
@@ -157,8 +167,13 @@ class TestPolar:
 
     def test_free_polar_equals_canonical_structure(self, free_grid):
         ks = polar_decompose(build_generator(free_grid))
-        j0 = free_complex_structure(free_grid)
+        j0 = free_j0(free_grid)
         assert operator_norm(ks.j - j0) / operator_norm(j0) < 1e-10
+
+    def test_free_structure_is_its_off_sector_block(self, free_grid):
+        # j0 maps each sector into the other by the one block free_complex_structure returns
+        blk = free_complex_structure(free_grid)
+        assert np.max(np.abs(from_sectors((blk, blk), off=True) - free_j0(free_grid))) <= 1e-15
 
     def test_j_square_and_reconstruction(self, gauss_grid, gauss_ks):
         gen = build_generator(gauss_grid)
@@ -234,7 +249,7 @@ class TestFreeIdentification:
             assert l2 == pytest.approx((y @ gram @ y).real, rel=1e-12)
 
     def test_intertwines_multiplication_by_i(self, free_grid, rng):
-        j0 = free_complex_structure(free_grid)
+        j0 = free_j0(free_grid)
         y = rng.standard_normal(4 * G)
         u1, u2 = free_identification(free_grid, y)
         w1, w2 = free_identification(free_grid, j0 @ y)
