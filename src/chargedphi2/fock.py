@@ -70,7 +70,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from .lattice import MomentumLattice, build_nested
-from .linalg import HermitianTriangle, operator_norm, real_if_exact
+from .linalg import HermitianTriangle, real_if_exact
 
 HARD_DIMENSION_CAP = 200_000
 # Basis columns per block of `_wick_blocks` and per range of the `hermitian_parts` stream.
@@ -223,22 +223,6 @@ class FockOperator:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-
-def _unit_kernel(basis: FockBasis, species: int, gamma: float, create: bool) -> WickKernel:
-    coeffs = np.zeros(basis.n_modes, dtype=complex)
-    coeffs[basis.mode_index(gamma)] = 1.0
-    return WickKernel(p=int(create), q=int(not create), species=(species,), coeffs=coeffs)
-
-
-def creation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
-    """Bosonic creator at the given momentum; kills the top sector."""
-    return wick_operator(basis, _unit_kernel(basis, species, gamma, create=True))
-
-
-def annihilation(basis: FockBasis, species: int, gamma: float) -> FockOperator:
-    """Bosonic annihilator at the given momentum."""
-    return wick_operator(basis, _unit_kernel(basis, species, gamma, create=False))
 
 
 @dataclass(frozen=True)
@@ -408,7 +392,7 @@ def wick_operator(basis: FockBasis, kern: WickKernel) -> FockOperator:
 
     All creators stand left of all annihilators, so the vacuum expectation
     vanishes whenever p + q > 0.  Columns whose image would exceed the
-    particle cap are dropped (the truncation convention of `creation`).
+    particle cap are dropped: creation out of the top sector gives zero.
     A run of adjacent legs with one species label is expanded over
     non-decreasing slot tuples only, each carrying the sum of the coefficients
     of its distinct orderings (`_fold_run`, in a fixed permutation order);
@@ -557,29 +541,6 @@ def gauge_kernel(kern: WickKernel) -> WickKernel:
         phase[width // 2 if s is None else 0 :] = -1j if axis < kern.p else 1j
         coeffs = coeffs * phase.reshape((width,) + (1,) * (coeffs.ndim - axis - 1))
     return WickKernel(p=kern.p, q=kern.q, species=kern.species, coeffs=real_if_exact(coeffs))
-
-
-def annihilator_of(basis: FockBasis, f: np.ndarray) -> FockOperator:
-    """a(f) = sum_s conj(f_s) a_s over all 2M slots (antilinear in f)."""
-    coeffs = np.conj(np.asarray(f, dtype=complex))
-    return wick_operator(basis, WickKernel(p=0, q=1, species=(None,), coeffs=coeffs))
-
-
-def ntau_check(basis: FockBasis, f: np.ndarray, bmult: np.ndarray) -> tuple[float, float]:
-    """Evaluate both sides of the annihilator bound against a weighted number.
-
-    Returns (|| a(f) (dGamma(b) + 1)^{-1/2} ||, || b^{-1/2} f ||); the first
-    never exceeds the second for positive slot weights b.
-    """
-    bmult = np.asarray(bmult, dtype=float)
-    if bmult.shape != (basis.n_slots,) or np.any(bmult <= 0):
-        raise ParameterError("weights must be positive over all slots")
-    f = np.asarray(f, dtype=complex)
-    a_f = annihilator_of(basis, f)
-    diag = basis.occ @ bmult
-    lhs = operator_norm(a_f.matrix @ sp.diags(1.0 / np.sqrt(diag + 1.0)))
-    rhs = float(np.linalg.norm(f / np.sqrt(bmult)))
-    return lhs, rhs
 
 
 def fock_embedding(coarse: FockBasis, fine: FockBasis) -> sp.csr_matrix:

@@ -51,7 +51,7 @@ class PhaseSpaceGrid:
 def phase_space_grid(points: int, length: float, m: float, pot: Potential) -> PhaseSpaceGrid:
     if points < 2 or points % 2 != 0:
         raise ParameterError(f"grid size must be even and >= 2, got {points}")
-    check_dense(4 * points, "phase-space matrix dimension")  # j and h read as 4G x 4G matrices
+    check_dense(2 * points, "phase-space matrix dimension")  # quantize builds no matrix over 2G x 2G
     if length <= 0 or m <= 0:
         raise ParameterError(f"length and mass must be positive, got {length}, {m}")
     dx = length / points
@@ -76,6 +76,7 @@ def charge_sectors(points: int) -> tuple[np.ndarray, np.ndarray]:
 def from_sectors(blocks: tuple, off: bool) -> np.ndarray:
     """The 4G x 4G matrix whose only nonzero blocks are blocks: (A, A), (B, B), or (A, B), (B, A) when off."""
     a, b = charge_sectors(blocks[0].shape[0] // 2)
+    check_dense(2 * a.size, "phase-space matrix dimension")  # every 4G layout is read through here
     out = np.zeros((2 * a.size, 2 * a.size))
     for (x, y), blk in zip([(a, b), (b, a)] if off else [(a, a), (b, b)], blocks):
         out[np.ix_(x, y)] = blk

@@ -13,10 +13,50 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from chargedphi2.errors import ParameterError
-from chargedphi2.fock import WickKernel, creation, fock_embedding, hermitian_operator, wick_operator
+from chargedphi2.fock import WickKernel, fock_embedding, hermitian_operator, wick_operator
 from chargedphi2.hamiltonian import split_kernel
+from chargedphi2.linalg import operator_norm
 from chargedphi2.oneparticle import b_matrix
 from chargedphi2.potentials import Potential
+
+
+def _unit_kernel(basis, species, gamma, create):
+    coeffs = np.zeros(basis.n_modes, dtype=complex)
+    coeffs[basis.mode_index(gamma)] = 1.0
+    return WickKernel(p=int(create), q=int(not create), species=(species,), coeffs=coeffs)
+
+
+def creation(basis, species, gamma):
+    """Bosonic creator at the given momentum; kills the top sector."""
+    return wick_operator(basis, _unit_kernel(basis, species, gamma, create=True))
+
+
+def annihilation(basis, species, gamma):
+    """Bosonic annihilator at the given momentum."""
+    return wick_operator(basis, _unit_kernel(basis, species, gamma, create=False))
+
+
+def annihilator_of(basis, f):
+    """a(f) = sum_s conj(f_s) a_s over all 2M slots (antilinear in f)."""
+    coeffs = np.conj(np.asarray(f, dtype=complex))
+    return wick_operator(basis, WickKernel(p=0, q=1, species=(None,), coeffs=coeffs))
+
+
+def ntau_check(basis, f, bmult):
+    """Evaluate both sides of the annihilator bound against a weighted number.
+
+    Returns (|| a(f) (dGamma(b) + 1)^{-1/2} ||, || b^{-1/2} f ||); the first
+    never exceeds the second for positive slot weights b.
+    """
+    bmult = np.asarray(bmult, dtype=float)
+    if bmult.shape != (basis.n_slots,) or np.any(bmult <= 0):
+        raise ParameterError("weights must be positive over all slots")
+    f = np.asarray(f, dtype=complex)
+    a_f = annihilator_of(basis, f)
+    diag = basis.occ @ bmult
+    lhs = operator_norm(a_f.matrix @ sp.diags(1.0 / np.sqrt(diag + 1.0)))
+    rhs = float(np.linalg.norm(f / np.sqrt(bmult)))
+    return lhs, rhs
 
 
 def monomial_kernels(a1, a2, coeff, g, lattice):

@@ -306,18 +306,18 @@ class TestCliExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["m4001.json"]
 
     def test_quantize_grid_over_the_dense_ceiling_exits_6(self, tmp_path, monkeypatch, capsys):
-        # 1,002 points make 4,008 x 4,008 phase-space matrices; `phase_space_grid`
+        # 2,002 points make 4,004 x 4,004 sector blocks; `phase_space_grid`
         # refuses the grid before any of them exists
         monkeypatch.setenv("CHARGEDPHI2_OUTDIR", str(tmp_path))
         raw = json.loads((CONFIGS / "quantize.json").read_text())
-        raw["grid"]["points"] = 1002
-        cfg = tmp_path / "g1002.json"
+        raw["grid"]["points"] = 2002
+        cfg = tmp_path / "g2002.json"
         cfg.write_text(json.dumps(raw))
         start = time.perf_counter()
         assert cli.main(["quantize", str(cfg)]) == cli.EXIT_RESOURCE == 6
         assert time.perf_counter() - start < 2.0
-        assert "phase-space matrix dimension 4008 exceeds the dense ceiling 4000" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["g1002.json"]
+        assert "phase-space matrix dimension 4004 exceeds the dense ceiling 4000" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["g2002.json"]
 
     @pytest.mark.parametrize("subcommand", ["hvz", "convergence"])
     def test_ladder_over_the_cap_exits_6_before_any_level(self, tmp_path, monkeypatch, capsys, subcommand):

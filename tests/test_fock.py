@@ -12,24 +12,21 @@ from chargedphi2 import cli, fock, linalg
 from chargedphi2.errors import ContractError, ParameterError, ResourceLimitError, ShapeError
 from chargedphi2.fock import (
     WickKernel,
-    annihilation,
-    annihilator_of,
-    creation,
     enumerate_basis,
     fock_dimension,
     fock_embedding,
     gauge_kernel,
     hermitian_operator,
     hermitian_parts,
-    ntau_check,
     wick_operator,
 )
 from chargedphi2.config import load_config
 from chargedphi2.hamiltonian import charge_kernels, free_energies, interaction_spec
 from chargedphi2.lattice import build_lattice, build_nested, refinement_ladder
 from chargedphi2.potentials import zero_potential
-from oracles import (dense_wick, enumerated_occupations, interaction_kernels, safe_columns, smeared_field_coefficients,
-                     sorted_hermitian_parts, summed_mirror, symmetrized, triangle_entries, two_particle_tensor)
+from oracles import (annihilation, annihilator_of, creation, dense_wick, enumerated_occupations, interaction_kernels,
+                     ntau_check, safe_columns, smeared_field_coefficients, sorted_hermitian_parts, summed_mirror,
+                     symmetrized, triangle_entries, two_particle_tensor)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

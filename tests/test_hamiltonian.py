@@ -236,7 +236,7 @@ class TestChargeOperator:
     def test_commutator_identity(self, basis3, lat3, gauss_v):
         # removing a species-1 particle from the mixer leaves the species-2
         # annihilator smeared with the matching row of b
-        from chargedphi2.fock import annihilation, annihilator_of
+        from oracles import annihilation, annihilator_of
 
         qd, _ = _split_by_number(basis3, hermitian_operator(basis3, charge_kernels(gauss_v, lat3)).matrix)
         b = b_matrix(gauss_v, lat3)

@@ -11,7 +11,7 @@ import chargedphi2.linalg as linalg
 from chargedphi2 import cli
 from chargedphi2.config import load_config
 from chargedphi2.errors import ResourceLimitError, ShapeError, SolverError
-from chargedphi2.linalg import RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
+from chargedphi2.linalg import NORM_TOL, RESIDUAL_RTOL, lowest_eigenpairs, operator_norm, use_dense
 
 
 class TestRule:
@@ -108,7 +108,7 @@ class TestLowestEigenpairs:
 
     def test_lanczos_stops_at_the_contract(self, rng, monkeypatch):
         # eigsh stops at RESIDUAL_RTOL / 100 and its pairs meet the contract;
-        # operator_norm keeps ARPACK's default, machine precision
+        # operator_norm stops at NORM_TOL and still gives the norm to 1e-12
         tols, ncvs = [], []
         eigsh = linalg.spla.eigsh
 
@@ -122,8 +122,9 @@ class TestLowestEigenpairs:
         w, vecs = lowest_eigenpairs(triangle(h), 3)
         res = np.linalg.norm(h @ vecs - vecs * w, axis=0)
         assert np.all(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(w)))
-        operator_norm(h)
-        assert tols == [RESIDUAL_RTOL / 100, 0]
+        top = np.linalg.norm(h.toarray(), 2)
+        assert abs(operator_norm(h) - top) <= 1e-12 * top
+        assert tols == [RESIDUAL_RTOL / 100, NORM_TOL]
         assert ncvs == [linalg.ncv(3), linalg.ncv(1)] == [20, 20]
 
     def test_lanczos_under_the_ratio_above_the_ceiling(self, rng, monkeypatch):

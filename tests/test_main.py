@@ -1,7 +1,8 @@
 """The `python -m chargedphi2` process: same reports, exit codes and output as `cli.main`.
 
 The process entry freezes the import heap of the numeric stack and runs with
-the collector back on; a library import leaves the collector alone.
+the collector back on, and it defers numpy's unused submodules; a library
+import leaves the collector and `sys.modules` alone.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from chargedphi2 import cli
+from chargedphi2.__main__ import DEFERRED, run
 
 REPO = Path(__file__).resolve().parents[1]
 DESK = REPO / "configs" / "desk_bundle.json"
@@ -95,7 +97,53 @@ def test_entry_exit_codes(tmp_path, edit, code, label, message):
 
 
 def test_library_import_keeps_the_collector():
-    code = "import gc, chargedphi2.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    # and installs no lazy module: with the numeric stack, each deferred name is imported whole
+    code = ("import gc, sys, types, chargedphi2.cli, chargedphi2.linalg; "
+            "print(gc.isenabled(), gc.get_freeze_count(), "
+            f"all(type(sys.modules.get(name)) is types.ModuleType for name in {DEFERRED!r}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["True", "0"]
+    assert out.stdout.split() == ["True", "0", "True"]
+
+
+# Run as `python -m chargedphi2` does; at exit print which heavy modules ran, then touch numpy.testing.
+AT_EXIT = """
+import atexit, json, runpy, sys
+
+def report():
+    loaded = [name for name in WATCHED if name in sys.modules]
+    import numpy
+    numpy.testing.assert_allclose([1.0], [1.0 + 1e-12])
+    try:
+        numpy.testing.assert_allclose([1.0], [1.1])
+        caught = False
+    except AssertionError:
+        caught = True
+    print(json.dumps({"loaded": loaded, "caught": caught}))
+
+atexit.register(report)
+runpy.run_module("chargedphi2", run_name="__main__", alter_sys=True)
+"""
+WATCHED = ["numpy.f2py.crackfortran", "numpy.testing._private.utils", "charset_normalizer"]
+
+
+@pytest.mark.parametrize("sub, cfg", [("spectrum", DESK), ("quantize", REPO / "configs" / "quantize.json")])
+def test_entry_never_runs_the_deferred_modules(tmp_path, sub, cfg):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
+        "CHARGEDPHI2_OUTDIR": str(tmp_path),
+    }
+    code = f"WATCHED = {WATCHED!r}\n{AT_EXIT}"
+    proc = subprocess.run([sys.executable, "-c", code, sub, str(cfg)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the deferred numpy.testing still loads, and works, on its first touch
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"loaded": [], "caught": True}
+
+
+def test_the_script_runs_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]["chargedphi2"]
+    module, _, name = target.partition(":")
+    assert getattr(__import__(module, fromlist=[name]), name) is run

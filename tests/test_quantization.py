@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargedphi2.config import load_config
-from chargedphi2.errors import IllConditionedError, ShapeError, UnstableConfigurationError
+from chargedphi2.errors import IllConditionedError, ResourceLimitError, ShapeError, UnstableConfigurationError
 from chargedphi2.oneparticle import operator_norm
 from chargedphi2.potentials import gaussian_potential, zero_potential
 from chargedphi2.quantization import (
+    KahlerStructure,
+    RealGenerator,
     build_generator,
     charge_sectors,
     dyn_inner,
@@ -111,6 +113,18 @@ class TestGenerator:
 def _shipped_grid():
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quantize.json")
     return phase_space_grid(cfg.grid.points, cfg.grid.length, cfg.lattice.mass, cfg.make_potential())
+
+
+class TestGridCeiling:
+    def test_grid_under_the_block_ceiling_refuses_its_4g_layouts(self):
+        # 1,002 points: the 2,004 x 2,004 sector blocks fit under the dense ceiling, the 4G layouts do not
+        grid = phase_space_grid(1002, L, 1.0, zero_potential())
+        blk = np.broadcast_to(0.0, (2 * grid.points, 2 * grid.points))  # no memory behind it
+        ks = KahlerStructure(grid=grid, h_blocks=(blk, blk), j_blocks=(blk, blk), h_spectrum=np.ones(1))
+        gen = RealGenerator(grid=grid, a_blocks=(blk, blk), metric_blocks=(blk, blk), margin=0.0)
+        for owner, name in [(ks, "j"), (ks, "h_v"), (gen, "matrix"), (gen, "metric")]:
+            with pytest.raises(ResourceLimitError, match="phase-space matrix dimension 4008 exceeds the dense ceiling"):
+                getattr(owner, name)
 
 
 class TestChargeSectors:

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from chargedphi2 import cli, spectral
 from chargedphi2.config import load_config
 from chargedphi2.errors import ParameterError, ResourceLimitError
-from chargedphi2.fock import creation, enumerate_basis, fock_embedding
+from chargedphi2.fock import enumerate_basis, fock_embedding
 from chargedphi2.hamiltonian import assemble, interaction_spec
 from chargedphi2.lattice import build_lattice
 from chargedphi2.linalg import HermitianTriangle, operator_norm, reflected_eigvalsh, shifted_solver, start_vector
@@ -25,7 +25,7 @@ from chargedphi2.spectral import (
     recurrence_time,
     resolvent_convergence,
 )
-from oracles import creation_frame, dense_probe, dense_resolvent_gap, raise_table_frame
+from oracles import creation, creation_frame, dense_probe, dense_resolvent_gap, raise_table_frame
 
 
 def shifted(op, c):
